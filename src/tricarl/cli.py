@@ -233,8 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidSpec as exc:
         sys.stderr.write(_json_dumps({"error": {"code": exc.code, "message": str(exc)}}))
         return EXIT_INVALID
-    except TricarlError as exc:
-        sys.stderr.write(_json_dumps({"error": {"code": exc.code, "message": str(exc)}}))
+    except (TricarlError, np.linalg.LinAlgError) as exc:
+        code = getattr(exc, "code", "error")
+        sys.stderr.write(_json_dumps({"error": {"code": code, "message": str(exc)}}))
         return EXIT_NUMERICAL
     _emit(text, args.out, effective_argv)
     return EXIT_OK

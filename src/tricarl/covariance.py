@@ -32,7 +32,7 @@ from .dynamics import (
     propagator_coefficients,
     spectrum,
 )
-from .errors import DegenerateSpectrum, NotHermitian, NotStable, ToleranceNotMet
+from .errors import DegenerateSpectrum, NonFinite, NotHermitian, NotStable, ToleranceNotMet
 from .model import ModelParams, derive
 
 VACUUM = 0.5 * np.eye(3, dtype=complex)
@@ -45,6 +45,8 @@ def diffusion_matrix(params: ModelParams) -> np.ndarray:
 
 def _hermitize(matrix: np.ndarray, tol: float, what: str) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
+    if not np.isfinite(matrix).all():
+        raise NonFinite(f"{what} has non-finite entries")
     scale = max(1.0, float(np.abs(matrix).max()))
     defect = float(np.abs(matrix - matrix.conj().T).max())
     if defect > tol * scale:

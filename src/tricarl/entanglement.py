@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceState
-from .errors import NotHermitian, RegimeMismatch
+from .errors import NonFinite, NotHermitian, RegimeMismatch
 from .model import ModelParams
 
 _LAMBDA0 = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
@@ -66,48 +66,29 @@ def two_mode_matrix(v: np.ndarray, i: int, j: int) -> np.ndarray:
     return gamma_matrix(v, i)[np.ix_(keep, keep)]
 
 
+def _min_eigenvalues(stack: np.ndarray, hermiticity_tol: float = 1e-8) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix in a (..., n, n) stack,
+    from one batched LAPACK ``eigvalsh`` call.
+
+    Raises NonFinite for inf or NaN entries and NotHermitian if any matrix
+    has a Hermitian defect above ``hermiticity_tol * max(1, max|h|)``.
+    """
+    h = np.asarray(stack, dtype=complex)
+    if not np.isfinite(h).all():
+        raise NonFinite("test matrix has non-finite entries")
+    h_dag = h.conj().swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    defect = np.abs(h - h_dag).max(axis=(-2, -1))
+    if np.any(defect > hermiticity_tol * scale):
+        raise NotHermitian(f"Hermitian defect {defect.max():.3e} exceeds tolerance")
+    return np.linalg.eigvalsh(0.5 * (h + h_dag))[..., 0]
+
+
 def min_eigenvalue_hermitian(
     h: np.ndarray, hermiticity_tol: float = 1e-8
 ) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    Cyclic Jacobi rotations on the real-symmetric embedding
-    [[Re H, -Im H], [Im H, Re H]], whose spectrum is that of H doubled.
-    """
-    h = np.asarray(h, dtype=complex)
-    scale = max(1.0, float(np.abs(h).max()))
-    defect = float(np.abs(h - h.conj().T).max())
-    if defect > hermiticity_tol * scale:
-        raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds tolerance")
-    h = 0.5 * (h + h.conj().T)
-    r = np.block([[h.real, -h.imag], [h.imag, h.real]])
-    r = 0.5 * (r + r.T)
-    m = r.shape[0]
-    stop = 1e-14 * scale
-    for _ in range(30):
-        largest_off = 0.0
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = r[p, q]
-                if abs(apq) <= stop:
-                    continue
-                largest_off = max(largest_off, abs(apq))
-                theta = (r[q, q] - r[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                row_p, row_q = r[p, :].copy(), r[q, :].copy()
-                r[p, :] = c * row_p - s * row_q
-                r[q, :] = s * row_p + c * row_q
-                col_p, col_q = r[:, p].copy(), r[:, q].copy()
-                r[:, p] = c * col_p - s * col_q
-                r[:, q] = s * col_p + c * col_q
-        if largest_off <= stop:
-            break
-    return float(np.min(np.diag(r)))
+    """Smallest eigenvalue of a Hermitian matrix."""
+    return float(_min_eigenvalues(h, hermiticity_tol))
 
 
 def physicality(v: np.ndarray) -> float:
@@ -128,6 +109,8 @@ def classify(gamma_min_eigs: np.ndarray, epsilon: float = 1e-9) -> str:
     eigs = np.asarray(gamma_min_eigs, dtype=float)
     if eigs.shape != (3,):
         raise ValueError("expected three minimum eigenvalues")
+    if not np.isfinite(eigs).all():
+        raise NonFinite(f"minimum eigenvalues {eigs} are not finite")
     positive = [j for j in range(3) if eigs[j] >= -epsilon]
     if len(positive) == 0:
         return CLASS_FULLY_INSEPARABLE
@@ -154,17 +137,14 @@ def separability_report(
 ) -> SeparabilityReport:
     """Run all separability tests on one covariance state."""
     v = quadrature_covariance(cov)
-    gammas = tuple(
-        min_eigenvalue_hermitian(gamma_matrix(v, j)) for j in (1, 2, 3)
-    )
-    pairs = tuple(
-        min_eigenvalue_hermitian(two_mode_matrix(v, i, j))
-        for i, j in ((1, 2), (1, 3), (2, 3))
+    gammas = _min_eigenvalues(np.stack([gamma_matrix(v, j) for j in (1, 2, 3)]))
+    pairs = _min_eigenvalues(
+        np.stack([two_mode_matrix(v, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
     )
     return SeparabilityReport(
-        min_eig_gamma=gammas,
-        min_eig_s=pairs,
-        class_label=classify(np.array(gammas), epsilon),
+        min_eig_gamma=tuple(map(float, gammas)),
+        min_eig_s=tuple(map(float, pairs)),
+        class_label=classify(gammas, epsilon),
         epsilon=epsilon,
     )
 

@@ -52,6 +52,12 @@ class NotHermitian(TricarlError):
     code = "not_hermitian"
 
 
+class NonFinite(TricarlError):
+    """A covariance or a requested result overflowed to inf or NaN."""
+
+    code = "non_finite"
+
+
 class RegimeMismatch(TricarlError):
     """Asymptotic formulas were requested outside their regime of
     validity."""

@@ -51,7 +51,10 @@ def occupations(cov: CovarianceState | np.ndarray) -> np.ndarray:
     Small negative values (rounding below the vacuum floor) are clamped to
     zero; values below -1e-6 raise NegativeOccupation.
     """
-    c = _matrix(cov)
+    return _occupations(_matrix(cov))
+
+
+def _occupations(c: np.ndarray) -> np.ndarray:
     n = np.array([_real(c[i, i], f"C[{i+1},{i+1}]") - 0.5 for i in range(3)])
     if np.any(n < _NEGATIVE_FLOOR):
         raise NegativeOccupation(f"occupations {n} below the vacuum floor")
@@ -73,10 +76,14 @@ def fourth_order(
 def variances(cov: CovarianceState | np.ndarray) -> np.ndarray:
     """Number variances sigma^2(n_i), via the fourth-order moment
     <n_i^2> = G_iiii - <n_i> - 1/2; thermal states give n(n + 1)."""
-    n = occupations(cov)
+    c = _matrix(cov)
+    return _variances(c, _occupations(c))
+
+
+def _variances(c: np.ndarray, n: np.ndarray) -> np.ndarray:
     out = np.empty(3)
     for i in range(3):
-        second = _real(fourth_order(cov, i + 1, i + 1, i + 1, i + 1), "G_iiii")
+        second = _real(fourth_order(c, i + 1, i + 1, i + 1, i + 1), "G_iiii")
         out[i] = second - n[i] - 0.5 - n[i] ** 2
     return out
 
@@ -100,7 +107,10 @@ def g2_cross(cov: CovarianceState | np.ndarray, i: int, j: int) -> float:
     if i == j:
         raise ValueError("use g2_auto for equal modes")
     c = _matrix(cov)
-    n = occupations(cov)
+    return _g2_cross(c, _occupations(c), i, j)
+
+
+def _g2_cross(c: np.ndarray, n: np.ndarray, i: int, j: int) -> float:
     if n[i - 1] <= ZERO_OCCUPATION or n[j - 1] <= ZERO_OCCUPATION:
         raise UndefinedCorrelation(
             f"modes ({i}, {j}) have occupations ({n[i - 1]:.3e}, {n[j - 1]:.3e})"
@@ -128,8 +138,13 @@ def number_squeezing(cov: CovarianceState | np.ndarray, i: int, j: int) -> float
     below 1 mean occupation-difference fluctuations beat independent
     coherent beams.  None at vacuum."""
     c = _matrix(cov)
-    n = occupations(cov)
-    var = variances(cov)
+    n = _occupations(c)
+    return _number_squeezing(c, n, _variances(c, n), i, j)
+
+
+def _number_squeezing(
+    c: np.ndarray, n: np.ndarray, var: np.ndarray, i: int, j: int
+) -> float | None:
     return squeezing_from_moments(
         n[i - 1], n[j - 1], var[i - 1], var[j - 1], abs(c[i - 1, j - 1]) ** 2
     )
@@ -164,28 +179,29 @@ def mode_observables(
     cov: CovarianceState | np.ndarray, atom_number: float = 1e6
 ) -> ModeObservables:
     """Evaluate every scalar observable, mapping undefined ones to None."""
-    n = occupations(cov)
-    var = variances(cov)
+    c = _matrix(cov)
+    n = _occupations(c)
+    var = _variances(c, n)
     autos = []
     for i in (1, 2, 3):
         try:
-            autos.append(g2_auto(cov, i))
+            autos.append(g2_auto(c, i))
         except UndefinedCorrelation:
             autos.append(None)
     crosses = []
     for i, j in CROSS_PAIRS:
         try:
-            crosses.append(g2_cross(cov, i, j))
+            crosses.append(_g2_cross(c, n, i, j))
         except UndefinedCorrelation:
             crosses.append(None)
-    xis = [number_squeezing(cov, i, j) for i, j in CROSS_PAIRS]
+    xis = [_number_squeezing(c, n, var, i, j) for i, j in CROSS_PAIRS]
     return ModeObservables(
         n=tuple(n),
         var_n=tuple(var),
         g2_auto=tuple(autos),
         g2_cross=tuple(crosses),
         xi=tuple(xis),
-        bunching=bunching(cov, atom_number),
+        bunching=bunching(c, atom_number),
     )
 
 

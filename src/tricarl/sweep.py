@@ -9,6 +9,7 @@ observables (vacuum 0/0) stay empty.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 from .covariance import covariance, ode_oracle
 from .dynamics import cubic_roots, gain
 from .entanglement import physicality, quadrature_covariance, separability_report
-from .errors import InvalidSpec, TricarlError
+from .errors import InvalidSpec, NonFinite, TricarlError
 from .model import ModelParams, derive
 from .observables import mode_observables
 from . import presets as _presets
@@ -136,6 +137,26 @@ class SweepSpec:
         )
 
 
+def _non_finite_fields(value, path: str = ""):
+    """Paths of the inf/NaN floats in a (nested) dict or list."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite_fields(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            yield from _non_finite_fields(item, f"{path}[{index}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield path
+
+
+def _require_finite(record: dict) -> dict:
+    """Return ``record``; raise NonFinite if any value in it overflowed."""
+    bad = list(_non_finite_fields(record))
+    if bad:
+        raise NonFinite(f"non-finite result in {', '.join(bad)}")
+    return record
+
+
 def _evaluate_row(spec: SweepSpec, value: float) -> dict:
     row: dict = {spec.axis: float(value)}
     for name in spec.outputs:
@@ -173,9 +194,8 @@ def _evaluate_row(spec: SweepSpec, value: float) -> dict:
                         "class": report.class_label,
                     }
                 )
-            for name in spec.outputs:
-                if name in values:
-                    row[name] = values[name]
+            requested = {name: values[name] for name in spec.outputs if name in values}
+            row.update(_require_finite(requested))
     except (TricarlError, ValueError, np.linalg.LinAlgError) as exc:
         status = getattr(exc, "code", "error")
     row["status"] = status
@@ -242,7 +262,7 @@ def evolve_point(
     if oracle:
         reference = ode_oracle(params, tau)
         out["oracle_max_abs_diff"] = float(np.abs(state.c - reference.c).max())
-    return out
+    return _require_finite(out)
 
 
 @dataclass(frozen=True)

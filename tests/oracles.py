@@ -84,3 +84,25 @@ def rk4_lyapunov(a, d, c0, tau, steps):
         k4 = f(c + h * k3)
         c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return c
+
+
+def min_eig_hermitian_bisection(h):
+    """Minimum eigenvalue of a Hermitian matrix by bisection on positive
+    definiteness: H - s I has a Cholesky factor exactly when s < lambda_min.
+
+    Uses no eigensolver.  Unlike the char-poly roots, its error (a few
+    n eps ||H||) does not grow when eigenvalues cluster or repeat.
+    """
+    h = np.asarray(h, dtype=complex)
+    h = 0.5 * (h + h.conj().T)
+    eye = np.eye(h.shape[0])
+    radius = float(np.abs(h).sum(axis=1).max())  # Gershgorin bound
+    lo, hi = -radius - 1.0, radius + 1.0
+    while hi - lo > 1e-14 * (radius + 1.0):
+        mid = 0.5 * (lo + hi)
+        try:
+            np.linalg.cholesky(h - mid * eye)
+            lo = mid
+        except np.linalg.LinAlgError:
+            hi = mid
+    return 0.5 * (lo + hi)

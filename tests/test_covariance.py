@@ -128,6 +128,16 @@ def test_covariance_state_rejects_non_hermitian():
         CovarianceState(tau=0.0, c=bad)
 
 
+def test_covariance_state_rejects_non_finite():
+    from tricarl import NonFinite
+
+    for value in (np.nan, np.inf):
+        bad = 0.5 * np.eye(3, dtype=complex)
+        bad[0, 0] = value
+        with pytest.raises(NonFinite):
+            CovarianceState(tau=0.0, c=bad)
+
+
 def test_matrix_and_entrywise_paths_agree():
     rng = np.random.RandomState(53)
     for _ in range(20):

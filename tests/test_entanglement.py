@@ -4,6 +4,7 @@ import pytest
 from oracles import covariance_from_quadratures, min_eig_hermitian_charpoly
 from tricarl import (
     ModelParams,
+    NonFinite,
     NotHermitian,
     RegimeMismatch,
     SYMPLECTIC_FORM,
@@ -215,6 +216,18 @@ def test_classify_rules():
         "biseparable_or_separable"
     )
     assert classify([-1e-12, -1e-12, -1e-12], epsilon=1e-15) == "fully_inseparable"
+
+
+def test_classify_rejects_non_finite():
+    with pytest.raises(NonFinite):
+        classify([np.nan, -0.2, -0.1])
+
+
+def test_min_eigenvalue_rejects_non_finite():
+    h = np.eye(3, dtype=complex)
+    h[1, 1] = np.nan
+    with pytest.raises(NonFinite):
+        min_eigenvalue_hermitian(h)
 
 
 def test_separability_report_vacuum():

@@ -257,6 +257,40 @@ def test_cli_numerical_failure_exit_code(capsys, monkeypatch):
     assert json.loads(err)["error"]["code"] == "tolerance_not_met"
 
 
+def test_overflowed_rows_carry_non_finite_status():
+    # the covariance overflows past tau = 400; the number variances behind
+    # xi12 overflow first, while C is still finite
+    spec = make_spec(
+        fixed=ModelParams(rho=100.0, delta=0.0),
+        stop=800.0,
+        outputs=("n1", "xi12", "mineig_gamma1", "class"),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = run_sweep(spec, workers=1)
+    assert [row["status"] for row in rows] == ["ok", "ok"] + ["non_finite"] * 3
+    for row in rows[2:]:
+        assert all(row[name] is None for name in spec.outputs)
+
+
+def test_cli_point_mode_non_finite_exit_code(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, "--rho", "100", "--tau", "300")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["code"] == "non_finite"
+
+
+def test_cli_linalg_failure_exit_code(capsys, monkeypatch):
+    import tricarl.sweep as sweep_module
+
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(sweep_module, "covariance", boom)
+    code, _, err = run_cli(capsys, "--rho", "100", "--tau", "1")
+    assert code == 3
+    assert "did not converge" in json.loads(err)["error"]["message"]
+
+
 def test_cli_preset_csv(capsys):
     code, out, _ = run_cli(capsys, "--preset", "fig1a", "--workers", "2")
     assert code == 0
