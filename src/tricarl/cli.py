@@ -10,9 +10,9 @@ Three modes, selected by the flags:
       figure preset: one labeled sweep per curve
 
 Data files are byte-identical across identical invocations; run metadata
-(timestamp, versions) goes to a separate ``<out>.run.json`` sidecar when
---out is used.  Exit codes: 0 success, 2 invalid specification, 3
-numerical failure.
+(timestamp, versions, per-status row counts) goes to a separate
+``<out>.run.json`` sidecar when --out is used.  Exit codes: 0 success, 2
+invalid specification, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,9 +23,11 @@ import io
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .errors import InvalidSpec, TricarlError
 from .model import ModelParams
@@ -74,7 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include the closed-form vs moment-ODE deviation in point reports",
     )
-    parser.add_argument("--workers", type=int, help="parallel row evaluators")
+    parser.add_argument(
+        "--workers", type=int, help="deprecated and ignored: sweeps run as batched array code"
+    )
     parser.add_argument(
         "--epsilon", type=float, default=1e-9, help="separability sign tolerance"
     )
@@ -120,7 +124,7 @@ def _sweep_meta(spec: SweepSpec) -> list[str]:
     ]
 
 
-def _emit(text: str, out: str | None, argv: list[str]) -> None:
+def _emit(text: str, out: str | None, argv: list[str], rows: list[dict] | None = None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
@@ -130,8 +134,11 @@ def _emit(text: str, out: str | None, argv: list[str]) -> None:
         "argv": argv,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "python": sys.version.split()[0],
     }
+    if rows is not None:
+        sidecar["row_status_counts"] = dict(sorted(Counter(r["status"] for r in rows).items()))
     path.with_suffix(path.suffix + ".run.json").write_text(
         json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
     )
@@ -168,7 +175,7 @@ def _parse_sweep_flag(text: str) -> tuple[str, float, float, int]:
     return axis, start, stop, points
 
 
-def _run_sweep_mode(args: argparse.Namespace, params: ModelParams) -> str:
+def _run_sweep_mode(args: argparse.Namespace, params: ModelParams) -> tuple[str, list[dict]]:
     axis, start, stop, points = _parse_sweep_flag(args.sweep)
     spec = SweepSpec(
         axis=axis,
@@ -181,15 +188,15 @@ def _run_sweep_mode(args: argparse.Namespace, params: ModelParams) -> str:
         atom_number=args.atoms,
         epsilon=args.epsilon,
     )
-    rows = run_sweep(spec, workers=args.workers)
+    rows = run_sweep(spec)
     if args.format == "json":
-        return _json_dumps({"kind": "sweep", "spec": spec.to_dict(), "rows": rows})
-    return _rows_to_csv(rows, _sweep_meta(spec))
+        return _json_dumps({"kind": "sweep", "spec": spec.to_dict(), "rows": rows}), rows
+    return _rows_to_csv(rows, _sweep_meta(spec)), rows
 
 
-def _run_preset_mode(args: argparse.Namespace) -> str:
+def _run_preset_mode(args: argparse.Namespace) -> tuple[str, list[dict]]:
     preset: FigurePreset = figure_preset(args.preset)
-    rows = run_preset(preset, workers=args.workers)
+    rows = run_preset(preset)
     if args.format == "json":
         payload = {
             "kind": "preset",
@@ -201,18 +208,19 @@ def _run_preset_mode(args: argparse.Namespace) -> str:
             ],
             "rows": rows,
         }
-        return _json_dumps(payload)
+        return _json_dumps(payload), rows
     meta = [f"tricarl preset {preset.id}", preset.description]
-    return _rows_to_csv(rows, meta)
+    return _rows_to_csv(rows, meta), rows
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     effective_argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(effective_argv)
+    rows = None
     try:
         if args.preset:
-            text = _run_preset_mode(args)
+            text, rows = _run_preset_mode(args)
         else:
             if args.rho is None:
                 raise InvalidSpec("--rho is required without --preset")
@@ -227,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise InvalidSpec(str(exc)) from exc
             if args.sweep:
-                text = _run_sweep_mode(args, params)
+                text, rows = _run_sweep_mode(args, params)
             else:
                 text = _run_point(args, params)
     except InvalidSpec as exc:
@@ -237,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         code = getattr(exc, "code", "error")
         sys.stderr.write(_json_dumps({"error": {"code": code, "message": str(exc)}}))
         return EXIT_NUMERICAL
-    _emit(text, args.out, effective_argv)
+    _emit(text, args.out, effective_argv, rows)
     return EXIT_OK
 
 

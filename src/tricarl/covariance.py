@@ -26,32 +26,53 @@ from scipy.linalg import expm
 
 from .dynamics import (
     Spectrum,
+    _propagator_matrix,
     cubic_roots,
     drift_generator,
     propagator,
-    propagator_coefficients,
     spectrum,
 )
 from .errors import DegenerateSpectrum, NonFinite, NotHermitian, NotStable, ToleranceNotMet
 from .model import ModelParams, derive
 
 VACUUM = 0.5 * np.eye(3, dtype=complex)
+# Hermitian defect, relative to max(1, max|entry|), that Q and C may carry
+HERMITIZE_TOL = 1e-10
+
+
+def _dagger(matrix: np.ndarray) -> np.ndarray:
+    return matrix.conj().swapaxes(-1, -2)
+
+
+def _rates(params) -> np.ndarray:
+    """Diffusion weights (gamma1, gamma2, kappa) on the last axis."""
+    return np.stack(np.broadcast_arrays(params.gamma1, params.gamma2, params.kappa), -1)
 
 
 def diffusion_matrix(params: ModelParams) -> np.ndarray:
     """Diffusion matrix D = diag(gamma1, gamma2, kappa)."""
-    return np.diag([params.gamma1, params.gamma2, params.kappa]).astype(complex)
+    return np.diag(_rates(params)).astype(complex)
+
+
+def _hermitian_part(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M + M^dag)/2 of each matrix in a (..., n, n) stack, and its defect
+    max|M - M^dag| relative to max(1, max|M|); NaN for non-finite M."""
+    matrix = np.asarray(matrix, dtype=complex)
+    m_dag = _dagger(matrix)
+    finite = np.isfinite(matrix).all(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(1.0, np.abs(matrix).max(axis=(-2, -1)))
+        defect = np.where(finite, np.abs(matrix - m_dag).max(axis=(-2, -1)) / scale, np.nan)
+        return 0.5 * (matrix + m_dag), defect
 
 
 def _hermitize(matrix: np.ndarray, tol: float, what: str) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=complex)
-    if not np.isfinite(matrix).all():
+    hermitian, defect = _hermitian_part(matrix)
+    if np.isnan(defect):
         raise NonFinite(f"{what} has non-finite entries")
-    scale = max(1.0, float(np.abs(matrix).max()))
-    defect = float(np.abs(matrix - matrix.conj().T).max())
-    if defect > tol * scale:
-        raise NotHermitian(f"{what} is not Hermitian: defect {defect:.3e}")
-    return 0.5 * (matrix + matrix.conj().T)
+    if defect > tol:
+        raise NotHermitian(f"{what} is not Hermitian: relative defect {defect:.3e}")
+    return hermitian
 
 
 @dataclass(frozen=True)
@@ -62,7 +83,7 @@ class CovarianceState:
     c: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c", _hermitize(self.c, 1e-10, "covariance"))
+        object.__setattr__(self, "c", _hermitize(self.c, HERMITIZE_TOL, "covariance"))
 
 
 @dataclass(frozen=True)
@@ -73,15 +94,30 @@ class NoiseMatrix:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", _hermitize(self.q, 1e-10, "noise matrix"))
+        object.__setattr__(self, "q", _hermitize(self.q, HERMITIZE_TOL, "noise matrix"))
 
 
-def _phi(z: complex, tau: float) -> complex:
+def _phi(z, tau):
     """integral_0^tau exp(z s) ds, series-stabilized near z = 0."""
-    if abs(z) < 1e-8:
-        zt = z * tau
-        return tau * (1.0 + zt / 2.0 + zt * zt / 6.0)
-    return (np.exp(z * tau) - 1.0) / z
+    z = np.asarray(z, dtype=complex)
+    zt = z * tau
+    small = np.abs(z) < 1e-8
+    series = tau * (1.0 + zt / 2.0 + zt * zt / 6.0)
+    return np.where(small, series, (np.exp(zt) - 1.0) / np.where(small, 1.0, z))
+
+
+def _eigenbasis_diffusion(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """D~ = S D S^dag and the rate sums lambda_i + lambda_j* it decays with."""
+    d_tilde = (spec.s * _rates(spec.params)[..., np.newaxis, :]) @ _dagger(spec.s)
+    lam = spec.lambdas
+    return d_tilde, lam[..., :, np.newaxis] + lam[..., np.newaxis, :].conj()
+
+
+def _noise(spec: Spectrum, tau) -> np.ndarray:
+    """Unsymmetrized closed-form Q for a stack of spectra and/or times."""
+    d_tilde, sums = _eigenbasis_diffusion(spec)
+    q_tilde = d_tilde * _phi(sums, np.asarray(tau)[..., np.newaxis, np.newaxis])
+    return spec.s_inverse @ q_tilde @ _dagger(spec.s_inverse)
 
 
 def q_closed_form(spec: Spectrum, tau: float) -> NoiseMatrix:
@@ -91,16 +127,21 @@ def q_closed_form(spec: Spectrum, tau: float) -> NoiseMatrix:
     Q~_ij = D~_ij (exp((l_i + l_j*) tau) - 1)/(l_i + l_j*) and
     Q = S^-1 Q~ (S^-1)^dag.
     """
-    d = diffusion_matrix(spec.params)
-    d_tilde = spec.s @ d @ spec.s.conj().T
-    lam = spec.lambdas
-    q_tilde = np.array(
-        [
-            [d_tilde[i, j] * _phi(lam[i] + lam[j].conjugate(), tau) for j in range(3)]
-            for i in range(3)
-        ]
-    )
-    return NoiseMatrix(tau=tau, q=spec.s_inverse @ q_tilde @ spec.s_inverse.conj().T)
+    return NoiseMatrix(tau=tau, q=_noise(spec, tau))
+
+
+def _with_coherent_part(q: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """C = Q + M M^dag / 2, the vacuum's propagated half plus the noise."""
+    return q + 0.5 * m @ _dagger(m)
+
+
+def _closed_form_stack(spec: Spectrum, tau) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form covariances for a stack of spectra and/or times, and a
+    mask of the rows that pass the guards CovarianceState and NoiseMatrix
+    raise on (finite, Hermitian within HERMITIZE_TOL)."""
+    q, q_defect = _hermitian_part(_noise(spec, tau))
+    c, c_defect = _hermitian_part(_with_coherent_part(q, _propagator_matrix(spec, tau)))
+    return c, (q_defect <= HERMITIZE_TOL) & (c_defect <= HERMITIZE_TOL)
 
 
 def _q_quadrature_generator(
@@ -165,49 +206,7 @@ def covariance_closed(spec: Spectrum, tau: float) -> CovarianceState:
     """Covariance from the matrix-form closed expression Q + M M^dag / 2."""
     m = propagator(spec, tau).m
     q = q_closed_form(spec, tau).q
-    return CovarianceState(tau=tau, c=q + 0.5 * m @ m.conj().T)
-
-
-# (row, column, [(sign, left entry, right entry), ...]) for each independent
-# covariance element; entries index F_ORDER = (f11, f22, f33, f12, f13, f23)
-# and the three terms carry the diffusion weights (gamma1, gamma2, kappa).
-_ENTRYWISE_TERMS = (
-    (0, 0, ((1.0, 0, 0), (1.0, 3, 3), (1.0, 4, 4))),
-    (1, 1, ((1.0, 3, 3), (1.0, 1, 1), (1.0, 5, 5))),
-    (2, 2, ((1.0, 4, 4), (1.0, 5, 5), (1.0, 2, 2))),
-    (0, 1, ((-1.0, 0, 3), (1.0, 3, 1), (1.0, 4, 5))),
-    (0, 2, ((1.0, 0, 4), (-1.0, 3, 5), (1.0, 4, 2))),
-    (1, 2, ((-1.0, 3, 4), (-1.0, 1, 5), (1.0, 5, 2))),
-)
-
-
-def covariance_entrywise(spec: Spectrum, tau: float) -> CovarianceState:
-    """Covariance assembled element by element from the propagator entries.
-
-    Each element is a weighted sum of products f_a(tau) f_b(tau)* and of
-    their exact time integrals; an independent code path from
-    ``covariance_closed`` sharing only the exponential-sum coefficients.
-    """
-    coeffs = propagator_coefficients(spec)
-    lam = spec.lambdas
-    exps = np.exp(lam * tau)
-    weights = (spec.params.gamma1, spec.params.gamma2, spec.params.kappa)
-    # cross-term kernels: products of exp(lambda_a tau) exp(lambda_b tau)*
-    prod_kernel = np.outer(exps, exps.conj())
-    int_kernel = np.array(
-        [[_phi(lam[a] + lam[b].conjugate(), tau) for b in range(3)] for a in range(3)]
-    )
-    c = np.zeros((3, 3), dtype=complex)
-    for row, col, terms in _ENTRYWISE_TERMS:
-        value = 0.0 + 0.0j
-        for weight, (sign, left, right) in zip(weights, terms):
-            pair = np.outer(coeffs[left], coeffs[right].conj())
-            value += sign * (
-                weight * np.sum(pair * int_kernel) + 0.5 * np.sum(pair * prod_kernel)
-            )
-        c[row, col] = value
-        c[col, row] = value.conjugate()
-    return CovarianceState(tau=tau, c=c)
+    return CovarianceState(tau=tau, c=_with_coherent_part(q, m))
 
 
 def covariance(
@@ -236,7 +235,7 @@ def covariance(
                 raise
     m = expm(drift_generator(params) * tau)
     q = q_quadrature(params, tau, tol=quadrature_tol).q
-    return CovarianceState(tau=tau, c=q + 0.5 * m @ m.conj().T)
+    return CovarianceState(tau=tau, c=_with_coherent_part(q, m))
 
 
 def steady_state(
@@ -251,16 +250,8 @@ def steady_state(
     worst = float(np.max(spec.lambdas.real))
     if worst >= 0:
         raise NotStable(f"largest mode gain is {worst:.6g} >= 0")
-    d = diffusion_matrix(params)
-    d_tilde = spec.s @ d @ spec.s.conj().T
-    lam = spec.lambdas
-    q_tilde = np.array(
-        [
-            [-d_tilde[i, j] / (lam[i] + lam[j].conjugate()) for j in range(3)]
-            for i in range(3)
-        ]
-    )
-    c = spec.s_inverse @ q_tilde @ spec.s_inverse.conj().T
+    d_tilde, sums = _eigenbasis_diffusion(spec)
+    c = spec.s_inverse @ (-d_tilde / sums) @ _dagger(spec.s_inverse)
     return CovarianceState(tau=math.inf, c=c)
 
 

@@ -24,36 +24,71 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceState
+from .covariance import CovarianceState, _hermitian_part
 from .errors import NonFinite, NotHermitian, RegimeMismatch
 from .model import ModelParams
 
-_LAMBDA0 = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+# sign flips of x1 (undoing the conjugation of mode 1) and, per row j, of
+# the momentum quadrature y_j that the partial transpose of mode j flips
+_FLIP_X1 = np.array([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+_FLIP_Y = 1.0 - 2.0 * np.eye(3, 6, 3)
+# rows and columns of Gamma_i kept by S_12, S_13, S_23 (i = 1, 1, 2)
+_PAIR_PARENT = np.array([0, 0, 1])[:, np.newaxis, np.newaxis]
+_PAIR_KEEP = np.array([[0, 1, 3, 4], [0, 2, 3, 5], [1, 2, 4, 5]])
 
 SYMPLECTIC_FORM = np.block(
     [[np.zeros((3, 3)), -np.eye(3)], [np.eye(3), np.zeros((3, 3))]]
 )
+# Hermitian defect, relative to max(1, max|entry|), a test matrix may carry
+HERMITICITY_TOL = 1e-8
 
 CLASS_FULLY_INSEPARABLE = "fully_inseparable"
 CLASS_TWO_MODE_BISEPARABLE = "two_mode_biseparable"
 CLASS_BISEPARABLE_OR_SEPARABLE = "biseparable_or_separable"
+# class label by the bit pattern of factorizable modes (bit j: mode j + 1)
+_CLASS_LABELS = (
+    CLASS_FULLY_INSEPARABLE,
+    "one_mode_biseparable(1)",
+    "one_mode_biseparable(2)",
+    CLASS_TWO_MODE_BISEPARABLE,
+    "one_mode_biseparable(3)",
+    CLASS_TWO_MODE_BISEPARABLE,
+    CLASS_TWO_MODE_BISEPARABLE,
+    CLASS_BISEPARABLE_OR_SEPARABLE,
+)
 
 
 def quadrature_covariance(cov: CovarianceState | np.ndarray) -> np.ndarray:
-    """Real 6x6 quadrature covariance V built from the complex covariance."""
+    """Real 6x6 quadrature covariance V built from the complex covariance
+    (one per covariance of a stack)."""
     c = cov.c if isinstance(cov, CovarianceState) else np.asarray(cov, dtype=complex)
     re, im = c.real, c.imag
-    block = np.block([[re, -im], [im, re]])
-    return 2.0 * _LAMBDA0 @ block @ _LAMBDA0
+    block = np.concatenate([np.concatenate([re, -im], -1), np.concatenate([im, re], -1)], -2)
+    return 2.0 * block * _FLIP_X1[:, np.newaxis] * _FLIP_X1
+
+
+def _gammas(v: np.ndarray, modes) -> np.ndarray:
+    """Partial-transpose test matrices Gamma_j, j in ``modes``, stacked on
+    the axis before the matrix axes."""
+    flips = _FLIP_Y[np.asarray(modes) - 1]
+    return flips[:, :, np.newaxis] * v[..., np.newaxis, :, :] * flips[:, np.newaxis, :] - (
+        1j * SYMPLECTIC_FORM
+    )
 
 
 def gamma_matrix(v: np.ndarray, j: int) -> np.ndarray:
     """Partial-transpose test matrix for factoring out mode j (1..3)."""
     if j not in (1, 2, 3):
         raise ValueError(f"mode index must be in 1..3, got {j!r}")
-    flip = np.eye(6)
-    flip[2 + j, 2 + j] = -1.0
-    return flip @ v @ flip - 1j * SYMPLECTIC_FORM
+    return _gammas(v, [j])[..., 0, :, :]
+
+
+def _test_matrices(cov) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma_1..3 (..., 3, 6, 6) and S_12, S_13, S_23 (..., 3, 4, 4) of a
+    covariance or a stack of them."""
+    gammas = _gammas(quadrature_covariance(cov), [1, 2, 3])
+    keep = _PAIR_KEEP[:, :, np.newaxis], _PAIR_KEEP[:, np.newaxis, :]
+    return gammas, gammas[..., _PAIR_PARENT, keep[0], keep[1]]
 
 
 def two_mode_matrix(v: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -61,31 +96,38 @@ def two_mode_matrix(v: np.ndarray, i: int, j: int) -> np.ndarray:
     (i, j): Gamma_i with the traced-out mode's rows and columns deleted."""
     if not (i in (1, 2, 3) and j in (1, 2, 3) and i < j):
         raise ValueError(f"need mode indices 1 <= i < j <= 3, got ({i!r}, {j!r})")
-    k = ({1, 2, 3} - {i, j}).pop()
-    keep = [m for m in range(6) if m not in (k - 1, k + 2)]
+    keep = _PAIR_KEEP[((1, 2), (1, 3), (2, 3)).index((i, j))]
     return gamma_matrix(v, i)[np.ix_(keep, keep)]
 
 
-def _min_eigenvalues(stack: np.ndarray, hermiticity_tol: float = 1e-8) -> np.ndarray:
-    """Smallest eigenvalue of each Hermitian matrix in a (..., n, n) stack,
-    from one batched LAPACK ``eigvalsh`` call.
+def _min_eigenvalue_stack(
+    stack: np.ndarray, hermiticity_tol: float = HERMITICITY_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue of the Hermitian part of each matrix in a
+    (..., n, n) stack, from one batched LAPACK ``eigvalsh`` call, and each
+    matrix's Hermitian defect relative to max(1, max|h|) (NaN for inf or
+    NaN entries).  A matrix whose defect exceeds the tolerance reads 0."""
+    hermitian, defect = _hermitian_part(stack)
+    usable = (defect <= hermiticity_tol)[..., np.newaxis, np.newaxis]
+    return np.linalg.eigvalsh(np.where(usable, hermitian, 0.0))[..., 0], defect
+
+
+def _min_eigenvalues(stack: np.ndarray, hermiticity_tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix in a (..., n, n) stack.
 
     Raises NonFinite for inf or NaN entries and NotHermitian if any matrix
     has a Hermitian defect above ``hermiticity_tol * max(1, max|h|)``.
     """
-    h = np.asarray(stack, dtype=complex)
-    if not np.isfinite(h).all():
+    eigs, defect = _min_eigenvalue_stack(stack, hermiticity_tol)
+    if np.isnan(defect).any():
         raise NonFinite("test matrix has non-finite entries")
-    h_dag = h.conj().swapaxes(-1, -2)
-    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
-    defect = np.abs(h - h_dag).max(axis=(-2, -1))
-    if np.any(defect > hermiticity_tol * scale):
-        raise NotHermitian(f"Hermitian defect {defect.max():.3e} exceeds tolerance")
-    return np.linalg.eigvalsh(0.5 * (h + h_dag))[..., 0]
+    if np.any(defect > hermiticity_tol):
+        raise NotHermitian(f"relative Hermitian defect {defect.max():.3e} exceeds tolerance")
+    return eigs
 
 
 def min_eigenvalue_hermitian(
-    h: np.ndarray, hermiticity_tol: float = 1e-8
+    h: np.ndarray, hermiticity_tol: float = HERMITICITY_TOL
 ) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     return float(_min_eigenvalues(h, hermiticity_tol))
@@ -95,6 +137,12 @@ def physicality(v: np.ndarray) -> float:
     """Minimum eigenvalue of V - iJ; >= 0 (to rounding) for physical
     states, exactly 0 at vacuum."""
     return min_eigenvalue_hermitian(v - 1j * SYMPLECTIC_FORM)
+
+
+def _class_index(gamma_min_eigs: np.ndarray, epsilon: float) -> np.ndarray:
+    """Index into _CLASS_LABELS of each set of three Gamma minimum
+    eigenvalues on the last axis."""
+    return (gamma_min_eigs >= -epsilon) @ np.array([1, 2, 4])
 
 
 def classify(gamma_min_eigs: np.ndarray, epsilon: float = 1e-9) -> str:
@@ -111,14 +159,7 @@ def classify(gamma_min_eigs: np.ndarray, epsilon: float = 1e-9) -> str:
         raise ValueError("expected three minimum eigenvalues")
     if not np.isfinite(eigs).all():
         raise NonFinite(f"minimum eigenvalues {eigs} are not finite")
-    positive = [j for j in range(3) if eigs[j] >= -epsilon]
-    if len(positive) == 0:
-        return CLASS_FULLY_INSEPARABLE
-    if len(positive) == 1:
-        return f"one_mode_biseparable({positive[0] + 1})"
-    if len(positive) == 2:
-        return CLASS_TWO_MODE_BISEPARABLE
-    return CLASS_BISEPARABLE_OR_SEPARABLE
+    return _CLASS_LABELS[int(_class_index(eigs, epsilon))]
 
 
 @dataclass(frozen=True)
@@ -136,17 +177,30 @@ def separability_report(
     cov: CovarianceState | np.ndarray, epsilon: float = 1e-9
 ) -> SeparabilityReport:
     """Run all separability tests on one covariance state."""
-    v = quadrature_covariance(cov)
-    gammas = _min_eigenvalues(np.stack([gamma_matrix(v, j) for j in (1, 2, 3)]))
-    pairs = _min_eigenvalues(
-        np.stack([two_mode_matrix(v, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
-    )
+    gamma_stack, pair_stack = _test_matrices(cov)
+    gammas = _min_eigenvalues(gamma_stack)
+    pairs = _min_eigenvalues(pair_stack)
     return SeparabilityReport(
         min_eig_gamma=tuple(map(float, gammas)),
         min_eig_s=tuple(map(float, pairs)),
         class_label=classify(gammas, epsilon),
         epsilon=epsilon,
     )
+
+
+def _separability_stack(c: np.ndarray, epsilon: float):
+    """``separability_report`` of a (..., 3, 3) stack of covariances.
+
+    Returns the Gamma_j and S_ij minimum eigenvalues (..., 3) each, the
+    class labels (an object array) and a mask of the states for which
+    ``separability_report`` raises nothing.
+    """
+    gamma_stack, pair_stack = _test_matrices(c)
+    gammas, gamma_defect = _min_eigenvalue_stack(gamma_stack)
+    pairs, pair_defect = _min_eigenvalue_stack(pair_stack)
+    ok = (gamma_defect <= HERMITICITY_TOL).all(-1) & (pair_defect <= HERMITICITY_TOL).all(-1)
+    labels = np.array(_CLASS_LABELS, dtype=object)[_class_index(gammas, epsilon)]
+    return gammas, pairs, labels, ok & np.isfinite(gammas).all(-1)
 
 
 def asymptotic_eta(params: ModelParams, regime: str) -> tuple[float, float]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.constants import epsilon_0, hbar
@@ -72,6 +73,19 @@ class ModelParams:
         return ModelParams(**fields)
 
 
+class ParamStack(NamedTuple):
+    """The fields of :class:`ModelParams` as broadcastable arrays: many
+    parameter sets at once, for the stack-shaped kernels (``derive`` and the
+    spectral closed forms accept either).  Not validated; build it from
+    values that ModelParams accepts."""
+
+    rho: object
+    delta: object
+    gamma1: object
+    gamma2: object
+    kappa: object
+
+
 @dataclass(frozen=True)
 class DerivedParams:
     """Auxiliary constants derived from :class:`ModelParams`.
@@ -90,8 +104,9 @@ class DerivedParams:
     beta: complex
 
 
-def derive(params: ModelParams) -> DerivedParams:
-    """Compute the derived constants; pure and idempotent."""
+def derive(params: ModelParams | ParamStack) -> DerivedParams:
+    """Compute the derived constants (arrays for a ParamStack); pure and
+    idempotent."""
     gamma_plus = (params.gamma1 + params.gamma2) / 2.0
     gamma_minus = (params.gamma1 - params.gamma2) / 2.0
     return DerivedParams(

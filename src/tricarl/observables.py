@@ -30,6 +30,8 @@ _IMAG_RESIDUE = 1e-9
 _NEGATIVE_FLOOR = -1e-6
 
 CROSS_PAIRS = ((1, 2), (1, 3), (2, 3))
+_FIRST = np.array([0, 0, 1])  # zero-based modes of CROSS_PAIRS
+_SECOND = np.array([1, 2, 2])
 
 
 def _matrix(cov: CovarianceState | np.ndarray) -> np.ndarray:
@@ -38,11 +40,24 @@ def _matrix(cov: CovarianceState | np.ndarray) -> np.ndarray:
     return np.asarray(cov, dtype=complex)
 
 
-def _real(value: complex, what: str) -> float:
-    """Drop a small imaginary residue; a large one means corrupted input."""
-    if abs(value.imag) > _IMAG_RESIDUE * max(1.0, abs(value.real)):
-        raise TricarlError(f"{what} has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+def _residue(value) -> np.ndarray:
+    """Where a should-be-real value carries an imaginary residue large
+    enough to mean corrupted input."""
+    value = np.asarray(value)
+    return np.abs(value.imag) > _IMAG_RESIDUE * np.fmax(1.0, np.abs(value.real))
+
+
+def _reject_residue(residue, what: str) -> None:
+    if np.any(residue):
+        raise TricarlError(f"{what} has an imaginary residue above {_IMAG_RESIDUE:g}")
+
+
+def _occupation_parts(c: np.ndarray):
+    """Occupations C_ii - 1/2 of a (..., 3, 3) stack, clamped at zero, with
+    the C_ii residue flags and the flags of values below the vacuum floor."""
+    diag = np.diagonal(c, axis1=-2, axis2=-1)
+    n = diag.real - 0.5
+    return np.maximum(n, 0.0), _residue(diag), n < _NEGATIVE_FLOOR
 
 
 def occupations(cov: CovarianceState | np.ndarray) -> np.ndarray:
@@ -55,22 +70,34 @@ def occupations(cov: CovarianceState | np.ndarray) -> np.ndarray:
 
 
 def _occupations(c: np.ndarray) -> np.ndarray:
-    n = np.array([_real(c[i, i], f"C[{i+1},{i+1}]") - 0.5 for i in range(3)])
-    if np.any(n < _NEGATIVE_FLOOR):
-        raise NegativeOccupation(f"occupations {n} below the vacuum floor")
-    return np.maximum(n, 0.0)
+    n, residue, below_floor = _occupation_parts(c)
+    _reject_residue(residue, "covariance diagonal")
+    if np.any(below_floor):
+        raise NegativeOccupation(f"occupations {c.diagonal().real - 0.5} below the vacuum floor")
+    return n
 
 
 def fourth_order(
     cov: CovarianceState | np.ndarray, i: int, j: int, k: int, l: int
 ) -> complex:
-    """Gaussian fourth-order moment G_ijkl = C_ki C_lj + C_li C_kj."""
+    """Gaussian fourth-order moment G_ijkl = C_ki C_lj + C_li C_kj (one per
+    covariance of a stack)."""
     for index in (i, j, k, l):
         if index not in (1, 2, 3):
             raise ValueError(f"mode index must be in 1..3, got {index!r}")
     c = _matrix(cov)
-    i, j, k, l = i - 1, j - 1, k - 1, l - 1
-    return c[k, i] * c[l, j] + c[l, i] * c[k, j]
+    # [()] makes scalars of a single covariance's entries: scalar products
+    # commute exactly, which the index symmetries of G rely on
+    pairs = ((k, i), (l, j), (l, i), (k, j))
+    c_ki, c_lj, c_li, c_kj = (c[..., row - 1, col - 1][()] for row, col in pairs)
+    return c_ki * c_lj + c_li * c_kj
+
+
+def _variance_parts(c: np.ndarray, n: np.ndarray):
+    """Number variances of a (..., 3, 3) stack from the clamped occupations,
+    with the residue flags of G_iiii."""
+    second = np.stack([fourth_order(c, i, i, i, i) for i in (1, 2, 3)], axis=-1)
+    return second.real - n - 0.5 - n**2, _residue(second)
 
 
 def variances(cov: CovarianceState | np.ndarray) -> np.ndarray:
@@ -81,11 +108,9 @@ def variances(cov: CovarianceState | np.ndarray) -> np.ndarray:
 
 
 def _variances(c: np.ndarray, n: np.ndarray) -> np.ndarray:
-    out = np.empty(3)
-    for i in range(3):
-        second = _real(fourth_order(c, i + 1, i + 1, i + 1, i + 1), "G_iiii")
-        out[i] = second - n[i] - 0.5 - n[i] ** 2
-    return out
+    var, residue = _variance_parts(c, n)
+    _reject_residue(residue, "G_iiii")
+    return var
 
 
 def g2_auto(cov: CovarianceState | np.ndarray, i: int) -> float:
@@ -95,27 +120,52 @@ def g2_auto(cov: CovarianceState | np.ndarray, i: int) -> float:
     2 (C_ii - 1/2)^2 to avoid cancellation at small occupation.
     """
     c = _matrix(cov)
-    n = _real(c[i - 1, i - 1], f"C[{i},{i}]") - 0.5
+    _reject_residue(_residue(c[i - 1, i - 1]), f"C[{i},{i}]")
+    n = c[i - 1, i - 1].real - 0.5
     if n <= ZERO_OCCUPATION:
         raise UndefinedCorrelation(f"mode {i} occupation {n:.3e} is zero")
     fourth = 2.0 * n * n  # G_iiii - 2 C_ii + 1/2, factored
     return fourth / (n * n)
 
 
-def g2_cross(cov: CovarianceState | np.ndarray, i: int, j: int) -> float:
-    """Cross correlation <n_i n_j>/(<n_i><n_j>) = 1 + |C_ij|^2/(<n_i><n_j>)."""
+def _cross_parts(c: np.ndarray, n: np.ndarray):
+    """Cross correlations over CROSS_PAIRS for a (..., 3, 3) stack, the
+    mask of where they are defined, and the |C_ij|^2 they are built on."""
+    cross_sq = np.abs(c[..., _FIRST, _SECOND]) ** 2
+    n_i, n_j = n[..., _FIRST], n[..., _SECOND]
+    defined = ~((n_i <= ZERO_OCCUPATION) | (n_j <= ZERO_OCCUPATION))
+    return 1.0 + cross_sq / np.where(defined, n_i * n_j, 1.0), defined, cross_sq
+
+
+def _xi_parts(n: np.ndarray, var: np.ndarray, cross_sq: np.ndarray):
+    """Number squeezing over CROSS_PAIRS and the mask of where it is defined."""
+    n_i, n_j = n[..., _FIRST], n[..., _SECOND]
+    return _squeezing(n_i, n_j, var[..., _FIRST], var[..., _SECOND], cross_sq)
+
+
+def _pair_index(i: int, j: int) -> int:
     if i == j:
         raise ValueError("use g2_auto for equal modes")
+    return CROSS_PAIRS.index((min(i, j), max(i, j)))
+
+
+def g2_cross(cov: CovarianceState | np.ndarray, i: int, j: int) -> float:
+    """Cross correlation <n_i n_j>/(<n_i><n_j>) = 1 + |C_ij|^2/(<n_i><n_j>)."""
+    pair = _pair_index(i, j)
     c = _matrix(cov)
-    return _g2_cross(c, _occupations(c), i, j)
-
-
-def _g2_cross(c: np.ndarray, n: np.ndarray, i: int, j: int) -> float:
-    if n[i - 1] <= ZERO_OCCUPATION or n[j - 1] <= ZERO_OCCUPATION:
+    n = _occupations(c)
+    g2, defined, _ = _cross_parts(c, n)
+    if not defined[pair]:
         raise UndefinedCorrelation(
             f"modes ({i}, {j}) have occupations ({n[i - 1]:.3e}, {n[j - 1]:.3e})"
         )
-    return 1.0 + abs(c[i - 1, j - 1]) ** 2 / (n[i - 1] * n[j - 1])
+    return g2[pair]
+
+
+def _squeezing(n_i, n_j, var_i, var_j, cross_sq):
+    total = n_i + n_j
+    defined = np.logical_not(total <= ZERO_OCCUPATION)
+    return (var_i + var_j - 2.0 * cross_sq) / np.where(defined, total, 1.0), defined
 
 
 def squeezing_from_moments(
@@ -127,36 +177,34 @@ def squeezing_from_moments(
     vacuum 0/0) when the occupations vanish.  Independent coherent modes
     (var = n, no cross correlation) give exactly 1.
     """
-    total = n_i + n_j
-    if total <= ZERO_OCCUPATION:
-        return None
-    return (var_i + var_j - 2.0 * cross_sq) / total
+    xi, defined = _squeezing(n_i, n_j, var_i, var_j, cross_sq)
+    return float(xi) if defined else None
 
 
 def number_squeezing(cov: CovarianceState | np.ndarray, i: int, j: int) -> float | None:
     """Two-mode number squeezing xi_{i,j} of the evolved state; values
     below 1 mean occupation-difference fluctuations beat independent
     coherent beams.  None at vacuum."""
+    pair = _pair_index(i, j)
     c = _matrix(cov)
     n = _occupations(c)
-    return _number_squeezing(c, n, _variances(c, n), i, j)
+    _, _, cross_sq = _cross_parts(c, n)
+    xi, defined = _xi_parts(n, _variances(c, n), cross_sq)
+    return xi[pair] if defined[pair] else None
 
 
-def _number_squeezing(
-    c: np.ndarray, n: np.ndarray, var: np.ndarray, i: int, j: int
-) -> float | None:
-    return squeezing_from_moments(
-        n[i - 1], n[j - 1], var[i - 1], var[j - 1], abs(c[i - 1, j - 1]) ** 2
-    )
+def _bunching_parts(c: np.ndarray, atom_number: float):
+    total = c[..., 0, 0] + c[..., 1, 1] + c[..., 0, 1] + c[..., 1, 0]
+    return total.real / atom_number, _residue(total)
 
 
 def bunching(cov: CovarianceState | np.ndarray, atom_number: float) -> float:
     """Density-grating contrast <B+ B> = (C11 + C22 + C12 + C21)/N."""
     if atom_number <= 0:
         raise ValueError(f"atom_number must be > 0, got {atom_number!r}")
-    c = _matrix(cov)
-    total = c[0, 0] + c[1, 1] + c[0, 1] + c[1, 0]
-    return _real(total, "bunching moment") / atom_number
+    value, residue = _bunching_parts(_matrix(cov), atom_number)
+    _reject_residue(residue, "bunching moment")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -188,21 +236,38 @@ def mode_observables(
             autos.append(g2_auto(c, i))
         except UndefinedCorrelation:
             autos.append(None)
-    crosses = []
-    for i, j in CROSS_PAIRS:
-        try:
-            crosses.append(_g2_cross(c, n, i, j))
-        except UndefinedCorrelation:
-            crosses.append(None)
-    xis = [_number_squeezing(c, n, var, i, j) for i, j in CROSS_PAIRS]
+    g2, g2_defined, cross_sq = _cross_parts(c, n)
+    xi, xi_defined = _xi_parts(n, var, cross_sq)
     return ModeObservables(
         n=tuple(n),
         var_n=tuple(var),
         g2_auto=tuple(autos),
-        g2_cross=tuple(crosses),
-        xi=tuple(xis),
+        g2_cross=tuple(v if d else None for v, d in zip(g2, g2_defined)),
+        xi=tuple(v if d else None for v, d in zip(xi, xi_defined)),
         bunching=bunching(c, atom_number),
     )
+
+
+def _observable_stack(c: np.ndarray, atom_number: float):
+    """The ``mode_observables`` of a (..., 3, 3) stack of covariances.
+
+    Returns ``(columns, ok)``: ``columns`` maps the sweep names n1..n3,
+    xi12.., g2_12.. and bunching to ``(values, defined)`` arrays, and ``ok``
+    masks the states for which ``mode_observables`` raises nothing.
+    """
+    n, residue, below_floor = _occupation_parts(c)
+    var, second_residue = _variance_parts(c, n)
+    g2, g2_defined, cross_sq = _cross_parts(c, n)
+    xi, xi_defined = _xi_parts(n, var, cross_sq)
+    value, bunching_residue = _bunching_parts(c, atom_number)
+    ok = ~(residue | below_floor | second_residue).any(axis=-1) & ~bunching_residue
+    columns = {"bunching": (value, True)}
+    for k in range(3):
+        columns[f"n{k + 1}"] = (n[..., k], True)
+        i, j = CROSS_PAIRS[k]
+        columns[f"xi{i}{j}"] = (xi[..., k], xi_defined[..., k])
+        columns[f"g2_{i}{j}"] = (g2[..., k], g2_defined[..., k])
+    return columns, ok
 
 
 def gain_curve(

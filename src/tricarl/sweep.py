@@ -5,23 +5,33 @@ or kappa) over a uniform grid at otherwise fixed parameters and evaluates
 a requested set of scalar observables per grid point.  Rows never abort
 the sweep: failures are recorded in a per-row status column and undefined
 observables (vacuum 0/0) stay empty.
+
+The grid is evaluated as array programs over stacks of rows: one stacked
+cubic solve, eigensystem, closed-form covariance, observable and
+separability pass per chunk of rows (one spectrum for a whole tau axis).
+Every guard of the single-row path becomes a per-row mask there; a masked
+row is evaluated again on its own by ``_evaluate_row``, so statuses, empty
+cells and the degenerate-spectrum fallback are the single-row path's.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import covariance, ode_oracle
-from .dynamics import cubic_roots, gain
-from .entanglement import physicality, quadrature_covariance, separability_report
+from .covariance import _closed_form_stack, covariance, ode_oracle
+from .dynamics import _spectral_stack, cubic_coefficients, cubic_roots, gain, solve_cubic
+from .entanglement import (
+    _separability_stack,
+    physicality,
+    quadrature_covariance,
+    separability_report,
+)
 from .errors import InvalidSpec, NonFinite, TricarlError
-from .model import ModelParams, derive
-from .observables import mode_observables
+from .model import ModelParams, ParamStack, derive
+from .observables import _observable_stack, mode_observables
 from . import presets as _presets
 
 OUTPUTS = (
@@ -52,6 +62,10 @@ _ENTANGLEMENT_OUTPUTS = frozenset(
     name for name in OUTPUTS if name.startswith("mineig_") or name == "class"
 )
 MAX_POINTS = 10**6
+# Rows per batched evaluation; bounds the temporaries of a long sweep (about
+# 8 MB at this size with every output requested; larger chunks cost no less
+# per row).
+_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -99,15 +113,22 @@ class SweepSpec:
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
 
+    def stack(self, values: np.ndarray) -> tuple[ParamStack, np.ndarray | float | None]:
+        """Model parameters and evolution times at many grid values."""
+        fields = self.fixed.to_dict()
+        tau = self.tau
+        if self.axis == "tau":
+            tau = values
+        elif self.axis == "gamma":
+            fields.update(gamma1=values, gamma2=values)
+        else:
+            fields[self.axis] = values
+        return ParamStack(**fields), tau
+
     def point(self, value: float) -> tuple[ModelParams, float | None]:
         """Model parameters and evolution time at one grid value."""
-        if self.axis == "delta":
-            return self.fixed.replace(delta=value), self.tau
-        if self.axis == "tau":
-            return self.fixed, value
-        if self.axis == "gamma":
-            return self.fixed.replace(gamma1=value, gamma2=value), self.tau
-        return self.fixed.replace(kappa=value), self.tau
+        params, tau = self.stack(value)
+        return ModelParams(**params._asdict()), tau
 
     def to_dict(self) -> dict:
         return {
@@ -202,19 +223,70 @@ def _evaluate_row(spec: SweepSpec, value: float) -> dict:
     return row
 
 
+def _batch_columns(spec: SweepSpec, values: np.ndarray) -> tuple[dict, np.ndarray]:
+    """The requested columns of a chunk of grid values, as (values, defined)
+    array pairs, and the mask of rows that passed every guard of
+    ``_evaluate_row``; the cells of the other rows are meaningless."""
+    params, tau = spec.stack(values)
+    dp = derive(params)
+    roots = solve_cubic(cubic_coefficients(dp, params.rho))
+    ok = np.isfinite(values) & np.isfinite(roots).all(axis=-1)
+    columns: dict = {}
+    if "gain" in spec.outputs:
+        columns["gain"] = (gain(roots, dp.gamma_plus), True)
+    if spec._needs_state():
+        spectra, regular = _spectral_stack(params, roots)
+        c, c_ok = _closed_form_stack(spectra, tau)
+        observables, obs_ok = _observable_stack(c, spec.atom_number)
+        ok &= regular & c_ok & obs_ok
+        columns.update(observables)
+        if any(name in _ENTANGLEMENT_OUTPUTS for name in spec.outputs):
+            gammas, pairs, labels, sep_ok = _separability_stack(c, spec.epsilon)
+            ok &= sep_ok
+            columns["class"] = (labels, True)
+            for k, suffix in enumerate(("gamma1", "gamma2", "gamma3")):
+                columns[f"mineig_{suffix}"] = (gammas[..., k], True)
+            for k, suffix in enumerate(("s12", "s13", "s23")):
+                columns[f"mineig_{suffix}"] = (pairs[..., k], True)
+        for name in spec.outputs:
+            if name != "gain" and name != "class":
+                value, defined = columns[name]
+                ok &= ~np.asarray(defined) | np.isfinite(value)
+    return columns, ok
+
+
+def _evaluate_chunk(spec: SweepSpec, values: np.ndarray) -> list[dict]:
+    try:
+        with np.errstate(all="ignore"):
+            columns, ok = _batch_columns(spec, values)
+    except np.linalg.LinAlgError:
+        # a LAPACK failure on one row stops the whole stack: go row by row
+        return [_evaluate_row(spec, value) for value in values]
+    cells = []
+    for name in spec.outputs:
+        value, defined = (np.broadcast_to(x, values.shape).tolist() for x in columns[name])
+        cells.append([v if d else None for v, d in zip(value, defined)])
+    keys = (spec.axis, *spec.outputs, "status")
+    return [
+        dict(zip(keys, (value, *row, "ok"))) if row_ok else _evaluate_row(spec, value)
+        for value, row_ok, *row in zip(
+            values.tolist(), np.broadcast_to(ok, values.shape).tolist(), *cells
+        )
+    ]
+
+
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[dict]:
     """Evaluate the sweep; rows come back in grid order.
 
-    ``workers`` defaults to the available parallelism; the grid points are
-    independent, so they may be evaluated concurrently.
+    Rows are evaluated in stacks of ``_CHUNK_ROWS`` (see the module notes).
+    ``workers`` is deprecated and ignored: it sized a thread pool that the
+    interpreter lock made slower than one thread.
     """
     values = spec.grid()
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers <= 1 or len(values) < 4:
-        return [_evaluate_row(spec, v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda v: _evaluate_row(spec, v), values))
+    rows: list[dict] = []
+    for start in range(0, len(values), _CHUNK_ROWS):
+        rows += _evaluate_chunk(spec, values[start : start + _CHUNK_ROWS])
+    return rows
 
 
 def evolve_point(
@@ -283,9 +355,10 @@ def figure_preset(preset_id: str) -> FigurePreset:
 
 
 def run_preset(preset: FigurePreset, workers: int | None = None) -> list[dict]:
-    """Run every curve of a preset; rows gain a leading curve label."""
+    """Run every curve of a preset; rows gain a leading curve label.
+    ``workers`` is deprecated and ignored, as in ``run_sweep``."""
     rows: list[dict] = []
     for label, spec in preset.curves:
-        for row in run_sweep(spec, workers):
+        for row in run_sweep(spec):
             rows.append({"curve": label, **row})
     return rows

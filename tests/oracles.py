@@ -4,10 +4,15 @@ These deliberately avoid the code paths they check: the matrix exponential
 is a plain scaling-and-squaring Taylor series (no spectral decomposition),
 the Hermitian eigenvalue oracle goes through characteristic-polynomial
 coefficients obtained from power-sum traces, and the quadrature-covariance
-round trip inverts the block construction directly.
+round trip inverts the block construction directly.  The entrywise
+covariance assembles C element by element from the propagator entries, and
+the effective generator rebuilds A from the spectral data.
 """
 
 import numpy as np
+
+from tricarl.covariance import CovarianceState, _phi
+from tricarl.dynamics import propagator_coefficients
 
 
 def expm_taylor(a, tol=1e-16):
@@ -106,3 +111,54 @@ def min_eig_hermitian_bisection(h):
         except np.linalg.LinAlgError:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# (row, column, [(sign, left entry, right entry), ...]) for each independent
+# covariance element; entries index F_ORDER = (f11, f22, f33, f12, f13, f23)
+# and the three terms carry the diffusion weights (gamma1, gamma2, kappa).
+_ENTRYWISE_TERMS = (
+    (0, 0, ((1.0, 0, 0), (1.0, 3, 3), (1.0, 4, 4))),
+    (1, 1, ((1.0, 3, 3), (1.0, 1, 1), (1.0, 5, 5))),
+    (2, 2, ((1.0, 4, 4), (1.0, 5, 5), (1.0, 2, 2))),
+    (0, 1, ((-1.0, 0, 3), (1.0, 3, 1), (1.0, 4, 5))),
+    (0, 2, ((1.0, 0, 4), (-1.0, 3, 5), (1.0, 4, 2))),
+    (1, 2, ((-1.0, 3, 4), (-1.0, 1, 5), (1.0, 5, 2))),
+)
+
+
+def covariance_entrywise(spec, tau):
+    """Covariance assembled element by element from the propagator entries.
+
+    Each element is a weighted sum of products f_a(tau) f_b(tau)* and of
+    their exact time integrals; an independent code path from
+    ``covariance_closed`` sharing only the exponential-sum coefficients.
+    """
+    coeffs = propagator_coefficients(spec)
+    lam = spec.lambdas
+    exps = np.exp(lam * tau)
+    weights = (spec.params.gamma1, spec.params.gamma2, spec.params.kappa)
+    # cross-term kernels: products of exp(lambda_a tau) exp(lambda_b tau)*
+    prod_kernel = np.outer(exps, exps.conj())
+    int_kernel = np.array(
+        [[_phi(lam[a] + lam[b].conjugate(), tau) for b in range(3)] for a in range(3)]
+    )
+    c = np.zeros((3, 3), dtype=complex)
+    for row, col, terms in _ENTRYWISE_TERMS:
+        value = 0.0 + 0.0j
+        for weight, (sign, left, right) in zip(weights, terms):
+            pair = np.outer(coeffs[left], coeffs[right].conj())
+            value += sign * (
+                weight * np.sum(pair * int_kernel) + 0.5 * np.sum(pair * prod_kernel)
+            )
+        c[row, col] = value
+        c[col, row] = value.conjugate()
+    return CovarianceState(tau=tau, c=c)
+
+
+def effective_generator(spec):
+    """Generator reconstructed from the spectral data: S^-1 diag(lambda) S.
+
+    Its exponential reproduces the closed-form propagator; its trace is
+    -(kappa + gamma1 + gamma2) - 2 i delta.
+    """
+    return spec.s_inverse @ np.diag(spec.lambdas) @ spec.s

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
-from oracles import expm_taylor, rk4_lyapunov
+from oracles import covariance_entrywise, expm_taylor, rk4_lyapunov
 from tricarl import (
     CovarianceState,
     DegenerateSpectrum,
@@ -13,7 +13,6 @@ from tricarl import (
     ToleranceNotMet,
     covariance,
     covariance_closed,
-    covariance_entrywise,
     diffusion_matrix,
     drift_generator,
     occupations,

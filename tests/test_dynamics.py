@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import expm_taylor
+from oracles import effective_generator, expm_taylor
 from tricarl import (
     DegenerateSpectrum,
     ModelParams,
@@ -9,7 +9,6 @@ from tricarl import (
     cubic_roots,
     derive,
     drift_generator,
-    effective_generator,
     eigensystem,
     gain,
     propagator,

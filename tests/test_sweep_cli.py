@@ -92,17 +92,25 @@ def test_workers_do_not_change_results():
 
 
 def test_row_errors_do_not_abort_sweep(monkeypatch):
+    # the batched pass flags the tau = 1 row, as a failed guard would, and
+    # the single-row evaluation it is sent back to raises
     import tricarl.sweep as sweep_module
     from tricarl.errors import ToleranceNotMet
 
     true_covariance = sweep_module.covariance
+    true_stack = sweep_module._closed_form_stack
 
     def flaky(params, tau, *args, **kwargs):
         if tau == 1.0:
             raise ToleranceNotMet("refinement cap")
         return true_covariance(params, tau, *args, **kwargs)
 
+    def flagging(spectra, tau):
+        c, ok = true_stack(spectra, tau)
+        return c, ok & (np.asarray(tau) != 1.0)
+
     monkeypatch.setattr(sweep_module, "covariance", flaky)
+    monkeypatch.setattr(sweep_module, "_closed_form_stack", flagging)
     rows = run_sweep(make_spec(), workers=1)
     statuses = [row["status"] for row in rows]
     assert statuses == ["ok", "ok", "tolerance_not_met", "ok", "ok"]
@@ -298,3 +306,53 @@ def test_cli_preset_csv(capsys):
     header = next(line for line in lines if not line.startswith("#"))
     assert header == "curve,delta,gain,status"
     assert len([line for line in lines if line.startswith("gamma=")]) == 4 * 301
+
+
+def test_cli_tiny_rho_point_mode_is_non_finite(capsys):
+    # the characteristic cubic overflows (beta^2 ~ 1/rho^2) below rho ~ 1e-150
+    code, out, err = run_cli(capsys, "--rho", "1e-160", "--tau", "1")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["code"] == "non_finite"
+
+
+def test_cli_tiny_rho_sweep_rows_are_non_finite(capsys):
+    code, out, err = run_cli(
+        capsys, "--rho", "1e-160", "--tau", "1", "--sweep", "delta:0:1:3",
+        "--outputs", "gain,n1", "--format", "json",
+    )
+    assert code == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert [row["status"] for row in rows] == ["non_finite"] * 3
+    assert all(row["gain"] is None and row["n1"] is None for row in rows)
+
+
+def test_cli_sidecar_versions_and_status_counts(capsys, tmp_path):
+    import scipy
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for argv, counts in (
+            (["--rho", "100", "--sweep", "tau:0:800:5", "--outputs", "n1"],
+             {"non_finite": 2, "ok": 3}),
+            (["--preset", "fig1a"], {"ok": 4 * 301}),
+        ):
+            target = tmp_path / "rows.csv"
+            code, _, _ = run_cli(capsys, *argv, "--out", str(target))
+            assert code == 0
+            data = target.read_bytes()
+            sidecar = json.loads((tmp_path / "rows.csv.run.json").read_text())
+            assert sidecar["scipy"] == scipy.__version__
+            assert sidecar["numpy"] == np.__version__
+            assert sidecar["row_status_counts"] == counts
+            # the sidecar takes the diagnostics; the data file stays as it was
+            code, out, _ = run_cli(capsys, *argv)
+            assert out.encode() == data
+    run_cli(capsys, "--rho", "100", "--tau", "1", "--out", str(target))
+    assert "row_status_counts" not in json.loads((tmp_path / "rows.csv.run.json").read_text())
+
+
+def test_cli_workers_flag_is_accepted_and_ignored(capsys):
+    argv = ["--rho", "100", "--sweep", "tau:0:2:5", "--outputs", "n1,class"]
+    _, default, _ = run_cli(capsys, *argv)
+    for workers in ("1", "4"):
+        code, out, _ = run_cli(capsys, *argv, "--workers", workers)
+        assert code == 0 and out == default
