@@ -77,9 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="include the closed-form vs moment-ODE deviation in point reports",
     )
     parser.add_argument(
-        "--workers", type=int, help="deprecated and ignored: sweeps run as batched array code"
-    )
-    parser.add_argument(
         "--epsilon", type=float, default=1e-9, help="separability sign tolerance"
     )
     parser.add_argument(

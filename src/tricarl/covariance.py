@@ -7,8 +7,9 @@ C_ij = <(u_i - <u_i>)(u_j - <u_j>)*> of the state evolved from vacuum is
     Q(tau) = integral_0^tau M(s) D M(s)^dag ds,
 
 with D = diag(gamma1, gamma2, kappa).  Q has a closed form in the
-eigenbasis of the generator; a quadrature fallback covers degenerate
-spectra.  C also satisfies the moment equation
+eigenbasis of the generator; degenerate spectra fall back to Van Loan's
+block exponential (C. F. Van Loan, IEEE TAC 23, 395 (1978)), which needs
+no diagonalization.  C also satisfies the moment equation
 
     dC/dtau = A C + C A^dag + D,       C(0) = I/2,
 
@@ -22,17 +23,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .dynamics import (
     Spectrum,
     _propagator_matrix,
     cubic_roots,
     drift_generator,
+    gain,
     propagator,
     spectrum,
 )
-from .errors import DegenerateSpectrum, NonFinite, NotHermitian, NotStable, ToleranceNotMet
+from .errors import DegenerateSpectrum, NonFinite, NotHermitian, NotStable
 from .model import ModelParams, derive
 
 VACUUM = 0.5 * np.eye(3, dtype=complex)
@@ -106,16 +108,11 @@ def _phi(z, tau):
     return np.where(small, series, (np.exp(zt) - 1.0) / np.where(small, 1.0, z))
 
 
-def _eigenbasis_diffusion(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """D~ = S D S^dag and the rate sums lambda_i + lambda_j* it decays with."""
-    d_tilde = (spec.s * _rates(spec.params)[..., np.newaxis, :]) @ _dagger(spec.s)
-    lam = spec.lambdas
-    return d_tilde, lam[..., :, np.newaxis] + lam[..., np.newaxis, :].conj()
-
-
 def _noise(spec: Spectrum, tau) -> np.ndarray:
     """Unsymmetrized closed-form Q for a stack of spectra and/or times."""
-    d_tilde, sums = _eigenbasis_diffusion(spec)
+    d_tilde = (spec.s * _rates(spec.params)[..., np.newaxis, :]) @ _dagger(spec.s)
+    lam = spec.lambdas
+    sums = lam[..., :, np.newaxis] + lam[..., np.newaxis, :].conj()
     q_tilde = d_tilde * _phi(sums, np.asarray(tau)[..., np.newaxis, np.newaxis])
     return spec.s_inverse @ q_tilde @ _dagger(spec.s_inverse)
 
@@ -144,61 +141,42 @@ def _closed_form_stack(spec: Spectrum, tau) -> tuple[np.ndarray, np.ndarray]:
     return c, (q_defect <= HERMITIZE_TOL) & (c_defect <= HERMITIZE_TOL)
 
 
-def _q_quadrature_generator(
-    generator: np.ndarray,
-    diffusion: np.ndarray,
-    tau: float,
-    tol: float = 1e-10,
-    max_panels: int = 2**14,
-) -> np.ndarray:
-    """Adaptive composite Simpson evaluation of the noise integral for an
-    arbitrary generator; the integrand propagator is a matrix exponential,
-    so degenerate spectra are fine."""
+def _van_loan_noise(generator: np.ndarray, diffusion: np.ndarray, tau: float) -> np.ndarray:
+    """Noise integral Q(tau) for an arbitrary generator A, degenerate or not.
+
+    One expm of the block [[A, D], [0, -A^dag]] t over a step t = tau/2^k
+    with |A|_1 t <= 1/2 gives M(t) in its upper-left block and
+    Q(t) = F12 M(t)^dag from its upper-right block F12.  The step is then
+    doubled k times, M(2t) = M(t)^2 and Q(2t) = Q(t) + M(t) Q(t) M(t)^dag,
+    so the decaying block exp(-A^dag t) never spans a long time.
+    """
+    n = len(generator)
     if tau == 0:
-        return np.zeros((3, 3), dtype=complex)
-
-    def integrand(t: float) -> np.ndarray:
-        m = expm(generator * t)
-        return m @ diffusion @ m.conj().T
-
-    panels = 8
-    values = np.array([integrand(t) for t in np.linspace(0.0, tau, panels + 1)])
-    previous = None
-    while panels <= max_panels:
-        h = tau / panels
-        estimate = (h / 3.0) * (
-            values[0]
-            + values[-1]
-            + 4.0 * values[1:-1:2].sum(axis=0)
-            + 2.0 * values[2:-1:2].sum(axis=0)
-        )
-        if previous is not None:
-            err = np.abs(estimate - previous)
-            if np.all(err < tol * np.maximum(1.0, np.abs(estimate))):
-                return estimate
-        previous = estimate
-        panels *= 2
-        refined = np.empty((panels + 1, 3, 3), dtype=complex)
-        refined[::2] = values
-        refined[1::2] = [
-            integrand(t) for t in np.linspace(0.0, tau, panels + 1)[1::2]
-        ]
-        values = refined
-    raise ToleranceNotMet(
-        f"Simpson refinement hit {max_panels} panels without reaching {tol:g}"
-    )
+        return np.zeros((n, n), dtype=complex)
+    # |A|_1 tau < 2**exponent, so |A|_1 step < 1/2
+    exponent = math.frexp(np.abs(generator).sum(axis=0).max() * tau)[1]
+    doublings = max(0, exponent + 1)
+    step = tau / 2**doublings
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block[:n, :n] = generator * step
+    block[:n, n:] = diffusion * step
+    block[n:, n:] = -_dagger(generator) * step
+    exp_block = expm(block)
+    m = exp_block[:n, :n]
+    q = exp_block[:n, n:] @ _dagger(m)
+    for _ in range(doublings):
+        q = q + m @ q @ _dagger(m)
+        m = m @ m
+    return q
 
 
-def q_quadrature(
-    params: ModelParams,
-    tau: float,
-    tol: float = 1e-10,
-    max_panels: int = 2**14,
-) -> NoiseMatrix:
-    """Noise matrix by direct numerical integration; spectrum-agnostic."""
-    q = _q_quadrature_generator(
-        drift_generator(params), diffusion_matrix(params), tau, tol, max_panels
-    )
+def q_quadrature(params: ModelParams, tau: float) -> NoiseMatrix:
+    """Noise matrix from Van Loan's block exponential; spectrum-agnostic.
+
+    The name stays because the benchmark's tracer hooks
+    ``tricarl.covariance.q_quadrature`` to count fallback calls.
+    """
+    q = _van_loan_noise(drift_generator(params), diffusion_matrix(params), tau)
     return NoiseMatrix(tau=tau, q=q)
 
 
@@ -214,14 +192,14 @@ def covariance(
     tau: float,
     method: str = "auto",
     degeneracy_tol: float | None = None,
-    quadrature_tol: float = 1e-10,
 ) -> CovarianceState:
     """Covariance of the state evolved from vacuum for a time tau.
 
     method "closed" uses the spectral closed form (raises
-    DegenerateSpectrum near root collisions), "quadrature" integrates the
-    noise term numerically with an exponential-map propagator, and "auto"
-    tries the closed form and falls back to quadrature.
+    DegenerateSpectrum near root collisions), "quadrature" takes the noise
+    term from Van Loan's block exponential and the propagator from expm,
+    neither of which needs the spectrum, and "auto" tries the closed form
+    and falls back to "quadrature".
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
@@ -234,24 +212,21 @@ def covariance(
             if method == "closed":
                 raise
     m = expm(drift_generator(params) * tau)
-    q = q_quadrature(params, tau, tol=quadrature_tol).q
+    q = q_quadrature(params, tau).q
     return CovarianceState(tau=tau, c=_with_coherent_part(q, m))
 
 
-def steady_state(
-    params: ModelParams, degeneracy_tol: float | None = None
-) -> CovarianceState:
+def steady_state(params: ModelParams) -> CovarianceState:
     """Stationary covariance C(inf) = Q(inf), defined when every mode decays.
 
-    Solves the stationarity condition A C + C A^dag + D = 0 in the
-    eigenbasis; raises NotStable if any Re(lambda_j) >= 0.
+    Solves the stationarity condition A C + C A^dag + D = 0 by
+    Bartels-Stewart, which needs no eigenbasis, so degenerate spectra are
+    fine; raises NotStable if the gain (the largest Re(lambda_j)) is >= 0.
     """
-    spec = spectrum(params, degeneracy_tol)
-    worst = float(np.max(spec.lambdas.real))
+    worst = gain(cubic_roots(params), derive(params).gamma_plus)
     if worst >= 0:
         raise NotStable(f"largest mode gain is {worst:.6g} >= 0")
-    d_tilde, sums = _eigenbasis_diffusion(spec)
-    c = spec.s_inverse @ (-d_tilde / sums) @ _dagger(spec.s_inverse)
+    c = solve_continuous_lyapunov(drift_generator(params), -diffusion_matrix(params))
     return CovarianceState(tau=math.inf, c=c)
 
 

@@ -25,13 +25,6 @@ class NotStable(TricarlError):
     code = "not_stable"
 
 
-class ToleranceNotMet(TricarlError):
-    """Adaptive quadrature exceeded its refinement cap before reaching
-    the requested tolerance."""
-
-    code = "tolerance_not_met"
-
-
 class NegativeOccupation(TricarlError):
     """A covariance diagonal fell below the vacuum floor by more than the
     corruption threshold."""

@@ -95,14 +95,20 @@ def fourth_order(
 
 def _variance_parts(c: np.ndarray, n: np.ndarray):
     """Number variances of a (..., 3, 3) stack from the clamped occupations,
-    with the residue flags of G_iiii."""
+    with the residue flags of G_iiii.
+
+    The variance G_iiii - n - 1/2 - n^2 with G_iiii = 2 C_ii^2 equals
+    n (n + 1) exactly; the factored form keeps the digits the difference
+    loses near vacuum, where G_iiii is about 1/2.
+    """
     second = np.stack([fourth_order(c, i, i, i, i) for i in (1, 2, 3)], axis=-1)
-    return second.real - n - 0.5 - n**2, _residue(second)
+    return n * (n + 1.0), _residue(second)
 
 
 def variances(cov: CovarianceState | np.ndarray) -> np.ndarray:
-    """Number variances sigma^2(n_i), via the fourth-order moment
-    <n_i^2> = G_iiii - <n_i> - 1/2; thermal states give n(n + 1)."""
+    """Number variances sigma^2(n_i) = <n_i^2> - <n_i>^2 with
+    <n_i^2> = G_iiii - <n_i> - 1/2, which the Gaussian factorization
+    reduces to the thermal n(n + 1)."""
     c = _matrix(cov)
     return _variances(c, _occupations(c))
 

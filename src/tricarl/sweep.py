@@ -275,12 +275,10 @@ def _evaluate_chunk(spec: SweepSpec, values: np.ndarray) -> list[dict]:
     ]
 
 
-def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[dict]:
+def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the sweep; rows come back in grid order.
 
     Rows are evaluated in stacks of ``_CHUNK_ROWS`` (see the module notes).
-    ``workers`` is deprecated and ignored: it sized a thread pool that the
-    interpreter lock made slower than one thread.
     """
     values = spec.grid()
     rows: list[dict] = []
@@ -354,9 +352,8 @@ def figure_preset(preset_id: str) -> FigurePreset:
         raise InvalidSpec(f"unknown preset {preset_id!r}") from exc
 
 
-def run_preset(preset: FigurePreset, workers: int | None = None) -> list[dict]:
-    """Run every curve of a preset; rows gain a leading curve label.
-    ``workers`` is deprecated and ignored, as in ``run_sweep``."""
+def run_preset(preset: FigurePreset) -> list[dict]:
+    """Run every curve of a preset; rows gain a leading curve label."""
     rows: list[dict] = []
     for label, spec in preset.curves:
         for row in run_sweep(spec):

@@ -209,6 +209,22 @@ def test_periodic_number_squeezing_ideal_case():
     assert min(values) < 1.0
 
 
+def test_squeezing_near_vacuum_keeps_its_digits():
+    # n1 ~ 3.7e-9, n2 ~ 0: the variance G_ii - n - 1/2 - n^2 cancels
+    # G_ii ~ 1/2 down to n and loses about eps/n of xi; n(n + 1) does not
+    from tricarl import SweepSpec, run_sweep
+
+    params, tau = ModelParams(2.0, 0.0, 0.0, 0.0, 1.0), 6.1e-5
+    c = covariance(params, tau).c
+    n1, n2 = (max(c[i, i].real - 0.5, 0.0) for i in (0, 1))
+    expected = (n1 * (n1 + 1) + n2 * (n2 + 1) - 2 * abs(c[0, 1]) ** 2) / (n1 + n2)
+    assert number_squeezing(c, 1, 2) == pytest.approx(expected, abs=1e-12)
+    spec = SweepSpec(
+        axis="tau", start=0.0, stop=tau, points=2, fixed=params, outputs=("xi12",)
+    )
+    assert run_sweep(spec)[-1]["xi12"] == pytest.approx(expected, abs=1e-12)
+
+
 def test_steady_state_squeezing_value():
     from tricarl import steady_state
 

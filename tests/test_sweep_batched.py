@@ -56,8 +56,9 @@ def value_scale(name, spec, row):
     cii, cjj, cross_sq = c[i, i].real, c[j, j].real, abs(c[i, j]) ** 2
     ni, nj = max(cii - 0.5, 1e-300), max(cjj - 0.5, 1e-300)
     if name.startswith("xi"):
-        # var_i = G_ii - n_i - 1/2 - n_i^2 with G_ii = 2 C_ii^2
-        terms = sum(2.0 * cc**2 + cc + n**2 for cc, n in ((cii, ni), (cjj, nj)))
+        # var_i = n_i (n_i + 1), n_i rounded on the scale of C_ii:
+        # d var_i = (2 n_i + 1) C_ii eps = 2 C_ii^2 eps
+        terms = sum(2.0 * cc**2 for cc in (cii, cjj))
         return (terms + 2.0 * cross_sq) / (ni + nj)
     # g2 = 1 + |C_ij|^2 / (n_i n_j), n_i rounded on the scale of C_ii
     return 1.0 + cross_sq / (ni * nj) * (cii / ni + cjj / nj + 2.0)
@@ -146,7 +147,7 @@ def test_rows_across_the_gain_threshold_match():
 def test_degenerate_rows_take_the_single_row_path(monkeypatch):
     # rounding keeps the roots at delta* about 2e-8 apart, above the default
     # threshold; a wider one flags the rows next to delta*, which are then
-    # rerouted and get the quadrature fallback
+    # rerouted and get the block-exponential fallback
     import tricarl.dynamics as dynamics
 
     monkeypatch.setattr(

@@ -55,7 +55,7 @@ def test_invalid_specs():
 
 def test_gain_only_sweep_needs_no_tau():
     spec = make_spec(axis="delta", start=-1.0, stop=1.0, outputs=("gain",), tau=None)
-    rows = run_sweep(spec, workers=1)
+    rows = run_sweep(spec)
     assert len(rows) == 5
     assert all(row["status"] == "ok" for row in rows)
 
@@ -64,7 +64,7 @@ def test_gain_only_sweep_needs_no_tau():
 
 
 def test_tau_sweep_rows_and_vacuum_handling():
-    rows = run_sweep(make_spec(), workers=1)
+    rows = run_sweep(make_spec())
     assert [row["tau"] for row in rows] == [0.0, 0.5, 1.0, 1.5, 2.0]
     assert rows[0]["n1"] == 0.0
     assert rows[0]["xi12"] is None  # undefined at vacuum, not an error
@@ -76,7 +76,7 @@ def test_gamma_axis_sets_both_atomic_rates():
     spec = make_spec(
         axis="gamma", start=0.0, stop=1.0, points=3, outputs=("n1",), tau=1.0
     )
-    rows = run_sweep(spec, workers=1)
+    rows = run_sweep(spec)
     reference = [
         evolve_point(FIG5.replace(gamma1=g, gamma2=g), 1.0)["observables"]["n"][0]
         for g in (0.0, 0.5, 1.0)
@@ -84,25 +84,18 @@ def test_gamma_axis_sets_both_atomic_rates():
     assert [row["n1"] for row in rows] == pytest.approx(reference)
 
 
-def test_workers_do_not_change_results():
-    spec = make_spec(points=9, outputs=("n1", "xi12", "class"))
-    sequential = run_sweep(spec, workers=1)
-    threaded = run_sweep(spec, workers=4)
-    assert sequential == threaded
-
-
 def test_row_errors_do_not_abort_sweep(monkeypatch):
     # the batched pass flags the tau = 1 row, as a failed guard would, and
     # the single-row evaluation it is sent back to raises
     import tricarl.sweep as sweep_module
-    from tricarl.errors import ToleranceNotMet
+    from tricarl.errors import NotHermitian
 
     true_covariance = sweep_module.covariance
     true_stack = sweep_module._closed_form_stack
 
     def flaky(params, tau, *args, **kwargs):
         if tau == 1.0:
-            raise ToleranceNotMet("refinement cap")
+            raise NotHermitian("relative defect 1e-3")
         return true_covariance(params, tau, *args, **kwargs)
 
     def flagging(spectra, tau):
@@ -111,9 +104,9 @@ def test_row_errors_do_not_abort_sweep(monkeypatch):
 
     monkeypatch.setattr(sweep_module, "covariance", flaky)
     monkeypatch.setattr(sweep_module, "_closed_form_stack", flagging)
-    rows = run_sweep(make_spec(), workers=1)
+    rows = run_sweep(make_spec())
     statuses = [row["status"] for row in rows]
-    assert statuses == ["ok", "ok", "tolerance_not_met", "ok", "ok"]
+    assert statuses == ["ok", "ok", "not_hermitian", "ok", "ok"]
     failed = rows[2]
     assert failed["n1"] is None and failed["xi12"] is None
 
@@ -121,7 +114,7 @@ def test_row_errors_do_not_abort_sweep(monkeypatch):
 def test_sweep_spec_json_round_trip():
     spec = make_spec(points=4)
     clone = SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-    assert run_sweep(clone, workers=1) == run_sweep(spec, workers=1)
+    assert run_sweep(clone) == run_sweep(spec)
 
 
 # --------------------------------------------------------------------- presets
@@ -131,7 +124,7 @@ def test_fig5_preset_reaches_steady_squeezing():
     preset = figure_preset("fig5")
     label, spec = preset.curves[-1]
     assert label == "gamma=0.5;kappa=0.5"
-    rows = run_sweep(spec, workers=1)
+    rows = run_sweep(spec)
     assert abs(rows[-1]["xi12"] - 0.7) < 0.05
 
 
@@ -139,7 +132,7 @@ def test_fig1a_preset_ideal_gain_maximum():
     preset = figure_preset("fig1a")
     label, spec = preset.curves[0]
     assert label == "gamma=0;kappa=0"
-    rows = run_sweep(spec, workers=1)
+    rows = run_sweep(spec)
     best = max(row["gain"] for row in rows)
     assert abs(best - np.sqrt(3.0) / 2.0) < 1e-3
 
@@ -151,7 +144,7 @@ def test_unknown_preset():
 
 def test_preset_rows_carry_curve_labels():
     preset = figure_preset("fig12")
-    rows = run_preset(preset, workers=2)
+    rows = run_preset(preset)
     labels = {row["curve"] for row in rows}
     assert len(labels) == len(preset.curves)
 
@@ -221,7 +214,7 @@ def test_cli_json_round_trip(capsys):
     assert code == 0
     payload = json.loads(out)
     spec = SweepSpec.from_dict(payload["spec"])
-    assert run_sweep(spec, workers=1) == payload["rows"]
+    assert run_sweep(spec) == payload["rows"]
 
 
 def test_cli_out_file_and_sidecar(capsys, tmp_path):
@@ -246,23 +239,21 @@ def test_cli_exit_codes(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "--rho", "-3", "--tau", "1")
     assert code == 2
-    # numerical failure: quadrature refinement cannot converge,
-    # propagated as exit code 3
     code, _, err = run_cli(capsys, "--preset", "fig99")
     assert code == 2
 
 
 def test_cli_numerical_failure_exit_code(capsys, monkeypatch):
     import tricarl.sweep as sweep_module
-    from tricarl.errors import ToleranceNotMet
+    from tricarl.errors import NotHermitian
 
     def boom(*args, **kwargs):
-        raise ToleranceNotMet("refinement cap")
+        raise NotHermitian("relative defect 1e-3")
 
     monkeypatch.setattr(sweep_module, "covariance", boom)
     code, _, err = run_cli(capsys, "--rho", "100", "--tau", "1")
     assert code == 3
-    assert json.loads(err)["error"]["code"] == "tolerance_not_met"
+    assert json.loads(err)["error"]["code"] == "not_hermitian"
 
 
 def test_overflowed_rows_carry_non_finite_status():
@@ -274,7 +265,7 @@ def test_overflowed_rows_carry_non_finite_status():
         outputs=("n1", "xi12", "mineig_gamma1", "class"),
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = run_sweep(spec, workers=1)
+        rows = run_sweep(spec)
     assert [row["status"] for row in rows] == ["ok", "ok"] + ["non_finite"] * 3
     for row in rows[2:]:
         assert all(row[name] is None for name in spec.outputs)
@@ -300,7 +291,7 @@ def test_cli_linalg_failure_exit_code(capsys, monkeypatch):
 
 
 def test_cli_preset_csv(capsys):
-    code, out, _ = run_cli(capsys, "--preset", "fig1a", "--workers", "2")
+    code, out, _ = run_cli(capsys, "--preset", "fig1a")
     assert code == 0
     lines = out.splitlines()
     header = next(line for line in lines if not line.startswith("#"))
@@ -350,9 +341,8 @@ def test_cli_sidecar_versions_and_status_counts(capsys, tmp_path):
     assert "row_status_counts" not in json.loads((tmp_path / "rows.csv.run.json").read_text())
 
 
-def test_cli_workers_flag_is_accepted_and_ignored(capsys):
-    argv = ["--rho", "100", "--sweep", "tau:0:2:5", "--outputs", "n1,class"]
-    _, default, _ = run_cli(capsys, *argv)
-    for workers in ("1", "4"):
-        code, out, _ = run_cli(capsys, *argv, "--workers", workers)
-        assert code == 0 and out == default
+def test_cli_rejects_the_removed_workers_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--rho", "100", "--sweep", "tau:0:2:5", "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
