@@ -238,9 +238,20 @@ def ode_oracle(
     Independent of the spectral decomposition: uses only the parameter-form
     generator.  Default step count is 100 * tau * max(1, |lambda|_max),
     giving O(h^4) global error well below 1e-6 relative.
+
+    The equation is linear in z = (vec C, 1), dz/dtau = G z, with
+    kron(A, I) + kron(I, A*) on the row-major vec C and vec D in the last
+    column of G.  RK4 on it is exactly z -> z + E z with x = h G and
+    E = x + x^2/2 + x^3/6 + x^4/24.  The loop applies 16-step blocks
+    E16 = (I + E)^16 - I (four doublings E -> 2E + E^2, in increment form
+    so E never rounds against I), then the steps % 16 single steps.  It
+    does not power the step matrix by squaring: near the gain threshold
+    that matrix is non-normal and its squares lose about 2.5 digits.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
+    if not math.isfinite(tau) or tau < 0:
+        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
+    if steps is not None and not (isinstance(steps, (int, np.integer)) and steps > 0):
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
     if tau == 0:
         return CovarianceState(tau=0.0, c=VACUUM.copy())
     if steps is None:
@@ -249,21 +260,19 @@ def ode_oracle(
             np.max(np.abs(1j * (cubic_roots(params) - params.delta) - dp.gamma_plus))
         )
         steps = int(math.ceil(100.0 * tau * max(1.0, lam_max)))
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps!r}")
     a = drift_generator(params)
-    a_dag = a.conj().T
-    d = diffusion_matrix(params)
-    h = tau / steps
-
-    def flow(c: np.ndarray) -> np.ndarray:
-        return a @ c + c @ a_dag + d
-
-    c = VACUUM.copy()
-    for _ in range(steps):
-        k1 = flow(c)
-        k2 = flow(c + 0.5 * h * k1)
-        k3 = flow(c + 0.5 * h * k2)
-        k4 = flow(c + h * k3)
-        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return CovarianceState(tau=tau, c=c)
+    x = np.zeros((10, 10), dtype=complex)
+    x[:9, :9] = np.kron(a, np.eye(3)) + np.kron(np.eye(3), a.conj())
+    x[:9, 9] = diffusion_matrix(params).ravel()
+    x *= tau / steps
+    eye = np.eye(10)
+    step = x @ (eye + x @ (eye / 2 + x @ (eye / 6 + x / 24)))
+    block = step
+    for _ in range(4):
+        block = 2.0 * block + block @ block
+    z = np.append(VACUUM.ravel(), 1.0)
+    for _ in range(steps // 16):
+        z = z + block @ z
+    for _ in range(steps % 16):
+        z = z + step @ z
+    return CovarianceState(tau=tau, c=z[:9].reshape(3, 3))

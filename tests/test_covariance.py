@@ -13,6 +13,8 @@ from tricarl import (
     NotStable,
     covariance,
     covariance_closed,
+    cubic_roots,
+    derive,
     diffusion_matrix,
     drift_generator,
     occupations,
@@ -269,6 +271,64 @@ def test_ode_oracle_step_validation():
         ode_oracle(FIG5, 1.0, steps=0)
     with pytest.raises(ValueError):
         ode_oracle(FIG5, -1.0)
+
+
+@pytest.mark.parametrize(
+    "tau, steps, message",
+    [
+        (0.0, 0, "steps must be a positive integer"),  # checked before the vacuum
+        (math.inf, None, "tau must be finite"),
+        (math.nan, None, "tau must be finite"),
+        (1.0, 2.5, "steps must be a positive integer"),
+    ],
+)
+def test_ode_oracle_rejects_bad_input(tau, steps, message):
+    with pytest.raises(ValueError, match=message):
+        ode_oracle(FIG5, tau, steps)
+
+
+# lossless rho=100 gain threshold, as in the benchmark's edge ladder
+DELTA_STAR = 1.8899212590353163
+
+
+def default_oracle_steps(params, tau):
+    """The oracle's default step count, 100 tau max(1, |lambda|_max)."""
+    lam = 1j * (cubic_roots(params) - params.delta) - derive(params).gamma_plus
+    return math.ceil(100.0 * tau * max(1.0, np.abs(lam).max()))
+
+
+def assert_oracle_is_stepwise_rk4(params, tau, steps):
+    got = ode_oracle(params, tau, steps).c
+    a, d = drift_generator(params), diffusion_matrix(params)
+    expected = rk4_lyapunov(a, d, 0.5 * np.eye(3), tau, steps)
+    assert np.abs(got - expected).max() <= 1e-10 * max(1.0, np.abs(expected).max())
+
+
+@pytest.mark.parametrize("steps", [1, 15, 16, 17, 33])
+def test_ode_oracle_blocks_reproduce_stepwise_rk4(steps):
+    # 16-step blocks plus single-step remainders: every split of the count
+    assert_oracle_is_stepwise_rk4(FIG5, 2.0, steps)
+
+
+@pytest.mark.parametrize(
+    "params", [FIG5, CRITICAL, ModelParams(rho=100.0, delta=DELTA_STAR)]
+)
+def test_ode_oracle_default_steps_reproduce_stepwise_rk4(params):
+    steps = default_oracle_steps(params, 5.0)
+    assert np.array_equal(ode_oracle(params, 5.0).c, ode_oracle(params, 5.0, steps).c)
+    assert_oracle_is_stepwise_rk4(params, 5.0, steps)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    rho=st.floats(0.1, 200.0),
+    delta=st.floats(-5.0, 5.0),
+    rates=st.tuples(*[st.floats(0.0, 2.0)] * 3),
+    tau=st.floats(0.0, 5.0, exclude_min=True),
+    steps=st.integers(1, 400),
+)
+def test_ode_oracle_is_stepwise_rk4_everywhere(rho, delta, rates, tau, steps):
+    assert_oracle_is_stepwise_rk4(ModelParams(rho, delta, *rates), tau, steps)
 
 
 # ------------------------------------------------- degenerate spectrum routing

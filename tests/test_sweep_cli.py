@@ -12,7 +12,7 @@ from tricarl import (
     run_preset,
     run_sweep,
 )
-from tricarl.cli import main
+from tricarl.cli import _build_parser, main
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
 
@@ -165,6 +165,16 @@ def test_evolve_point_oracle_field():
     assert report["oracle_max_abs_diff"] < 1e-6 * max(
         abs(v) for row in report["covariance"]["real"] for v in row
     )
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-13, -1e-13, 1e-8, -1e-8, 1e-1, -1e-1])
+def test_oracle_deviation_at_the_gain_threshold(offset):
+    # lossless rho=100 at tau=5, where two cubic roots merge at delta*
+    params = ModelParams(rho=100.0, delta=1.8899212590353163 + offset)
+    report = evolve_point(params, 5.0, oracle=True)
+    cov = report["covariance"]
+    scale = max(abs(v) for part in (cov["real"], cov["imag"]) for row in part for v in row)
+    assert report["oracle_max_abs_diff"] <= 1e-6 * scale
 
 
 # ------------------------------------------------------------------------- CLI
@@ -346,3 +356,28 @@ def test_cli_rejects_the_removed_workers_flag(capsys):
         main(["--rho", "100", "--sweep", "tau:0:2:5", "--workers", "2"])
     assert exit_info.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_cli_parser_is_built_once_and_keeps_no_flags(capsys):
+    point = [
+        "--rho", "100", "--delta", "3.5", "--gamma1", "0.5", "--gamma2", "0.5",
+        "--kappa", "0.5", "--tau", "2",
+    ]
+    sweep = ["--rho", "100", "--tau", "1", "--sweep", "tau:0:1:3", "--outputs", "n1"]
+    calls = [point + ["--oracle"], point, sweep + ["--format", "json"], sweep]
+    separate = []
+    for argv in calls:
+        _build_parser.cache_clear()  # a fresh parser, as in a new process
+        separate.append(run_cli(capsys, *argv))
+    _build_parser.cache_clear()
+    consecutive = [run_cli(capsys, *argv) for argv in calls]
+    assert consecutive == separate
+    assert _build_parser.cache_info().misses == 1
+    assert "oracle_max_abs_diff" in json.loads(consecutive[0][1])
+    assert "oracle_max_abs_diff" not in json.loads(consecutive[1][1])
+    assert consecutive[3][1].startswith("# tricarl sweep")
+    with pytest.raises(SystemExit) as exit_info:
+        main(point + ["--no-such-flag"])
+    assert exit_info.value.code == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+    assert _build_parser.cache_info().misses == 1
