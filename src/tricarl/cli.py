@@ -89,13 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+    return "" if value is None else repr(float(value))
 
 
 def _rows_to_csv(rows: list[dict], meta: list[str]) -> str:
@@ -107,7 +101,7 @@ def _rows_to_csv(rows: list[dict], meta: list[str]) -> str:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_format_cell(row.get(key)) for key in header])
+            writer.writerow([row.get(key) for key in header])
     return buffer.getvalue()
 
 
@@ -153,13 +147,16 @@ def _run_point(args: argparse.Namespace, params: ModelParams) -> str:
         raise InvalidSpec("single-point evolution requires --tau")
     if args.tau < 0:
         raise InvalidSpec(f"tau must be >= 0, got {args.tau!r}")
-    report = evolve_point(
-        params,
-        args.tau,
-        atom_number=args.atoms,
-        epsilon=args.epsilon,
-        oracle=args.oracle,
-    )
+    # overflow is reported as a non_finite error, not as numpy warnings
+    with np.errstate(all="ignore"):
+        try:
+            report = evolve_point(
+                params, args.tau, atom_number=args.atoms, epsilon=args.epsilon, oracle=args.oracle
+            )
+        except np.linalg.LinAlgError:
+            raise  # a numerical failure (a ValueError subclass)
+        except ValueError as exc:  # an argument the point report rejects
+            raise InvalidSpec(str(exc)) from exc
     return _json_dumps(report)
 
 

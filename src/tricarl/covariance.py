@@ -28,18 +28,21 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 from .dynamics import (
     Spectrum,
     _propagator_matrix,
+    _spectral_stack,
     cubic_roots,
     drift_generator,
     gain,
-    propagator,
     spectrum,
 )
-from .errors import DegenerateSpectrum, NonFinite, NotHermitian, NotStable
-from .model import ModelParams, derive
+from .errors import DegenerateSpectrum, NotStable, first_failure, raise_failure
+from .model import ModelParams, ParamStack, derive
 
 VACUUM = 0.5 * np.eye(3, dtype=complex)
 # Hermitian defect, relative to max(1, max|entry|), that Q and C may carry
 HERMITIZE_TOL = 1e-10
+# Largest default step count of ode_oracle, about 1.2 s of RK4 blocks on a
+# 2-vCPU x86-64 VM; an explicit ``steps`` is not capped.
+MAX_ORACLE_STEPS = 10**7
 
 
 def _dagger(matrix: np.ndarray) -> np.ndarray:
@@ -68,12 +71,16 @@ def _hermitian_part(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return 0.5 * (matrix + m_dag), defect
 
 
+def _hermitian_guards(defect, tol: float) -> tuple:
+    """Ordered guards (see ``first_failure``) of matrices with a Hermitian
+    defect from ``_hermitian_part`` (or the largest of several): non-finite
+    entries (a NaN defect), then a defect above ``tol``."""
+    return ("non_finite", np.isnan(defect)), ("not_hermitian", defect > tol)
+
+
 def _hermitize(matrix: np.ndarray, tol: float, what: str) -> np.ndarray:
     hermitian, defect = _hermitian_part(matrix)
-    if np.isnan(defect):
-        raise NonFinite(f"{what} has non-finite entries")
-    if defect > tol:
-        raise NotHermitian(f"{what} is not Hermitian: relative defect {defect:.3e}")
+    raise_failure(first_failure(*_hermitian_guards(defect, tol)), what)
     return hermitian
 
 
@@ -132,13 +139,31 @@ def _with_coherent_part(q: np.ndarray, m: np.ndarray) -> np.ndarray:
     return q + 0.5 * m @ _dagger(m)
 
 
-def _closed_form_stack(spec: Spectrum, tau) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form covariances for a stack of spectra and/or times, and a
-    mask of the rows that pass the guards CovarianceState and NoiseMatrix
-    raise on (finite, Hermitian within HERMITIZE_TOL)."""
-    q, q_defect = _hermitian_part(_noise(spec, tau))
-    c, c_defect = _hermitian_part(_with_coherent_part(q, _propagator_matrix(spec, tau)))
-    return c, (q_defect <= HERMITIZE_TOL) & (c_defect <= HERMITIZE_TOL)
+def _covariance_stack(
+    params: ParamStack, roots: np.ndarray, tau, usable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Covariances for a stack of parameter sets (with their cubic roots)
+    and/or times, and each row's status under the guards of NoiseMatrix and
+    CovarianceState (see ``_hermitian_guards``).
+
+    Rows are computed in closed form, except the ``usable`` rows whose
+    roots are too close for it: those take Q from Van Loan's block
+    exponential and M from expm, as ``covariance`` does.
+    """
+    spec, regular = _spectral_stack(params, roots)
+    q, m = _noise(spec, tau), _propagator_matrix(spec, tau)
+    fallback = np.broadcast_to(~regular & usable, q.shape[:-2])
+    for row in zip(*np.nonzero(fallback)):
+        *fields, row_tau = (float(np.broadcast_to(x, fallback.shape)[row]) for x in (*params, tau))
+        row_params = ModelParams(*fields)
+        generator = drift_generator(row_params)
+        q[row] = _van_loan_noise(generator, diffusion_matrix(row_params), row_tau)
+        m[row] = expm(generator * row_tau)
+    q, q_defect = _hermitian_part(q)
+    c, c_defect = _hermitian_part(_with_coherent_part(q, m))
+    return c, first_failure(
+        *_hermitian_guards(q_defect, HERMITIZE_TOL), *_hermitian_guards(c_defect, HERMITIZE_TOL)
+    )
 
 
 def _van_loan_noise(generator: np.ndarray, diffusion: np.ndarray, tau: float) -> np.ndarray:
@@ -180,26 +205,15 @@ def q_quadrature(params: ModelParams, tau: float) -> NoiseMatrix:
     return NoiseMatrix(tau=tau, q=q)
 
 
-def covariance_closed(spec: Spectrum, tau: float) -> CovarianceState:
-    """Covariance from the matrix-form closed expression Q + M M^dag / 2."""
-    m = propagator(spec, tau).m
-    q = q_closed_form(spec, tau).q
-    return CovarianceState(tau=tau, c=_with_coherent_part(q, m))
-
-
-def covariance(
-    params: ModelParams,
-    tau: float,
-    method: str = "auto",
-    degeneracy_tol: float | None = None,
-) -> CovarianceState:
+def covariance(params: ModelParams, tau: float, method: str = "auto") -> CovarianceState:
     """Covariance of the state evolved from vacuum for a time tau.
 
-    method "closed" uses the spectral closed form (raises
-    DegenerateSpectrum near root collisions), "quadrature" takes the noise
-    term from Van Loan's block exponential and the propagator from expm,
-    neither of which needs the spectrum, and "auto" tries the closed form
-    and falls back to "quadrature".
+    method "closed" uses the spectral closed form Q + M M^dag / 2 (raises
+    DegenerateSpectrum when two roots are closer than
+    ``degeneracy_threshold``), "quadrature" takes the noise term from Van
+    Loan's block exponential and the propagator from expm, neither of which
+    needs the spectrum, and "auto" tries the closed form and falls back to
+    "quadrature".
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
@@ -207,10 +221,13 @@ def covariance(
         raise ValueError(f"unknown method {method!r}")
     if method in ("auto", "closed"):
         try:
-            return covariance_closed(spectrum(params, degeneracy_tol), tau)
+            spec = spectrum(params)
         except DegenerateSpectrum:
             if method == "closed":
                 raise
+        else:
+            m = _propagator_matrix(spec, tau)
+            return CovarianceState(tau=tau, c=_with_coherent_part(q_closed_form(spec, tau).q, m))
     m = expm(drift_generator(params) * tau)
     q = q_quadrature(params, tau).q
     return CovarianceState(tau=tau, c=_with_coherent_part(q, m))
@@ -237,7 +254,8 @@ def ode_oracle(
 
     Independent of the spectral decomposition: uses only the parameter-form
     generator.  Default step count is 100 * tau * max(1, |lambda|_max),
-    giving O(h^4) global error well below 1e-6 relative.
+    giving O(h^4) global error well below 1e-6 relative; a default count
+    above MAX_ORACLE_STEPS raises ValueError.
 
     The equation is linear in z = (vec C, 1), dz/dtau = G z, with
     kron(A, I) + kron(I, A*) on the row-major vec C and vec D in the last
@@ -260,6 +278,10 @@ def ode_oracle(
             np.max(np.abs(1j * (cubic_roots(params) - params.delta) - dp.gamma_plus))
         )
         steps = int(math.ceil(100.0 * tau * max(1.0, lam_max)))
+        if steps > MAX_ORACLE_STEPS:
+            raise ValueError(
+                f"the default oracle step count {steps} exceeds the limit {MAX_ORACLE_STEPS}"
+            )
     a = drift_generator(params)
     x = np.zeros((10, 10), dtype=complex)
     x[:9, :9] = np.kron(a, np.eye(3)) + np.kron(np.eye(3), a.conj())

@@ -129,7 +129,7 @@ def gain(omegas: np.ndarray, gamma_plus: float) -> float:
 
 
 def degeneracy_threshold(omegas: np.ndarray) -> np.ndarray:
-    """Default minimum root separation below which the closed forms are
+    """Minimum root separation below which the closed forms are
     numerically unusable."""
     return 1e-8 * np.maximum(1.0, np.abs(omegas).max(axis=-1))
 
@@ -140,14 +140,11 @@ def _min_separation(omegas: np.ndarray) -> np.ndarray:
 
 
 def _spectral_stack(
-    params: ModelParams | ParamStack,
-    omegas: np.ndarray,
-    degeneracy_tol: float | None = None,
+    params: ModelParams | ParamStack, omegas: np.ndarray
 ) -> tuple[Spectrum, np.ndarray]:
     """Spectral data built on given roots, and a mask of the parameter sets
-    whose roots are separated by more than the degeneracy threshold (the
-    default one when ``degeneracy_tol`` is None).  The S of a masked-out
-    set is meaningless.
+    whose roots are separated by more than ``degeneracy_threshold``.  The S
+    of a masked-out set is meaningless.
 
     Column j of S^-1 is the eigenvector
 
@@ -168,38 +165,27 @@ def _spectral_stack(
         s_inverse = norms[..., np.newaxis, :] * np.stack(
             [1j * coupling * (w + beta), -1j * coupling * (w - beta), beta**2 - w**2], axis=-2
         )
-    tol = degeneracy_threshold(w) if degeneracy_tol is None else degeneracy_tol
-    regular = _min_separation(w) > tol
+    regular = _min_separation(w) > degeneracy_threshold(w)
     s = np.linalg.inv(np.where(regular[..., np.newaxis, np.newaxis], s_inverse, np.eye(3)))
     deltas = np.stack([(w0 - w1) * (w0 - w2), (w1 - w0) * (w1 - w2), (w2 - w0) * (w2 - w1)], -1)
     lambdas = 1j * (w - _axis(params.delta)) - _axis(dp.gamma_plus)
     return Spectrum(params, dp, w, lambdas, s, s_inverse, deltas), regular
 
 
-def _require_regular(spec: Spectrum, regular, degeneracy_tol: float | None) -> None:
+def _require_regular(spec: Spectrum, regular) -> Spectrum:
+    """Return ``spec``; raise DegenerateSpectrum if two of its roots are
+    closer than ``degeneracy_threshold``."""
     if not regular:
-        tol = degeneracy_threshold(spec.omegas) if degeneracy_tol is None else degeneracy_tol
         raise DegenerateSpectrum(
-            f"root separation {_min_separation(spec.omegas):.3e} below threshold {tol:.3e}"
+            f"root separation {_min_separation(spec.omegas):.3e} below threshold "
+            f"{degeneracy_threshold(spec.omegas):.3e}"
         )
-
-
-def eigensystem(
-    omegas: np.ndarray, params: ModelParams, degeneracy_tol: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Similarity transform (S, S^-1) diagonalizing the drift generator (see
-    ``_spectral_stack`` for the eigenvectors).  Raises DegenerateSpectrum
-    when two roots are closer than the threshold."""
-    spec, regular = _spectral_stack(params, omegas, degeneracy_tol)
-    _require_regular(spec, regular, degeneracy_tol)
-    return spec.s, spec.s_inverse
-
-
-def spectrum(params: ModelParams, degeneracy_tol: float | None = None) -> Spectrum:
-    """Solve the cubic and assemble the full spectral data."""
-    spec, regular = _spectral_stack(params, cubic_roots(params), degeneracy_tol)
-    _require_regular(spec, regular, degeneracy_tol)
     return spec
+
+
+def spectrum(params: ModelParams) -> Spectrum:
+    """Solve the cubic and assemble the full spectral data."""
+    return _require_regular(*_spectral_stack(params, cubic_roots(params)))
 
 
 def propagator_coefficients(spec: Spectrum) -> np.ndarray:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceState, _hermitian_part
-from .errors import NonFinite, NotHermitian, RegimeMismatch
+from .covariance import CovarianceState, _hermitian_guards, _hermitian_part
+from .errors import RegimeMismatch, first_failure, raise_failure
 from .model import ModelParams
 
 # sign flips of x1 (undoing the conjugation of mode 1) and, per row j, of
@@ -46,15 +46,18 @@ CLASS_FULLY_INSEPARABLE = "fully_inseparable"
 CLASS_TWO_MODE_BISEPARABLE = "two_mode_biseparable"
 CLASS_BISEPARABLE_OR_SEPARABLE = "biseparable_or_separable"
 # class label by the bit pattern of factorizable modes (bit j: mode j + 1)
-_CLASS_LABELS = (
-    CLASS_FULLY_INSEPARABLE,
-    "one_mode_biseparable(1)",
-    "one_mode_biseparable(2)",
-    CLASS_TWO_MODE_BISEPARABLE,
-    "one_mode_biseparable(3)",
-    CLASS_TWO_MODE_BISEPARABLE,
-    CLASS_TWO_MODE_BISEPARABLE,
-    CLASS_BISEPARABLE_OR_SEPARABLE,
+_CLASS_LABELS = np.array(
+    [
+        CLASS_FULLY_INSEPARABLE,
+        "one_mode_biseparable(1)",
+        "one_mode_biseparable(2)",
+        CLASS_TWO_MODE_BISEPARABLE,
+        "one_mode_biseparable(3)",
+        CLASS_TWO_MODE_BISEPARABLE,
+        CLASS_TWO_MODE_BISEPARABLE,
+        CLASS_BISEPARABLE_OR_SEPARABLE,
+    ],
+    dtype=object,
 )
 
 
@@ -119,10 +122,7 @@ def _min_eigenvalues(stack: np.ndarray, hermiticity_tol: float = HERMITICITY_TOL
     has a Hermitian defect above ``hermiticity_tol * max(1, max|h|)``.
     """
     eigs, defect = _min_eigenvalue_stack(stack, hermiticity_tol)
-    if np.isnan(defect).any():
-        raise NonFinite("test matrix has non-finite entries")
-    if np.any(defect > hermiticity_tol):
-        raise NotHermitian(f"relative Hermitian defect {defect.max():.3e} exceeds tolerance")
+    raise_failure(first_failure(*_hermitian_guards(defect.max(), hermiticity_tol)), "test matrix")
     return eigs
 
 
@@ -139,10 +139,11 @@ def physicality(v: np.ndarray) -> float:
     return min_eigenvalue_hermitian(v - 1j * SYMPLECTIC_FORM)
 
 
-def _class_index(gamma_min_eigs: np.ndarray, epsilon: float) -> np.ndarray:
-    """Index into _CLASS_LABELS of each set of three Gamma minimum
-    eigenvalues on the last axis."""
-    return (gamma_min_eigs >= -epsilon) @ np.array([1, 2, 4])
+def _classes(gamma_min_eigs: np.ndarray, epsilon: float):
+    """Class label of each set of three Gamma minimum eigenvalues on the last
+    axis, and the guard against non-finite ones (see ``first_failure``)."""
+    labels = _CLASS_LABELS[(gamma_min_eigs >= -epsilon) @ np.array([1, 2, 4])]
+    return labels, ("non_finite", ~np.isfinite(gamma_min_eigs).all(axis=-1))
 
 
 def classify(gamma_min_eigs: np.ndarray, epsilon: float = 1e-9) -> str:
@@ -157,9 +158,9 @@ def classify(gamma_min_eigs: np.ndarray, epsilon: float = 1e-9) -> str:
     eigs = np.asarray(gamma_min_eigs, dtype=float)
     if eigs.shape != (3,):
         raise ValueError("expected three minimum eigenvalues")
-    if not np.isfinite(eigs).all():
-        raise NonFinite(f"minimum eigenvalues {eigs} are not finite")
-    return _CLASS_LABELS[int(_class_index(eigs, epsilon))]
+    label, finite = _classes(eigs, epsilon)
+    raise_failure(first_failure(finite), "minimum eigenvalues")
+    return label
 
 
 @dataclass(frozen=True)
@@ -177,30 +178,34 @@ def separability_report(
     cov: CovarianceState | np.ndarray, epsilon: float = 1e-9
 ) -> SeparabilityReport:
     """Run all separability tests on one covariance state."""
-    gamma_stack, pair_stack = _test_matrices(cov)
-    gammas = _min_eigenvalues(gamma_stack)
-    pairs = _min_eigenvalues(pair_stack)
+    gammas, pairs, label, status = _separability_stack(cov, epsilon)
+    raise_failure(status, "separability tests")
     return SeparabilityReport(
-        min_eig_gamma=tuple(map(float, gammas)),
-        min_eig_s=tuple(map(float, pairs)),
-        class_label=classify(gammas, epsilon),
+        min_eig_gamma=tuple(gammas.tolist()),
+        min_eig_s=tuple(pairs.tolist()),
+        class_label=label,
         epsilon=epsilon,
     )
 
 
-def _separability_stack(c: np.ndarray, epsilon: float):
-    """``separability_report`` of a (..., 3, 3) stack of covariances.
+def _separability_stack(cov, epsilon: float):
+    """The separability tests of a covariance or a (..., 3, 3) stack of them.
 
     Returns the Gamma_j and S_ij minimum eigenvalues (..., 3) each, the
-    class labels (an object array) and a mask of the states for which
-    ``separability_report`` raises nothing.
+    class labels (an object array) and each state's status: the first of
+    the Gamma_j guards, the S_ij guards (see ``_hermitian_guards``) and the
+    guard against non-finite Gamma_j minimum eigenvalues that it fails.
     """
-    gamma_stack, pair_stack = _test_matrices(c)
+    gamma_stack, pair_stack = _test_matrices(cov)
     gammas, gamma_defect = _min_eigenvalue_stack(gamma_stack)
     pairs, pair_defect = _min_eigenvalue_stack(pair_stack)
-    ok = (gamma_defect <= HERMITICITY_TOL).all(-1) & (pair_defect <= HERMITICITY_TOL).all(-1)
-    labels = np.array(_CLASS_LABELS, dtype=object)[_class_index(gammas, epsilon)]
-    return gammas, pairs, labels, ok & np.isfinite(gammas).all(-1)
+    labels, finite = _classes(gammas, epsilon)
+    status = first_failure(
+        *_hermitian_guards(gamma_defect.max(axis=-1), HERMITICITY_TOL),
+        *_hermitian_guards(pair_defect.max(axis=-1), HERMITICITY_TOL),
+        finite,
+    )
+    return gammas, pairs, labels, status
 
 
 def asymptotic_eta(params: ModelParams, regime: str) -> tuple[float, float]:

@@ -7,11 +7,13 @@ the sweep: failures are recorded in a per-row status column and undefined
 observables (vacuum 0/0) stay empty.
 
 The grid is evaluated as array programs over stacks of rows: one stacked
-cubic solve, eigensystem, closed-form covariance, observable and
-separability pass per chunk of rows (one spectrum for a whole tau axis).
-Every guard of the single-row path becomes a per-row mask there; a masked
-row is evaluated again on its own by ``_evaluate_row``, so statuses, empty
-cells and the degenerate-spectrum fallback are the single-row path's.
+cubic solve, eigensystem, covariance, observable and separability pass per
+chunk of rows (one spectrum for a whole tau axis).  Rows whose roots are
+too close for the closed form get Van Loan's block exponential inside the
+stack.  Each kernel evaluates its guards as per-row masks, and a row's
+status is the code of the first guard it fails, in pipeline order.  Every
+row is evaluated once; only when a stacked LAPACK call raises is the chunk
+evaluated again row by row, so the failure costs only its own row.
 """
 
 from __future__ import annotations
@@ -21,17 +23,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import _closed_form_stack, covariance, ode_oracle
-from .dynamics import _spectral_stack, cubic_coefficients, cubic_roots, gain, solve_cubic
+from .covariance import _covariance_stack, covariance, ode_oracle
+from .dynamics import cubic_coefficients, cubic_roots, gain, solve_cubic
 from .entanglement import (
     _separability_stack,
     physicality,
     quadrature_covariance,
     separability_report,
 )
-from .errors import InvalidSpec, NonFinite, TricarlError
+from .errors import InvalidSpec, NonFinite, first_failure
 from .model import ModelParams, ParamStack, derive
-from .observables import _observable_stack, mode_observables
+from .observables import CROSS_PAIRS, _observable_stack, mode_observables
 from . import presets as _presets
 
 OUTPUTS = (
@@ -125,11 +127,6 @@ class SweepSpec:
             fields[self.axis] = values
         return ParamStack(**fields), tau
 
-    def point(self, value: float) -> tuple[ModelParams, float | None]:
-        """Model parameters and evolution time at one grid value."""
-        params, tau = self.stack(value)
-        return ModelParams(**params._asdict()), tau
-
     def to_dict(self) -> dict:
         return {
             "axis": self.axis,
@@ -178,101 +175,95 @@ def _require_finite(record: dict) -> dict:
     return record
 
 
-def _evaluate_row(spec: SweepSpec, value: float) -> dict:
-    row: dict = {spec.axis: float(value)}
-    for name in spec.outputs:
-        row[name] = None
-    status = "ok"
-    try:
-        params, tau = spec.point(float(value))
-        if "gain" in spec.outputs:
-            row["gain"] = gain(cubic_roots(params), derive(params).gamma_plus)
-        if spec._needs_state():
-            state = covariance(params, float(tau))
-            obs = mode_observables(state, spec.atom_number)
-            values = {
-                "n1": obs.n[0],
-                "n2": obs.n[1],
-                "n3": obs.n[2],
-                "xi12": obs.xi[0],
-                "xi13": obs.xi[1],
-                "xi23": obs.xi[2],
-                "g2_12": obs.g2_cross[0],
-                "g2_13": obs.g2_cross[1],
-                "g2_23": obs.g2_cross[2],
-                "bunching": obs.bunching,
-            }
-            if any(name in _ENTANGLEMENT_OUTPUTS for name in spec.outputs):
-                report = separability_report(state, spec.epsilon)
-                values.update(
-                    {
-                        "mineig_gamma1": report.min_eig_gamma[0],
-                        "mineig_gamma2": report.min_eig_gamma[1],
-                        "mineig_gamma3": report.min_eig_gamma[2],
-                        "mineig_s12": report.min_eig_s[0],
-                        "mineig_s13": report.min_eig_s[1],
-                        "mineig_s23": report.min_eig_s[2],
-                        "class": report.class_label,
-                    }
-                )
-            requested = {name: values[name] for name in spec.outputs if name in values}
-            row.update(_require_finite(requested))
-    except (TricarlError, ValueError, np.linalg.LinAlgError) as exc:
-        status = getattr(exc, "code", "error")
-    row["status"] = status
-    return row
+def _then(status, later):
+    """Per-row status: ``status`` where it failed, ``later`` where it is "ok"."""
+    if np.ndim(status) == 0 and status == "ok":
+        return later
+    return np.where(status == "ok", later, status)
+
+
+def _split(columns: dict, prefix: str, field, suffixes) -> None:
+    """Put the last-axis entries of a (values, defined) field in columns."""
+    value, defined = field
+    for k, suffix in enumerate(suffixes):
+        columns[prefix + suffix] = (value[..., k], defined is True or defined[..., k])
 
 
 def _batch_columns(spec: SweepSpec, values: np.ndarray) -> tuple[dict, np.ndarray]:
     """The requested columns of a chunk of grid values, as (values, defined)
-    array pairs, and the mask of rows that passed every guard of
-    ``_evaluate_row``; the cells of the other rows are meaningless."""
+    array pairs, and each row's status.
+
+    The status is the first guard the row fails, "ok" if none: a non-finite
+    grid value off the tau axis ("error"), non-finite roots, then the
+    guards of the covariance, observables and separability kernels, then a
+    non-finite requested cell ("non_finite").  A failed row's cells are
+    undefined, except that it keeps its gain when it failed after the roots.
+    """
     params, tau = spec.stack(values)
     dp = derive(params)
     roots = solve_cubic(cubic_coefficients(dp, params.rho))
-    ok = np.isfinite(values) & np.isfinite(roots).all(axis=-1)
+    status = first_failure(
+        ("error", ~np.isfinite(values) & (spec.axis != "tau")),
+        ("non_finite", ~np.isfinite(roots).all(axis=-1)),
+    )
     columns: dict = {}
     if "gain" in spec.outputs:
-        columns["gain"] = (gain(roots, dp.gamma_plus), True)
+        columns["gain"] = (gain(roots, dp.gamma_plus), status == "ok")
     if spec._needs_state():
-        spectra, regular = _spectral_stack(params, roots)
-        c, c_ok = _closed_form_stack(spectra, tau)
-        observables, obs_ok = _observable_stack(c, spec.atom_number)
-        ok &= regular & c_ok & obs_ok
-        columns.update(observables)
+        c, c_status = _covariance_stack(params, roots, tau, status == "ok")
+        fields, obs_status = _observable_stack(c, spec.atom_number)
+        status = _then(status, _then(c_status, obs_status))
+        columns["bunching"] = fields["bunching"]
+        _split(columns, "n", fields["n"], ("1", "2", "3"))
+        pairs = [f"{i}{j}" for i, j in CROSS_PAIRS]
+        _split(columns, "xi", fields["xi"], pairs)
+        _split(columns, "g2_", fields["g2_cross"], pairs)
         if any(name in _ENTANGLEMENT_OUTPUTS for name in spec.outputs):
-            gammas, pairs, labels, sep_ok = _separability_stack(c, spec.epsilon)
-            ok &= sep_ok
+            gammas, pair_eigs, labels, sep_status = _separability_stack(c, spec.epsilon)
+            status = _then(status, sep_status)
             columns["class"] = (labels, True)
-            for k, suffix in enumerate(("gamma1", "gamma2", "gamma3")):
-                columns[f"mineig_{suffix}"] = (gammas[..., k], True)
-            for k, suffix in enumerate(("s12", "s13", "s23")):
-                columns[f"mineig_{suffix}"] = (pairs[..., k], True)
+            _split(columns, "mineig_gamma", (gammas, True), ("1", "2", "3"))
+            _split(columns, "mineig_s", (pair_eigs, True), pairs)
+        overflow = np.zeros(values.shape, dtype=bool)
         for name in spec.outputs:
             if name != "gain" and name != "class":
                 value, defined = columns[name]
-                ok &= ~np.asarray(defined) | np.isfinite(value)
-    return columns, ok
+                overflow |= defined & ~np.isfinite(value)
+        status = _then(status, first_failure(("non_finite", overflow)))
+        ok = status == "ok"
+        for name in spec.outputs:
+            if name != "gain":
+                value, defined = columns[name]
+                columns[name] = (value, defined & ok)
+    return columns, np.broadcast_to(status, values.shape)
 
 
-def _evaluate_chunk(spec: SweepSpec, values: np.ndarray) -> list[dict]:
-    try:
-        with np.errstate(all="ignore"):
-            columns, ok = _batch_columns(spec, values)
-    except np.linalg.LinAlgError:
-        # a LAPACK failure on one row stops the whole stack: go row by row
-        return [_evaluate_row(spec, value) for value in values]
+def _rows(spec: SweepSpec, values: np.ndarray) -> list[dict]:
+    with np.errstate(all="ignore"):
+        columns, status = _batch_columns(spec, values)
     cells = []
     for name in spec.outputs:
         value, defined = (np.broadcast_to(x, values.shape).tolist() for x in columns[name])
         cells.append([v if d else None for v, d in zip(value, defined)])
     keys = (spec.axis, *spec.outputs, "status")
-    return [
-        dict(zip(keys, (value, *row, "ok"))) if row_ok else _evaluate_row(spec, value)
-        for value, row_ok, *row in zip(
-            values.tolist(), np.broadcast_to(ok, values.shape).tolist(), *cells
-        )
-    ]
+    return [dict(zip(keys, row)) for row in zip(values.tolist(), *cells, status.tolist())]
+
+
+def _evaluate_row(spec: SweepSpec, value: float) -> dict:
+    """One grid value as a chunk of its own; a LAPACK failure of its own
+    gives status "error" and empty cells."""
+    try:
+        return _rows(spec, np.array([value]))[0]
+    except np.linalg.LinAlgError:
+        return {spec.axis: value, **dict.fromkeys(spec.outputs), "status": "error"}
+
+
+def _evaluate_chunk(spec: SweepSpec, values: np.ndarray) -> list[dict]:
+    try:
+        return _rows(spec, values)
+    except np.linalg.LinAlgError:
+        # a LAPACK failure on one row stops the whole stack: go row by row
+        return [_evaluate_row(spec, value) for value in values.tolist()]
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:

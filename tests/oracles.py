@@ -7,12 +7,30 @@ coefficients obtained from power-sum traces, and the quadrature-covariance
 round trip inverts the block construction directly.  The entrywise
 covariance assembles C element by element from the propagator entries, and
 the effective generator rebuilds A from the spectral data.
+
+Further down are the single-state forms the package itself computes only
+inside its array kernels: the eigensystem, the matrix-form closed
+covariance, fourth-order moments, squeezing from explicit moments, and the
+row-by-row sweep evaluator, which runs one grid value through the raising
+one-state functions.
 """
 
 import numpy as np
 
-from tricarl.covariance import CovarianceState, _phi
-from tricarl.dynamics import propagator_coefficients
+from tricarl import (
+    ModelParams,
+    covariance,
+    cubic_roots,
+    derive,
+    gain,
+    mode_observables,
+    separability_report,
+)
+from tricarl.covariance import CovarianceState, _phi, _with_coherent_part, q_closed_form
+from tricarl.dynamics import _require_regular, _spectral_stack, propagator, propagator_coefficients
+from tricarl.errors import TricarlError
+from tricarl.observables import ZERO_OCCUPATION
+from tricarl.sweep import _ENTANGLEMENT_OUTPUTS, _require_finite
 
 
 def expm_taylor(a, tol=1e-16):
@@ -162,3 +180,99 @@ def effective_generator(spec):
     -(kappa + gamma1 + gamma2) - 2 i delta.
     """
     return spec.s_inverse @ np.diag(spec.lambdas) @ spec.s
+
+
+def eigensystem(omegas, params):
+    """Similarity transform (S, S^-1) diagonalizing the drift generator,
+    built on given roots.  Raises DegenerateSpectrum when two roots are
+    closer than the threshold."""
+    spec = _require_regular(*_spectral_stack(params, omegas))
+    return spec.s, spec.s_inverse
+
+
+def covariance_closed(spec, tau):
+    """Covariance from the matrix-form closed expression Q + M M^dag / 2."""
+    m = propagator(spec, tau).m
+    q = q_closed_form(spec, tau).q
+    return CovarianceState(tau=tau, c=_with_coherent_part(q, m))
+
+
+def fourth_order(cov, i, j, k, l):
+    """Gaussian fourth-order moment G_ijkl = C_ki C_lj + C_li C_kj (one per
+    covariance of a stack)."""
+    for index in (i, j, k, l):
+        if index not in (1, 2, 3):
+            raise ValueError(f"mode index must be in 1..3, got {index!r}")
+    c = cov.c if isinstance(cov, CovarianceState) else np.asarray(cov, dtype=complex)
+    # [()] makes scalars of a single covariance's entries: scalar products
+    # commute exactly, which the index symmetries of G rely on
+    pairs = ((k, i), (l, j), (l, i), (k, j))
+    c_ki, c_lj, c_li, c_kj = (c[..., row - 1, col - 1][()] for row, col in pairs)
+    return c_ki * c_lj + c_li * c_kj
+
+
+def squeezing_from_moments(n_i, n_j, var_i, var_j, cross_sq):
+    """Two-mode number squeezing from explicit moments.
+
+    xi = [var_i + var_j - 2 |C_ij|^2] / (n_i + n_j); None (undefined, the
+    vacuum 0/0) when the occupations vanish.  Independent coherent modes
+    (var = n, no cross correlation) give exactly 1.
+    """
+    total = n_i + n_j
+    if total <= ZERO_OCCUPATION:
+        return None
+    return (var_i + var_j - 2.0 * cross_sq) / total
+
+
+def spec_point(spec, value):
+    """Model parameters and evolution time at one grid value of a sweep."""
+    params, tau = spec.stack(float(value))
+    return ModelParams(**params._asdict()), tau
+
+
+def evaluate_row(spec, value):
+    """One sweep row through the one-state functions, each raising on the
+    first guard it fails: the row-by-row evaluator the batched sweep
+    replaced."""
+    row = {spec.axis: float(value)}
+    for name in spec.outputs:
+        row[name] = None
+    status = "ok"
+    try:
+        params, tau = spec_point(spec, value)
+        if "gain" in spec.outputs:
+            row["gain"] = gain(cubic_roots(params), derive(params).gamma_plus)
+        if spec._needs_state():
+            state = covariance(params, float(tau))
+            obs = mode_observables(state, spec.atom_number)
+            values = {
+                "n1": obs.n[0],
+                "n2": obs.n[1],
+                "n3": obs.n[2],
+                "xi12": obs.xi[0],
+                "xi13": obs.xi[1],
+                "xi23": obs.xi[2],
+                "g2_12": obs.g2_cross[0],
+                "g2_13": obs.g2_cross[1],
+                "g2_23": obs.g2_cross[2],
+                "bunching": obs.bunching,
+            }
+            if any(name in _ENTANGLEMENT_OUTPUTS for name in spec.outputs):
+                report = separability_report(state, spec.epsilon)
+                values.update(
+                    {
+                        "mineig_gamma1": report.min_eig_gamma[0],
+                        "mineig_gamma2": report.min_eig_gamma[1],
+                        "mineig_gamma3": report.min_eig_gamma[2],
+                        "mineig_s12": report.min_eig_s[0],
+                        "mineig_s13": report.min_eig_s[1],
+                        "mineig_s23": report.min_eig_s[2],
+                        "class": report.class_label,
+                    }
+                )
+            requested = {name: values[name] for name in spec.outputs if name in values}
+            row.update(_require_finite(requested))
+    except (TricarlError, ValueError, np.linalg.LinAlgError) as exc:
+        status = getattr(exc, "code", "error")
+    row["status"] = status
+    return row

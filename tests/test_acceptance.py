@@ -116,7 +116,9 @@ def superradiant_states():
 
 @lru_cache(maxsize=None)
 def near_degenerate_state():
-    return covariance(CRITICAL, 3.0, degeneracy_tol=1e-6)
+    # the block-exponential state that routing sends CRITICAL to when the
+    # degeneracy threshold flags it (criterion 4)
+    return covariance(CRITICAL, 3.0, method="quadrature")
 
 
 def test_criterion_1_steady_state_squeezing():
@@ -218,7 +220,7 @@ def test_criterion_3_propagator_identities():
     assert worst_damped < 1e-4
 
 
-def test_criterion_4_oracle_equivalence():
+def test_criterion_4_oracle_equivalence(monkeypatch):
     worst = 0.0
     for params, tau, state in oracle_points():
         for t in (0.4 * tau, tau):
@@ -227,10 +229,15 @@ def test_criterion_4_oracle_equivalence():
             rel = float(np.abs(closed - reference).max() / max(np.abs(closed).max(), 1.0))
             worst = max(worst, rel)
 
-    # deliberately near-degenerate spectrum, routed through quadrature
+    # deliberately near-degenerate spectrum (an absolute threshold of 1e-6
+    # flags it), routed through quadrature
+    import tricarl.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "degeneracy_threshold", lambda w: np.full(w.shape[:-1], 1e-6))
     with pytest.raises(DegenerateSpectrum):
-        spectrum(CRITICAL, degeneracy_tol=1e-6)
+        spectrum(CRITICAL)
     state = near_degenerate_state()
+    assert np.array_equal(covariance(CRITICAL, 3.0).c, state.c)
     reference = ode_oracle(CRITICAL, 3.0)
     degenerate_rel = float(np.abs(state.c - reference.c).max() / np.abs(state.c).max())
 

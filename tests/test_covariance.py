@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import covariance_entrywise, expm_taylor, rk4_lyapunov
+from oracles import covariance_closed, covariance_entrywise, expm_taylor, rk4_lyapunov
 from tricarl import (
     CovarianceState,
     DegenerateSpectrum,
     ModelParams,
     NotStable,
     covariance,
-    covariance_closed,
     cubic_roots,
     derive,
     diffusion_matrix,
@@ -287,6 +286,20 @@ def test_ode_oracle_rejects_bad_input(tau, steps, message):
         ode_oracle(FIG5, tau, steps)
 
 
+def test_ode_oracle_caps_only_the_default_step_count(monkeypatch):
+    import importlib
+
+    covariance_module = importlib.import_module("tricarl.covariance")
+    limit = covariance_module.MAX_ORACLE_STEPS
+    # rho=1, rates 5, tau=1e6 would take about 5.6e8 steps; refused up front
+    with pytest.raises(ValueError, match=f"exceeds the limit {limit}"):
+        ode_oracle(ModelParams(1.0, 0.0, 5.0, 5.0, 5.0), 1e6)
+    monkeypatch.setattr(covariance_module, "MAX_ORACLE_STEPS", 100)
+    with pytest.raises(ValueError, match="exceeds the limit 100"):
+        ode_oracle(FIG5, 2.0)
+    ode_oracle(FIG5, 2.0, steps=1000)  # an explicit count is not capped
+
+
 # lossless rho=100 gain threshold, as in the benchmark's edge ladder
 DELTA_STAR = 1.8899212590353163
 
@@ -334,15 +347,19 @@ def test_ode_oracle_is_stepwise_rk4_everywhere(rho, delta, rates, tau, steps):
 # ------------------------------------------------- degenerate spectrum routing
 
 
-def test_near_degenerate_routed_through_quadrature():
+def test_near_degenerate_routed_through_quadrature(monkeypatch):
+    # an absolute threshold of 1e-6 flags the roots at CRITICAL
+    import tricarl.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "degeneracy_threshold", lambda w: np.full(w.shape[:-1], 1e-6))
     with pytest.raises(DegenerateSpectrum):
-        spectrum(CRITICAL, degeneracy_tol=1e-6)
-    state = covariance(CRITICAL, 3.0, degeneracy_tol=1e-6)  # auto fallback
+        spectrum(CRITICAL)
+    state = covariance(CRITICAL, 3.0)  # auto fallback
     reference = ode_oracle(CRITICAL, 3.0)
     rel = np.abs(state.c - reference.c).max() / np.abs(state.c).max()
     assert rel < 1e-6
     with pytest.raises(DegenerateSpectrum):
-        covariance(CRITICAL, 3.0, method="closed", degeneracy_tol=1e-6)
+        covariance(CRITICAL, 3.0, method="closed")
     forced = covariance(CRITICAL, 3.0, method="quadrature")
     assert np.abs(forced.c - reference.c).max() / np.abs(forced.c).max() < 1e-6
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import effective_generator, expm_taylor
+from oracles import effective_generator, eigensystem, expm_taylor
 from tricarl import (
     DegenerateSpectrum,
     ModelParams,
@@ -9,7 +9,6 @@ from tricarl import (
     cubic_roots,
     derive,
     drift_generator,
-    eigensystem,
     gain,
     propagator,
     solve_cubic,
@@ -164,14 +163,19 @@ def test_eigensystem_root_swap_permutes_columns():
     assert np.allclose(sinv_swapped[:, 2], -sinv[:, 2])
 
 
-def test_degenerate_spectrum_raises():
+def test_degenerate_spectrum_raises(monkeypatch):
     roots = np.array([1.0 + 0.0j, 1.0 + 1e-12j, -2.0 + 0.0j])
     with pytest.raises(DegenerateSpectrum):
         eigensystem(roots, FIG5)
-    # double-root detuning of the lossless rho=100 cubic
+    # double-root detuning of the lossless rho=100 cubic, whose rounded roots
+    # stay about 2e-8 apart: an absolute threshold of 1e-6 flags them
+    import tricarl.dynamics as dynamics
+
     critical = ModelParams(rho=100.0, delta=1.8899212590353165)
+    spectrum(critical)
+    monkeypatch.setattr(dynamics, "degeneracy_threshold", lambda w: np.full(w.shape[:-1], 1e-6))
     with pytest.raises(DegenerateSpectrum):
-        spectrum(critical, degeneracy_tol=1e-6)
+        spectrum(critical)
 
 
 # ------------------------------------------------------------------- propagator

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import fourth_order, squeezing_from_moments
 from tricarl import (
     ModelParams,
     NegativeOccupation,
@@ -8,7 +9,6 @@ from tricarl import (
     UndefinedCorrelation,
     bunching,
     covariance,
-    fourth_order,
     g2_auto,
     g2_cross,
     gain_curve,
@@ -16,7 +16,6 @@ from tricarl import (
     number_squeezing,
     occupations,
     ode_oracle,
-    squeezing_from_moments,
     variances,
 )
 

@@ -1,15 +1,20 @@
-"""The batched sweep against the single-row path it replaces.
+"""The batched sweep against the row-by-row evaluator it replaced.
 
-``run_sweep`` evaluates a grid as stacked array programs and sends every
-row that a guard flags back through ``_evaluate_row``.  Its rows must be
-those of ``_evaluate_row`` at every grid value: the same statuses, the same
-empty cells and floats within 1e-12 on the scale each value is accurate on
-(n relative to C_ii, xi relative to the terms whose difference it is,
-minimum eigenvalues relative to the test-matrix norm, gain relative to the
-spectral radius).  Both paths run the same kernels; elementwise numpy loops
-may round the last bit differently for different array lengths, and near
-vacuum xi and g2 amplify that by C_ii / n_i, which the scales include.
+``run_sweep`` evaluates a grid as stacked array programs, each row once,
+with its status taken from the kernels' guard masks.  Its rows must be
+those of ``oracles.evaluate_row``, which runs each grid value through the
+raising one-state functions: the same statuses, the same empty cells and
+floats within 1e-12 on the scale each value is accurate on (n relative to
+C_ii, xi relative to the terms whose difference it is, minimum eigenvalues
+relative to the test-matrix norm, gain relative to the spectral radius).
+The one-state functions are the one-state case of the same kernels;
+elementwise numpy loops may round the last bit differently for different
+array lengths, and near vacuum xi and g2 amplify that by C_ii / n_i, which
+the scales include.  The kernels' statuses themselves are pinned by
+hard-coded cases here and by the golden layouts of test_sweep_golden.py.
 """
+
+import importlib
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tricarl.sweep as sweep_module
+from oracles import evaluate_row, spec_point
 from tricarl import (
     OUTPUTS,
     ModelParams,
@@ -30,18 +36,20 @@ from tricarl import (
 )
 from tricarl.entanglement import _separability_stack, quadrature_covariance
 from tricarl.observables import _observable_stack
-from tricarl.sweep import _evaluate_row
 
 RTOL = 1e-12
 # gain threshold of rho=100, gamma=kappa=0: two cubic roots merge here
 DELTA_STAR = 1.8899212590353163
+
+# the package attribute tricarl.covariance is the function of that name
+covariance_module = importlib.import_module("tricarl.covariance")
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def value_scale(name, spec, row):
     """Scale on which the per-row value of ``name`` is accurate."""
-    params, tau = spec.point(row[spec.axis])
+    params, tau = spec_point(spec, row[spec.axis])
     if name == "gain":
         lam = 1j * (cubic_roots(params) - params.delta) - 0.5 * (params.gamma1 + params.gamma2)
         return float(np.abs(lam).max())
@@ -65,7 +73,7 @@ def value_scale(name, spec, row):
 
 
 def assert_rows_match(spec, rows):
-    expected = [_evaluate_row(spec, value) for value in spec.grid()]
+    expected = [evaluate_row(spec, value) for value in spec.grid()]
     assert len(rows) == len(expected)
     for row, reference in zip(rows, expected):
         assert list(row) == list(reference)
@@ -119,10 +127,11 @@ def test_batched_rows_equal_single_row_rows(spec):
 
 def count_rerouted_rows(monkeypatch):
     calls = []
+    true_evaluate_row = sweep_module._evaluate_row
 
     def counted(spec, value):
         calls.append(value)
-        return _evaluate_row(spec, value)
+        return true_evaluate_row(spec, value)
 
     monkeypatch.setattr(sweep_module, "_evaluate_row", counted)
     return calls
@@ -144,15 +153,23 @@ def test_rows_across_the_gain_threshold_match():
         assert_rows_match(spec, run_sweep(spec))
 
 
-def test_degenerate_rows_take_the_single_row_path(monkeypatch):
+def test_degenerate_rows_stay_in_the_batch(monkeypatch):
     # rounding keeps the roots at delta* about 2e-8 apart, above the default
-    # threshold; a wider one flags the rows next to delta*, which are then
-    # rerouted and get the block-exponential fallback
+    # threshold; a wider one flags the row at delta*, which gets the
+    # block-exponential fallback inside the stack
     import tricarl.dynamics as dynamics
 
     monkeypatch.setattr(
         dynamics, "degeneracy_threshold", lambda w: 1e-3 * np.maximum(1.0, np.abs(w).max(axis=-1))
     )
+    block_taus = []
+    true_van_loan = covariance_module._van_loan_noise
+
+    def counted(generator, diffusion, tau):
+        block_taus.append(tau)
+        return true_van_loan(generator, diffusion, tau)
+
+    monkeypatch.setattr(covariance_module, "_van_loan_noise", counted)
     spec = SweepSpec(
         axis="delta",
         start=DELTA_STAR - 1e-5,
@@ -164,7 +181,8 @@ def test_degenerate_rows_take_the_single_row_path(monkeypatch):
     )
     rerouted = count_rerouted_rows(monkeypatch)
     rows = run_sweep(spec)
-    assert rerouted == [DELTA_STAR]
+    assert rerouted == []
+    assert block_taus == [2.0]
     assert all(row["status"] == "ok" for row in rows)
     assert_rows_match(spec, rows)
 
@@ -205,8 +223,8 @@ def test_tiny_rho_rows_are_non_finite(axis, outputs):
 
 
 def test_batch_failure_falls_back_to_single_rows(monkeypatch):
-    # a LAPACK error anywhere in a stacked call stops the whole chunk; its
-    # rows are then evaluated one by one
+    # a LAPACK error on one row of a stacked call stops the whole chunk; its
+    # rows are then evaluated one by one, and only that row fails
     spec = SweepSpec(
         axis="delta",
         start=-1.0,
@@ -217,14 +235,21 @@ def test_batch_failure_falls_back_to_single_rows(monkeypatch):
         tau=1.0,
     )
 
-    def broken(*args, **kwargs):
-        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    expected = run_sweep(spec)
+    bad = spec.grid()[2]
+    true_stack = sweep_module._covariance_stack
 
-    monkeypatch.setattr(sweep_module, "_closed_form_stack", broken)
+    def broken(params, *args):
+        if np.any(params.delta == bad):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return true_stack(params, *args)
+
+    monkeypatch.setattr(sweep_module, "_covariance_stack", broken)
     rerouted = count_rerouted_rows(monkeypatch)
     rows = run_sweep(spec)
-    assert len(rerouted) == spec.points
-    assert rows == [_evaluate_row(spec, value) for value in spec.grid()]
+    assert rerouted == spec.grid().tolist()
+    expected[2] = {"delta": bad, **dict.fromkeys(spec.outputs), "status": "error"}
+    assert rows == expected
 
 
 def test_long_grid_is_evaluated_in_chunks(monkeypatch):
@@ -245,37 +270,52 @@ def test_long_grid_is_evaluated_in_chunks(monkeypatch):
 
 def corrupted_covariances():
     """Covariances that trip each guard of the observables and separability
-    tests, next to a valid evolved state."""
+    tests, next to a valid evolved state, with the status each kernel must
+    give them: the first guard they fail."""
     good = covariance(ModelParams(100.0, 3.5, 0.5, 0.5, 0.5), 2.0).c
     vacuum = 0.5 * np.eye(3, dtype=complex)
-    stack = [good, vacuum]
-    for base, entry, shift in (
-        (vacuum, (0, 0), -1e-5),  # below the vacuum floor
-        (vacuum, (2, 2), -1e-7),  # below zero, above the floor
-        (good, (1, 1), 1e-3j),  # imaginary residue on the diagonal
-        (good, (0, 1), 1e-3j),  # not Hermitian (bunching residue, test matrices)
-        (good, (1, 2), np.inf),
-        (good, (0, 0), np.nan),
+    cases = [(good, "ok", "ok"), (vacuum, "ok", "ok")]
+    for base, entry, shift, observables_status, separability_status in (
+        # below the vacuum floor
+        (vacuum, (0, 0), -1e-5, "negative_occupation", "ok"),
+        # below zero, above the floor
+        (vacuum, (2, 2), -1e-7, "ok", "ok"),
+        # imaginary residue on the diagonal, also on G_iiii
+        (good, (1, 1), 1e-3j, "error", "not_hermitian"),
+        # a residue on C_ii comes before the floor
+        (vacuum, (0, 0), -1e-5 + 1e-3j, "error", "not_hermitian"),
+        # a residue on G_iiii = 2 C_ii^2 only
+        (vacuum, (0, 0), 0.9e-9j, "error", "ok"),
+        # the floor comes before the G_iiii residue
+        (vacuum, (0, 0), -1e-5 + 0.9e-9j, "negative_occupation", "ok"),
+        # not Hermitian: bunching residue, test matrices
+        (good, (0, 1), 1e-3j, "error", "not_hermitian"),
+        # no observables guard reads C_23 or a NaN C_11
+        (good, (1, 2), np.inf, "ok", "non_finite"),
+        (good, (0, 0), np.nan, "ok", "non_finite"),
     ):
         c = base.copy()
         c[entry] += shift
-        stack.append(c)
-    return np.array(stack)
+        cases.append((c, observables_status, separability_status))
+    return cases
 
 
-def raises(fn, *args):
+def raised_code(fn, *args):
     try:
         fn(*args)
-    except (TricarlError, ValueError):
-        return True
-    return False
+    except (TricarlError, ValueError) as exc:
+        return getattr(exc, "code", "error")
+    return "ok"
 
 
 def test_batched_guards_flag_what_the_single_state_path_rejects():
-    stack = corrupted_covariances()
+    cases = corrupted_covariances()
+    stack = np.array([c for c, _, _ in cases])
     with np.errstate(all="ignore"):
-        _, obs_ok = _observable_stack(stack, 1e6)
-        *_, sep_ok = _separability_stack(stack, 1e-9)
-    assert obs_ok.tolist() == [not raises(mode_observables, c, 1e6) for c in stack]
-    assert sep_ok.tolist() == [not raises(separability_report, c) for c in stack]
-    assert not obs_ok.all() and not sep_ok.all()
+        _, obs_status = _observable_stack(stack, 1e6)
+        *_, sep_status = _separability_stack(stack, 1e-9)
+        assert obs_status.tolist() == [status for _, status, _ in cases]
+        assert sep_status.tolist() == [status for _, _, status in cases]
+        # the one-state functions raise the error class of that status
+        assert [raised_code(mode_observables, c, 1e6) for c, _, _ in cases] == obs_status.tolist()
+        assert [raised_code(separability_report, c) for c, _, _ in cases] == sep_status.tolist()

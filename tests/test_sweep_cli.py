@@ -1,8 +1,14 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tricarl
 from tricarl import (
     InvalidSpec,
     ModelParams,
@@ -85,25 +91,16 @@ def test_gamma_axis_sets_both_atomic_rates():
 
 
 def test_row_errors_do_not_abort_sweep(monkeypatch):
-    # the batched pass flags the tau = 1 row, as a failed guard would, and
-    # the single-row evaluation it is sent back to raises
+    # the covariance kernel fails the Hermiticity guard on the tau = 1 row
     import tricarl.sweep as sweep_module
-    from tricarl.errors import NotHermitian
 
-    true_covariance = sweep_module.covariance
-    true_stack = sweep_module._closed_form_stack
+    true_stack = sweep_module._covariance_stack
 
-    def flaky(params, tau, *args, **kwargs):
-        if tau == 1.0:
-            raise NotHermitian("relative defect 1e-3")
-        return true_covariance(params, tau, *args, **kwargs)
+    def flagging(params, roots, tau, usable):
+        c, status = true_stack(params, roots, tau, usable)
+        return c, np.where(np.asarray(tau) == 1.0, "not_hermitian", status)
 
-    def flagging(spectra, tau):
-        c, ok = true_stack(spectra, tau)
-        return c, ok & (np.asarray(tau) != 1.0)
-
-    monkeypatch.setattr(sweep_module, "covariance", flaky)
-    monkeypatch.setattr(sweep_module, "_closed_form_stack", flagging)
+    monkeypatch.setattr(sweep_module, "_covariance_stack", flagging)
     rows = run_sweep(make_spec())
     statuses = [row["status"] for row in rows]
     assert statuses == ["ok", "ok", "not_hermitian", "ok", "ok"]
@@ -298,6 +295,59 @@ def test_cli_linalg_failure_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "--rho", "100", "--tau", "1")
     assert code == 3
     assert "did not converge" in json.loads(err)["error"]["message"]
+
+
+def run_cli_process(*argv):
+    """The command line in a fresh interpreter, whose numpy warnings reach
+    stderr (pytest would capture them in-process)."""
+    src = str(Path(tricarl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "tricarl.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_cli_point_overflow_stderr_is_json():
+    proc = run_cli_process("--rho", "100", "--tau", "1000")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["code"] == "non_finite"
+
+
+def test_cli_sweep_overflow_leaves_stderr_empty():
+    proc = run_cli_process(
+        "--rho", "100", "--tau", "0", "--sweep", "tau:0:2000:3", "--outputs", "gain,n1"
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert [line.rsplit(",", 1)[1] for line in proc.stdout.splitlines()[-3:]] == [
+        "ok",
+        "non_finite",
+        "non_finite",
+    ]
+
+
+def test_cli_refuses_an_oracle_step_count_above_the_limit(capsys):
+    from tricarl.covariance import MAX_ORACLE_STEPS
+
+    # rho=1, rates 5, tau=1e6: about 5.6e8 default RK4 steps
+    code, out, err = run_cli(
+        capsys, "--rho", "1", "--gamma1", "5", "--gamma2", "5", "--kappa", "5",
+        "--tau", "1e6", "--oracle",
+    )
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "invalid_spec"
+    count, limit = map(int, re.findall(r"\d+", error["message"]))
+    assert limit == MAX_ORACLE_STEPS and 5.5e8 < count < 5.7e8
+
+
+def test_cli_point_mode_rejects_a_non_positive_atom_number(capsys):
+    code, out, err = run_cli(capsys, "--rho", "100", "--tau", "1", "--atoms", "0")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "invalid_spec"
 
 
 def test_cli_preset_csv(capsys):
