@@ -6,10 +6,12 @@ C_ij = <(u_i - <u_i>)(u_j - <u_j>)*> of the state evolved from vacuum is
     C(tau) = Q(tau) + (1/2) M(tau) M(tau)^dag,
     Q(tau) = integral_0^tau M(s) D M(s)^dag ds,
 
-with D = diag(gamma1, gamma2, kappa).  Q has a closed form in the
-eigenbasis of the generator; degenerate spectra fall back to Van Loan's
-block exponential (C. F. Van Loan, IEEE TAC 23, 395 (1978)), which needs
-no diagonalization.  C also satisfies the moment equation
+with D = diag(gamma1, gamma2, kappa).  M and Q have closed forms in the
+eigenbasis of the generator.  Where two roots are too close for them,
+M and Q both come from Van Loan's block exponential (C. F. Van Loan,
+IEEE TAC 23, 395 (1978)), which needs no diagonalization.  That choice is
+made per row in one place, ``_covariance_stack``; ``covariance`` is its
+one-row case.  C also satisfies the moment equation
 
     dC/dtau = A C + C A^dag + D,       C(0) = I/2,
 
@@ -32,9 +34,9 @@ from .dynamics import (
     cubic_roots,
     drift_generator,
     gain,
-    spectrum,
 )
-from .errors import DegenerateSpectrum, NotStable, first_failure, raise_failure
+from .dynamics import spectrum  # noqa: F401  (the benchmark tracer hooks this name here)
+from .errors import NotStable, first_failure, raise_failure
 from .model import ModelParams, ParamStack, derive
 
 VACUUM = 0.5 * np.eye(3, dtype=complex)
@@ -147,18 +149,20 @@ def _covariance_stack(
     CovarianceState (see ``_hermitian_guards``).
 
     Rows are computed in closed form, except the ``usable`` rows whose
-    roots are too close for it: those take Q from Van Loan's block
-    exponential and M from expm, as ``covariance`` does.
+    roots are too close for it: those take M and Q from Van Loan's block
+    exponential.
     """
     spec, regular = _spectral_stack(params, roots)
     q, m = _noise(spec, tau), _propagator_matrix(spec, tau)
-    fallback = np.broadcast_to(~regular & usable, q.shape[:-2])
-    for row in zip(*np.nonzero(fallback)):
-        *fields, row_tau = (float(np.broadcast_to(x, fallback.shape)[row]) for x in (*params, tau))
-        row_params = ModelParams(*fields)
-        generator = drift_generator(row_params)
-        q[row] = _van_loan_noise(generator, diffusion_matrix(row_params), row_tau)
-        m[row] = expm(generator * row_tau)
+    fallback = ~regular & usable
+    if fallback.any():
+        shape = q.shape[:-2]
+        for row in map(tuple, np.argwhere(np.broadcast_to(fallback, shape))):
+            *fields, row_tau = (float(np.broadcast_to(x, shape)[row]) for x in (*params, tau))
+            row_params = ModelParams(*fields)
+            q[row], m[row] = _van_loan_noise(
+                drift_generator(row_params), diffusion_matrix(row_params), row_tau
+            )
     q, q_defect = _hermitian_part(q)
     c, c_defect = _hermitian_part(_with_coherent_part(q, m))
     return c, first_failure(
@@ -166,8 +170,11 @@ def _covariance_stack(
     )
 
 
-def _van_loan_noise(generator: np.ndarray, diffusion: np.ndarray, tau: float) -> np.ndarray:
-    """Noise integral Q(tau) for an arbitrary generator A, degenerate or not.
+def _van_loan_noise(
+    generator: np.ndarray, diffusion: np.ndarray, tau: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noise integral Q(tau) and propagator M(tau) = exp(A tau) for an
+    arbitrary generator A, degenerate or not.
 
     One expm of the block [[A, D], [0, -A^dag]] t over a step t = tau/2^k
     with |A|_1 t <= 1/2 gives M(t) in its upper-left block and
@@ -177,7 +184,7 @@ def _van_loan_noise(generator: np.ndarray, diffusion: np.ndarray, tau: float) ->
     """
     n = len(generator)
     if tau == 0:
-        return np.zeros((n, n), dtype=complex)
+        return np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)
     # |A|_1 tau < 2**exponent, so |A|_1 step < 1/2
     exponent = math.frexp(np.abs(generator).sum(axis=0).max() * tau)[1]
     doublings = max(0, exponent + 1)
@@ -192,7 +199,7 @@ def _van_loan_noise(generator: np.ndarray, diffusion: np.ndarray, tau: float) ->
     for _ in range(doublings):
         q = q + m @ q @ _dagger(m)
         m = m @ m
-    return q
+    return q, m
 
 
 def q_quadrature(params: ModelParams, tau: float) -> NoiseMatrix:
@@ -201,36 +208,23 @@ def q_quadrature(params: ModelParams, tau: float) -> NoiseMatrix:
     The name stays because the benchmark's tracer hooks
     ``tricarl.covariance.q_quadrature`` to count fallback calls.
     """
-    q = _van_loan_noise(drift_generator(params), diffusion_matrix(params), tau)
+    q, _ = _van_loan_noise(drift_generator(params), diffusion_matrix(params), tau)
     return NoiseMatrix(tau=tau, q=q)
 
 
-def covariance(params: ModelParams, tau: float, method: str = "auto") -> CovarianceState:
+def covariance(params: ModelParams, tau: float) -> CovarianceState:
     """Covariance of the state evolved from vacuum for a time tau.
 
-    method "closed" uses the spectral closed form Q + M M^dag / 2 (raises
-    DegenerateSpectrum when two roots are closer than
-    ``degeneracy_threshold``), "quadrature" takes the noise term from Van
-    Loan's block exponential and the propagator from expm, neither of which
-    needs the spectrum, and "auto" tries the closed form and falls back to
-    "quadrature".
+    The one-row case of ``_covariance_stack``: C = Q + M M^dag / 2 from the
+    spectral closed form, or from Van Loan's block exponential where two
+    roots are closer than ``degeneracy_threshold``.  Raises the error of
+    the first guard of NoiseMatrix, then of CovarianceState, that it fails.
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "closed"):
-        try:
-            spec = spectrum(params)
-        except DegenerateSpectrum:
-            if method == "closed":
-                raise
-        else:
-            m = _propagator_matrix(spec, tau)
-            return CovarianceState(tau=tau, c=_with_coherent_part(q_closed_form(spec, tau).q, m))
-    m = expm(drift_generator(params) * tau)
-    q = q_quadrature(params, tau).q
-    return CovarianceState(tau=tau, c=_with_coherent_part(q, m))
+    c, status = _covariance_stack(ParamStack(**params.to_dict()), cubic_roots(params), tau, True)
+    raise_failure(status, "covariance")
+    return CovarianceState(tau=tau, c=c)
 
 
 def steady_state(params: ModelParams) -> CovarianceState:

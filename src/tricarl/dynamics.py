@@ -51,14 +51,6 @@ class Spectrum:
     deltas: np.ndarray
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """First-moment propagator M(tau) for the mixed vector (a1*, a2, a3)."""
-
-    tau: float
-    m: np.ndarray
-
-
 def _axis(value) -> np.ndarray:
     """A per-parameter-set value with a trailing axis, to broadcast against
     the (..., 3) root arrays."""
@@ -222,13 +214,6 @@ def _propagator_matrix(spec: Spectrum, tau) -> np.ndarray:
     exps = np.exp(spec.lambdas * _axis(tau))
     entries = (propagator_coefficients(spec) @ exps[..., np.newaxis])[..., 0]
     return entries[..., _M_ENTRY] * _M_SIGN
-
-
-def propagator(spec: Spectrum, tau: float) -> Propagator:
-    """Closed-form M(tau); M(0) is the identity."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
-    return Propagator(tau=tau, m=_propagator_matrix(spec, tau))
 
 
 def drift_generator(params: ModelParams) -> np.ndarray:

@@ -103,34 +103,30 @@ def two_mode_matrix(v: np.ndarray, i: int, j: int) -> np.ndarray:
     return gamma_matrix(v, i)[np.ix_(keep, keep)]
 
 
-def _min_eigenvalue_stack(
-    stack: np.ndarray, hermiticity_tol: float = HERMITICITY_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def _min_eigenvalue_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest eigenvalue of the Hermitian part of each matrix in a
     (..., n, n) stack, from one batched LAPACK ``eigvalsh`` call, and each
     matrix's Hermitian defect relative to max(1, max|h|) (NaN for inf or
-    NaN entries).  A matrix whose defect exceeds the tolerance reads 0."""
+    NaN entries).  A matrix whose defect exceeds HERMITICITY_TOL reads 0."""
     hermitian, defect = _hermitian_part(stack)
-    usable = (defect <= hermiticity_tol)[..., np.newaxis, np.newaxis]
+    usable = (defect <= HERMITICITY_TOL)[..., np.newaxis, np.newaxis]
     return np.linalg.eigvalsh(np.where(usable, hermitian, 0.0))[..., 0], defect
 
 
-def _min_eigenvalues(stack: np.ndarray, hermiticity_tol: float = HERMITICITY_TOL) -> np.ndarray:
+def _min_eigenvalues(stack: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each Hermitian matrix in a (..., n, n) stack.
 
     Raises NonFinite for inf or NaN entries and NotHermitian if any matrix
-    has a Hermitian defect above ``hermiticity_tol * max(1, max|h|)``.
+    has a Hermitian defect above ``HERMITICITY_TOL * max(1, max|h|)``.
     """
-    eigs, defect = _min_eigenvalue_stack(stack, hermiticity_tol)
-    raise_failure(first_failure(*_hermitian_guards(defect.max(), hermiticity_tol)), "test matrix")
+    eigs, defect = _min_eigenvalue_stack(stack)
+    raise_failure(first_failure(*_hermitian_guards(defect.max(), HERMITICITY_TOL)), "test matrix")
     return eigs
 
 
-def min_eigenvalue_hermitian(
-    h: np.ndarray, hermiticity_tol: float = HERMITICITY_TOL
-) -> float:
+def min_eigenvalue_hermitian(h: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    return float(_min_eigenvalues(h, hermiticity_tol))
+    return float(_min_eigenvalues(h))
 
 
 def physicality(v: np.ndarray) -> float:

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceState
-from .dynamics import cubic_roots, gain
 from .errors import UndefinedCorrelation, first_failure, raise_failure
-from .model import ModelParams, derive
 
 # occupations below this are treated as numerically zero in 0/0 ratios
 ZERO_OCCUPATION = 1e-12
@@ -176,15 +174,3 @@ def bunching(cov: CovarianceState | np.ndarray, atom_number: float) -> float:
     """Density-grating contrast <B+ B> = (C11 + C22 + C12 + C21)/N."""
     return mode_observables(cov, atom_number).bunching
 
-
-def gain_curve(
-    params: ModelParams, delta_grid: np.ndarray
-) -> list[tuple[float, float]]:
-    """Exponential gain versus detuning, one independent cubic solve per
-    grid point."""
-    gamma_plus = derive(params).gamma_plus
-    out = []
-    for delta in np.asarray(delta_grid, dtype=float):
-        roots = cubic_roots(params.replace(delta=float(delta)))
-        out.append((float(delta), gain(roots, gamma_plus)))
-    return out

@@ -9,26 +9,45 @@ covariance assembles C element by element from the propagator entries, and
 the effective generator rebuilds A from the spectral data.
 
 Further down are the single-state forms the package itself computes only
-inside its array kernels: the eigensystem, the matrix-form closed
-covariance, fourth-order moments, squeezing from explicit moments, and the
-row-by-row sweep evaluator, which runs one grid value through the raising
-one-state functions.
+inside its array kernels: the eigensystem, the two covariance paths that
+``covariance`` chooses between per row (the spectral closed form, and Van
+Loan's noise integral with M from a separate ``scipy.linalg.expm``), the
+gain over a detuning grid, fourth-order moments, squeezing from explicit
+moments, and the row-by-row sweep evaluator, which runs one grid value
+through the raising one-state functions.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
 from tricarl import (
     ModelParams,
     covariance,
+    cubic_coefficients,
     cubic_roots,
     derive,
+    drift_generator,
     gain,
     mode_observables,
     separability_report,
+    solve_cubic,
+    spectrum,
 )
-from tricarl.covariance import CovarianceState, _phi, _with_coherent_part, q_closed_form
-from tricarl.dynamics import _require_regular, _spectral_stack, propagator, propagator_coefficients
+from tricarl.covariance import (
+    CovarianceState,
+    _phi,
+    _with_coherent_part,
+    q_closed_form,
+    q_quadrature,
+)
+from tricarl.dynamics import (
+    _propagator_matrix,
+    _require_regular,
+    _spectral_stack,
+    propagator_coefficients,
+)
 from tricarl.errors import TricarlError
+from tricarl.model import ParamStack
 from tricarl.observables import ZERO_OCCUPATION
 from tricarl.sweep import _ENTANGLEMENT_OUTPUTS, _require_finite
 
@@ -190,11 +209,29 @@ def eigensystem(omegas, params):
     return spec.s, spec.s_inverse
 
 
-def covariance_closed(spec, tau):
-    """Covariance from the matrix-form closed expression Q + M M^dag / 2."""
-    m = propagator(spec, tau).m
+def covariance_closed(params, tau):
+    """Covariance from the matrix-form closed expression Q + M M^dag / 2,
+    with Q from ``q_closed_form`` and the closed-form M.  Raises
+    DegenerateSpectrum where two roots are too close for it."""
+    spec = spectrum(params)
     q = q_closed_form(spec, tau).q
-    return CovarianceState(tau=tau, c=_with_coherent_part(q, m))
+    return CovarianceState(tau=tau, c=_with_coherent_part(q, _propagator_matrix(spec, tau)))
+
+
+def covariance_van_loan(params, tau):
+    """Covariance from Van Loan's noise integral (``q_quadrature``) and
+    M = expm(A tau) from scipy, not the M of the block exponential's own
+    doublings that ``covariance`` uses on the rows it routes there."""
+    m = expm(drift_generator(params) * tau)
+    return CovarianceState(tau=tau, c=_with_coherent_part(q_quadrature(params, tau).q, m))
+
+
+def gains_over_delta(params, deltas):
+    """Gain at each detuning of a grid from one stacked cubic solve, as the
+    gain column of a delta sweep computes it."""
+    stack = ParamStack(**{**params.to_dict(), "delta": np.asarray(deltas, dtype=float)})
+    dp = derive(stack)
+    return gain(solve_cubic(cubic_coefficients(dp, stack.rho)), dp.gamma_plus)
 
 
 def fourth_order(cov, i, j, k, l):

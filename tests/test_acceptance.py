@@ -6,6 +6,7 @@ state produced by criteria 1-7, so the state builders are cached and
 shared.
 """
 
+import importlib
 import math
 import time
 from functools import lru_cache
@@ -13,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from oracles import covariance_van_loan, gains_over_delta
 from tricarl import (
     DegenerateSpectrum,
     ModelParams,
@@ -20,14 +22,12 @@ from tricarl import (
     cubic_roots,
     derive,
     gain,
-    gain_curve,
     g2_auto,
     min_eigenvalue_hermitian,
     number_squeezing,
     occupations,
     ode_oracle,
     physicality,
-    propagator,
     quadrature_covariance,
     spectrum,
     steady_state,
@@ -35,6 +35,12 @@ from tricarl import (
     gamma_matrix,
     variances,
 )
+from tricarl.covariance import _covariance_stack
+from tricarl.dynamics import _propagator_matrix
+from tricarl.model import ParamStack
+
+# the package attribute tricarl.covariance is the function of that name
+covariance_module = importlib.import_module("tricarl.covariance")
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
 IDEAL_SC = ModelParams(rho=100.0, delta=0.0)
@@ -63,11 +69,8 @@ def random_parameter_points(count, seed, tau_lo=0.3, tau_hi=5.0, rates=3.0):
             kappa=rng.uniform(0.0, rates),
         )
         tau = rng.uniform(tau_lo, tau_hi)
-        try:
-            state = covariance(params, tau)
-            n = occupations(state)
-        except DegenerateSpectrum:
-            continue
+        state = covariance(params, tau)
+        n = occupations(state)
         if n.min() > 1e-6 and n.max() < 1e5:
             points.append((params, tau, state))
     return points
@@ -116,9 +119,9 @@ def superradiant_states():
 
 @lru_cache(maxsize=None)
 def near_degenerate_state():
-    # the block-exponential state that routing sends CRITICAL to when the
-    # degeneracy threshold flags it (criterion 4)
-    return covariance(CRITICAL, 3.0, method="quadrature")
+    # the Van Loan reference at CRITICAL, where routing takes the block
+    # exponential when the degeneracy threshold flags the roots (criterion 4)
+    return covariance_van_loan(CRITICAL, 3.0)
 
 
 def test_criterion_1_steady_state_squeezing():
@@ -166,7 +169,7 @@ def test_criterion_3_propagator_identities():
     for params in (IDEAL_SC, IDEAL_Q):
         spec = spectrum(params)
         for tau in np.linspace(0.0, 5.0, 26):
-            m = propagator(spec, tau).m
+            m = _propagator_matrix(spec, tau)
             f11, f12, f13 = m[0, :]
             f22, f23 = m[1, 1], m[1, 2]
             f33 = m[2, 2]
@@ -236,8 +239,21 @@ def test_criterion_4_oracle_equivalence(monkeypatch):
     monkeypatch.setattr(dynamics, "degeneracy_threshold", lambda w: np.full(w.shape[:-1], 1e-6))
     with pytest.raises(DegenerateSpectrum):
         spectrum(CRITICAL)
-    state = near_degenerate_state()
-    assert np.array_equal(covariance(CRITICAL, 3.0).c, state.c)
+    calls = {"_van_loan_noise": 0, "expm": 0}
+    for name in calls:
+        def counted(*args, _name=name, _true=getattr(covariance_module, name)):
+            calls[_name] += 1
+            return _true(*args)
+
+        monkeypatch.setattr(covariance_module, name, counted)
+    state = covariance(CRITICAL, 3.0)
+    assert calls == {"_van_loan_noise": 1, "expm": 1}
+    # the one-row case of the stack kernel, bit for bit
+    stack = ParamStack(**CRITICAL.to_dict())
+    c, status = _covariance_stack(stack, cubic_roots(CRITICAL), 3.0, True)
+    assert status == "ok" and np.array_equal(state.c, c)
+    van_loan = near_degenerate_state().c
+    assert np.abs(state.c - van_loan).max() <= 1e-12 * np.abs(van_loan).max()
     reference = ode_oracle(CRITICAL, 3.0)
     degenerate_rel = float(np.abs(state.c - reference.c).max() / np.abs(state.c).max())
 
@@ -289,19 +305,17 @@ def test_criterion_5_ideal_entanglement():
 def test_criterion_6_gain_curve_properties():
     offsets = np.linspace(0.005, 0.05, 10)
     resonance = 1.0 / 0.2
-    plus = dict(gain_curve(IDEAL_Q, resonance + offsets))
-    minus = dict(gain_curve(IDEAL_Q, resonance - offsets))
-    asymmetry = max(
-        abs(plus[resonance + x] - minus[resonance - x]) for x in offsets
-    )
+    plus = gains_over_delta(IDEAL_Q, resonance + offsets)
+    minus = gains_over_delta(IDEAL_Q, resonance - offsets)
+    asymmetry = float(np.abs(plus - minus).max())
 
     grid = np.linspace(-5.0, 5.0, 21)
-    base = dict(gain_curve(ModelParams(rho=100.0, delta=0.0), grid))
+    base = gains_over_delta(ModelParams(rho=100.0, delta=0.0), grid)
     worst_shift = 0.0
     for g in (0.25, 0.5, 1.0):
         lossy = ModelParams(rho=100.0, delta=0.0, gamma1=g, gamma2=g, kappa=g)
-        for delta, value in gain_curve(lossy, grid):
-            worst_shift = max(worst_shift, abs(value - (base[delta] - g)))
+        shift = np.abs(gains_over_delta(lossy, grid) - (base - g)).max()
+        worst_shift = max(worst_shift, float(shift))
 
     passed = asymmetry < 1e-3 and worst_shift < 1e-9
     report(

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import covariance_closed, covariance_entrywise, expm_taylor, rk4_lyapunov
+from oracles import (
+    covariance_closed,
+    covariance_entrywise,
+    covariance_van_loan,
+    expm_taylor,
+    rk4_lyapunov,
+)
 from tricarl import (
     CovarianceState,
     DegenerateSpectrum,
@@ -19,7 +25,6 @@ from tricarl import (
     occupations,
     ode_oracle,
     physicality,
-    propagator,
     q_closed_form,
     q_quadrature,
     quadrature_covariance,
@@ -27,6 +32,7 @@ from tricarl import (
     steady_state,
 )
 from tricarl.covariance import _van_loan_noise
+from tricarl.dynamics import _propagator_matrix
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
 IDEAL_SC = ModelParams(rho=100.0, delta=0.0)
@@ -84,7 +90,7 @@ def test_q_quadrature_scalar_decay_check():
     generator = np.diag([-0.3, -0.2, -kappa]).astype(complex)
     diffusion = np.diag([0.0, 0.0, kappa]).astype(complex)
     for tau in (0.3, 1.3, 4.0):
-        q = _van_loan_noise(generator, diffusion, tau)
+        q, _ = _van_loan_noise(generator, diffusion, tau)
         expected = (1.0 - math.exp(-2.0 * kappa * tau)) / 2.0
         assert q[2, 2].real == pytest.approx(expected, rel=1e-10)
         assert np.abs(q - np.diag([0, 0, q[2, 2]])).max() < 1e-12
@@ -139,10 +145,9 @@ def test_matrix_and_entrywise_paths_agree():
     rng = np.random.RandomState(53)
     for _ in range(20):
         params = random_params(rng)
-        spec = spectrum(params)
         tau = rng.uniform(0.0, 5.0)
-        a = covariance_closed(spec, tau).c
-        b = covariance_entrywise(spec, tau).c
+        a = covariance_closed(params, tau).c
+        b = covariance_entrywise(spectrum(params), tau).c
         assert np.abs(a - b).max() < 1e-9 * max(1.0, np.abs(a).max())
 
 
@@ -259,7 +264,7 @@ def test_ode_oracle_vacuum_and_homogeneous():
     params = IDEAL_SC
     spec = spectrum(params)
     for tau in (0.7, 2.0):
-        m = propagator(spec, tau).m
+        m = _propagator_matrix(spec, tau)
         expected = 0.5 * m @ m.conj().T
         got = ode_oracle(params, tau).c
         assert np.abs(got - expected).max() < 1e-7 * np.abs(expected).max()
@@ -354,19 +359,21 @@ def test_near_degenerate_routed_through_quadrature(monkeypatch):
     monkeypatch.setattr(dynamics, "degeneracy_threshold", lambda w: np.full(w.shape[:-1], 1e-6))
     with pytest.raises(DegenerateSpectrum):
         spectrum(CRITICAL)
-    state = covariance(CRITICAL, 3.0)  # auto fallback
+    state = covariance(CRITICAL, 3.0)  # routed to the block exponential
     reference = ode_oracle(CRITICAL, 3.0)
     rel = np.abs(state.c - reference.c).max() / np.abs(state.c).max()
     assert rel < 1e-6
     with pytest.raises(DegenerateSpectrum):
-        covariance(CRITICAL, 3.0, method="closed")
-    forced = covariance(CRITICAL, 3.0, method="quadrature")
+        covariance_closed(CRITICAL, 3.0)
+    forced = covariance_van_loan(CRITICAL, 3.0)
     assert np.abs(forced.c - reference.c).max() / np.abs(forced.c).max() < 1e-6
 
 
 def test_quadrature_method_matches_closed_on_regular_spectrum():
-    state_closed = covariance(FIG5, 1.5, method="closed")
-    state_quad = covariance(FIG5, 1.5, method="quadrature")
+    state_closed = covariance_closed(FIG5, 1.5)
+    state_quad = covariance_van_loan(FIG5, 1.5)
+    # a regular spectrum takes the closed form, operation for operation
+    assert np.array_equal(covariance(FIG5, 1.5).c, state_closed.c)
     assert np.abs(state_closed.c - state_quad.c).max() < 1e-11 * np.abs(
         state_closed.c
     ).max()
@@ -383,8 +390,8 @@ def test_block_exponential_matches_closed_form(rho, delta, rates, tau):
     # physicality rounds on the scale of C (about 1e-5 at |C| ~ 1e11), so
     # its floor is relative like the agreement bound
     params = ModelParams(rho, delta, *rates)
-    closed = covariance(params, tau, method="closed").c
-    exact = covariance(params, tau, method="quadrature").c
+    closed = covariance_closed(params, tau).c
+    exact = covariance_van_loan(params, tau).c
     scale = max(1.0, np.abs(closed).max())
     assert np.abs(closed - exact).max() <= 1e-9 * scale
     for c in (closed, exact):
@@ -393,9 +400,23 @@ def test_block_exponential_matches_closed_form(rho, delta, rates, tau):
 
 
 def test_quadrature_propagator_consistency():
-    # the expm-based propagator agrees with the independent Taylor oracle
-    a = drift_generator(FIG5)
+    # the propagators of the block exponential's doublings and of scipy's
+    # expm (the Van Loan reference) agree with the independent Taylor oracle
+    a, d = drift_generator(FIG5), diffusion_matrix(FIG5)
     from scipy.linalg import expm
 
     for tau in (0.5, 2.0):
         assert np.abs(expm(a * tau) - expm_taylor(a * tau)).max() < 1e-10
+        assert np.abs(_van_loan_noise(a, d, tau)[1] - expm_taylor(a * tau)).max() < 1e-10
+
+
+def test_block_exponential_propagator_at_the_gain_threshold():
+    # where two roots merge, M from the doublings keeps about 12 digits of
+    # the exponential (7e-13 relative measured at delta*)
+    for params in (CRITICAL, ModelParams(rho=100.0, delta=DELTA_STAR)):
+        a, d = drift_generator(params), diffusion_matrix(params)
+        for tau in (0.0, 0.5, 5.0):
+            q, m = _van_loan_noise(a, d, tau)
+            reference = expm_taylor(a * tau)
+            assert np.abs(m - reference).max() <= 1e-11 * np.abs(reference).max()
+            assert np.abs(q).max() == 0.0  # no losses, no noise

@@ -10,11 +10,11 @@ from tricarl import (
     derive,
     drift_generator,
     gain,
-    propagator,
     solve_cubic,
     spectrum,
     unstable_root,
 )
+from tricarl.dynamics import _propagator_matrix
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
 IDEAL_SC = ModelParams(rho=100.0, delta=0.0)
@@ -183,12 +183,12 @@ def test_degenerate_spectrum_raises(monkeypatch):
 
 def test_propagator_identity_at_zero():
     for params in (FIG5, IDEAL_SC, IDEAL_Q):
-        m = propagator(spectrum(params), 0.0).m
+        m = _propagator_matrix(spectrum(params), 0.0)
         assert np.abs(m - np.eye(3)).max() < 1e-10
 
 
 def test_propagator_sign_pattern():
-    m = propagator(spectrum(FIG5), 0.8).m
+    m = _propagator_matrix(spectrum(FIG5), 0.8)
     assert m[1, 0] == pytest.approx(-m[0, 1], rel=1e-12)
     assert m[2, 0] == pytest.approx(m[0, 2], rel=1e-12)
     assert m[2, 1] == pytest.approx(-m[1, 2], rel=1e-12)
@@ -198,8 +198,8 @@ def test_balanced_losses_rescale_the_ideal_propagator():
     ideal = spectrum(ModelParams(rho=100.0, delta=3.5))
     lossy = spectrum(FIG5)
     for tau in (0.4, 1.3, 2.7):
-        expected = np.exp(-0.5 * tau) * propagator(ideal, tau).m
-        actual = propagator(lossy, tau).m
+        expected = np.exp(-0.5 * tau) * _propagator_matrix(ideal, tau)
+        actual = _propagator_matrix(lossy, tau)
         assert np.abs(actual - expected).max() < 1e-10 * np.abs(expected).max()
 
 
@@ -210,7 +210,7 @@ def test_propagator_matches_series_squaring_exponential():
         spec = spectrum(params)
         a_eff = effective_generator(spec)
         for tau in (0.1, 0.7, 2.0, 5.0):
-            m = propagator(spec, tau).m
+            m = _propagator_matrix(spec, tau)
             reference = expm_taylor(a_eff * tau)
             assert np.abs(m - reference).max() <= 1e-8 * max(
                 1.0, np.abs(reference).max()
@@ -222,8 +222,8 @@ def test_propagator_semigroup_property():
     for _ in range(20):
         spec = spectrum(random_params(rng, rates=3.0))
         tau1, tau2 = rng.uniform(0.1, 2.5, 2)
-        whole = propagator(spec, tau1 + tau2).m
-        parts = propagator(spec, tau1).m @ propagator(spec, tau2).m
+        whole = _propagator_matrix(spec, tau1 + tau2)
+        parts = _propagator_matrix(spec, tau1) @ _propagator_matrix(spec, tau2)
         assert np.abs(whole - parts).max() < 1e-8 * np.abs(whole).max()
 
 
@@ -236,12 +236,12 @@ def test_propagator_determinant_decay_law():
         params = random_params(rng, rates=0.5)
         spec = spectrum(params)
         for tau in (0.1, 0.5, 1.0, 2.0):
-            det = abs(np.linalg.det(propagator(spec, tau).m))
+            det = abs(np.linalg.det(_propagator_matrix(spec, tau)))
             expected = np.exp(-(params.kappa + params.gamma1 + params.gamma2) * tau)
             assert det == pytest.approx(expected, rel=1e-8)
     spec = spectrum(FIG5)
     for tau in (0.5, 2.0, 5.0):
-        det = abs(np.linalg.det(propagator(spec, tau).m))
+        det = abs(np.linalg.det(_propagator_matrix(spec, tau)))
         assert det == pytest.approx(np.exp(-1.5 * tau), rel=1e-8)
 
 
@@ -250,7 +250,7 @@ def test_lossless_unitarity_relations():
     for params in (IDEAL_SC, IDEAL_Q):
         spec = spectrum(params)
         for tau in np.linspace(0.0, 5.0, 26):
-            m = propagator(spec, tau).m
+            m = _propagator_matrix(spec, tau)
             f11, f12, f13 = m[0, :]
             f22, f23 = m[1, 1], m[1, 2]
             f33 = m[2, 2]

@@ -11,10 +11,12 @@ The one-state functions are the one-state case of the same kernels;
 elementwise numpy loops may round the last bit differently for different
 array lengths, and near vacuum xi and g2 amplify that by C_ii / n_i, which
 the scales include.  The kernels' statuses themselves are pinned by
-hard-coded cases here and by the golden layouts of test_sweep_golden.py.
+hard-coded cases and a property test over random corruptions here, and by
+the golden layouts of test_sweep_golden.py.
 """
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -25,16 +27,21 @@ import tricarl.sweep as sweep_module
 from oracles import evaluate_row, spec_point
 from tricarl import (
     OUTPUTS,
+    CovarianceState,
     ModelParams,
     SweepSpec,
     TricarlError,
     covariance,
     cubic_roots,
+    gamma_matrix,
     mode_observables,
     run_sweep,
     separability_report,
+    two_mode_matrix,
 )
-from tricarl.entanglement import _separability_stack, quadrature_covariance
+from tricarl.covariance import HERMITIZE_TOL, _hermitian_guards, _hermitian_part
+from tricarl.entanglement import HERMITICITY_TOL, _separability_stack, quadrature_covariance
+from tricarl.errors import first_failure
 from tricarl.observables import _observable_stack
 
 RTOL = 1e-12
@@ -247,9 +254,49 @@ def test_batch_failure_falls_back_to_single_rows(monkeypatch):
     monkeypatch.setattr(sweep_module, "_covariance_stack", broken)
     rerouted = count_rerouted_rows(monkeypatch)
     rows = run_sweep(spec)
-    assert rerouted == spec.grid().tolist()
+    # the chunk is bisected: only the bad value is evaluated on its own
+    assert rerouted == [bad]
     expected[2] = {"delta": bad, **dict.fromkeys(spec.outputs), "status": "error"}
     assert rows == expected
+
+
+def test_one_failing_row_of_a_full_chunk_costs_logarithmic_passes(monkeypatch):
+    spec = SweepSpec(
+        axis="delta",
+        start=-1.0,
+        stop=4.0,
+        points=1024,
+        fixed=ModelParams(100.0, 0.0, 0.5, 0.5, 0.5),
+        outputs=("n1", "xi12", "gain"),
+        tau=1.0,
+    )
+    assert sweep_module._CHUNK_ROWS == spec.points
+    expected = run_sweep(spec)
+    bad = spec.grid()[700]
+    true_stack = sweep_module._covariance_stack
+    true_rows = sweep_module._rows
+    passes = []
+
+    def broken(params, *args):
+        if np.any(params.delta == bad):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return true_stack(params, *args)
+
+    def counted(spec, values):
+        passes.append(len(values))
+        return true_rows(spec, values)
+
+    monkeypatch.setattr(sweep_module, "_covariance_stack", broken)
+    monkeypatch.setattr(sweep_module, "_rows", counted)
+    rows = run_sweep(spec)
+    # one failing pass per halving down to the bad value, plus its sibling
+    assert len(passes) <= 2 * int(math.log2(spec.points)) + 1
+    assert [row["delta"] for row in rows if row["status"] != "ok"] == [bad]
+    assert rows[700] == {"delta": bad, **dict.fromkeys(spec.outputs), "status": "error"}
+    for row, reference in zip(rows, expected):
+        if row["delta"] != bad:
+            assert list(row) == list(reference)
+            assert row == pytest.approx(reference, rel=RTOL, abs=0.0)
 
 
 def test_long_grid_is_evaluated_in_chunks(monkeypatch):
@@ -319,3 +366,126 @@ def test_batched_guards_flag_what_the_single_state_path_rejects():
         # the one-state functions raise the error class of that status
         assert [raised_code(mode_observables, c, 1e6) for c, _, _ in cases] == obs_status.tolist()
         assert [raised_code(separability_report, c) for c, _, _ in cases] == sep_status.tolist()
+
+
+# valid covariances to corrupt: vacuum, lossy evolved states, and a lossless
+# one whose C_ii differ by orders of magnitude
+GUARD_BASES = (
+    0.5 * np.eye(3, dtype=complex),
+    covariance(ModelParams(100.0, 3.5, 0.5, 0.5, 0.5), 2.0).c,
+    covariance(ModelParams(2.0, -4.0, 0.1, 0.1, 0.5), 1.0).c,
+    covariance(ModelParams(100.0, 0.0), 3.0).c,
+)
+MODES = st.integers(0, 2)
+
+
+@st.composite
+def random_corruptions(draw):
+    """A valid covariance with a random combination of corruptions: an
+    occupation below zero (above or below the vacuum floor), an imaginary
+    residue on C_ii, a non-Hermitian off-diagonal entry, inf and NaN."""
+    c = GUARD_BASES[draw(st.integers(0, len(GUARD_BASES) - 1))].copy()
+    if draw(st.booleans()):
+        i = draw(MODES)
+        c[i, i] = 0.5 + draw(st.sampled_from((-1e-7, -1e-5, -0.25))) + 1j * c[i, i].imag
+    if draw(st.booleans()):
+        i = draw(MODES)
+        residue = draw(st.sampled_from((0.7e-9, 3e-9, 1e-3)))
+        c[i, i] += 1j * residue * max(1.0, abs(c[i, i].real))
+    if draw(st.booleans()):
+        i, j = draw(st.tuples(MODES, MODES).filter(lambda ij: ij[0] != ij[1]))
+        size = draw(st.sampled_from((1e-12, 1e-9, 1e-6, 1e-2))) * max(1.0, np.abs(c).max())
+        c[i, j] += size * draw(st.sampled_from((1.0, 1j)))
+    for value in (np.inf, np.nan):
+        if draw(st.booleans()):
+            c[draw(st.tuples(MODES, MODES))] = value
+    return c
+
+
+def relative_defect(m):
+    """max|M - M^dag| / max(1, max|M|) of one matrix; NaN if not finite."""
+    if not np.isfinite(m).all():
+        return math.nan
+    return float(np.abs(m - m.conj().T).max() / max(1.0, np.abs(m).max()))
+
+
+def hermitian_predicates(matrices, tol):
+    defects = [relative_defect(m) for m in matrices]
+    return [
+        ("non_finite", any(math.isnan(d) for d in defects)),
+        ("not_hermitian", any(d > tol for d in defects)),
+    ]
+
+
+def residue(z):
+    """A should-be-real value with an imaginary part above 1e-9 of its
+    scale; False for NaN parts, as every comparison with NaN is."""
+    return abs(z.imag) > 1e-9 * max(1.0, abs(z.real))
+
+
+def guard_predicates(c):
+    """One predicate per guard, per kernel, in the documented order:
+    covariance (CovarianceState), observables, separability tests."""
+    v = quadrature_covariance(c)
+    diag = [complex(c[i, i]) for i in range(3)]
+    moment = complex(c[0, 0] + c[1, 1] + c[0, 1] + c[1, 0])
+    return {
+        "covariance": hermitian_predicates([c], HERMITIZE_TOL),
+        "observables": [
+            ("error", any(residue(z) for z in diag)),
+            ("negative_occupation", any(z.real - 0.5 < -1e-6 for z in diag)),
+            ("error", any(residue(2.0 * (z * z)) for z in diag)),
+            ("error", residue(moment)),
+        ],
+        "separability": [
+            *hermitian_predicates([gamma_matrix(v, j) for j in (1, 2, 3)], HERMITICITY_TOL),
+            *hermitian_predicates(
+                [two_mode_matrix(v, i, j) for i, j in ((1, 2), (1, 3), (2, 3))],
+                HERMITICITY_TOL,
+            ),
+            # a non-finite minimum eigenvalue needs finite Hermitian test
+            # matrices that overflow eigvalsh; entries here stay below 1e4
+            ("non_finite", False),
+        ],
+    }
+
+
+def first_code(predicates):
+    return next((code for code, failed in predicates if failed), "ok")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(random_corruptions(), min_size=1, max_size=4))
+def test_guard_order_over_random_corruptions(cs):
+    predicates = [guard_predicates(c) for c in cs]
+    predicted = {
+        kernel: [first_code(p[kernel]) for p in predicates]
+        for kernel in ("covariance", "observables", "separability")
+    }
+    stack = np.array(cs)
+    with np.errstate(all="ignore"):
+        _, defect = _hermitian_part(stack)
+        statuses = {
+            "covariance": first_failure(*_hermitian_guards(defect, HERMITIZE_TOL)),
+            "observables": _observable_stack(stack, 1e6)[1],
+            "separability": _separability_stack(stack, 1e-9)[-1],
+        }
+        for kernel, status in statuses.items():
+            assert np.broadcast_to(status, len(cs)).tolist() == predicted[kernel], kernel
+        # a sweep row reports the first failure along the pipeline
+        pipeline = sweep_module._then(
+            statuses["covariance"],
+            sweep_module._then(statuses["observables"], statuses["separability"]),
+        )
+        assert np.broadcast_to(pipeline, len(cs)).tolist() == [
+            first_code(p["covariance"] + p["observables"] + p["separability"])
+            for p in predicates
+        ]
+        # the one-state functions raise the error class of that status
+        one_state = {
+            "covariance": lambda c: CovarianceState(0.0, c),
+            "observables": lambda c: mode_observables(c, 1e6),
+            "separability": separability_report,
+        }
+        for kernel, fn in one_state.items():
+            assert [raised_code(fn, c) for c in cs] == predicted[kernel], kernel
