@@ -145,8 +145,6 @@ def _json_dumps(payload) -> str:
 def _run_point(args: argparse.Namespace, params: ModelParams) -> str:
     if args.tau is None:
         raise InvalidSpec("single-point evolution requires --tau")
-    if args.tau < 0:
-        raise InvalidSpec(f"tau must be >= 0, got {args.tau!r}")
     # overflow is reported as a non_finite error, not as numpy warnings
     with np.errstate(all="ignore"):
         try:

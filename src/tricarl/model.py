@@ -9,7 +9,7 @@ conversion from SI laboratory quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from scipy.constants import c as SPEED_OF_LIGHT
@@ -55,7 +55,13 @@ class ModelParams:
 
     def to_dict(self) -> dict[str, float]:
         """JSON-serializable record with exactly the canonical field names."""
-        return asdict(self)
+        return {
+            "rho": self.rho,
+            "delta": self.delta,
+            "gamma1": self.gamma1,
+            "gamma2": self.gamma2,
+            "kappa": self.kappa,
+        }
 
     @classmethod
     def from_dict(cls, record: dict) -> "ModelParams":

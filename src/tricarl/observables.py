@@ -49,13 +49,16 @@ def _observable_stack(c: np.ndarray, atom_number: float):
     The status is the first guard the state fails, "ok" if none: an
     imaginary residue on C_ii ("error"), an occupation below the vacuum
     floor ("negative_occupation"), then a residue on G_iiii = 2 C_ii^2 or
-    on the bunching moment ("error").
+    on the bunching moment ("error").  Raises ValueError for a non-positive
+    ``atom_number``.
 
     Occupations C_ii - 1/2 are clamped at zero.  The number variance
     G_iiii - n - 1/2 - n^2 equals n (n + 1) exactly; the factored form keeps
     the digits the difference loses near vacuum, where G_iiii is about 1/2.
     The g2_auto numerator G_iiii - 2 C_ii + 1/2 is likewise taken as 2 n^2.
     """
+    if atom_number <= 0:
+        raise ValueError(f"atom_number must be > 0, got {atom_number!r}")
     diag = np.diagonal(c, axis1=-2, axis2=-1)
     raw = diag.real - 0.5
     n = np.maximum(raw, 0.0)
@@ -109,17 +112,21 @@ def mode_observables(
     """Evaluate every scalar observable of one covariance, mapping undefined
     ones to None; raises the error of the first guard of
     ``_observable_stack`` that the covariance fails."""
-    if atom_number <= 0:
-        raise ValueError(f"atom_number must be > 0, got {atom_number!r}")
     c = cov.c if isinstance(cov, CovarianceState) else np.asarray(cov, dtype=complex)
     fields, status = _observable_stack(c, atom_number)
     raise_failure(status, "covariance")
-    value, _ = fields.pop("bunching")
-    cells = {
-        name: tuple(v if d else None for v, d in zip(value.tolist(), np.broadcast_to(defined, 3)))
+    return ModeObservables(**_defined_cells(fields, tuple))
+
+
+def _defined_cells(fields: dict, sequence) -> dict:
+    """One state's ``_observable_stack`` fields, each a ``sequence`` with
+    None where undefined, except bunching, a float."""
+    return {
+        name: float(value)
+        if name == "bunching"
+        else sequence(v if d else None for v, d in zip(value.tolist(), np.broadcast_to(defined, 3)))
         for name, (value, defined) in fields.items()
     }
-    return ModeObservables(bunching=float(value), **cells)
 
 
 def occupations(cov: CovarianceState | np.ndarray) -> np.ndarray:

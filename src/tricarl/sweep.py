@@ -24,17 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# covariance, separability_report, mode_observables: unused, hooked by the benchmark tracer
 from .covariance import _covariance_stack, covariance, ode_oracle
 from .dynamics import cubic_coefficients, cubic_roots, gain, solve_cubic
-from .entanglement import (
-    _separability_stack,
-    physicality,
-    quadrature_covariance,
-    separability_report,
-)
-from .errors import InvalidSpec, NonFinite, first_failure
+from .entanglement import _separability_stack, physicality, quadrature_covariance
+from .entanglement import separability_report
+from .errors import InvalidSpec, NonFinite, first_failure, raise_failure
 from .model import ModelParams, ParamStack, derive
-from .observables import CROSS_PAIRS, _observable_stack, mode_observables
+from .observables import CROSS_PAIRS, _defined_cells, _observable_stack, mode_observables
 from . import presets as _presets
 
 OUTPUTS = (
@@ -290,42 +287,41 @@ def evolve_point(
 ) -> dict:
     """Full single-point report: covariance, observables, separability.
 
-    With ``oracle=True`` the report also carries the maximum absolute
+    The sweep's stack kernels on one row, with one cubic solve for the
+    covariance and the gain; raises at the first failed check of tau,
+    roots, covariance, atom_number, observables, separability,
+    physicality, oracle step count and non-finite fields.  With
+    ``oracle=True`` the report also carries the maximum absolute
     difference between the closed-form covariance and the independent
     moment-ODE integration.
     """
-    state = covariance(params, tau)
-    obs = mode_observables(state, atom_number)
-    report = separability_report(state, epsilon)
+    if tau < 0:
+        raise ValueError(f"tau must be >= 0, got {tau!r}")
     roots = cubic_roots(params)
+    stack = ParamStack(params.rho, params.delta, params.gamma1, params.gamma2, params.kappa)
+    c, status = _covariance_stack(stack, roots, tau, True)
+    raise_failure(status, "covariance")
+    fields, status = _observable_stack(c, atom_number)
+    raise_failure(status, "covariance")
+    gammas, pairs, label, status = _separability_stack(c, epsilon)
+    raise_failure(status, "separability tests")
     out = {
         "params": params.to_dict(),
         "tau": tau,
         "atom_number": atom_number,
-        "covariance": {
-            "real": state.c.real.tolist(),
-            "imag": state.c.imag.tolist(),
-        },
+        "covariance": {"real": c.real.tolist(), "imag": c.imag.tolist()},
         "gain": gain(roots, derive(params).gamma_plus),
-        "observables": {
-            "n": list(obs.n),
-            "var_n": list(obs.var_n),
-            "g2_auto": list(obs.g2_auto),
-            "g2_cross": list(obs.g2_cross),
-            "xi": list(obs.xi),
-            "bunching": obs.bunching,
-        },
+        "observables": _defined_cells(fields, list),
         "separability": {
-            "min_eig_gamma": list(report.min_eig_gamma),
-            "min_eig_s": list(report.min_eig_s),
-            "class": report.class_label,
-            "epsilon": report.epsilon,
+            "min_eig_gamma": gammas.tolist(),
+            "min_eig_s": pairs.tolist(),
+            "class": label,
+            "epsilon": epsilon,
         },
-        "physicality": physicality(quadrature_covariance(state)),
+        "physicality": physicality(quadrature_covariance(c)),
     }
     if oracle:
-        reference = ode_oracle(params, tau)
-        out["oracle_max_abs_diff"] = float(np.abs(state.c - reference.c).max())
+        out["oracle_max_abs_diff"] = float(np.abs(c - ode_oracle(params, tau).c).max())
     return _require_finite(out)
 
 

@@ -13,8 +13,8 @@ inside its array kernels: the eigensystem, the two covariance paths that
 ``covariance`` chooses between per row (the spectral closed form, and Van
 Loan's noise integral with M from a separate ``scipy.linalg.expm``), the
 gain over a detuning grid, fourth-order moments, squeezing from explicit
-moments, and the row-by-row sweep evaluator, which runs one grid value
-through the raising one-state functions.
+moments, and the row-by-row sweep evaluator and single-point report, which
+run one grid value or one point through the raising one-state functions.
 """
 
 import numpy as np
@@ -29,6 +29,9 @@ from tricarl import (
     drift_generator,
     gain,
     mode_observables,
+    ode_oracle,
+    physicality,
+    quadrature_covariance,
     separability_report,
     solve_cubic,
     spectrum,
@@ -313,3 +316,42 @@ def evaluate_row(spec, value):
         status = getattr(exc, "code", "error")
     row["status"] = status
     return row
+
+
+def point_report(params, tau, atom_number=1e6, epsilon=1e-9, oracle=False):
+    """The single-point report of ``evolve_point`` composed from the raising
+    one-state functions (``covariance``, ``mode_observables``,
+    ``separability_report``), with the cubic solved again for the gain."""
+    state = covariance(params, tau)
+    obs = mode_observables(state, atom_number)
+    report = separability_report(state, epsilon)
+    roots = cubic_roots(params)
+    out = {
+        "params": params.to_dict(),
+        "tau": tau,
+        "atom_number": atom_number,
+        "covariance": {
+            "real": state.c.real.tolist(),
+            "imag": state.c.imag.tolist(),
+        },
+        "gain": gain(roots, derive(params).gamma_plus),
+        "observables": {
+            "n": list(obs.n),
+            "var_n": list(obs.var_n),
+            "g2_auto": list(obs.g2_auto),
+            "g2_cross": list(obs.g2_cross),
+            "xi": list(obs.xi),
+            "bunching": obs.bunching,
+        },
+        "separability": {
+            "min_eig_gamma": list(report.min_eig_gamma),
+            "min_eig_s": list(report.min_eig_s),
+            "class": report.class_label,
+            "epsilon": report.epsilon,
+        },
+        "physicality": physicality(quadrature_covariance(state)),
+    }
+    if oracle:
+        reference = ode_oracle(params, tau)
+        out["oracle_max_abs_diff"] = float(np.abs(state.c - reference.c).max())
+    return _require_finite(out)

@@ -18,8 +18,6 @@ from tricarl import (
     ModelParams,
     NotStable,
     covariance,
-    cubic_roots,
-    derive,
     diffusion_matrix,
     drift_generator,
     occupations,
@@ -310,8 +308,9 @@ DELTA_STAR = 1.8899212590353163
 
 
 def default_oracle_steps(params, tau):
-    """The oracle's default step count, 100 tau max(1, |lambda|_max)."""
-    lam = 1j * (cubic_roots(params) - params.delta) - derive(params).gamma_plus
+    """The oracle's default step count, 100 tau max(1, |lambda|_max) over
+    the eigenvalues of the drift generator."""
+    lam = np.linalg.eigvals(drift_generator(params))
     return math.ceil(100.0 * tau * max(1.0, np.abs(lam).max()))
 
 

@@ -17,6 +17,7 @@ the golden layouts of test_sweep_golden.py.
 
 import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,13 +41,19 @@ from tricarl import (
     two_mode_matrix,
 )
 from tricarl.covariance import HERMITIZE_TOL, _hermitian_guards, _hermitian_part
-from tricarl.entanglement import HERMITICITY_TOL, _separability_stack, quadrature_covariance
-from tricarl.errors import first_failure
+from tricarl.entanglement import (
+    HERMITICITY_TOL,
+    SYMPLECTIC_FORM,
+    _separability_stack,
+    quadrature_covariance,
+)
+from tricarl.errors import NonFinite, NotHermitian, first_failure
 from tricarl.observables import _observable_stack
 
 RTOL = 1e-12
 # gain threshold of rho=100, gamma=kappa=0: two cubic roots merge here
 DELTA_STAR = 1.8899212590353163
+FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
 
 # the package attribute tricarl.covariance is the function of that name
 covariance_module = importlib.import_module("tricarl.covariance")
@@ -425,7 +432,8 @@ def residue(z):
 
 def guard_predicates(c):
     """One predicate per guard, per kernel, in the documented order:
-    covariance (CovarianceState), observables, separability tests."""
+    covariance (CovarianceState), observables, separability tests, and the
+    physicality test of a point report."""
     v = quadrature_covariance(c)
     diag = [complex(c[i, i]) for i in range(3)]
     moment = complex(c[0, 0] + c[1, 1] + c[0, 1] + c[1, 0])
@@ -447,6 +455,7 @@ def guard_predicates(c):
             # matrices that overflow eigvalsh; entries here stay below 1e4
             ("non_finite", False),
         ],
+        "physicality": hermitian_predicates([v - 1j * SYMPLECTIC_FORM], HERMITICITY_TOL),
     }
 
 
@@ -489,3 +498,25 @@ def test_guard_order_over_random_corruptions(cs):
         }
         for kernel, fn in one_state.items():
             assert [raised_code(fn, c) for c in cs] == predicted[kernel], kernel
+        # a point report handed each C past the covariance guards raises the
+        # class of its first failure along the remaining checks
+        for c, p in zip(cs, predicates):
+            with mock.patch.object(sweep_module, "_covariance_stack", return_value=(c, "ok")):
+                got = raised_code(sweep_module.evolve_point, FIG5, 1.0)
+            assert got == first_code(p["observables"] + p["separability"] + p["physicality"])
+
+
+def test_point_report_failure_order():
+    tiny = ModelParams(1e-200, 1.0)  # the characteristic cubic overflows
+    with pytest.raises(NonFinite):
+        sweep_module.evolve_point(tiny, 1.0)
+    # the roots come before the atom number, the covariance guards too
+    with pytest.raises(NonFinite):
+        sweep_module.evolve_point(tiny, 1.0, atom_number=0.0)
+    with mock.patch.object(sweep_module, "_covariance_stack", return_value=(None, "not_hermitian")):
+        with pytest.raises(NotHermitian):
+            sweep_module.evolve_point(FIG5, 1.0, atom_number=0.0)
+    with pytest.raises(ValueError, match="atom_number"):
+        sweep_module.evolve_point(FIG5, 1.0, atom_number=0.0)
+    with pytest.raises(ValueError, match="tau"):
+        sweep_module.evolve_point(tiny, -1.0)

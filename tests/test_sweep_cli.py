@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tricarl
+from oracles import point_report
 from tricarl import (
     InvalidSpec,
     ModelParams,
@@ -164,14 +165,67 @@ def test_evolve_point_oracle_field():
     )
 
 
+# gain threshold of rho=100, gamma=kappa=0: two cubic roots merge here
+DELTA_STAR = 1.8899212590353163
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e-13, -1e-13, 1e-8, -1e-8, 1e-1, -1e-1])
 def test_oracle_deviation_at_the_gain_threshold(offset):
     # lossless rho=100 at tau=5, where two cubic roots merge at delta*
-    params = ModelParams(rho=100.0, delta=1.8899212590353163 + offset)
+    params = ModelParams(rho=100.0, delta=DELTA_STAR + offset)
     report = evolve_point(params, 5.0, oracle=True)
     cov = report["covariance"]
     scale = max(abs(v) for part in (cov["real"], cov["imag"]) for row in part for v in row)
     assert report["oracle_max_abs_diff"] <= 1e-6 * scale
+
+
+def lossy_points(count, seed=8):
+    """Lossy parameter sets near delta* and the semi-classical coupling."""
+    rng = np.random.default_rng(seed)
+    return [
+        ModelParams(
+            10.0 ** rng.uniform(np.log10(50.0), np.log10(200.0)),
+            rng.uniform(1.5, 2.3),
+            *rng.uniform(0.05, 0.5, 3),
+        )
+        for _ in range(count)
+    ]
+
+
+# the benchmark's edge ladder (delta* + {0, +-1e-1 .. +-1e-13}, tau=5),
+# lossy points, and FIG5 evolved and at vacuum
+REPORT_POINTS = (
+    [(ModelParams(100.0, DELTA_STAR), 5.0)]
+    + [
+        (ModelParams(100.0, DELTA_STAR + sign * 10.0**-k), 5.0)
+        for k in range(1, 14)
+        for sign in (1.0, -1.0)
+    ]
+    + [(params, 5.0) for params in lossy_points(8)]
+    + [(FIG5, 2.0), (FIG5, 0.0)]
+)
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("params, tau", REPORT_POINTS)
+def test_point_report_equals_the_one_state_composition(params, tau, oracle):
+    assert evolve_point(params, tau, oracle=oracle) == point_report(params, tau, oracle=oracle)
+
+
+@pytest.mark.parametrize("params", [FIG5, ModelParams(100.0, DELTA_STAR)])
+def test_point_report_solves_the_cubic_once(params, monkeypatch):
+    import tricarl.dynamics as dynamics
+
+    calls = []
+    solve = dynamics.solve_cubic
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return solve(coeffs)
+
+    monkeypatch.setattr(dynamics, "solve_cubic", counted)
+    evolve_point(params, 5.0, oracle=True)
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------------------- CLI
@@ -246,6 +300,10 @@ def test_cli_exit_codes(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "--rho", "-3", "--tau", "1")
     assert code == 2
+    code, _, err = run_cli(capsys, "--rho", "100", "--tau", "-1")
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error == {"code": "invalid_spec", "message": "tau must be >= 0, got -1.0"}
     code, _, err = run_cli(capsys, "--preset", "fig99")
     assert code == 2
 
@@ -257,7 +315,7 @@ def test_cli_numerical_failure_exit_code(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NotHermitian("relative defect 1e-3")
 
-    monkeypatch.setattr(sweep_module, "covariance", boom)
+    monkeypatch.setattr(sweep_module, "_covariance_stack", boom)
     code, _, err = run_cli(capsys, "--rho", "100", "--tau", "1")
     assert code == 3
     assert json.loads(err)["error"]["code"] == "not_hermitian"
@@ -291,7 +349,7 @@ def test_cli_linalg_failure_exit_code(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-    monkeypatch.setattr(sweep_module, "covariance", boom)
+    monkeypatch.setattr(sweep_module, "_covariance_stack", boom)
     code, _, err = run_cli(capsys, "--rho", "100", "--tau", "1")
     assert code == 3
     assert "did not converge" in json.loads(err)["error"]["message"]
@@ -315,6 +373,14 @@ def test_cli_point_overflow_stderr_is_json():
     proc = run_cli_process("--rho", "100", "--tau", "1000")
     assert proc.returncode == 3 and proc.stdout == ""
     assert json.loads(proc.stderr)["error"]["code"] == "non_finite"
+
+
+def test_cli_point_report_deterministic():
+    argv = ("--rho", "100", "--delta", repr(DELTA_STAR), "--tau", "5", "--oracle")
+    first, second = run_cli_process(*argv), run_cli_process(*argv)
+    assert first.returncode == 0 and first.stderr == ""
+    assert json.loads(first.stdout)["oracle_max_abs_diff"] > 0
+    assert first.stdout == second.stdout
 
 
 def test_cli_sweep_overflow_leaves_stderr_empty():
