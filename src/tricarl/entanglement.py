@@ -137,7 +137,10 @@ def physicality(v: np.ndarray) -> float:
 
 def _classes(gamma_min_eigs: np.ndarray, epsilon: float):
     """Class label of each set of three Gamma minimum eigenvalues on the last
-    axis, and the guard against non-finite ones (see ``first_failure``)."""
+    axis, and the guard against non-finite ones (see ``first_failure``).
+    Raises ValueError for an ``epsilon`` that is not finite and >= 0."""
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     labels = _CLASS_LABELS[(gamma_min_eigs >= -epsilon) @ np.array([1, 2, 4])]
     return labels, ("non_finite", ~np.isfinite(gamma_min_eigs).all(axis=-1))
 

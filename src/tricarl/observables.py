@@ -49,16 +49,16 @@ def _observable_stack(c: np.ndarray, atom_number: float):
     The status is the first guard the state fails, "ok" if none: an
     imaginary residue on C_ii ("error"), an occupation below the vacuum
     floor ("negative_occupation"), then a residue on G_iiii = 2 C_ii^2 or
-    on the bunching moment ("error").  Raises ValueError for a non-positive
-    ``atom_number``.
+    on the bunching moment ("error").  Raises ValueError for an
+    ``atom_number`` that is not finite and > 0.
 
     Occupations C_ii - 1/2 are clamped at zero.  The number variance
     G_iiii - n - 1/2 - n^2 equals n (n + 1) exactly; the factored form keeps
     the digits the difference loses near vacuum, where G_iiii is about 1/2.
     The g2_auto numerator G_iiii - 2 C_ii + 1/2 is likewise taken as 2 n^2.
     """
-    if atom_number <= 0:
-        raise ValueError(f"atom_number must be > 0, got {atom_number!r}")
+    if not 0 < atom_number < np.inf:
+        raise ValueError(f"atom_number must be finite and > 0, got {atom_number!r}")
     diag = np.diagonal(c, axis1=-2, axis2=-1)
     raw = diag.real - 0.5
     n = np.maximum(raw, 0.0)

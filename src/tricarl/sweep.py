@@ -15,6 +15,10 @@ status is the code of the first guard it fails, in pipeline order.  Every
 row is evaluated once; only when a stacked LAPACK call raises is the chunk
 evaluated again, bisected down to the row that fails, so the failure costs
 only its own row.
+
+Figure presets are data: ``presets.PRESETS`` maps each id to a description
+and one (label, SweepSpec fields) pair per curve, and ``figure_preset``
+turns only the requested entry into validated sweeps.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .entanglement import separability_report
 from .errors import InvalidSpec, NonFinite, first_failure, raise_failure
 from .model import ModelParams, ParamStack, derive
 from .observables import CROSS_PAIRS, _defined_cells, _observable_stack, mode_observables
-from . import presets as _presets
+from .presets import PRESETS
 
 OUTPUTS = (
     "n1",
@@ -98,14 +102,16 @@ class SweepSpec:
             raise InvalidSpec(f"unknown outputs {unknown}; choose from {OUTPUTS}")
         if self.axis != "tau" and self.tau is None and self._needs_state():
             raise InvalidSpec("state observables on a non-tau axis require tau")
-        if self.tau is not None and self.tau < 0:
+        if self.tau is not None and not self.tau >= 0:
             raise InvalidSpec(f"tau must be >= 0, got {self.tau!r}")
         if self.axis in ("gamma", "kappa") and self.start < 0:
             raise InvalidSpec(f"{self.axis} grid must be non-negative")
         if self.axis == "tau" and self.start < 0:
             raise InvalidSpec("tau grid must be non-negative")
-        if self.atom_number <= 0:
-            raise InvalidSpec(f"atom_number must be > 0, got {self.atom_number!r}")
+        if not 0 < self.atom_number < math.inf:
+            raise InvalidSpec(f"atom_number must be finite and > 0, got {self.atom_number!r}")
+        if not 0 <= self.epsilon < math.inf:
+            raise InvalidSpec(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
 
     def _needs_state(self) -> bool:
         return any(name in _STATE_OUTPUTS for name in self.outputs)
@@ -151,26 +157,6 @@ class SweepSpec:
             atom_number=float(record.get("atom_number", 1e6)),
             epsilon=float(record.get("epsilon", 1e-9)),
         )
-
-
-def _non_finite_fields(value, path: str = ""):
-    """Paths of the inf/NaN floats in a (nested) dict or list."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            yield from _non_finite_fields(item, f"{path}.{key}" if path else key)
-    elif isinstance(value, (list, tuple)):
-        for index, item in enumerate(value):
-            yield from _non_finite_fields(item, f"{path}[{index}]")
-    elif isinstance(value, float) and not math.isfinite(value):
-        yield path
-
-
-def _require_finite(record: dict) -> dict:
-    """Return ``record``; raise NonFinite if any value in it overflowed."""
-    bad = list(_non_finite_fields(record))
-    if bad:
-        raise NonFinite(f"non-finite result in {', '.join(bad)}")
-    return record
 
 
 def _then(status, later):
@@ -295,7 +281,7 @@ def evolve_point(
     difference between the closed-form covariance and the independent
     moment-ODE integration.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
     roots = cubic_roots(params)
     stack = ParamStack(params.rho, params.delta, params.gamma1, params.gamma2, params.kappa)
@@ -305,12 +291,30 @@ def evolve_point(
     raise_failure(status, "covariance")
     gammas, pairs, label, status = _separability_stack(c, epsilon)
     raise_failure(status, "separability tests")
+    growth = gain(roots, derive(params).gamma_plus)
+    floor = physicality(quadrature_covariance(c))
+    deviation = float(np.abs(c - ode_oracle(params, tau).c).max()) if oracle else 0.0
+    numbers = {
+        "tau": tau,
+        "covariance": c,
+        "gain": growth,
+        "observables": np.hstack([value for value, _ in fields.values()]),
+        "separability": (gammas, pairs),
+        "physicality": floor,
+        "oracle_max_abs_diff": deviation,
+    }
+    bad = [name for name, value in numbers.items() if not np.isfinite(value).all()]
+    # undefined (vacuum 0/0) cells are reported as None, not checked
+    if "observables" in bad and all(np.isfinite(v)[d].all() for v, d in fields.values()):
+        bad.remove("observables")
+    if bad:
+        raise NonFinite(f"non-finite result in {', '.join(bad)}")
     out = {
         "params": params.to_dict(),
         "tau": tau,
         "atom_number": atom_number,
         "covariance": {"real": c.real.tolist(), "imag": c.imag.tolist()},
-        "gain": gain(roots, derive(params).gamma_plus),
+        "gain": growth,
         "observables": _defined_cells(fields, list),
         "separability": {
             "min_eig_gamma": gammas.tolist(),
@@ -318,11 +322,11 @@ def evolve_point(
             "class": label,
             "epsilon": epsilon,
         },
-        "physicality": physicality(quadrature_covariance(c)),
+        "physicality": floor,
     }
     if oracle:
-        out["oracle_max_abs_diff"] = float(np.abs(c - ode_oracle(params, tau).c).max())
-    return _require_finite(out)
+        out["oracle_max_abs_diff"] = deviation
+    return out
 
 
 @dataclass(frozen=True)
@@ -335,11 +339,15 @@ class FigurePreset:
 
 
 def figure_preset(preset_id: str) -> FigurePreset:
-    """Look up a preset by id (fig1 .. fig15, plus a/b panel forms)."""
+    """Expand the table entry of a preset id (fig1 .. fig15, plus a/b panel
+    forms) into validated sweeps."""
     try:
-        return _presets.build(preset_id)
+        description, curves = PRESETS[preset_id]
     except KeyError as exc:
         raise InvalidSpec(f"unknown preset {preset_id!r}") from exc
+    return FigurePreset(
+        preset_id, description, tuple((label, SweepSpec(**fields)) for label, fields in curves)
+    )
 
 
 def run_preset(preset: FigurePreset) -> list[dict]:

@@ -14,8 +14,11 @@ inside its array kernels: the eigensystem, the two covariance paths that
 Loan's noise integral with M from a separate ``scipy.linalg.expm``), the
 gain over a detuning grid, fourth-order moments, squeezing from explicit
 moments, and the row-by-row sweep evaluator and single-point report, which
-run one grid value or one point through the raising one-state functions.
+run one grid value or one point through the raising one-state functions and
+walk every nested float of the result for inf/NaN.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -49,10 +52,10 @@ from tricarl.dynamics import (
     _spectral_stack,
     propagator_coefficients,
 )
-from tricarl.errors import TricarlError
+from tricarl.errors import NonFinite, TricarlError
 from tricarl.model import ParamStack
 from tricarl.observables import ZERO_OCCUPATION
-from tricarl.sweep import _ENTANGLEMENT_OUTPUTS, _require_finite
+from tricarl.sweep import _ENTANGLEMENT_OUTPUTS
 
 
 def expm_taylor(a, tol=1e-16):
@@ -268,6 +271,27 @@ def spec_point(spec, value):
     """Model parameters and evolution time at one grid value of a sweep."""
     params, tau = spec.stack(float(value))
     return ModelParams(**params._asdict()), tau
+
+
+def _non_finite_fields(value, path=""):
+    """Paths of the inf/NaN floats in a (nested) dict or list."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite_fields(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            yield from _non_finite_fields(item, f"{path}[{index}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield path
+
+
+def _require_finite(record):
+    """Return ``record``; raise NonFinite naming the path of every inf/NaN
+    float in it."""
+    bad = list(_non_finite_fields(record))
+    if bad:
+        raise NonFinite(f"non-finite result in {', '.join(bad)}")
+    return record
 
 
 def evaluate_row(spec, value):

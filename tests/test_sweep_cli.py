@@ -1,23 +1,31 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import tricarl
+import tricarl.sweep as sweep_module
 from oracles import point_report
 from tricarl import (
     InvalidSpec,
     ModelParams,
+    NonFinite,
     SweepSpec,
+    classify,
+    covariance,
     evolve_point,
     figure_preset,
+    mode_observables,
     run_preset,
     run_sweep,
+    separability_report,
 )
 from tricarl.cli import _build_parser, main
 
@@ -58,6 +66,16 @@ def test_invalid_specs():
         make_spec(axis="sigma")
     with pytest.raises(InvalidSpec):
         make_spec(atom_number=0.0)
+    for field, value in (
+        ("atom_number", math.nan),
+        ("atom_number", math.inf),
+        ("epsilon", -1.0),
+        ("epsilon", math.nan),
+        ("epsilon", math.inf),
+        ("tau", math.nan),
+    ):
+        with pytest.raises(InvalidSpec, match=field):
+            make_spec(**{"axis": "delta", "start": 0.0, "stop": 1.0, "tau": 1.0, field: value})
 
 
 def test_gain_only_sweep_needs_no_tau():
@@ -210,6 +228,66 @@ REPORT_POINTS = (
 @pytest.mark.parametrize("params, tau", REPORT_POINTS)
 def test_point_report_equals_the_one_state_composition(params, tau, oracle):
     assert evolve_point(params, tau, oracle=oracle) == point_report(params, tau, oracle=oracle)
+
+
+def test_point_report_names_the_non_finite_fields(monkeypatch):
+    # past tau ~ 250 at rho=100 the number variances overflow while C is finite
+    lossless = ModelParams(100.0, 0.0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFinite) as reference:
+            point_report(lossless, 300.0)
+        with pytest.raises(NonFinite) as report:
+            evolve_point(lossless, 300.0)
+    paths = str(reference.value).removeprefix("non-finite result in ").split(", ")
+    assert str(report.value) == "non-finite result in observables"
+    assert {path.split(".")[0] for path in paths} == {"observables"}
+    # cells left undefined (None) are not checked, even where they overflowed
+    c = np.diag([0.5, 0.5, 0.5]).astype(complex)
+    c[0, 1] = c[1, 0] = 1e155
+    monkeypatch.setattr(sweep_module, "_covariance_stack", lambda *args: (c, "ok"))
+    with np.errstate(all="ignore"):
+        assert evolve_point(FIG5, 1.0)["observables"]["xi"] == [None, None, None]
+    monkeypatch.undo()
+    # every other number of the report is checked too
+    monkeypatch.setattr(sweep_module, "gain", lambda roots, gamma_plus: math.inf)
+    monkeypatch.setattr(sweep_module, "physicality", lambda v: math.nan)
+    nan_state = SimpleNamespace(c=np.full((3, 3), np.nan))
+    monkeypatch.setattr(sweep_module, "ode_oracle", lambda params, tau: nan_state)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFinite) as report:
+            evolve_point(FIG5, 1.0, oracle=True)
+    fields = "gain, physicality, oracle_max_abs_diff"
+    assert str(report.value) == f"non-finite result in {fields}"
+    separability = sweep_module._separability_stack
+
+    def infinite_pairs(c, epsilon):
+        gammas, pairs, label, status = separability(c, epsilon)
+        return gammas, pairs + math.inf, label, status
+
+    monkeypatch.setattr(sweep_module, "_separability_stack", infinite_pairs)
+    with pytest.raises(NonFinite, match="in gain, separability, physicality$"):
+        evolve_point(FIG5, 1.0)
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
+def test_every_classifier_rejects_a_bad_epsilon(epsilon):
+    for call in (
+        lambda: classify([-1.0, -1.0, -1.0], epsilon),
+        lambda: separability_report(covariance(FIG5, 1.0), epsilon),
+        lambda: evolve_point(FIG5, 1.0, epsilon=epsilon),
+    ):
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            call()
+
+
+@pytest.mark.parametrize("atom_number", [0.0, math.nan, math.inf])
+def test_observables_reject_a_bad_atom_number(atom_number):
+    for call in (
+        lambda: mode_observables(covariance(FIG5, 1.0), atom_number),
+        lambda: evolve_point(FIG5, 1.0, atom_number=atom_number),
+    ):
+        with pytest.raises(ValueError, match="atom_number must be finite and > 0"):
+            call()
 
 
 @pytest.mark.parametrize("params", [FIG5, ModelParams(100.0, DELTA_STAR)])
@@ -414,6 +492,36 @@ def test_cli_point_mode_rejects_a_non_positive_atom_number(capsys):
     code, out, err = run_cli(capsys, "--rho", "100", "--tau", "1", "--atoms", "0")
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["code"] == "invalid_spec"
+
+
+SWEEP_FLAGS = (
+    "--rho", "100", "--tau", "0", "--sweep", "tau:0:1:2", "--outputs", "class,mineig_gamma1",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (SWEEP_FLAGS + ("--epsilon", "-1"), "epsilon must be finite and >= 0, got -1.0"),
+        (SWEEP_FLAGS + ("--epsilon", "nan"), "epsilon must be finite and >= 0, got nan"),
+        (SWEEP_FLAGS + ("--epsilon", "nan", "--format", "json"), "epsilon must be"),
+        (SWEEP_FLAGS + ("--atoms", "nan", "--format", "json"), "atom_number must be finite"),
+        (
+            ("--rho", "100", "--tau", "nan", "--sweep", "delta:0:1:2", "--format", "json"),
+            "tau must be >= 0, got nan",
+        ),
+        (("--rho", "100", "--tau", "1", "--epsilon", "-1"), "epsilon must be finite and >= 0"),
+        (("--rho", "100", "--tau", "1", "--epsilon", "nan"), "epsilon must be finite and >= 0"),
+        (("--rho", "100", "--tau", "1", "--atoms", "nan"), "atom_number must be finite"),
+        (("--rho", "100", "--tau", "1", "--atoms", "inf"), "atom_number must be finite"),
+        (("--rho", "100", "--tau", "nan"), "tau must be >= 0, got nan"),
+    ],
+)
+def test_cli_rejects_non_finite_and_negative_numbers(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "invalid_spec" and error["message"].startswith(message)
 
 
 def test_cli_preset_csv(capsys):
