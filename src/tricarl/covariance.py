@@ -185,9 +185,11 @@ def _van_loan_noise(
     n = len(generator)
     if tau == 0:
         return np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)
+    scaled = np.abs(generator).sum(axis=0).max() * tau
+    if not scaled < 2.0**1022:  # no float step tau / 2**doublings: NaN Q and M
+        return np.full((n, n), np.nan, dtype=complex), np.full((n, n), np.nan, dtype=complex)
     # |A|_1 tau < 2**exponent, so |A|_1 step < 1/2
-    exponent = math.frexp(np.abs(generator).sum(axis=0).max() * tau)[1]
-    doublings = max(0, exponent + 1)
+    doublings = max(0, math.frexp(scaled)[1] + 1)
     step = tau / 2**doublings
     block = np.zeros((2 * n, 2 * n), dtype=complex)
     block[:n, :n] = generator * step

@@ -16,6 +16,14 @@ is positive semidefinite; the pattern of negative minimum eigenvalues
 classifies the state.  Two-mode tests on partial traces delete the rows
 and columns of the traced-out mode from Gamma_i, which for Gaussian states
 is necessary and sufficient.
+
+The state has no anomalous moments <u_i u_j>, so the fixed unitary
+(x, y) -> (x +- iy)/sqrt(2) splits each 6x6 matrix into two 3x3 blocks
+2H + Sigma and 2H - Sigma, H = (C + C^dag)/2: Sigma = I for Gamma_1,
+diag(-1, -1, 1) for Gamma_2, diag(-1, 1, -1) for Gamma_3 and diag(-1, 1, 1)
+for V - iJ.  S_12, S_13 (S_23) are 2x2 blocks of Gamma_1's (Gamma_2's)
+blocks, whose minimum is (a + d)/2 - hypot((a - d)/2, |b|).  The 6x6
+construction is the tests' reference.
 """
 
 from __future__ import annotations
@@ -24,21 +32,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceState, _hermitian_guards, _hermitian_part
+from .covariance import CovarianceState, _dagger, _hermitian_guards, _hermitian_part
 from .errors import RegimeMismatch, first_failure, raise_failure
 from .model import ModelParams
 
-# sign flips of x1 (undoing the conjugation of mode 1) and, per row j, of
-# the momentum quadrature y_j that the partial transpose of mode j flips
+# sign flip of x1, undoing the conjugation of mode 1
 _FLIP_X1 = np.array([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-_FLIP_Y = 1.0 - 2.0 * np.eye(3, 6, 3)
-# rows and columns of Gamma_i kept by S_12, S_13, S_23 (i = 1, 1, 2)
-_PAIR_PARENT = np.array([0, 0, 1])[:, np.newaxis, np.newaxis]
-_PAIR_KEEP = np.array([[0, 1, 3, 4], [0, 2, 3, 5], [1, 2, 4, 5]])
-
-SYMPLECTIC_FORM = np.block(
-    [[np.zeros((3, 3)), -np.eye(3)], [np.eye(3), np.zeros((3, 3))]]
+# Sigma of the blocks 2H +- Sigma of Gamma_1, Gamma_2, Gamma_3 and V - iJ, and
+# the shifts diag(Sigma), then diag(-Sigma), of the Gamma_j and V - iJ blocks
+_SIGMA = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
+_GAMMA_SHIFTS, _PHYSICAL_SHIFTS = (
+    np.concatenate([s, -s])[:, :, np.newaxis] * np.eye(3) for s in (_SIGMA[:3], _SIGMA[3:])
 )
+# modes (i, j) of S_12, S_13, S_23 and their 2x2 blocks of C; |s + t|/2 and
+# |s - t|/2 of each pair's Sigma = (s, t): (1, 1), (1, 1), (-1, 1)
+_PAIRS = np.array([[0, 1], [0, 2], [1, 2]])
+_BLOCK_ROWS, _BLOCK_COLS = _PAIRS[:, [0, 0, 1, 1]], _PAIRS[:, [0, 1, 0, 1]]
+_PAIR_MEAN_SHIFT, _PAIR_SPLIT = np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
+
+SYMPLECTIC_FORM = np.block([[np.zeros((3, 3)), -np.eye(3)], [np.eye(3), np.zeros((3, 3))]])
 # Hermitian defect, relative to max(1, max|entry|), a test matrix may carry
 HERMITICITY_TOL = 1e-8
 
@@ -48,14 +60,9 @@ CLASS_BISEPARABLE_OR_SEPARABLE = "biseparable_or_separable"
 # class label by the bit pattern of factorizable modes (bit j: mode j + 1)
 _CLASS_LABELS = np.array(
     [
-        CLASS_FULLY_INSEPARABLE,
-        "one_mode_biseparable(1)",
-        "one_mode_biseparable(2)",
-        CLASS_TWO_MODE_BISEPARABLE,
-        "one_mode_biseparable(3)",
-        CLASS_TWO_MODE_BISEPARABLE,
-        CLASS_TWO_MODE_BISEPARABLE,
-        CLASS_BISEPARABLE_OR_SEPARABLE,
+        CLASS_FULLY_INSEPARABLE, "one_mode_biseparable(1)", "one_mode_biseparable(2)",
+        CLASS_TWO_MODE_BISEPARABLE, "one_mode_biseparable(3)", CLASS_TWO_MODE_BISEPARABLE,
+        CLASS_TWO_MODE_BISEPARABLE, CLASS_BISEPARABLE_OR_SEPARABLE,
     ],
     dtype=object,
 )
@@ -70,58 +77,14 @@ def quadrature_covariance(cov: CovarianceState | np.ndarray) -> np.ndarray:
     return 2.0 * block * _FLIP_X1[:, np.newaxis] * _FLIP_X1
 
 
-def _gammas(v: np.ndarray, modes) -> np.ndarray:
-    """Partial-transpose test matrices Gamma_j, j in ``modes``, stacked on
-    the axis before the matrix axes."""
-    flips = _FLIP_Y[np.asarray(modes) - 1]
-    return flips[:, :, np.newaxis] * v[..., np.newaxis, :, :] * flips[:, np.newaxis, :] - (
-        1j * SYMPLECTIC_FORM
-    )
-
-
-def gamma_matrix(v: np.ndarray, j: int) -> np.ndarray:
-    """Partial-transpose test matrix for factoring out mode j (1..3)."""
-    if j not in (1, 2, 3):
-        raise ValueError(f"mode index must be in 1..3, got {j!r}")
-    return _gammas(v, [j])[..., 0, :, :]
-
-
-def _test_matrices(cov) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma_1..3 (..., 3, 6, 6) and S_12, S_13, S_23 (..., 3, 4, 4) of a
-    covariance or a stack of them."""
-    gammas = _gammas(quadrature_covariance(cov), [1, 2, 3])
-    keep = _PAIR_KEEP[:, :, np.newaxis], _PAIR_KEEP[:, np.newaxis, :]
-    return gammas, gammas[..., _PAIR_PARENT, keep[0], keep[1]]
-
-
-def two_mode_matrix(v: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Separability test matrix of the partial trace over the mode not in
-    (i, j): Gamma_i with the traced-out mode's rows and columns deleted."""
-    if not (i in (1, 2, 3) and j in (1, 2, 3) and i < j):
-        raise ValueError(f"need mode indices 1 <= i < j <= 3, got ({i!r}, {j!r})")
-    keep = _PAIR_KEEP[((1, 2), (1, 3), (2, 3)).index((i, j))]
-    return gamma_matrix(v, i)[np.ix_(keep, keep)]
-
-
-def _min_eigenvalue_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest eigenvalue of the Hermitian part of each matrix in a
-    (..., n, n) stack, from one batched LAPACK ``eigvalsh`` call, and each
-    matrix's Hermitian defect relative to max(1, max|h|) (NaN for inf or
-    NaN entries).  A matrix whose defect exceeds HERMITICITY_TOL reads 0."""
-    hermitian, defect = _hermitian_part(stack)
-    usable = (defect <= HERMITICITY_TOL)[..., np.newaxis, np.newaxis]
-    return np.linalg.eigvalsh(np.where(usable, hermitian, 0.0))[..., 0], defect
-
-
 def _min_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each Hermitian matrix in a (..., n, n) stack.
-
-    Raises NonFinite for inf or NaN entries and NotHermitian if any matrix
-    has a Hermitian defect above ``HERMITICITY_TOL * max(1, max|h|)``.
-    """
-    eigs, defect = _min_eigenvalue_stack(stack)
+    """Smallest eigenvalue of each Hermitian matrix in a (..., n, n) stack,
+    from one batched LAPACK ``eigvalsh`` call.  Raises NonFinite for inf or
+    NaN entries and NotHermitian if any matrix has a Hermitian defect above
+    ``HERMITICITY_TOL * max(1, max|h|)``."""
+    hermitian, defect = _hermitian_part(stack)
     raise_failure(first_failure(*_hermitian_guards(defect.max(), HERMITICITY_TOL)), "test matrix")
-    return eigs
+    return np.linalg.eigvalsh(hermitian)[..., 0]
 
 
 def min_eigenvalue_hermitian(h: np.ndarray) -> float:
@@ -133,6 +96,46 @@ def physicality(v: np.ndarray) -> float:
     """Minimum eigenvalue of V - iJ; >= 0 (to rounding) for physical
     states, exactly 0 at vacuum."""
     return min_eigenvalue_hermitian(v - 1j * SYMPLECTIC_FORM)
+
+
+def _block_minima(h2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue (..., k) of each 6x6 test matrix whose blocks are
+    h2 + shifts[m] and h2 + shifts[k + m], from one batched 3x3 ``eigvalsh``."""
+    eigs = np.linalg.eigvalsh(h2[..., np.newaxis, :, :] + shifts)[..., 0]
+    return np.minimum(eigs[..., : len(shifts) // 2], eigs[..., len(shifts) // 2 :])
+
+
+def _pair_minima(h2: np.ndarray) -> np.ndarray:
+    """S_12, S_13, S_23 minimum eigenvalues (..., 3) of each 2H in a stack:
+    of a pair's blocks [[a +- s, b], [b*, d +- t]], one of s + t and s - t
+    is 0, so the smaller closed-form minimum is
+    (a + d)/2 - |s + t|/2 - hypot(|a - d|/2 + |s - t|/2, |b|)."""
+    diagonal = h2.diagonal(axis1=-2, axis2=-1).real
+    a, d = diagonal[..., _PAIRS[:, 0]], diagonal[..., _PAIRS[:, 1]]
+    coupling = np.abs(h2[..., _PAIRS[:, 0], _PAIRS[:, 1]])
+    return 0.5 * (a + d) - _PAIR_MEAN_SHIFT - np.hypot(0.5 * np.abs(a - d) + _PAIR_SPLIT, coupling)
+
+
+def _physicality_floor(c: np.ndarray) -> np.ndarray:
+    """Minimum eigenvalue of V - iJ of each covariance of a (..., 3, 3)
+    stack, from its two 3x3 mixed-basis blocks; its guards are Gamma_j's."""
+    return _block_minima(c + _dagger(c), _PHYSICAL_SHIFTS)[..., 0]
+
+
+def _test_defects(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian defects (see ``_hermitian_part``) of the Gamma_j (..., all
+    three alike) and S_12, S_13, S_23 (..., 3) test matrices, from C alone:
+    max(|Re D|, |Im D|), D = 2C - (2C)^dag, over the largest |Re 2C_kl|,
+    |Im 2C_kl| (k != l) and |Im 2C_kk + i|, for k, l in all modes or the
+    pair's own.  A non-finite entry makes that largest size inf or NaN."""
+    c2 = 2.0 * c
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = c2 - _dagger(c2)
+        excess = np.maximum(np.abs(d.real), np.abs(d.imag))[..., _BLOCK_ROWS, _BLOCK_COLS]
+        size = np.maximum(np.abs(c2.real), np.abs(c2.imag + 1j * np.eye(3)))
+        excess, size = excess.max(-1), size[..., _BLOCK_ROWS, _BLOCK_COLS].max(-1)
+        gamma = np.where(np.isfinite(size).all(-1), excess.max(-1) / size.max(-1), np.nan)
+        return gamma, np.where(np.isfinite(size), excess / size, np.nan)
 
 
 def _classes(gamma_min_eigs: np.ndarray, epsilon: float):
@@ -179,12 +182,7 @@ def separability_report(
     """Run all separability tests on one covariance state."""
     gammas, pairs, label, status = _separability_stack(cov, epsilon)
     raise_failure(status, "separability tests")
-    return SeparabilityReport(
-        min_eig_gamma=tuple(gammas.tolist()),
-        min_eig_s=tuple(pairs.tolist()),
-        class_label=label,
-        epsilon=epsilon,
-    )
+    return SeparabilityReport(tuple(gammas.tolist()), tuple(pairs.tolist()), label, epsilon)
 
 
 def _separability_stack(cov, epsilon: float):
@@ -194,13 +192,18 @@ def _separability_stack(cov, epsilon: float):
     class labels (an object array) and each state's status: the first of
     the Gamma_j guards, the S_ij guards (see ``_hermitian_guards``) and the
     guard against non-finite Gamma_j minimum eigenvalues that it fails.
+    Where a guard fails, the Gamma_j of the state or that S_ij alone read 0.
     """
-    gamma_stack, pair_stack = _test_matrices(cov)
-    gammas, gamma_defect = _min_eigenvalue_stack(gamma_stack)
-    pairs, pair_defect = _min_eigenvalue_stack(pair_stack)
+    c = cov.c if isinstance(cov, CovarianceState) else np.asarray(cov, dtype=complex)
+    gamma_defect, pair_defect = _test_defects(c)
+    h2 = c + _dagger(c)
+    h2 = np.where(np.isfinite(h2), h2, 0.0)  # kept from eigvalsh; such tests read 0
+    usable = (gamma_defect <= HERMITICITY_TOL)[..., np.newaxis]
+    gammas = np.where(usable, _block_minima(h2, _GAMMA_SHIFTS), 0.0)
+    pairs = np.where(pair_defect <= HERMITICITY_TOL, _pair_minima(h2), 0.0)
     labels, finite = _classes(gammas, epsilon)
     status = first_failure(
-        *_hermitian_guards(gamma_defect.max(axis=-1), HERMITICITY_TOL),
+        *_hermitian_guards(gamma_defect, HERMITICITY_TOL),
         *_hermitian_guards(pair_defect.max(axis=-1), HERMITICITY_TOL),
         finite,
     )

@@ -28,11 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# covariance, separability_report, mode_observables: unused, hooked by the benchmark tracer
+# covariance, mode_observables, physicality, separability_report: for the bench tracer
 from .covariance import _covariance_stack, covariance, ode_oracle
 from .dynamics import cubic_coefficients, cubic_roots, gain, solve_cubic
-from .entanglement import _separability_stack, physicality, quadrature_covariance
-from .entanglement import separability_report
+from .entanglement import _physicality_floor, _separability_stack, physicality, separability_report
 from .errors import InvalidSpec, NonFinite, first_failure, raise_failure
 from .model import ModelParams, ParamStack, derive
 from .observables import CROSS_PAIRS, _defined_cells, _observable_stack, mode_observables
@@ -89,9 +88,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in AXES:
             raise InvalidSpec(f"axis must be one of {AXES}, got {self.axis!r}")
-        if not self.start < self.stop:
+        if not -math.inf < self.start < self.stop < math.inf:
             raise InvalidSpec(
-                f"need start < stop, got start={self.start!r} stop={self.stop!r}"
+                f"need finite start < stop, got start={self.start!r} stop={self.stop!r}"
             )
         if not 2 <= self.points <= MAX_POINTS:
             raise InvalidSpec(f"points must be in [2, {MAX_POINTS}], got {self.points!r}")
@@ -117,7 +116,8 @@ class SweepSpec:
         return any(name in _STATE_OUTPUTS for name in self.outputs)
 
     def grid(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.points)
+        # halving is exact for normal floats: linspace(start, stop) with no overflow of the span
+        return 2.0 * np.linspace(0.5 * self.start, 0.5 * self.stop, self.points)
 
     def stack(self, values: np.ndarray) -> tuple[ParamStack, np.ndarray | float | None]:
         """Model parameters and evolution times at many grid values."""
@@ -177,19 +177,16 @@ def _batch_columns(spec: SweepSpec, values: np.ndarray) -> tuple[dict, np.ndarra
     """The requested columns of a chunk of grid values, as (values, defined)
     array pairs, and each row's status.
 
-    The status is the first guard the row fails, "ok" if none: a non-finite
-    grid value off the tau axis ("error"), non-finite roots, then the
-    guards of the covariance, observables and separability kernels, then a
-    non-finite requested cell ("non_finite").  A failed row's cells are
-    undefined, except that it keeps its gain when it failed after the roots.
+    The status is the first guard the row fails, "ok" if none: non-finite
+    roots, then the guards of the covariance, observables and separability
+    kernels, then a non-finite requested cell ("non_finite").  A failed
+    row's cells are undefined, except that it keeps its gain when it failed
+    after the roots.  Grid values are finite (see ``SweepSpec``).
     """
     params, tau = spec.stack(values)
     dp = derive(params)
     roots = solve_cubic(cubic_coefficients(dp, params.rho))
-    status = first_failure(
-        ("error", ~np.isfinite(values) & (spec.axis != "tau")),
-        ("non_finite", ~np.isfinite(roots).all(axis=-1)),
-    )
+    status = first_failure(("non_finite", ~np.isfinite(roots).all(axis=-1)))
     columns: dict = {}
     if "gain" in spec.outputs:
         columns["gain"] = (gain(roots, dp.gamma_plus), status == "ok")
@@ -275,8 +272,8 @@ def evolve_point(
 
     The sweep's stack kernels on one row, with one cubic solve for the
     covariance and the gain; raises at the first failed check of tau,
-    roots, covariance, atom_number, observables, separability,
-    physicality, oracle step count and non-finite fields.  With
+    roots, covariance, atom_number, observables, separability (whose
+    guards cover physicality), oracle step count and non-finite fields.  With
     ``oracle=True`` the report also carries the maximum absolute
     difference between the closed-form covariance and the independent
     moment-ODE integration.
@@ -292,7 +289,7 @@ def evolve_point(
     gammas, pairs, label, status = _separability_stack(c, epsilon)
     raise_failure(status, "separability tests")
     growth = gain(roots, derive(params).gamma_plus)
-    floor = physicality(quadrature_covariance(c))
+    floor = float(_physicality_floor(c))
     deviation = float(np.abs(c - ode_oracle(params, tau).c).max()) if oracle else 0.0
     numbers = {
         "tau": tau,

@@ -8,6 +8,11 @@ round trip inverts the block construction directly.  The entrywise
 covariance assembles C element by element from the propagator entries, and
 the effective generator rebuilds A from the spectral data.
 
+The separability tests are checked against the 6x6 partial-transpose
+matrices Gamma_j and the 4x4 two-mode matrices S_ij built in the
+quadrature basis, each sent whole to LAPACK, which the package reduces to
+3x3 and 2x2 blocks in the mixed basis.
+
 Further down are the single-state forms the package itself computes only
 inside its array kernels: the eigensystem, the two covariance paths that
 ``covariance`` chooses between per row (the spectral closed form, and Van
@@ -24,6 +29,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from tricarl import (
+    SYMPLECTIC_FORM,
     ModelParams,
     covariance,
     cubic_coefficients,
@@ -154,6 +160,54 @@ def min_eig_hermitian_bisection(h):
         except np.linalg.LinAlgError:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# per row j, the sign flip of the momentum quadrature y_j that the partial
+# transpose of mode j flips
+_FLIP_Y = 1.0 - 2.0 * np.eye(3, 6, 3)
+# rows and columns of Gamma_i kept by S_12, S_13, S_23 (i = 1, 1, 2)
+_PAIR_PARENT = np.array([0, 0, 1])[:, np.newaxis, np.newaxis]
+_PAIR_KEEP = np.array([[0, 1, 3, 4], [0, 2, 3, 5], [1, 2, 4, 5]])
+
+
+def _gammas(v, modes):
+    """Partial-transpose test matrices Gamma_j, j in ``modes``, stacked on
+    the axis before the matrix axes."""
+    flips = _FLIP_Y[np.asarray(modes) - 1]
+    return flips[:, :, np.newaxis] * v[..., np.newaxis, :, :] * flips[:, np.newaxis, :] - (
+        1j * SYMPLECTIC_FORM
+    )
+
+
+def gamma_matrix(v, j):
+    """Partial-transpose test matrix for factoring out mode j (1..3)."""
+    if j not in (1, 2, 3):
+        raise ValueError(f"mode index must be in 1..3, got {j!r}")
+    return _gammas(v, [j])[..., 0, :, :]
+
+
+def _test_matrices(cov):
+    """Gamma_1..3 (..., 3, 6, 6) and S_12, S_13, S_23 (..., 3, 4, 4) of a
+    covariance or a stack of them."""
+    gammas = _gammas(quadrature_covariance(cov), [1, 2, 3])
+    keep = _PAIR_KEEP[:, :, np.newaxis], _PAIR_KEEP[:, np.newaxis, :]
+    return gammas, gammas[..., _PAIR_PARENT, keep[0], keep[1]]
+
+
+def two_mode_matrix(v, i, j):
+    """Separability test matrix of the partial trace over the mode not in
+    (i, j): Gamma_i with the traced-out mode's rows and columns deleted."""
+    if not (i in (1, 2, 3) and j in (1, 2, 3) and i < j):
+        raise ValueError(f"need mode indices 1 <= i < j <= 3, got ({i!r}, {j!r})")
+    keep = _PAIR_KEEP[((1, 2), (1, 3), (2, 3)).index((i, j))]
+    return gamma_matrix(v, i)[np.ix_(keep, keep)]
+
+
+def mixed_basis_bound(c):
+    """How far the package's mixed-basis minimum eigenvalues may lie from
+    those of the whole 6x6 and 4x4 test matrices: 16 eps (1 + 2 max|C|), a
+    few roundings on the scale of the test matrices' entries."""
+    return 16.0 * np.finfo(float).eps * (1.0 + 2.0 * np.abs(c).max())
 
 
 # (row, column, [(sign, left entry, right entry), ...]) for each independent

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from oracles import covariance_van_loan, gains_over_delta
+from oracles import covariance_van_loan, gains_over_delta, gamma_matrix, two_mode_matrix
 from tricarl import (
     DegenerateSpectrum,
     ModelParams,
@@ -31,8 +31,6 @@ from tricarl import (
     quadrature_covariance,
     spectrum,
     steady_state,
-    two_mode_matrix,
-    gamma_matrix,
     variances,
 )
 from tricarl.covariance import _covariance_stack

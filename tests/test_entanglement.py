@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import covariance_from_quadratures, min_eig_hermitian_charpoly
+from oracles import (
+    covariance_from_quadratures,
+    gamma_matrix,
+    min_eig_hermitian_charpoly,
+    two_mode_matrix,
+)
 from tricarl import (
     ModelParams,
     NonFinite,
@@ -11,13 +16,11 @@ from tricarl import (
     asymptotic_eta,
     classify,
     covariance,
-    gamma_matrix,
     min_eigenvalue_hermitian,
     occupations,
     physicality,
     quadrature_covariance,
     separability_report,
-    two_mode_matrix,
 )
 
 IDEAL_SC = ModelParams(rho=100.0, delta=0.0)

@@ -10,18 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import min_eig_hermitian_bisection, min_eig_hermitian_charpoly
+from oracles import (
+    gamma_matrix,
+    min_eig_hermitian_bisection,
+    min_eig_hermitian_charpoly,
+    mixed_basis_bound,
+    two_mode_matrix,
+)
 from tricarl import (
     ModelParams,
     NotHermitian,
     covariance,
-    gamma_matrix,
     min_eigenvalue_hermitian,
+    physicality,
     quadrature_covariance,
     separability_report,
-    two_mode_matrix,
 )
-from tricarl.entanglement import _min_eigenvalues
+from tricarl.entanglement import _min_eigenvalues, _physicality_floor
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
 TOL = 1e-9  # relative to max(1, max|h|)
@@ -107,15 +112,37 @@ def test_charpoly_oracle_decides_on_most_states():
     assert decided >= 0.5 * total
 
 
-@PROPERTY_SETTINGS
-@given(params_and_tau)
-def test_separability_report_equals_per_matrix_values(point):
+def assert_report_matches_the_test_matrices(point):
+    """The report's 3x3 and 2x2 mixed-basis blocks, and the physicality
+    floor from them, agree with the whole 6x6 and 4x4 test matrices to a
+    few roundings, not bit for bit."""
     *values, tau = point
     state = covariance(ModelParams(*values), tau)
     report = separability_report(state)
     gammas, pairs = separability_matrices(point)
-    assert report.min_eig_gamma == tuple(min_eigenvalue_hermitian(h) for h in gammas)
-    assert report.min_eig_s == tuple(min_eigenvalue_hermitian(h) for h in pairs)
+    bound = mixed_basis_bound(state.c)
+    for got, matrices in ((report.min_eig_gamma, gammas), (report.min_eig_s, pairs)):
+        want = [min_eigenvalue_hermitian(h) for h in matrices]
+        assert np.abs(np.subtract(got, want)).max() <= bound
+    floor = float(_physicality_floor(state.c))
+    assert abs(floor - physicality(quadrature_covariance(state))) <= bound
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(params_and_tau)
+def test_separability_report_equals_per_matrix_values(point):
+    assert_report_matches_the_test_matrices(point)
+
+
+# the benchmark's edge ladder: rho=100, no losses, delta* + {0, +-1e-1 ..
+# +-1e-13}, where two cubic roots merge, at tau=5
+DELTA_STAR = 1.8899212590353163
+EDGE_LADDER = [DELTA_STAR] + [DELTA_STAR + s * 10.0**-k for k in range(1, 14) for s in (1, -1)]
+
+
+@pytest.mark.parametrize("delta", EDGE_LADDER)
+def test_separability_report_matches_the_test_matrices_on_the_edge_ladder(delta):
+    assert_report_matches_the_test_matrices((100.0, delta, 0.0, 0.0, 0.0, 5.0))
 
 
 @PROPERTY_SETTINGS

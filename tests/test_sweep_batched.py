@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tricarl.sweep as sweep_module
-from oracles import evaluate_row, spec_point
+from oracles import _test_matrices, evaluate_row, gamma_matrix, spec_point, two_mode_matrix
 from tricarl import (
     OUTPUTS,
     CovarianceState,
@@ -34,17 +34,16 @@ from tricarl import (
     TricarlError,
     covariance,
     cubic_roots,
-    gamma_matrix,
     mode_observables,
     run_sweep,
     separability_report,
-    two_mode_matrix,
 )
 from tricarl.covariance import HERMITIZE_TOL, _hermitian_guards, _hermitian_part
 from tricarl.entanglement import (
     HERMITICITY_TOL,
     SYMPLECTIC_FORM,
     _separability_stack,
+    _test_defects,
     quadrature_covariance,
 )
 from tricarl.errors import NonFinite, NotHermitian, first_failure
@@ -322,13 +321,19 @@ def test_long_grid_is_evaluated_in_chunks(monkeypatch):
     assert [row["tau"] for row in chunked] == spec.grid().tolist()
 
 
+# C_33 sets the scale of the Gamma_j test matrices, far above the scale of
+# the (1, 2) block that S_12 is measured on
+SPREAD = np.diag([0.6, 0.7, 1e4]).astype(complex)
+SPREAD[0, 1], SPREAD[1, 0] = 0.05 + 0.02j, 0.05 - 0.02j
+
+
 def corrupted_covariances():
     """Covariances that trip each guard of the observables and separability
     tests, next to a valid evolved state, with the status each kernel must
     give them: the first guard they fail."""
     good = covariance(ModelParams(100.0, 3.5, 0.5, 0.5, 0.5), 2.0).c
     vacuum = 0.5 * np.eye(3, dtype=complex)
-    cases = [(good, "ok", "ok"), (vacuum, "ok", "ok")]
+    cases = [(good, "ok", "ok"), (vacuum, "ok", "ok"), (SPREAD, "ok", "ok")]
     for base, entry, shift, observables_status, separability_status in (
         # below the vacuum floor
         (vacuum, (0, 0), -1e-5, "negative_occupation", "ok"),
@@ -347,6 +352,8 @@ def corrupted_covariances():
         # no observables guard reads C_23 or a NaN C_11
         (good, (1, 2), np.inf, "ok", "non_finite"),
         (good, (0, 0), np.nan, "ok", "non_finite"),
+        # a defect above tolerance on S_12's own scale, below it on Gamma's
+        (SPREAD, (0, 1), 1e-5, "ok", "not_hermitian"),
     ):
         c = base.copy()
         c[entry] += shift
@@ -373,6 +380,18 @@ def test_batched_guards_flag_what_the_single_state_path_rejects():
         # the one-state functions raise the error class of that status
         assert [raised_code(mode_observables, c, 1e6) for c, _, _ in cases] == obs_status.tolist()
         assert [raised_code(separability_report, c) for c, _, _ in cases] == sep_status.tolist()
+
+
+def test_a_failing_pair_reads_zero_alone():
+    # a defect of 1e-5 on C_12 is 1e-9 of the Gamma_j scale 2 C_33 but 1e-5
+    # of S_12's: only S_12 reads 0, and the state reports not_hermitian
+    c = SPREAD.copy()
+    c[0, 1] += 1e-5
+    gammas, pairs, _, status = _separability_stack(c, 1e-9)
+    assert status == "not_hermitian"
+    assert gammas == pytest.approx([0.15302381, 0.15302381, 0.19473894], abs=1e-8)
+    assert pairs == pytest.approx([0.0, 0.2, 0.4], abs=1e-10)
+    assert pairs[0] == 0.0
 
 
 # valid covariances to corrupt: vacuum, lossy evolved states, and a lossless
@@ -504,6 +523,19 @@ def test_guard_order_over_random_corruptions(cs):
             with mock.patch.object(sweep_module, "_covariance_stack", return_value=(c, "ok")):
                 got = raised_code(sweep_module.evolve_point, FIG5, 1.0)
             assert got == first_code(p["observables"] + p["separability"] + p["physicality"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(random_corruptions(), min_size=1, max_size=4))
+def test_guard_defects_equal_those_of_the_test_matrices(cs):
+    # the defects measured on C alone are those of the 6x6 and 4x4 matrices
+    stack = np.array(cs)
+    with np.errstate(all="ignore"):
+        gammas, pairs = (_hermitian_part(m)[1] for m in _test_matrices(stack))
+        gamma_defect, pair_defect = _test_defects(stack)
+    gamma_defect = np.broadcast_to(gamma_defect[:, np.newaxis], gammas.shape)
+    np.testing.assert_array_equal(gamma_defect, gammas)
+    np.testing.assert_array_equal(pair_defect, pairs)
 
 
 def test_point_report_failure_order():

@@ -12,7 +12,7 @@ import pytest
 
 import tricarl
 import tricarl.sweep as sweep_module
-from oracles import point_report
+from oracles import mixed_basis_bound, point_report
 from tricarl import (
     InvalidSpec,
     ModelParams,
@@ -76,6 +76,15 @@ def test_invalid_specs():
     ):
         with pytest.raises(InvalidSpec, match=field):
             make_spec(**{"axis": "delta", "start": 0.0, "stop": 1.0, "tau": 1.0, field: value})
+    for axis, start, stop in (
+        ("delta", 0.0, math.inf),
+        ("delta", -math.inf, 0.0),
+        ("delta", math.nan, 1.0),
+        ("tau", 0.0, math.inf),
+        ("kappa", 0.0, math.nan),
+    ):
+        with pytest.raises(InvalidSpec, match="need finite start < stop"):
+            make_spec(axis=axis, start=start, stop=stop, tau=None if axis == "tau" else 1.0)
 
 
 def test_gain_only_sweep_needs_no_tau():
@@ -227,7 +236,17 @@ REPORT_POINTS = (
 @pytest.mark.parametrize("oracle", [False, True])
 @pytest.mark.parametrize("params, tau", REPORT_POINTS)
 def test_point_report_equals_the_one_state_composition(params, tau, oracle):
-    assert evolve_point(params, tau, oracle=oracle) == point_report(params, tau, oracle=oracle)
+    # the composed report takes physicality from the whole 6x6 V - iJ, the
+    # point report from its 3x3 mixed-basis blocks: the separability and
+    # physicality values agree to a few roundings, every other field exactly
+    report = evolve_point(params, tau, oracle=oracle)
+    reference = point_report(params, tau, oracle=oracle)
+    bound = mixed_basis_bound(covariance(params, tau).c)
+    for name in ("min_eig_gamma", "min_eig_s"):
+        got, want = report["separability"].pop(name), reference["separability"].pop(name)
+        assert np.abs(np.subtract(got, want)).max() <= bound, name
+    assert abs(report.pop("physicality") - reference.pop("physicality")) <= bound
+    assert report == reference
 
 
 def test_point_report_names_the_non_finite_fields(monkeypatch):
@@ -250,7 +269,7 @@ def test_point_report_names_the_non_finite_fields(monkeypatch):
     monkeypatch.undo()
     # every other number of the report is checked too
     monkeypatch.setattr(sweep_module, "gain", lambda roots, gamma_plus: math.inf)
-    monkeypatch.setattr(sweep_module, "physicality", lambda v: math.nan)
+    monkeypatch.setattr(sweep_module, "_physicality_floor", lambda c: math.nan)
     nan_state = SimpleNamespace(c=np.full((3, 3), np.nan))
     monkeypatch.setattr(sweep_module, "ode_oracle", lambda params, tau: nan_state)
     with np.errstate(invalid="ignore"):
@@ -515,6 +534,20 @@ SWEEP_FLAGS = (
         (("--rho", "100", "--tau", "1", "--atoms", "nan"), "atom_number must be finite"),
         (("--rho", "100", "--tau", "1", "--atoms", "inf"), "atom_number must be finite"),
         (("--rho", "100", "--tau", "nan"), "tau must be >= 0, got nan"),
+        (
+            ("--rho", "100", "--tau", "1", "--sweep", "delta:0:inf:3", "--outputs", "n1,gain",
+             "--format", "json"),
+            "need finite start < stop, got start=0.0 stop=inf",
+        ),
+        (
+            ("--rho", "100", "--tau", "1", "--sweep", "delta:0:inf:3", "--outputs", "n1,gain"),
+            "need finite start < stop",
+        ),
+        (
+            ("--rho", "100", "--tau", "1", "--sweep", "delta:-inf:0:3", "--outputs", "n1"),
+            "need finite start < stop",
+        ),
+        (("--rho", "100", "--sweep", "tau:0:inf:3", "--outputs", "n1"), "need finite start < stop"),
     ],
 )
 def test_cli_rejects_non_finite_and_negative_numbers(capsys, argv, message):
@@ -549,6 +582,30 @@ def test_cli_tiny_rho_sweep_rows_are_non_finite(capsys):
     rows = json.loads(out)["rows"]
     assert [row["status"] for row in rows] == ["non_finite"] * 3
     assert all(row["gain"] is None and row["n1"] is None for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_sweep_rows_beyond_the_block_exponential_are_non_finite(capsys, fmt):
+    # |A|_1 tau ~ 1e308 leaves no representable step tau / 2^k for Van
+    # Loan's block exponential; the grid's span overflows a float too
+    code, out, err = run_cli(
+        capsys, "--rho", "100", "--tau", "1", "--sweep", "delta:-1e308:1e308:3",
+        "--outputs", "n1", "--format", fmt,
+    )
+    assert code == 0 and err == ""
+    if fmt == "json":
+        rows = json.loads(out)["rows"]
+    else:
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [row["status"] for row in rows] == ["non_finite", "ok", "non_finite"]
+    assert [float(row["delta"]) for row in rows] == [-1e308, 0.0, 1e308]
+
+
+def test_cli_point_beyond_the_block_exponential_is_non_finite(capsys):
+    code, out, err = run_cli(capsys, "--rho", "100", "--delta", "1e308", "--tau", "1")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["code"] == "non_finite"
 
 
 def test_cli_sidecar_versions_and_status_counts(capsys, tmp_path):
