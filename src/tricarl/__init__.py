@@ -23,13 +23,9 @@ from .dynamics import (
     unstable_root,
 )
 from .entanglement import (
-    SYMPLECTIC_FORM,
     SeparabilityReport,
     asymptotic_eta,
-    classify,
-    min_eigenvalue_hermitian,
     physicality,
-    quadrature_covariance,
     separability_report,
 )
 from .errors import (
@@ -41,18 +37,11 @@ from .errors import (
     NotStable,
     RegimeMismatch,
     TricarlError,
-    UndefinedCorrelation,
 )
 from .model import DerivedParams, LabParams, ModelParams, carl_parameter, derive, from_lab
 from .observables import (
     ModeObservables,
-    bunching,
-    g2_auto,
-    g2_cross,
     mode_observables,
-    number_squeezing,
-    occupations,
-    variances,
 )
 from .regimes import (
     SaturationEstimates,
@@ -93,17 +82,13 @@ __all__ = [
     "NotStable",
     "OUTPUTS",
     "RegimeMismatch",
-    "SYMPLECTIC_FORM",
     "SaturationEstimates",
     "SeparabilityReport",
     "Spectrum",
     "SweepSpec",
     "TricarlError",
-    "UndefinedCorrelation",
     "asymptotic_eta",
-    "bunching",
     "carl_parameter",
-    "classify",
     "classify_regime",
     "covariance",
     "cubic_coefficients",
@@ -114,19 +99,13 @@ __all__ = [
     "evolve_point",
     "figure_preset",
     "from_lab",
-    "g2_auto",
-    "g2_cross",
     "gain",
     "lossless_highgain_populations",
-    "min_eigenvalue_hermitian",
     "mode_observables",
-    "number_squeezing",
-    "occupations",
     "ode_oracle",
     "physicality",
     "q_closed_form",
     "q_quadrature",
-    "quadrature_covariance",
     "run_preset",
     "run_sweep",
     "saturation_estimates",
@@ -138,5 +117,4 @@ __all__ = [
     "steady_state",
     "superradiant_roots",
     "unstable_root",
-    "variances",
 ]

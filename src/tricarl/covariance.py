@@ -222,7 +222,7 @@ def covariance(params: ModelParams, tau: float) -> CovarianceState:
     roots are closer than ``degeneracy_threshold``.  Raises the error of
     the first guard of NoiseMatrix, then of CovarianceState, that it fails.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
     stack = ParamStack(params.rho, params.delta, params.gamma1, params.gamma2, params.kappa)
     c, status = _covariance_stack(stack, cubic_roots(params), tau, True)
@@ -266,7 +266,9 @@ def ode_oracle(
     """
     if not math.isfinite(tau) or tau < 0:
         raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
-    if steps is not None and not (isinstance(steps, (int, np.integer)) and steps > 0):
+    if steps is not None and not (
+        isinstance(steps, (int, np.integer)) and not isinstance(steps, bool) and steps > 0
+    ):
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     if tau == 0:
         return CovarianceState(tau=0.0, c=VACUUM.copy())

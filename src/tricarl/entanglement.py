@@ -32,12 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceState, _dagger, _hermitian_guards, _hermitian_part
+from .covariance import CovarianceState, _dagger, _hermitian_guards
 from .errors import RegimeMismatch, first_failure, raise_failure
 from .model import ModelParams
 
-# sign flip of x1, undoing the conjugation of mode 1
-_FLIP_X1 = np.array([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 # Sigma of the blocks 2H +- Sigma of Gamma_1, Gamma_2, Gamma_3 and V - iJ, and
 # the shifts diag(Sigma), then diag(-Sigma), of the Gamma_j and V - iJ blocks
 _SIGMA = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
@@ -50,7 +48,6 @@ _PAIRS = np.array([[0, 1], [0, 2], [1, 2]])
 _BLOCK_ROWS, _BLOCK_COLS = _PAIRS[:, [0, 0, 1, 1]], _PAIRS[:, [0, 1, 0, 1]]
 _PAIR_MEAN_SHIFT, _PAIR_SPLIT = np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
 
-SYMPLECTIC_FORM = np.block([[np.zeros((3, 3)), -np.eye(3)], [np.eye(3), np.zeros((3, 3))]])
 # Hermitian defect, relative to max(1, max|entry|), a test matrix may carry
 HERMITICITY_TOL = 1e-8
 
@@ -66,36 +63,6 @@ _CLASS_LABELS = np.array(
     ],
     dtype=object,
 )
-
-
-def quadrature_covariance(cov: CovarianceState | np.ndarray) -> np.ndarray:
-    """Real 6x6 quadrature covariance V built from the complex covariance
-    (one per covariance of a stack)."""
-    c = cov.c if isinstance(cov, CovarianceState) else np.asarray(cov, dtype=complex)
-    re, im = c.real, c.imag
-    block = np.concatenate([np.concatenate([re, -im], -1), np.concatenate([im, re], -1)], -2)
-    return 2.0 * block * _FLIP_X1[:, np.newaxis] * _FLIP_X1
-
-
-def _min_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each Hermitian matrix in a (..., n, n) stack,
-    from one batched LAPACK ``eigvalsh`` call.  Raises NonFinite for inf or
-    NaN entries and NotHermitian if any matrix has a Hermitian defect above
-    ``HERMITICITY_TOL * max(1, max|h|)``."""
-    hermitian, defect = _hermitian_part(stack)
-    raise_failure(first_failure(*_hermitian_guards(defect.max(), HERMITICITY_TOL)), "test matrix")
-    return np.linalg.eigvalsh(hermitian)[..., 0]
-
-
-def min_eigenvalue_hermitian(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(_min_eigenvalues(h))
-
-
-def physicality(v: np.ndarray) -> float:
-    """Minimum eigenvalue of V - iJ; >= 0 (to rounding) for physical
-    states, exactly 0 at vacuum."""
-    return min_eigenvalue_hermitian(v - 1j * SYMPLECTIC_FORM)
 
 
 def _block_minima(h2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -122,14 +89,24 @@ def _physicality_floor(c: np.ndarray) -> np.ndarray:
     return _block_minima(c + _dagger(c), _PHYSICAL_SHIFTS)[..., 0]
 
 
+def physicality(cov: CovarianceState | np.ndarray) -> float:
+    """Minimum eigenvalue of V - iJ; >= 0 (to rounding) for physical
+    states, exactly 0 at vacuum.  Raises the error of the first Gamma_j
+    guard of ``separability_report`` that the covariance fails."""
+    c = cov.c if isinstance(cov, CovarianceState) else np.asarray(cov, dtype=complex)
+    guards = _hermitian_guards(_test_defects(c)[0], HERMITICITY_TOL)
+    raise_failure(first_failure(*guards), "physicality test")
+    return float(_physicality_floor(c))
+
+
 def _test_defects(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian defects (see ``_hermitian_part``) of the Gamma_j (..., all
     three alike) and S_12, S_13, S_23 (..., 3) test matrices, from C alone:
     max(|Re D|, |Im D|), D = 2C - (2C)^dag, over the largest |Re 2C_kl|,
     |Im 2C_kl| (k != l) and |Im 2C_kk + i|, for k, l in all modes or the
     pair's own.  A non-finite entry makes that largest size inf or NaN."""
-    c2 = 2.0 * c
     with np.errstate(over="ignore", invalid="ignore"):
+        c2 = 2.0 * c
         d = c2 - _dagger(c2)
         excess = np.maximum(np.abs(d.real), np.abs(d.imag))[..., _BLOCK_ROWS, _BLOCK_COLS]
         size = np.maximum(np.abs(c2.real), np.abs(c2.imag + 1j * np.eye(3)))
@@ -141,28 +118,17 @@ def _test_defects(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _classes(gamma_min_eigs: np.ndarray, epsilon: float):
     """Class label of each set of three Gamma minimum eigenvalues on the last
     axis, and the guard against non-finite ones (see ``first_failure``).
-    Raises ValueError for an ``epsilon`` that is not finite and >= 0."""
+    Raises ValueError for an ``epsilon`` that is not finite and >= 0.
+
+    Mode j counts as factorizable unless its minimum is below -epsilon.
+    None factorizable: fully inseparable; one: that mode is biseparable (the
+    label carries its index); two: two-mode biseparable; all three:
+    biseparable or separable, which the Gamma tests cannot tell apart.
+    """
     if not 0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     labels = _CLASS_LABELS[(gamma_min_eigs >= -epsilon) @ np.array([1, 2, 4])]
     return labels, ("non_finite", ~np.isfinite(gamma_min_eigs).all(axis=-1))
-
-
-def classify(gamma_min_eigs: np.ndarray, epsilon: float = 1e-9) -> str:
-    """Separability class label from the three Gamma_j minimum eigenvalues.
-
-    "negative" means < -epsilon; mode j counts as factorizable otherwise.
-    All negative: fully inseparable.  One factorizable: that mode is
-    biseparable (label carries its index).  Two: two-mode biseparable.
-    All three: biseparable or separable (the Gamma tests cannot tell the
-    two apart).
-    """
-    eigs = np.asarray(gamma_min_eigs, dtype=float)
-    if eigs.shape != (3,):
-        raise ValueError("expected three minimum eigenvalues")
-    label, finite = _classes(eigs, epsilon)
-    raise_failure(first_failure(finite), "minimum eigenvalues")
-    return label
 
 
 @dataclass(frozen=True)

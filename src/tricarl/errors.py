@@ -36,13 +36,6 @@ class NegativeOccupation(TricarlError):
     code = "negative_occupation"
 
 
-class UndefinedCorrelation(TricarlError):
-    """A normalized correlation was requested for a mode with (numerically)
-    zero occupation."""
-
-    code = "undefined_correlation"
-
-
 class NotHermitian(TricarlError):
     """A matrix expected to be Hermitian was not, beyond tolerance."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceState
-from .errors import UndefinedCorrelation, first_failure, raise_failure
+from .errors import first_failure, raise_failure
 
 # occupations below this are treated as numerically zero in 0/0 ratios
 ZERO_OCCUPATION = 1e-12
@@ -127,57 +127,4 @@ def _defined_cells(fields: dict, sequence) -> dict:
         else sequence(v if d else None for v, d in zip(value.tolist(), np.broadcast_to(defined, 3)))
         for name, (value, defined) in fields.items()
     }
-
-
-def occupations(cov: CovarianceState | np.ndarray) -> np.ndarray:
-    """Mean occupations <n_i> = C_ii - 1/2 of the three modes.
-
-    Small negative values (rounding below the vacuum floor) are clamped to
-    zero; values below -1e-6 raise NegativeOccupation.
-    """
-    return np.array(mode_observables(cov).n)
-
-
-def variances(cov: CovarianceState | np.ndarray) -> np.ndarray:
-    """Number variances sigma^2(n_i) = <n_i^2> - <n_i>^2 with
-    <n_i^2> = G_iiii - <n_i> - 1/2, which the Gaussian factorization
-    reduces to the thermal n(n + 1)."""
-    return np.array(mode_observables(cov).var_n)
-
-
-def g2_auto(cov: CovarianceState | np.ndarray, i: int) -> float:
-    """Normalized autocorrelation <a+ a+ a a>/<n>^2 of mode i, evaluated in
-    the factored form 2 (C_ii - 1/2)^2 / <n>^2 to avoid cancellation at
-    small occupation."""
-    value = mode_observables(cov).g2_auto[i - 1]
-    if value is None:
-        raise UndefinedCorrelation(f"mode {i} occupation is zero")
-    return value
-
-
-def _pair_index(i: int, j: int) -> int:
-    if i == j:
-        raise ValueError("use g2_auto for equal modes")
-    return CROSS_PAIRS.index((min(i, j), max(i, j)))
-
-
-def g2_cross(cov: CovarianceState | np.ndarray, i: int, j: int) -> float:
-    """Cross correlation <n_i n_j>/(<n_i><n_j>) = 1 + |C_ij|^2/(<n_i><n_j>)."""
-    value = mode_observables(cov).g2_cross[_pair_index(i, j)]
-    if value is None:
-        raise UndefinedCorrelation(f"mode {i} or {j} occupation is zero")
-    return value
-
-
-def number_squeezing(cov: CovarianceState | np.ndarray, i: int, j: int) -> float | None:
-    """Two-mode number squeezing xi_{i,j} = [var_i + var_j - 2 |C_ij|^2] /
-    (n_i + n_j) of the evolved state; values below 1 mean
-    occupation-difference fluctuations beat independent coherent beams.
-    None at vacuum."""
-    return mode_observables(cov).xi[_pair_index(i, j)]
-
-
-def bunching(cov: CovarianceState | np.ndarray, atom_number: float) -> float:
-    """Density-grating contrast <B+ B> = (C11 + C22 + C12 + C21)/N."""
-    return mode_observables(cov, atom_number).bunching
 

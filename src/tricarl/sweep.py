@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# covariance, mode_observables, physicality, separability_report: for the bench tracer
+# covariance, mode_observables, physicality and separability_report, the one-state
+# facade over the kernels used here, are imported only for the benchmark tracer to hook
 from .covariance import _covariance_stack, covariance, ode_oracle
 from .dynamics import cubic_coefficients, cubic_roots, gain, solve_cubic
 from .entanglement import _physicality_floor, _separability_stack, physicality, separability_report
@@ -92,6 +93,8 @@ class SweepSpec:
             raise InvalidSpec(
                 f"need finite start < stop, got start={self.start!r} stop={self.stop!r}"
             )
+        if isinstance(self.points, bool) or not isinstance(self.points, (int, np.integer)):
+            raise InvalidSpec(f"points must be an integer, got {self.points!r}")
         if not 2 <= self.points <= MAX_POINTS:
             raise InvalidSpec(f"points must be in [2, {MAX_POINTS}], got {self.points!r}")
         if not self.outputs:
@@ -150,7 +153,7 @@ class SweepSpec:
             axis=record["axis"],
             start=float(record["start"]),
             stop=float(record["stop"]),
-            points=int(record["points"]),
+            points=record["points"],
             fixed=ModelParams.from_dict(record["fixed"]),
             outputs=tuple(record["outputs"]),
             tau=None if record.get("tau") is None else float(record["tau"]),

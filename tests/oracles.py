@@ -2,16 +2,19 @@
 
 These deliberately avoid the code paths they check: the matrix exponential
 is a plain scaling-and-squaring Taylor series (no spectral decomposition),
-the Hermitian eigenvalue oracle goes through characteristic-polynomial
-coefficients obtained from power-sum traces, and the quadrature-covariance
-round trip inverts the block construction directly.  The entrywise
-covariance assembles C element by element from the propagator entries, and
-the effective generator rebuilds A from the spectral data.
+the Hermitian eigenvalue oracles go through characteristic-polynomial
+coefficients obtained from power-sum traces or bisection on Cholesky
+factorizations, and the quadrature-covariance round trip inverts the block
+construction directly.  The entrywise covariance assembles C element by
+element from the propagator entries, and the effective generator rebuilds A
+from the spectral data.
 
-The separability tests are checked against the 6x6 partial-transpose
-matrices Gamma_j and the 4x4 two-mode matrices S_ij built in the
-quadrature basis, each sent whole to LAPACK, which the package reduces to
-3x3 and 2x2 blocks in the mixed basis.
+The separability and physicality tests are checked against the quadrature
+basis (Simon, PRL 84, 2726 (2000)): the real 6x6 covariance V, the
+symplectic form J, and from them V - iJ, the 6x6 partial-transpose matrices
+Gamma_j and the 4x4 two-mode matrices S_ij, each sent whole to LAPACK by
+``min_eig``, where the package reduces them to 3x3 and 2x2 blocks in the
+mixed basis.
 
 Further down are the single-state forms the package itself computes only
 inside its array kernels: the eigensystem, the two covariance paths that
@@ -29,7 +32,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from tricarl import (
-    SYMPLECTIC_FORM,
     ModelParams,
     covariance,
     cubic_coefficients,
@@ -39,8 +41,6 @@ from tricarl import (
     gain,
     mode_observables,
     ode_oracle,
-    physicality,
-    quadrature_covariance,
     separability_report,
     solve_cubic,
     spectrum,
@@ -58,7 +58,8 @@ from tricarl.dynamics import (
     _spectral_stack,
     propagator_coefficients,
 )
-from tricarl.errors import NonFinite, TricarlError
+from tricarl.entanglement import HERMITICITY_TOL
+from tricarl.errors import NonFinite, NotHermitian, TricarlError
 from tricarl.model import ParamStack
 from tricarl.observables import ZERO_OCCUPATION
 from tricarl.sweep import _ENTANGLEMENT_OUTPUTS
@@ -109,6 +110,44 @@ def eigenvalues_charpoly(h):
 def min_eig_hermitian_charpoly(h):
     """Minimum eigenvalue of a Hermitian matrix via the char-poly roots."""
     return float(np.min(eigenvalues_charpoly(h).real))
+
+
+# sign flip of x1, undoing the conjugation of mode 1
+_FLIP_X1 = np.array([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+SYMPLECTIC_FORM = np.block([[np.zeros((3, 3)), -np.eye(3)], [np.eye(3), np.zeros((3, 3))]])
+
+
+def quadrature_covariance(cov):
+    """Real 6x6 quadrature covariance V = 2 L0 [[Re C, -Im C], [Im C, Re C]] L0
+    in the ordering (x1, x2, x3, y1, y2, y3), L0 = diag(-1, 1, 1, 1, 1, 1),
+    of a covariance (one per covariance of a stack)."""
+    c = cov.c if isinstance(cov, CovarianceState) else np.asarray(cov, dtype=complex)
+    re, im = c.real, c.imag
+    block = np.concatenate([np.concatenate([re, -im], -1), np.concatenate([im, re], -1)], -2)
+    return 2.0 * block * _FLIP_X1[:, np.newaxis] * _FLIP_X1
+
+
+def min_eig(h):
+    """Smallest eigenvalue of a Hermitian matrix, or of each of a (..., n, n)
+    stack, from LAPACK ``eigvalsh`` on the Hermitian part (h + h^dag)/2.
+
+    Raises NonFinite for inf or NaN entries and NotHermitian where
+    max|h - h^dag| exceeds HERMITICITY_TOL * max(1, max|h|), the checks the
+    package applies to its test matrices.
+    """
+    h = np.asarray(h, dtype=complex)
+    if not np.isfinite(h).all():
+        raise NonFinite("test matrix has non-finite entries")
+    h_dag = h.conj().swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    if (np.abs(h - h_dag).max(axis=(-2, -1)) > HERMITICITY_TOL * scale).any():
+        raise NotHermitian("test matrix is not Hermitian")
+    return np.linalg.eigvalsh(0.5 * (h + h_dag))[..., 0]
+
+
+def physicality_6x6(cov):
+    """Minimum eigenvalue of the whole 6x6 V - iJ of a covariance."""
+    return float(min_eig(quadrature_covariance(cov) - 1j * SYMPLECTIC_FORM))
 
 
 def covariance_from_quadratures(v):
@@ -399,7 +438,8 @@ def evaluate_row(spec, value):
 def point_report(params, tau, atom_number=1e6, epsilon=1e-9, oracle=False):
     """The single-point report of ``evolve_point`` composed from the raising
     one-state functions (``covariance``, ``mode_observables``,
-    ``separability_report``), with the cubic solved again for the gain."""
+    ``separability_report``), with the cubic solved again for the gain and
+    physicality from the whole 6x6 V - iJ."""
     state = covariance(params, tau)
     obs = mode_observables(state, atom_number)
     report = separability_report(state, epsilon)
@@ -427,7 +467,7 @@ def point_report(params, tau, atom_number=1e6, epsilon=1e-9, oracle=False):
             "class": report.class_label,
             "epsilon": report.epsilon,
         },
-        "physicality": physicality(quadrature_covariance(state)),
+        "physicality": physicality_6x6(state),
     }
     if oracle:
         reference = ode_oracle(params, tau)

@@ -14,7 +14,16 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from oracles import covariance_van_loan, gains_over_delta, gamma_matrix, two_mode_matrix
+from oracles import (
+    covariance_van_loan,
+    gains_over_delta,
+    gamma_matrix,
+    min_eig,
+    mixed_basis_bound,
+    physicality_6x6,
+    quadrature_covariance,
+    two_mode_matrix,
+)
 from tricarl import (
     DegenerateSpectrum,
     ModelParams,
@@ -22,16 +31,11 @@ from tricarl import (
     cubic_roots,
     derive,
     gain,
-    g2_auto,
-    min_eigenvalue_hermitian,
-    number_squeezing,
-    occupations,
+    mode_observables,
     ode_oracle,
     physicality,
-    quadrature_covariance,
     spectrum,
     steady_state,
-    variances,
 )
 from tricarl.covariance import _covariance_stack
 from tricarl.dynamics import _propagator_matrix
@@ -68,7 +72,7 @@ def random_parameter_points(count, seed, tau_lo=0.3, tau_hi=5.0, rates=3.0):
         )
         tau = rng.uniform(tau_lo, tau_hi)
         state = covariance(params, tau)
-        n = occupations(state)
+        n = np.array(mode_observables(state).n)
         if n.min() > 1e-6 and n.max() < 1e5:
             points.append((params, tau, state))
     return points
@@ -125,7 +129,7 @@ def near_degenerate_state():
 def test_criterion_1_steady_state_squeezing():
     started = time.perf_counter()
     g = gain(cubic_roots(FIG5), derive(FIG5).gamma_plus)
-    xi = number_squeezing(steady_state_fig5(), 1, 2)
+    xi = mode_observables(steady_state_fig5()).xi[0]
     elapsed = time.perf_counter() - started
     gain_ok = abs(g - (-0.5)) <= 1e-6
     xi_ok = abs(xi - 0.7) <= 0.05
@@ -145,11 +149,11 @@ def test_criterion_2_thermal_statistics():
     worst_var = 0.0
     worst_g2 = 0.0
     for params, tau, state in thermal_points():
-        n = occupations(state)
-        var = variances(state)
+        obs = mode_observables(state)
+        n, var = np.array(obs.n), np.array(obs.var_n)
         worst_var = max(worst_var, float(np.max(np.abs(var - n * (n + 1)) / (1 + n) ** 2)))
-        for i in (1, 2, 3):
-            worst_g2 = max(worst_g2, abs(g2_auto(state, i) - 2.0))
+        for g2 in obs.g2_auto:
+            worst_g2 = max(worst_g2, abs(g2 - 2.0))
     passed = worst_var < 1e-8 and worst_g2 < 1e-8
     report(
         2,
@@ -186,7 +190,7 @@ def test_criterion_3_propagator_identities():
     # balanced-loss population identity n1 = n2 + n3
     worst_const = 0.0
     for state in balanced_loss_states():
-        n = occupations(state)
+        n = np.array(mode_observables(state).n)
         worst_const = max(worst_const, abs(n[0] - n[1] - n[2]) / max(n[0], 1e-30))
 
     # population rate rescaling d<n>/dtau = exp(-2 gamma tau) d<n0>/dtau,
@@ -196,12 +200,12 @@ def test_criterion_3_propagator_identities():
     worst_damped = 0.0
     for tau in (0.5, 1.5, 3.0):
         damped = (
-            occupations(covariance(FIG5, tau + step))
-            - occupations(covariance(FIG5, tau - step))
+            np.array(mode_observables(covariance(FIG5, tau + step)).n)
+            - np.array(mode_observables(covariance(FIG5, tau - step)).n)
         ) / (2 * step)
         ideal = (
-            occupations(covariance(lossless, tau + step))
-            - occupations(covariance(lossless, tau - step))
+            np.array(mode_observables(covariance(lossless, tau + step)).n)
+            - np.array(mode_observables(covariance(lossless, tau - step)).n)
         ) / (2 * step)
         expected = math.exp(-2 * 0.5 * tau) * ideal
         worst_damped = max(
@@ -271,19 +275,19 @@ def test_criterion_5_ideal_entanglement():
     for params in (IDEAL_SC, IDEAL_Q):
         for tau in np.linspace(0.25, 5.0, 20):
             v = quadrature_covariance(covariance(params, tau))
-            gammas = [min_eigenvalue_hermitian(gamma_matrix(v, j)) for j in (1, 2, 3)]
-            s12 = min_eigenvalue_hermitian(two_mode_matrix(v, 1, 2))
-            s13 = min_eigenvalue_hermitian(two_mode_matrix(v, 1, 3))
-            s23 = min_eigenvalue_hermitian(two_mode_matrix(v, 2, 3))
+            gammas = [min_eig(gamma_matrix(v, j)) for j in (1, 2, 3)]
+            s12 = min_eig(two_mode_matrix(v, 1, 2))
+            s13 = min_eig(two_mode_matrix(v, 1, 3))
+            s23 = min_eig(two_mode_matrix(v, 2, 3))
             sign_ok = sign_ok and all(g < 0 for g in gammas) and s12 < 0 and s13 < 0 and s23 > 0
 
     v6 = quadrature_covariance(covariance(IDEAL_SC, 6.0))
-    eta12 = min_eigenvalue_hermitian(two_mode_matrix(v6, 1, 2))
+    eta12 = min_eig(two_mode_matrix(v6, 1, 2))
     eta12_target = -100.0 / 101.0
     eta12_ok = abs(eta12 - eta12_target) <= 0.01 * abs(eta12_target)
 
     v20 = quadrature_covariance(covariance(IDEAL_Q, 20.0))
-    eta13 = min_eigenvalue_hermitian(two_mode_matrix(v20, 1, 3))
+    eta13 = min_eig(two_mode_matrix(v20, 1, 3))
     eta13_target = -16.0 / 16.008
     eta13_ok = abs(eta13 - eta13_target) <= 0.02 * abs(eta13_target)
 
@@ -328,11 +332,11 @@ def test_criterion_6_gain_curve_properties():
 
 def test_criterion_7_superradiant_asymptotics():
     sc20, sc30, q200, q300 = superradiant_states()
-    n20, n30 = occupations(sc20), occupations(sc30)
+    n20, n30 = np.array(mode_observables(sc20).n), np.array(mode_observables(sc30).n)
     slope_sc = math.log(n30[0] / n20[0]) / 10.0
     slope_sc_ok = abs(slope_sc - 0.2) <= 0.1 * 0.2
 
-    m200, m300 = occupations(q200), occupations(q300)
+    m200, m300 = np.array(mode_observables(q200).n), np.array(mode_observables(q300).n)
     slope_q = math.log(m300[0] / m200[0]) / 100.0
     slope_q_ok = abs(slope_q - 0.02) <= 0.1 * 0.02
 
@@ -356,7 +360,7 @@ def test_criterion_7_superradiant_asymptotics():
 
 
 def test_criterion_8_physicality():
-    vacuum_margin = physicality(quadrature_covariance(0.5 * np.eye(3, dtype=complex)))
+    vacuum_margin = physicality(0.5 * np.eye(3, dtype=complex))
     vacuum_ok = abs(vacuum_margin) <= 1e-10
 
     states = [steady_state_fig5()]
@@ -366,15 +370,22 @@ def test_criterion_8_physicality():
     states += list(ideal_states())
     states += list(superradiant_states())
     states.append(near_degenerate_state())
-    worst = min(physicality(quadrature_covariance(state)) for state in states)
+    floors = [physicality(state) for state in states]
+    worst = min(floors)
+    # the 3x3 mixed-basis blocks against the whole 6x6 V - iJ
+    agree = all(
+        abs(floor - physicality_6x6(state)) <= mixed_basis_bound(state.c)
+        for floor, state in zip(floors, states)
+    )
 
-    passed = vacuum_ok and worst >= -1e-8
+    passed = vacuum_ok and worst >= -1e-8 and agree
     report(
         8,
         f"{len(states)} states from criteria 1-7: min eig(V - iJ) = "
         f"{worst:.2e} (floor -1e-8); vacuum margin = {vacuum_margin:.1e} "
-        f"(|.| <= 1e-10)",
+        f"(|.| <= 1e-10); 6x6 reference {'matched' if agree else 'missed'}",
         passed,
     )
     assert vacuum_ok
     assert worst >= -1e-8
+    assert agree

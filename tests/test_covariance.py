@@ -10,6 +10,8 @@ from oracles import (
     covariance_entrywise,
     covariance_van_loan,
     expm_taylor,
+    mixed_basis_bound,
+    physicality_6x6,
     rk4_lyapunov,
 )
 from tricarl import (
@@ -20,12 +22,11 @@ from tricarl import (
     covariance,
     diffusion_matrix,
     drift_generator,
-    occupations,
+    mode_observables,
     ode_oracle,
     physicality,
     q_closed_form,
     q_quadrature,
-    quadrature_covariance,
     spectrum,
     steady_state,
 )
@@ -180,9 +181,9 @@ def test_balanced_loss_population_rate_rescaling():
     h = 1e-4
     for tau in (0.5, 1.5, 3.0):
         def rates(params):
-            up = occupations(covariance(params, tau + h))
-            down = occupations(covariance(params, tau - h))
-            return (up - down) / (2 * h)
+            up = mode_observables(covariance(params, tau + h)).n
+            down = mode_observables(covariance(params, tau - h)).n
+            return np.subtract(up, down) / (2 * h)
 
         damped = rates(FIG5)
         ideal = rates(lossless)
@@ -194,7 +195,7 @@ def test_population_constant_of_motion():
     # n1 = n2 + n3 for balanced losses (and for the ideal case)
     for params in (FIG5, ModelParams(rho=100.0, delta=3.5), IDEAL_SC):
         for tau in np.linspace(0.25, 5.0, 20):
-            n = occupations(covariance(params, tau))
+            n = mode_observables(covariance(params, tau)).n
             assert abs(n[0] - n[1] - n[2]) <= 1e-8 * max(n[0], 1e-12)
 
 
@@ -275,6 +276,12 @@ def test_ode_oracle_step_validation():
         ode_oracle(FIG5, -1.0)
 
 
+@pytest.mark.parametrize("tau", [-1.0, math.nan])
+def test_covariance_rejects_a_negative_or_nan_tau(tau):
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        covariance(FIG5, tau)
+
+
 @pytest.mark.parametrize(
     "tau, steps, message",
     [
@@ -282,6 +289,7 @@ def test_ode_oracle_step_validation():
         (math.inf, None, "tau must be finite"),
         (math.nan, None, "tau must be finite"),
         (1.0, 2.5, "steps must be a positive integer"),
+        (1.0, True, "steps must be a positive integer"),
     ],
 )
 def test_ode_oracle_rejects_bad_input(tau, steps, message):
@@ -395,7 +403,9 @@ def test_block_exponential_matches_closed_form(rho, delta, rates, tau):
     assert np.abs(closed - exact).max() <= 1e-9 * scale
     for c in (closed, exact):
         assert np.array_equal(c, c.conj().T)
-        assert physicality(quadrature_covariance(c)) >= -1e-9 * scale
+        floor = physicality(c)
+        assert floor >= -1e-9 * scale
+        assert abs(floor - physicality_6x6(c)) <= mixed_basis_bound(c)
 
 
 def test_quadrature_propagator_consistency():

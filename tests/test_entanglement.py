@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    SYMPLECTIC_FORM,
     covariance_from_quadratures,
     gamma_matrix,
+    min_eig,
     min_eig_hermitian_charpoly,
+    mixed_basis_bound,
+    physicality_6x6,
+    quadrature_covariance,
     two_mode_matrix,
 )
 from tricarl import (
@@ -12,16 +17,13 @@ from tricarl import (
     NonFinite,
     NotHermitian,
     RegimeMismatch,
-    SYMPLECTIC_FORM,
     asymptotic_eta,
-    classify,
     covariance,
-    min_eigenvalue_hermitian,
-    occupations,
+    mode_observables,
     physicality,
-    quadrature_covariance,
     separability_report,
 )
+from tricarl.entanglement import _classes
 
 IDEAL_SC = ModelParams(rho=100.0, delta=0.0)
 IDEAL_Q = ModelParams(rho=0.2, delta=5.0)
@@ -76,7 +78,7 @@ def test_lossless_covariance_magnitudes_match_pure_state_relations():
     # |C13|^2 = n3 (1 + n1), |C23|^2 = n2 n3
     for params, tau in ((IDEAL_SC, 1.5), (IDEAL_Q, 4.0)):
         state = covariance(params, tau)
-        n = occupations(state)
+        n = mode_observables(state).n
         c = state.c
         assert abs(c[0, 1]) ** 2 == pytest.approx(n[1] * (1 + n[0]), rel=1e-9)
         assert abs(c[0, 2]) ** 2 == pytest.approx(n[2] * (1 + n[0]), rel=1e-9)
@@ -91,7 +93,7 @@ def test_vacuum_gamma_matrices_marginal():
     for j in (1, 2, 3):
         g = gamma_matrix(v, j)
         assert np.abs(g - g.conj().T).max() < 1e-12
-        assert abs(min_eigenvalue_hermitian(g)) < 1e-10
+        assert abs(min_eig(g)) < 1e-10
 
 
 def test_ideal_case_fully_inseparable():
@@ -99,13 +101,13 @@ def test_ideal_case_fully_inseparable():
         for tau in (0.5, 2.0, 5.0):
             v = quadrature_covariance(covariance(params, tau))
             for j in (1, 2, 3):
-                assert min_eigenvalue_hermitian(gamma_matrix(v, j)) < 0.0
+                assert min_eig(gamma_matrix(v, j)) < 0.0
 
 
 def test_photon_mode_separates_under_strong_decoherence():
     params = ModelParams(rho=100.0, delta=0.01, gamma1=1.0, gamma2=1.0)
     values = [
-        min_eigenvalue_hermitian(
+        min_eig(
             gamma_matrix(quadrature_covariance(covariance(params, tau)), 3)
         )
         for tau in np.linspace(0.5, 5.0, 10)
@@ -118,31 +120,33 @@ def test_gamma_matrix_index_validation():
         gamma_matrix(np.eye(6), 0)
 
 
-# ------------------------------------------------------ minimum eigenvalue kernel
+# ------------------------------------------------------ minimum eigenvalue oracle
 
 
 def test_min_eigenvalue_diagonal():
-    assert min_eigenvalue_hermitian(np.diag([3.0, -2.0, 7.0])) == pytest.approx(-2.0)
+    assert min_eig(np.diag([3.0, -2.0, 7.0])) == pytest.approx(-2.0)
 
 
 def test_min_eigenvalue_marginal_pair():
     h = np.eye(6) - 1j * SYMPLECTIC_FORM
-    assert abs(min_eigenvalue_hermitian(h)) < 1e-12
+    assert abs(min_eig(h)) < 1e-12
 
 
 def test_min_eigenvalue_matches_charpoly_oracle():
     rng = np.random.RandomState(83)
     for _ in range(25):
         h = random_hermitian(rng, 4)
-        ours = min_eigenvalue_hermitian(h)
+        ours = min_eig(h)
         reference = min_eig_hermitian_charpoly(h)
         assert ours == pytest.approx(reference, abs=1e-9 * max(1, np.abs(h).max()))
         assert ours == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-10)
 
 
-def test_min_eigenvalue_rejects_non_hermitian():
+def test_physicality_rejects_non_hermitian():
+    c = VACUUM.copy()
+    c[0, 1] = 1.0
     with pytest.raises(NotHermitian):
-        min_eigenvalue_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        physicality(c)
 
 
 # ------------------------------------------------------------- two-mode tests
@@ -151,25 +155,25 @@ def test_min_eigenvalue_rejects_non_hermitian():
 def test_vacuum_two_mode_matrices_marginal():
     v = quadrature_covariance(VACUUM)
     for i, j in PAIRS:
-        assert abs(min_eigenvalue_hermitian(two_mode_matrix(v, i, j))) < 1e-10
+        assert abs(min_eig(two_mode_matrix(v, i, j))) < 1e-10
 
 
 def test_ideal_two_mode_entanglement_pattern():
     for params in (IDEAL_SC, IDEAL_Q):
         for tau in (0.5, 2.0, 5.0):
             v = quadrature_covariance(covariance(params, tau))
-            assert min_eigenvalue_hermitian(two_mode_matrix(v, 1, 2)) < 0.0
-            assert min_eigenvalue_hermitian(two_mode_matrix(v, 1, 3)) < 0.0
-            assert min_eigenvalue_hermitian(two_mode_matrix(v, 2, 3)) > 0.0
+            assert min_eig(two_mode_matrix(v, 1, 2)) < 0.0
+            assert min_eig(two_mode_matrix(v, 1, 3)) < 0.0
+            assert min_eig(two_mode_matrix(v, 2, 3)) > 0.0
 
 
 def test_ideal_two_mode_minimum_matches_closed_form():
     state = covariance(IDEAL_SC, 2.0)
-    n = occupations(state)
+    n = mode_observables(state).n
     v = quadrature_covariance(state)
     for k in (2, 3):
         expected = n[0] + n[k - 1] - np.sqrt(4 * n[k - 1] + (n[0] + n[k - 1]) ** 2)
-        numeric = min_eigenvalue_hermitian(two_mode_matrix(v, 1, k))
+        numeric = min_eig(two_mode_matrix(v, 1, k))
         assert numeric == pytest.approx(expected, rel=1e-8, abs=1e-9)
 
 
@@ -196,17 +200,23 @@ def test_loss_robustness_sign_patterns():
     for kappa in (0.0, 1.0, 5.0):
         params = ModelParams(rho=100.0, delta=0.01, kappa=kappa)
         v = quadrature_covariance(covariance(params, 3.0))
-        assert min_eigenvalue_hermitian(gamma_matrix(v, 1)) < 0.0
+        assert min_eig(gamma_matrix(v, 1)) < 0.0
     s13 = {}
     for gamma in (0.0, 1.0):
         params = ModelParams(rho=100.0, delta=0.0, gamma1=gamma, gamma2=gamma)
         v = quadrature_covariance(covariance(params, 3.0))
-        s13[gamma] = min_eigenvalue_hermitian(two_mode_matrix(v, 1, 3))
+        s13[gamma] = min_eig(two_mode_matrix(v, 1, 3))
     assert s13[0.0] < 0.0
     assert s13[1.0] > 0.0
 
 
 # ------------------------------------------------------------- classification
+
+
+def classify(gamma_min_eigs, epsilon=1e-9):
+    """The class label of one set of three Gamma_j minimum eigenvalues."""
+    labels, _ = _classes(np.array(gamma_min_eigs, dtype=float), epsilon)
+    return labels
 
 
 def test_classify_rules():
@@ -221,16 +231,17 @@ def test_classify_rules():
     assert classify([-1e-12, -1e-12, -1e-12], epsilon=1e-15) == "fully_inseparable"
 
 
-def test_classify_rejects_non_finite():
-    with pytest.raises(NonFinite):
-        classify([np.nan, -0.2, -0.1])
+def test_classify_flags_non_finite():
+    _, (code, failed) = _classes(np.array([[np.nan, -0.2, -0.1], [-0.3, -0.2, -0.1]]), 1e-9)
+    assert code == "non_finite"
+    assert failed.tolist() == [True, False]
 
 
-def test_min_eigenvalue_rejects_non_finite():
-    h = np.eye(3, dtype=complex)
-    h[1, 1] = np.nan
+def test_physicality_rejects_non_finite():
+    c = VACUUM.copy()
+    c[1, 1] = np.nan
     with pytest.raises(NonFinite):
-        min_eigenvalue_hermitian(h)
+        physicality(c)
 
 
 def test_separability_report_vacuum():
@@ -274,7 +285,7 @@ def test_asymptotic_eta_regime_mismatch():
 
 def test_numerical_eta_converges_to_asymptote():
     v = quadrature_covariance(covariance(IDEAL_SC, 6.0))
-    eta12 = min_eigenvalue_hermitian(two_mode_matrix(v, 1, 2))
+    eta12 = min_eig(two_mode_matrix(v, 1, 2))
     target = asymptotic_eta(IDEAL_SC, "semiclassical")[0]
     assert abs(eta12 - target) < 0.01 * abs(target)
 
@@ -283,7 +294,8 @@ def test_numerical_eta_converges_to_asymptote():
 
 
 def test_physicality_vacuum_exactly_marginal():
-    assert abs(physicality(quadrature_covariance(VACUUM))) < 1e-10
+    assert abs(physicality(VACUUM)) < 1e-10
+    assert abs(physicality_6x6(VACUUM)) < 1e-10
 
 
 def test_physicality_evolved_states():
@@ -296,5 +308,7 @@ def test_physicality_evolved_states():
             gamma2=rng.uniform(0, 2),
             kappa=rng.uniform(0, 2),
         )
-        v = quadrature_covariance(covariance(params, rng.uniform(0.0, 4.0)))
-        assert physicality(v) >= -1e-8
+        state = covariance(params, rng.uniform(0.0, 4.0))
+        floor = physicality(state)
+        assert floor >= -1e-8
+        assert abs(floor - physicality_6x6(state)) <= mixed_basis_bound(state.c)

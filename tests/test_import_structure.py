@@ -1,8 +1,11 @@
-"""Package modules import each other at module level only.
+"""Package modules import each other at module level only, and the
+package exports exactly what its ``__init__`` imports.
 
 A function-level import of a ``tricarl`` module hides an import cycle
 (``presets`` once reached back into ``sweep`` that way); this check keeps
-such imports out of ``src/tricarl``.
+such imports out of ``src/tricarl``.  A stale or missing ``__all__`` entry
+would show only as an ``AttributeError`` on ``from tricarl import *`` or as
+a public name nobody listed.
 """
 
 import ast
@@ -36,3 +39,20 @@ def test_no_module_imports_the_package_inside_a_function():
         for line, module in package_imports_in_functions(ast.parse(path.read_text()))
     ]
     assert found == []
+
+
+def init_imports(tree):
+    """Names the package ``__init__`` imports from its own submodules."""
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    }
+
+
+def test_all_is_sorted_unique_and_equals_the_init_imports():
+    exported = tricarl.__all__
+    assert exported == sorted(exported)
+    assert len(set(exported)) == len(exported)
+    assert set(exported) == init_imports(ast.parse((PACKAGE / "__init__.py").read_text()))

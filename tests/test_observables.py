@@ -6,21 +6,16 @@ from tricarl import (
     ModelParams,
     NegativeOccupation,
     TricarlError,
-    UndefinedCorrelation,
-    bunching,
     covariance,
-    g2_auto,
-    g2_cross,
     mode_observables,
-    number_squeezing,
-    occupations,
     ode_oracle,
-    variances,
 )
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
 IDEAL_SC = ModelParams(rho=100.0, delta=0.0)
 VACUUM = 0.5 * np.eye(3, dtype=complex)
+# positions of the mode pairs in the g2_cross and xi fields
+PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
 def thermal_fixture(n1, n2, n3, c12=0.0, c13=0.0, c23=0.0):
@@ -46,8 +41,8 @@ def random_evolved_states(count, seed, rates=2.0, tau_hi=4.0):
             kappa=rng.uniform(0, rates),
         )
         state = covariance(params, rng.uniform(0.2, tau_hi))
-        n = occupations(state)
-        if n.min() > 1e-6 and n.max() < 1e5:
+        n = mode_observables(state).n
+        if min(n) > 1e-6 and max(n) < 1e5:
             states.append(state)
     return states
 
@@ -56,35 +51,35 @@ def random_evolved_states(count, seed, rates=2.0, tau_hi=4.0):
 
 
 def test_occupations_vacuum():
-    assert np.array_equal(occupations(VACUUM), np.zeros(3))
+    assert np.array_equal(mode_observables(VACUUM).n, np.zeros(3))
 
 
 def test_occupations_clamps_rounding_noise():
     c = VACUUM.copy()
     c[0, 0] = 0.5 - 1e-10
-    assert occupations(c)[0] == 0.0
+    assert mode_observables(c).n[0] == 0.0
 
 
 def test_occupations_rejects_corrupted_covariance():
     c = VACUUM.copy()
     c[0, 0] = 0.5 - 1e-5
     with pytest.raises(NegativeOccupation):
-        occupations(c)
+        mode_observables(c)
     c = VACUUM.copy()
     c[1, 1] = 0.5 + 1e-3j
     with pytest.raises(TricarlError):
-        occupations(c)
+        mode_observables(c)
 
 
 def test_population_ratio_ideal_semiclassical():
-    n = occupations(covariance(IDEAL_SC, 6.0))
+    n = mode_observables(covariance(IDEAL_SC, 6.0)).n
     assert n[0] / n[1] == pytest.approx(1.0 + 2.0 / 100.0, abs=1e-3)
 
 
 def test_occupation_matches_ode_oracle_fig5():
-    n = occupations(covariance(FIG5, 2.0))
-    n_ref = occupations(ode_oracle(FIG5, 2.0))
-    assert np.abs(n - n_ref).max() < 1e-6 * n.max()
+    n = mode_observables(covariance(FIG5, 2.0)).n
+    n_ref = mode_observables(ode_oracle(FIG5, 2.0)).n
+    assert np.abs(np.subtract(n, n_ref)).max() < 1e-6 * max(n)
 
 
 # --------------------------------------------------------------- fourth order
@@ -97,8 +92,8 @@ def test_fourth_order_vacuum():
 
 def test_fourth_order_relates_to_number_moments():
     state = covariance(FIG5, 1.5)
-    n = occupations(state)
-    var = variances(state)
+    obs = mode_observables(state)
+    n, var = obs.n, obs.var_n
     for i in (1, 2, 3):
         g_iiii = fourth_order(state, i, i, i, i).real
         second_moment = var[i - 1] + n[i - 1] ** 2
@@ -133,16 +128,17 @@ def test_fourth_order_index_validation():
 
 def test_thermal_variance_and_autocorrelation():
     for state in random_evolved_states(25, seed=67):
-        n = occupations(state)
-        var = variances(state)
+        obs = mode_observables(state)
+        n, var = np.array(obs.n), np.array(obs.var_n)
         assert np.all(np.abs(var - n * (n + 1.0)) < 1e-9 * (1.0 + n) ** 2)
-        for i in (1, 2, 3):
-            assert abs(g2_auto(state, i) - 2.0) < 1e-9
+        for g2 in obs.g2_auto:
+            assert abs(g2 - 2.0) < 1e-9
 
 
 def test_g2_auto_undefined_at_vacuum():
-    with pytest.raises(UndefinedCorrelation):
-        g2_auto(VACUUM, 1)
+    assert mode_observables(VACUUM).g2_auto == (None, None, None)
+    # only the empty modes' ratios are undefined
+    assert mode_observables(thermal_fixture(0.7, 0.0, 0.0)).g2_auto == (2.0, None, None)
 
 
 # --------------------------------------------------------- cross correlations
@@ -150,31 +146,31 @@ def test_g2_auto_undefined_at_vacuum():
 
 def test_g2_cross_uncorrelated_fixture():
     c = thermal_fixture(0.7, 1.3, 2.1)
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        assert g2_cross(c, i, j) == pytest.approx(1.0)
+    assert mode_observables(c).g2_cross == pytest.approx((1.0, 1.0, 1.0))
 
 
 def test_g2_cross_matches_definition_on_evolved_state():
     state = covariance(IDEAL_SC, 1.0)
-    n = occupations(state)
-    for (i, j) in ((1, 2), (1, 3), (2, 3)):
-        expected = 1.0 + abs(state.c[i - 1, j - 1]) ** 2 / (n[i - 1] * n[j - 1])
-        assert g2_cross(state, i, j) == pytest.approx(expected, rel=1e-12)
-        assert g2_cross(state, i, j) >= 1.0
+    obs = mode_observables(state)
+    for (i, j), g2 in zip(PAIRS, obs.g2_cross):
+        expected = 1.0 + abs(state.c[i - 1, j - 1]) ** 2 / (obs.n[i - 1] * obs.n[j - 1])
+        assert g2 == pytest.approx(expected, rel=1e-12)
+        assert g2 >= 1.0
 
 
 def test_g2_cross_matches_ode_oracle_fig5():
     state = covariance(FIG5, 2.0)
     reference = ode_oracle(FIG5, 2.0)
-    for (i, j) in ((1, 2), (1, 3), (2, 3)):
-        assert g2_cross(state, i, j) == pytest.approx(
-            g2_cross(reference, i, j), rel=1e-6
-        )
+    assert mode_observables(state).g2_cross == pytest.approx(
+        mode_observables(reference).g2_cross, rel=1e-6
+    )
 
 
 def test_g2_cross_undefined_at_vacuum():
-    with pytest.raises(UndefinedCorrelation):
-        g2_cross(VACUUM, 1, 2)
+    assert mode_observables(VACUUM).g2_cross == (None, None, None)
+    # a pair is undefined when either of its modes is empty
+    g2 = mode_observables(thermal_fixture(0.7, 1.3, 0.0)).g2_cross
+    assert g2[0] == pytest.approx(1.0) and g2[1:] == (None, None)
 
 
 # ------------------------------------------------------------ number squeezing
@@ -186,14 +182,13 @@ def test_squeezing_coherent_reference_is_one():
 
 
 def test_squeezing_undefined_at_vacuum():
-    assert number_squeezing(VACUUM, 1, 2) is None
+    assert mode_observables(VACUUM).xi == (None, None, None)
     assert squeezing_from_moments(0.0, 0.0, 0.0, 0.0, 0.0) is None
 
 
 def test_squeezing_nonnegative_on_evolved_states():
     for state in random_evolved_states(15, seed=71):
-        for i, j in ((1, 2), (1, 3), (2, 3)):
-            xi = number_squeezing(state, i, j)
+        for xi in mode_observables(state).xi:
             assert xi is not None and xi >= 0.0
 
 
@@ -202,8 +197,7 @@ def test_periodic_number_squeezing_ideal_case():
     params = ModelParams(rho=100.0, delta=3.5)
     values = []
     for tau in np.linspace(0.2, 10.0, 99):
-        xi = number_squeezing(covariance(params, tau), 1, 2)
-        values.append(xi)
+        values.append(mode_observables(covariance(params, tau)).xi[0])
     assert min(values) < 1.0
 
 
@@ -216,7 +210,7 @@ def test_squeezing_near_vacuum_keeps_its_digits():
     c = covariance(params, tau).c
     n1, n2 = (max(c[i, i].real - 0.5, 0.0) for i in (0, 1))
     expected = (n1 * (n1 + 1) + n2 * (n2 + 1) - 2 * abs(c[0, 1]) ** 2) / (n1 + n2)
-    assert number_squeezing(c, 1, 2) == pytest.approx(expected, abs=1e-12)
+    assert mode_observables(c).xi[0] == pytest.approx(expected, abs=1e-12)
     spec = SweepSpec(
         axis="tau", start=0.0, stop=tau, points=2, fixed=params, outputs=("xi12",)
     )
@@ -226,7 +220,7 @@ def test_squeezing_near_vacuum_keeps_its_digits():
 def test_steady_state_squeezing_value():
     from tricarl import steady_state
 
-    xi = number_squeezing(steady_state(FIG5), 1, 2)
+    xi = mode_observables(steady_state(FIG5)).xi[0]
     assert abs(xi - 0.7) < 0.05
 
 
@@ -234,9 +228,9 @@ def test_steady_state_squeezing_value():
 
 
 def test_bunching_vacuum():
-    assert bunching(VACUUM, 1e6) == pytest.approx(1e-6, rel=1e-12)
+    assert mode_observables(VACUUM, 1e6).bunching == pytest.approx(1e-6, rel=1e-12)
     with pytest.raises(ValueError):
-        bunching(VACUUM, 0.0)
+        mode_observables(VACUUM, 0.0)
 
 
 def test_bunching_superradiant_semiclassical_asymptote():
@@ -247,7 +241,7 @@ def test_bunching_superradiant_semiclassical_asymptote():
     asym = (1.0 / (4.0 * n_atoms)) * (1.0 + np.sqrt(2 * 50.0) / 100.0) * np.exp(
         np.sqrt(2.0 / 50.0) * tau
     )
-    assert bunching(state, n_atoms) == pytest.approx(asym, rel=0.20)
+    assert mode_observables(state, n_atoms).bunching == pytest.approx(asym, rel=0.20)
 
 
 def test_bunching_superradiant_quantum_asymptote():
@@ -258,7 +252,7 @@ def test_bunching_superradiant_quantum_asymptote():
     asym = (1.0 / n_atoms) * (
         1.0 + 0.5 * (1.0 / np.sqrt(100.0)) ** 4
     ) * np.exp(tau / 50.0)
-    assert bunching(state, n_atoms) == pytest.approx(asym, rel=0.20)
+    assert mode_observables(state, n_atoms).bunching == pytest.approx(asym, rel=0.20)
 
 
 # --------------------------------------------------------------------- gain curve

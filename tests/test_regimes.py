@@ -9,7 +9,7 @@ from tricarl import (
     classify_regime,
     covariance,
     lossless_highgain_populations,
-    occupations,
+    mode_observables,
     saturation_estimates,
     sr_quantum_populations,
     sr_semiclassical_populations,
@@ -87,7 +87,7 @@ def test_sr_semiclassical_population_structure():
 
 
 def test_sr_semiclassical_matches_exact_pipeline():
-    n_exact = occupations(covariance(SR_SC, 30.0))
+    n_exact = mode_observables(covariance(SR_SC, 30.0)).n
     n_asym = sr_semiclassical_populations(SR_SC, 30.0)
     for asym, exact in zip(n_asym, n_exact):
         assert 0.5 < asym / exact < 2.0
@@ -113,7 +113,7 @@ def test_sr_quantum_population_structure():
 
 
 def test_sr_quantum_matches_exact_pipeline():
-    n_exact = occupations(covariance(SR_Q, 100.0))
+    n_exact = mode_observables(covariance(SR_Q, 100.0)).n
     n_asym = sr_quantum_populations(SR_Q, 100.0)
     assert 0.5 < n_asym[0] / n_exact[0] < 2.0
 
@@ -122,7 +122,7 @@ def test_asymptotic_to_exact_ratio_stabilizes():
     # the asymptotic laws capture the growth rate, so the ratio to the
     # exact pipeline settles to a constant at late times
     def ratio(params, populations, tau):
-        return populations(params, tau)[0] / occupations(covariance(params, tau))[0]
+        return populations(params, tau)[0] / mode_observables(covariance(params, tau)).n[0]
 
     early = ratio(SR_SC, sr_semiclassical_populations, 20.0)
     late = ratio(SR_SC, sr_semiclassical_populations, 30.0)
@@ -136,7 +136,7 @@ def test_asymptotic_to_exact_ratio_stabilizes():
 
     def ideal_ratio(tau):
         asym = lossless_highgain_populations(ideal, tau, "semiclassical")
-        return asym[0] / occupations(covariance(ideal, tau))[0]
+        return asym[0] / mode_observables(covariance(ideal, tau)).n[0]
 
     assert abs(ideal_ratio(6.0) / ideal_ratio(4.5) - 1.0) < 0.10
 
@@ -164,7 +164,7 @@ def test_lossless_highgain_conserves_population_difference():
 
 def test_lossless_highgain_semiclassical_matches_exact():
     params = ModelParams(rho=100.0, delta=0.0)
-    n_exact = occupations(covariance(params, 6.0))
+    n_exact = mode_observables(covariance(params, 6.0)).n
     n_asym = lossless_highgain_populations(params, 6.0, "semiclassical")
     for asym, exact in zip(n_asym, n_exact):
         assert abs(asym / exact - 1.0) < 0.30
@@ -172,8 +172,8 @@ def test_lossless_highgain_semiclassical_matches_exact():
 
 def test_lossless_highgain_quantum_growth_rate():
     params = ModelParams(rho=0.2, delta=5.0)
-    n_lo = occupations(covariance(params, 18.0))
-    n_hi = occupations(covariance(params, 22.0))
+    n_lo = mode_observables(covariance(params, 18.0)).n
+    n_hi = mode_observables(covariance(params, 22.0)).n
     slope = math.log(n_hi[0] / n_lo[0]) / 4.0
     assert slope == pytest.approx(math.sqrt(2 * 0.2), rel=0.05)
 

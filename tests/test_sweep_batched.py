@@ -25,7 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tricarl.sweep as sweep_module
-from oracles import _test_matrices, evaluate_row, gamma_matrix, spec_point, two_mode_matrix
+from oracles import (
+    SYMPLECTIC_FORM,
+    _test_matrices,
+    evaluate_row,
+    gamma_matrix,
+    quadrature_covariance,
+    spec_point,
+    two_mode_matrix,
+)
 from tricarl import (
     OUTPUTS,
     CovarianceState,
@@ -35,17 +43,12 @@ from tricarl import (
     covariance,
     cubic_roots,
     mode_observables,
+    physicality,
     run_sweep,
     separability_report,
 )
 from tricarl.covariance import HERMITIZE_TOL, _hermitian_guards, _hermitian_part
-from tricarl.entanglement import (
-    HERMITICITY_TOL,
-    SYMPLECTIC_FORM,
-    _separability_stack,
-    _test_defects,
-    quadrature_covariance,
-)
+from tricarl.entanglement import HERMITICITY_TOL, _separability_stack, _test_defects
 from tricarl.errors import NonFinite, NotHermitian, first_failure
 from tricarl.observables import _observable_stack
 
@@ -380,6 +383,10 @@ def test_batched_guards_flag_what_the_single_state_path_rejects():
         # the one-state functions raise the error class of that status
         assert [raised_code(mode_observables, c, 1e6) for c, _, _ in cases] == obs_status.tolist()
         assert [raised_code(separability_report, c) for c, _, _ in cases] == sep_status.tolist()
+    # physicality raises what the Gamma_j guards of the separability tests
+    # raise: all but the last case, which fails on S_12's scale alone
+    gamma_status = sep_status.tolist()[:-1] + ["ok"]
+    assert [raised_code(physicality, c) for c, _, _ in cases] == gamma_status
 
 
 def test_a_failing_pair_reads_zero_alone():
@@ -514,9 +521,11 @@ def test_guard_order_over_random_corruptions(cs):
             "covariance": lambda c: CovarianceState(0.0, c),
             "observables": lambda c: mode_observables(c, 1e6),
             "separability": separability_report,
+            "physicality": physicality,
         }
         for kernel, fn in one_state.items():
-            assert [raised_code(fn, c) for c in cs] == predicted[kernel], kernel
+            want = [first_code(p[kernel]) for p in predicates]
+            assert [raised_code(fn, c) for c in cs] == want, kernel
         # a point report handed each C past the covariance guards raises the
         # class of its first failure along the remaining checks
         for c, p in zip(cs, predicates):

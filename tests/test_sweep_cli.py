@@ -18,7 +18,6 @@ from tricarl import (
     ModelParams,
     NonFinite,
     SweepSpec,
-    classify,
     covariance,
     evolve_point,
     figure_preset,
@@ -56,6 +55,8 @@ def test_invalid_specs():
         make_spec(points=1)
     with pytest.raises(InvalidSpec):
         make_spec(points=10**6 + 1)
+    with pytest.raises(InvalidSpec):
+        make_spec(points=2.7)
     with pytest.raises(InvalidSpec):
         make_spec(outputs=("n1", "bogus"))
     with pytest.raises(InvalidSpec):
@@ -140,6 +141,10 @@ def test_sweep_spec_json_round_trip():
     spec = make_spec(points=4)
     clone = SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert run_sweep(clone) == run_sweep(spec)
+    # a malformed point count reaches the spec's own check, not int()
+    for points in (2.7, True, "4"):
+        with pytest.raises(InvalidSpec, match="points must be an integer"):
+            SweepSpec.from_dict({**spec.to_dict(), "points": points})
 
 
 # --------------------------------------------------------------------- presets
@@ -291,7 +296,6 @@ def test_point_report_names_the_non_finite_fields(monkeypatch):
 @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
 def test_every_classifier_rejects_a_bad_epsilon(epsilon):
     for call in (
-        lambda: classify([-1.0, -1.0, -1.0], epsilon),
         lambda: separability_report(covariance(FIG5, 1.0), epsilon),
         lambda: evolve_point(FIG5, 1.0, epsilon=epsilon),
     ):
