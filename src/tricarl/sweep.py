@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# covariance, mode_observables, physicality and separability_report, the one-state
-# facade over the kernels used here, are imported only for the benchmark tracer to hook
+# covariance, mode_observables, physicality, separability_report: the one-state
+# facade, which this module does not call; imported for the benchmark tracer to hook
 from .covariance import _covariance_stack, covariance, ode_oracle
 from .dynamics import cubic_coefficients, cubic_roots, gain, solve_cubic
 from .entanglement import _physicality_floor, _separability_stack, physicality, separability_report
