@@ -28,7 +28,6 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import InvalidSpec, TricarlError
 from .model import ModelParams
@@ -122,6 +121,8 @@ def _emit(text: str, out: str | None, argv: list[str], rows: list[dict] | None =
     if out is None:
         sys.stdout.write(text)
         return
+    import scipy  # for the sidecar's version field only
+
     path = Path(out)
     path.write_text(text, encoding="utf-8")
     sidecar = {
@@ -140,6 +141,12 @@ def _emit(text: str, out: str | None, argv: list[str], rows: list[dict] | None =
 
 def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _report_error(code: str, exc: Exception, exit_code: int) -> int:
+    """Write the JSON error record to stderr and return the exit code."""
+    sys.stderr.write(_json_dumps({"error": {"code": code, "message": str(exc)}}))
+    return exit_code
 
 
 def _run_point(args: argparse.Namespace, params: ModelParams) -> str:
@@ -234,13 +241,13 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 text = _run_point(args, params)
     except InvalidSpec as exc:
-        sys.stderr.write(_json_dumps({"error": {"code": exc.code, "message": str(exc)}}))
-        return EXIT_INVALID
+        return _report_error(exc.code, exc, EXIT_INVALID)
     except (TricarlError, np.linalg.LinAlgError) as exc:
-        code = getattr(exc, "code", "error")
-        sys.stderr.write(_json_dumps({"error": {"code": code, "message": str(exc)}}))
-        return EXIT_NUMERICAL
-    _emit(text, args.out, effective_argv, rows)
+        return _report_error(getattr(exc, "code", "error"), exc, EXIT_NUMERICAL)
+    try:
+        _emit(text, args.out, effective_argv, rows)
+    except OSError as exc:  # --out into a missing directory, say
+        return _report_error(InvalidSpec.code, exc, EXIT_INVALID)
     return EXIT_OK
 
 

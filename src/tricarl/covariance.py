@@ -17,6 +17,9 @@ one-row case.  C also satisfies the moment equation
 
 which an independent fixed-step RK4 integrator (``ode_oracle``) uses for
 verification.
+
+``expm`` is scipy.linalg's, imported on its first call (a Van Loan row), as
+is the Lyapunov solver of ``steady_state``: closed-form rows load numpy alone.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .dynamics import (
     Spectrum,
@@ -170,6 +172,13 @@ def _covariance_stack(
     )
 
 
+def expm(matrix: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on the first call."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(matrix)
+
+
 def _van_loan_noise(
     generator: np.ndarray, diffusion: np.ndarray, tau: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -240,6 +249,8 @@ def steady_state(params: ModelParams) -> CovarianceState:
     worst = gain(cubic_roots(params), derive(params).gamma_plus)
     if worst >= 0:
         raise NotStable(f"largest mode gain is {worst:.6g} >= 0")
+    from scipy.linalg import solve_continuous_lyapunov
+
     c = solve_continuous_lyapunov(drift_generator(params), -diffusion_matrix(params))
     return CovarianceState(tau=math.inf, c=c)
 

@@ -12,9 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import epsilon_0, hbar
-
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
@@ -187,6 +184,8 @@ class LabParams:
 
 def carl_parameter(lab: LabParams) -> float:
     """Collective coupling rho from laboratory quantities."""
+    from scipy.constants import epsilon_0, hbar
+
     drive = (lab.rabi_frequency / (2.0 * lab.atomic_detuning)) ** (2.0 / 3.0)
     collective = (
         lab.pump_frequency
@@ -203,6 +202,8 @@ def from_lab(lab: LabParams) -> ModelParams:
     All rates come out divided by rho*omega_r, ready for the scaled-time
     evolution.  Raises ValueError if the implied rho is not positive.
     """
+    from scipy.constants import c as SPEED_OF_LIGHT
+
     rho = carl_parameter(lab)
     if not (rho > 0 and math.isfinite(rho)):
         raise ValueError(f"unphysical laboratory input: rho = {rho!r}")

@@ -1,14 +1,23 @@
-"""Package modules import each other at module level only, and the
-package exports exactly what its ``__init__`` imports.
+"""Package modules import each other at module level only, the package
+exports exactly what its ``__init__`` imports, and the CLI starts without
+scipy.
 
 A function-level import of a ``tricarl`` module hides an import cycle
 (``presets`` once reached back into ``sweep`` that way); this check keeps
-such imports out of ``src/tricarl``.  A stale or missing ``__all__`` entry
-would show only as an ``AttributeError`` on ``from tricarl import *`` or as
-a public name nobody listed.
+such imports out of ``src/tricarl``.  Function-level imports of third-party
+modules are allowed: they are how start-up cost is kept down.  scipy loads
+on the first call of a path that uses it (Van Loan rows, ``steady_state``,
+``from_lab``, the ``--out`` sidecar), not on import, so a CLI run of a point
+report, a sweep or a preset loads numpy alone.  A stale or missing
+``__all__`` entry would show only as an ``AttributeError`` on
+``from tricarl import *`` or as a public name nobody listed.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tricarl
@@ -56,3 +65,35 @@ def test_all_is_sorted_unique_and_equals_the_init_imports():
     assert exported == sorted(exported)
     assert len(set(exported)) == len(exported)
     assert set(exported) == init_imports(ast.parse((PACKAGE / "__init__.py").read_text()))
+
+
+# A fresh interpreter (none of pytest's modules) runs a point report on the
+# edge delta* with the RK4 oracle, a tau sweep of every output and a preset,
+# all to stdout, and lists the scipy modules it then holds.
+COLD_START_SCRIPT = """
+import contextlib, io, json, sys
+from tricarl.cli import main
+from tricarl.sweep import OUTPUTS
+
+runs = [
+    ["--rho", "100", "--delta", "1.8899212590353163", "--tau", "5", "--oracle"],
+    ["--rho", "100", "--delta", "3.5", "--gamma1", "0.5", "--gamma2", "0.5",
+     "--kappa", "0.5", "--sweep", "tau:0:2:5", "--outputs", ",".join(OUTPUTS)],
+    ["--preset", "fig3"],
+]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_cli_runs_load_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0], "scipy": []}

@@ -47,6 +47,16 @@ def separability_matrices(point):
     return gammas, pairs
 
 
+def package_minima(point):
+    """(package value, test matrix) for each Gamma_j and S_ij minimum
+    eigenvalue of one evolved state: the values from the package's
+    ``separability_report``, the matrices the whole 6x6 and 4x4 ones."""
+    *values, tau = point
+    report = separability_report(covariance(ModelParams(*values), tau))
+    gammas, pairs = separability_matrices(point)
+    return zip((*report.min_eig_gamma, *report.min_eig_s), (*gammas, *pairs))
+
+
 def scale(h):
     return max(1.0, float(np.abs(h).max()))
 
@@ -66,10 +76,8 @@ def charpoly_error_estimate(h):
 @PROPERTY_SETTINGS
 @given(params_and_tau)
 def test_batched_min_eigenvalues_match_bisection_oracle(point):
-    for stack in separability_matrices(point):
-        batched = min_eig(stack)
-        for h, ours in zip(stack, batched):
-            assert ours == pytest.approx(min_eig_hermitian_bisection(h), abs=TOL * scale(h))
+    for ours, h in package_minima(point):
+        assert ours == pytest.approx(min_eig_hermitian_bisection(h), abs=TOL * scale(h))
 
 
 @PROPERTY_SETTINGS
@@ -77,13 +85,9 @@ def test_batched_min_eigenvalues_match_bisection_oracle(point):
 def test_batched_min_eigenvalues_match_charpoly_oracle(point):
     # the char-poly roots carry their own error, charpoly_error_estimate;
     # the oracle decides only where that error is below the tolerance
-    for stack in separability_matrices(point):
-        batched = min_eig(stack)
-        for h, ours in zip(stack, batched):
-            if charpoly_error_estimate(h) <= 0.1 * TOL * scale(h):
-                assert ours == pytest.approx(
-                    min_eig_hermitian_charpoly(h), abs=TOL * scale(h)
-                )
+    for ours, h in package_minima(point):
+        if charpoly_error_estimate(h) <= 0.1 * TOL * scale(h):
+            assert ours == pytest.approx(min_eig_hermitian_charpoly(h), abs=TOL * scale(h))
 
 
 def test_charpoly_oracle_decides_on_most_states():

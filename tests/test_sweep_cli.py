@@ -393,6 +393,15 @@ def test_cli_out_file_and_sidecar(capsys, tmp_path):
     assert "written_at" in sidecar and sidecar["argv"] == argv
 
 
+def test_cli_out_into_a_missing_directory_is_an_invalid_spec(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(capsys, "--rho", "100", "--tau", "1", "--out", str(target))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "invalid_spec" and str(target) in error["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "--rho", "100", "--sweep", "tau:0:0:2", "--tau", "1")
     assert code == 2
