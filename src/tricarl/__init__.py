@@ -57,6 +57,7 @@ from .sweep import (
     OUTPUTS,
     FigurePreset,
     SweepSpec,
+    as_rows,
     evolve_point,
     figure_preset,
     run_preset,
@@ -87,6 +88,7 @@ __all__ = [
     "Spectrum",
     "SweepSpec",
     "TricarlError",
+    "as_rows",
     "asymptotic_eta",
     "carl_parameter",
     "classify_regime",

@@ -18,10 +18,9 @@ invalid specification, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
+import math
 import sys
 import time
 from collections import Counter
@@ -36,6 +35,7 @@ from .sweep import (
     OUTPUTS,
     FigurePreset,
     SweepSpec,
+    as_rows,
     evolve_point,
     figure_preset,
     run_preset,
@@ -91,17 +91,17 @@ def _format_cell(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _rows_to_csv(rows: list[dict], meta: list[str]) -> str:
-    buffer = io.StringIO()
-    for line in meta:
-        buffer.write(f"# {line}\n")
-    if rows:
-        header = list(rows[0].keys())
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row.get(key) for key in header])
-    return buffer.getvalue()
+def _csv_column(column: list) -> list[str]:
+    # a str cell is written as it is: no cell can hold a comma, a quote or a line break
+    return [cell if type(cell) is str else "" if cell is None else repr(cell) for cell in column]
+
+
+def _rows_to_csv(table: dict, meta: list[str]) -> str:
+    """The metadata lines, then the table as CSV: floats by repr, None empty."""
+    lines = [f"# {line}" for line in meta]
+    lines.append(",".join(table))
+    lines += map(",".join, zip(*map(_csv_column, table.values())))
+    return "\n".join(lines) + "\n"
 
 
 def _sweep_meta(spec: SweepSpec) -> list[str]:
@@ -117,7 +117,7 @@ def _sweep_meta(spec: SweepSpec) -> list[str]:
     ]
 
 
-def _emit(text: str, out: str | None, argv: list[str], rows: list[dict] | None = None) -> None:
+def _emit(text: str, out: str | None, argv: list[str], statuses: list[str] | None = None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
@@ -132,8 +132,8 @@ def _emit(text: str, out: str | None, argv: list[str], rows: list[dict] | None =
         "scipy": scipy.__version__,
         "python": sys.version.split()[0],
     }
-    if rows is not None:
-        sidecar["row_status_counts"] = dict(sorted(Counter(r["status"] for r in rows).items()))
+    if statuses is not None:
+        sidecar["row_status_counts"] = dict(sorted(Counter(statuses).items()))
     path.with_suffix(path.suffix + ".run.json").write_text(
         json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
     )
@@ -177,7 +177,7 @@ def _parse_sweep_flag(text: str) -> tuple[str, float, float, int]:
     return axis, start, stop, points
 
 
-def _run_sweep_mode(args: argparse.Namespace, params: ModelParams) -> tuple[str, list[dict]]:
+def _run_sweep_mode(args: argparse.Namespace, params: ModelParams) -> tuple[str, dict]:
     axis, start, stop, points = _parse_sweep_flag(args.sweep)
     spec = SweepSpec(
         axis=axis,
@@ -190,15 +190,18 @@ def _run_sweep_mode(args: argparse.Namespace, params: ModelParams) -> tuple[str,
         atom_number=args.atoms,
         epsilon=args.epsilon,
     )
-    rows = run_sweep(spec)
+    if args.format == "json" and spec.tau == math.inf:
+        raise InvalidSpec("tau=inf has no JSON encoding; use --format csv")
+    table = run_sweep(spec)
     if args.format == "json":
-        return _json_dumps({"kind": "sweep", "spec": spec.to_dict(), "rows": rows}), rows
-    return _rows_to_csv(rows, _sweep_meta(spec)), rows
+        payload = {"kind": "sweep", "spec": spec.to_dict(), "rows": as_rows(table)}
+        return _json_dumps(payload), table
+    return _rows_to_csv(table, _sweep_meta(spec)), table
 
 
-def _run_preset_mode(args: argparse.Namespace) -> tuple[str, list[dict]]:
+def _run_preset_mode(args: argparse.Namespace) -> tuple[str, dict]:
     preset: FigurePreset = figure_preset(args.preset)
-    rows = run_preset(preset)
+    table = run_preset(preset)
     if args.format == "json":
         payload = {
             "kind": "preset",
@@ -208,21 +211,23 @@ def _run_preset_mode(args: argparse.Namespace) -> tuple[str, list[dict]]:
                 {"label": label, "spec": spec.to_dict()}
                 for label, spec in preset.curves
             ],
-            "rows": rows,
+            "rows": as_rows(table),
         }
-        return _json_dumps(payload), rows
+        return _json_dumps(payload), table
     meta = [f"tricarl preset {preset.id}", preset.description]
-    return _rows_to_csv(rows, meta), rows
+    return _rows_to_csv(table, meta), table
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     effective_argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(effective_argv)
-    rows = None
+    table = None
     try:
+        if args.oracle and (args.preset or args.sweep):
+            raise InvalidSpec("--oracle applies to point reports only")
         if args.preset:
-            text, rows = _run_preset_mode(args)
+            text, table = _run_preset_mode(args)
         else:
             if args.rho is None:
                 raise InvalidSpec("--rho is required without --preset")
@@ -237,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise InvalidSpec(str(exc)) from exc
             if args.sweep:
-                text, rows = _run_sweep_mode(args, params)
+                text, table = _run_sweep_mode(args, params)
             else:
                 text = _run_point(args, params)
     except InvalidSpec as exc:
@@ -245,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TricarlError, np.linalg.LinAlgError) as exc:
         return _report_error(getattr(exc, "code", "error"), exc, EXIT_NUMERICAL)
     try:
-        _emit(text, args.out, effective_argv, rows)
+        _emit(text, args.out, effective_argv, None if table is None else table["status"])
     except OSError as exc:  # --out into a missing directory, say
         return _report_error(InvalidSpec.code, exc, EXIT_INVALID)
     return EXIT_OK

@@ -102,6 +102,9 @@ class SweepSpec:
         unknown = [name for name in self.outputs if name not in OUTPUTS]
         if unknown:
             raise InvalidSpec(f"unknown outputs {unknown}; choose from {OUTPUTS}")
+        repeated = sorted({name for name in self.outputs if self.outputs.count(name) > 1})
+        if repeated:
+            raise InvalidSpec(f"outputs repeat {repeated}; name each output once")
         if self.axis != "tau" and self.tau is None and self._needs_state():
             raise InvalidSpec("state observables on a non-tau axis require tau")
         if self.tau is not None and not self.tau >= 0:
@@ -222,46 +225,60 @@ def _batch_columns(spec: SweepSpec, values: np.ndarray) -> tuple[dict, np.ndarra
     return columns, np.broadcast_to(status, values.shape)
 
 
-def _rows(spec: SweepSpec, values: np.ndarray) -> list[dict]:
+def _table(spec: SweepSpec, values: np.ndarray) -> dict:
+    """Columns of a chunk: grid values, outputs (None where undefined), status."""
     with np.errstate(all="ignore"):
         columns, status = _batch_columns(spec, values)
-    cells = []
+    table = {spec.axis: values.tolist()}
     for name in spec.outputs:
-        value, defined = (np.broadcast_to(x, values.shape).tolist() for x in columns[name])
-        cells.append([v if d else None for v, d in zip(value, defined)])
-    keys = (spec.axis, *spec.outputs, "status")
-    return [dict(zip(keys, row)) for row in zip(values.tolist(), *cells, status.tolist())]
+        value, defined = (np.broadcast_to(x, values.shape) for x in columns[name])
+        table[name] = np.where(defined, value, None).tolist()
+    table["status"] = status.tolist()
+    return table
 
 
 def _evaluate_row(spec: SweepSpec, value: float) -> dict:
-    """The row of a grid value whose own one-row pass raised a LAPACK
-    error: status "error" and empty cells."""
-    return {spec.axis: value, **dict.fromkeys(spec.outputs), "status": "error"}
+    """The one-row table of a grid value whose own one-row pass raised a
+    LAPACK error: status "error" and empty cells."""
+    return {spec.axis: [value], **{name: [None] for name in spec.outputs}, "status": ["error"]}
 
 
-def _evaluate_chunk(spec: SweepSpec, values: np.ndarray) -> list[dict]:
-    """Rows of a chunk.  A LAPACK failure on one row stops the whole stack,
+def _concat(tables: list[dict]) -> dict:
+    """One table of tables with the same columns, rows in order."""
+    first, *rest = tables
+    for table in rest:
+        for name, column in first.items():
+            column += table[name]
+    return first
+
+
+def _evaluate_chunk(spec: SweepSpec, values: np.ndarray) -> dict:
+    """Table of a chunk.  A LAPACK failure on one row stops the whole stack,
     so a failing chunk is split in halves until the failure is down to its
     own row: one bad row of N costs about 2 log2(N) stacked passes."""
     try:
-        return _rows(spec, values)
+        return _table(spec, values)
     except np.linalg.LinAlgError:
         if len(values) == 1:
-            return [_evaluate_row(spec, values.item())]
+            return _evaluate_row(spec, values.item())
         half = len(values) // 2
-        return _evaluate_chunk(spec, values[:half]) + _evaluate_chunk(spec, values[half:])
+        return _concat([_evaluate_chunk(spec, values[:half]), _evaluate_chunk(spec, values[half:])])
 
 
-def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate the sweep; rows come back in grid order.
+def run_sweep(spec: SweepSpec) -> dict:
+    """Evaluate the sweep as a table: one list per column (the axis, each
+    output, ``status``), rows in grid order.  ``as_rows`` gives row dicts.
 
     Rows are evaluated in stacks of ``_CHUNK_ROWS`` (see the module notes).
     """
     values = spec.grid()
-    rows: list[dict] = []
-    for start in range(0, len(values), _CHUNK_ROWS):
-        rows += _evaluate_chunk(spec, values[start : start + _CHUNK_ROWS])
-    return rows
+    starts = range(0, len(values), _CHUNK_ROWS)
+    return _concat([_evaluate_chunk(spec, values[i : i + _CHUNK_ROWS]) for i in starts])
+
+
+def as_rows(table: dict) -> list[dict]:
+    """The rows of a sweep or preset table, one dict per row."""
+    return [dict(zip(table, row)) for row in zip(*table.values())]
 
 
 def evolve_point(
@@ -350,10 +367,9 @@ def figure_preset(preset_id: str) -> FigurePreset:
     )
 
 
-def run_preset(preset: FigurePreset) -> list[dict]:
-    """Run every curve of a preset; rows gain a leading curve label."""
-    rows: list[dict] = []
-    for label, spec in preset.curves:
-        for row in run_sweep(spec):
-            rows.append({"curve": label, **row})
-    return rows
+def run_preset(preset: FigurePreset) -> dict:
+    """Run every curve of a preset (they share one axis and output set) as
+    one table, whose first column, ``curve``, holds each row's label."""
+    tables = [run_sweep(spec) for _, spec in preset.curves]
+    labels = [label for (label, _), table in zip(preset.curves, tables) for _ in table["status"]]
+    return {"curve": labels, **_concat(tables)}

@@ -40,6 +40,7 @@ from tricarl import (
     ModelParams,
     SweepSpec,
     TricarlError,
+    as_rows,
     covariance,
     cubic_roots,
     mode_observables,
@@ -138,7 +139,7 @@ def sweep_specs(draw):
 @PROPERTY_SETTINGS
 @given(sweep_specs())
 def test_batched_rows_equal_single_row_rows(spec):
-    assert_rows_match(spec, run_sweep(spec))
+    assert_rows_match(spec, as_rows(run_sweep(spec)))
 
 
 def count_rerouted_rows(monkeypatch):
@@ -166,7 +167,7 @@ def test_rows_across_the_gain_threshold_match():
             tau=tau,
         )
         assert DELTA_STAR in spec.grid()
-        assert_rows_match(spec, run_sweep(spec))
+        assert_rows_match(spec, as_rows(run_sweep(spec)))
 
 
 def test_degenerate_rows_stay_in_the_batch(monkeypatch):
@@ -196,7 +197,7 @@ def test_degenerate_rows_stay_in_the_batch(monkeypatch):
         tau=2.0,
     )
     rerouted = count_rerouted_rows(monkeypatch)
-    rows = run_sweep(spec)
+    rows = as_rows(run_sweep(spec))
     assert rerouted == []
     assert block_taus == [2.0]
     assert all(row["status"] == "ok" for row in rows)
@@ -213,7 +214,7 @@ def test_regular_grid_needs_no_single_row_evaluation(monkeypatch):
         fixed=ModelParams(100.0, 3.5, 0.5, 0.5, 0.5),
         outputs=OUTPUTS,
     )
-    rows = run_sweep(spec)
+    rows = as_rows(run_sweep(spec))
     assert rerouted == []
     assert_rows_match(spec, rows)
 
@@ -231,7 +232,7 @@ def test_tiny_rho_rows_are_non_finite(axis, outputs):
         outputs=outputs,
         tau=None if axis == "tau" else 1.0,
     )
-    rows = run_sweep(spec)
+    rows = as_rows(run_sweep(spec))
     assert [row["status"] for row in rows] == ["non_finite"] * 3
     for row in rows:
         assert all(row[name] is None for name in spec.outputs)
@@ -251,7 +252,7 @@ def test_batch_failure_falls_back_to_single_rows(monkeypatch):
         tau=1.0,
     )
 
-    expected = run_sweep(spec)
+    expected = as_rows(run_sweep(spec))
     bad = spec.grid()[2]
     true_stack = sweep_module._covariance_stack
 
@@ -262,7 +263,7 @@ def test_batch_failure_falls_back_to_single_rows(monkeypatch):
 
     monkeypatch.setattr(sweep_module, "_covariance_stack", broken)
     rerouted = count_rerouted_rows(monkeypatch)
-    rows = run_sweep(spec)
+    rows = as_rows(run_sweep(spec))
     # the chunk is bisected: only the bad value is evaluated on its own
     assert rerouted == [bad]
     expected[2] = {"delta": bad, **dict.fromkeys(spec.outputs), "status": "error"}
@@ -280,10 +281,10 @@ def test_one_failing_row_of_a_full_chunk_costs_logarithmic_passes(monkeypatch):
         tau=1.0,
     )
     assert sweep_module._CHUNK_ROWS == spec.points
-    expected = run_sweep(spec)
+    expected = as_rows(run_sweep(spec))
     bad = spec.grid()[700]
     true_stack = sweep_module._covariance_stack
-    true_rows = sweep_module._rows
+    true_table = sweep_module._table
     passes = []
 
     def broken(params, *args):
@@ -293,11 +294,11 @@ def test_one_failing_row_of_a_full_chunk_costs_logarithmic_passes(monkeypatch):
 
     def counted(spec, values):
         passes.append(len(values))
-        return true_rows(spec, values)
+        return true_table(spec, values)
 
     monkeypatch.setattr(sweep_module, "_covariance_stack", broken)
-    monkeypatch.setattr(sweep_module, "_rows", counted)
-    rows = run_sweep(spec)
+    monkeypatch.setattr(sweep_module, "_table", counted)
+    rows = as_rows(run_sweep(spec))
     # one failing pass per halving down to the bad value, plus its sibling
     assert len(passes) <= 2 * int(math.log2(spec.points)) + 1
     assert [row["delta"] for row in rows if row["status"] != "ok"] == [bad]
@@ -318,9 +319,9 @@ def test_long_grid_is_evaluated_in_chunks(monkeypatch):
         fixed=ModelParams(100.0, 3.5, 0.5, 0.5, 0.5),
         outputs=("n1", "xi12", "class"),
     )
-    chunked = run_sweep(spec)
+    chunked = as_rows(run_sweep(spec))
     monkeypatch.undo()
-    assert chunked == run_sweep(spec)
+    assert chunked == as_rows(run_sweep(spec))
     assert [row["tau"] for row in chunked] == spec.grid().tolist()
 
 

@@ -18,6 +18,7 @@ from tricarl import (
     ModelParams,
     NonFinite,
     SweepSpec,
+    as_rows,
     covariance,
     evolve_point,
     figure_preset,
@@ -61,6 +62,8 @@ def test_invalid_specs():
         make_spec(outputs=("n1", "bogus"))
     with pytest.raises(InvalidSpec):
         make_spec(outputs=())
+    with pytest.raises(InvalidSpec, match=r"outputs repeat \['n1'\]"):
+        make_spec(outputs=("n1", "n1", "xi12"))
     with pytest.raises(InvalidSpec):
         make_spec(axis="delta", start=-1.0, stop=1.0, tau=None)
     with pytest.raises(InvalidSpec):
@@ -90,7 +93,7 @@ def test_invalid_specs():
 
 def test_gain_only_sweep_needs_no_tau():
     spec = make_spec(axis="delta", start=-1.0, stop=1.0, outputs=("gain",), tau=None)
-    rows = run_sweep(spec)
+    rows = as_rows(run_sweep(spec))
     assert len(rows) == 5
     assert all(row["status"] == "ok" for row in rows)
 
@@ -99,7 +102,7 @@ def test_gain_only_sweep_needs_no_tau():
 
 
 def test_tau_sweep_rows_and_vacuum_handling():
-    rows = run_sweep(make_spec())
+    rows = as_rows(run_sweep(make_spec()))
     assert [row["tau"] for row in rows] == [0.0, 0.5, 1.0, 1.5, 2.0]
     assert rows[0]["n1"] == 0.0
     assert rows[0]["xi12"] is None  # undefined at vacuum, not an error
@@ -111,7 +114,7 @@ def test_gamma_axis_sets_both_atomic_rates():
     spec = make_spec(
         axis="gamma", start=0.0, stop=1.0, points=3, outputs=("n1",), tau=1.0
     )
-    rows = run_sweep(spec)
+    rows = as_rows(run_sweep(spec))
     reference = [
         evolve_point(FIG5.replace(gamma1=g, gamma2=g), 1.0)["observables"]["n"][0]
         for g in (0.0, 0.5, 1.0)
@@ -130,7 +133,7 @@ def test_row_errors_do_not_abort_sweep(monkeypatch):
         return c, np.where(np.asarray(tau) == 1.0, "not_hermitian", status)
 
     monkeypatch.setattr(sweep_module, "_covariance_stack", flagging)
-    rows = run_sweep(make_spec())
+    rows = as_rows(run_sweep(make_spec()))
     statuses = [row["status"] for row in rows]
     assert statuses == ["ok", "ok", "not_hermitian", "ok", "ok"]
     failed = rows[2]
@@ -140,7 +143,7 @@ def test_row_errors_do_not_abort_sweep(monkeypatch):
 def test_sweep_spec_json_round_trip():
     spec = make_spec(points=4)
     clone = SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-    assert run_sweep(clone) == run_sweep(spec)
+    assert as_rows(run_sweep(clone)) == as_rows(run_sweep(spec))
     # a malformed point count reaches the spec's own check, not int()
     for points in (2.7, True, "4"):
         with pytest.raises(InvalidSpec, match="points must be an integer"):
@@ -154,7 +157,7 @@ def test_fig5_preset_reaches_steady_squeezing():
     preset = figure_preset("fig5")
     label, spec = preset.curves[-1]
     assert label == "gamma=0.5;kappa=0.5"
-    rows = run_sweep(spec)
+    rows = as_rows(run_sweep(spec))
     assert abs(rows[-1]["xi12"] - 0.7) < 0.05
 
 
@@ -162,7 +165,7 @@ def test_fig1a_preset_ideal_gain_maximum():
     preset = figure_preset("fig1a")
     label, spec = preset.curves[0]
     assert label == "gamma=0;kappa=0"
-    rows = run_sweep(spec)
+    rows = as_rows(run_sweep(spec))
     best = max(row["gain"] for row in rows)
     assert abs(best - np.sqrt(3.0) / 2.0) < 1e-3
 
@@ -174,7 +177,7 @@ def test_unknown_preset():
 
 def test_preset_rows_carry_curve_labels():
     preset = figure_preset("fig12")
-    rows = run_preset(preset)
+    rows = as_rows(run_preset(preset))
     labels = {row["curve"] for row in rows}
     assert len(labels) == len(preset.curves)
 
@@ -376,7 +379,7 @@ def test_cli_json_round_trip(capsys):
     assert code == 0
     payload = json.loads(out)
     spec = SweepSpec.from_dict(payload["spec"])
-    assert run_sweep(spec) == payload["rows"]
+    assert as_rows(run_sweep(spec)) == payload["rows"]
 
 
 def test_cli_out_file_and_sidecar(capsys, tmp_path):
@@ -440,7 +443,7 @@ def test_overflowed_rows_carry_non_finite_status():
         outputs=("n1", "xi12", "mineig_gamma1", "class"),
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = run_sweep(spec)
+        rows = as_rows(run_sweep(spec))
     assert [row["status"] for row in rows] == ["ok", "ok"] + ["non_finite"] * 3
     for row in rows[2:]:
         assert all(row[name] is None for name in spec.outputs)
@@ -561,13 +564,53 @@ SWEEP_FLAGS = (
             "need finite start < stop",
         ),
         (("--rho", "100", "--sweep", "tau:0:inf:3", "--outputs", "n1"), "need finite start < stop"),
+        (
+            ("--rho", "10", "--tau", "1", "--sweep", "delta:0:1:2", "--outputs", "n1,n1,xi12"),
+            "outputs repeat ['n1']",
+        ),
+        (
+            ("--rho", "2", "--delta", "-4", "--tau", "inf", "--sweep", "kappa:0.1:2:3",
+             "--outputs", "n1", "--format", "json"),
+            "tau=inf has no JSON encoding",
+        ),
+        (
+            ("--rho", "100", "--tau", "2", "--sweep", "tau:0:1:3", "--oracle"),
+            "--oracle applies to point reports only",
+        ),
+        (("--preset", "fig3", "--oracle"), "--oracle applies to point reports only"),
     ],
 )
-def test_cli_rejects_non_finite_and_negative_numbers(capsys, argv, message):
+def test_cli_rejects_an_invalid_spec(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["code"] == "invalid_spec" and error["message"].startswith(message)
+
+
+def test_cli_infinite_tau_sweep_is_written_as_csv(capsys):
+    code, out, err = run_cli(
+        capsys, "--rho", "2", "--delta", "-4", "--tau", "inf", "--sweep", "kappa:0.1:2:3",
+        "--outputs", "n1",
+    )
+    assert code == 0 and err == ""
+    assert "tau=inf" in out
+
+
+def test_cli_csv_runs_call_the_traced_names(capsys, monkeypatch):
+    # the benchmark tracer times these three names of tricarl.cli
+    import tricarl.cli as cli_module
+
+    calls = []
+    for name in ("run_sweep", "run_preset", "_rows_to_csv"):
+
+        def counted(*args, _name=name, _true=getattr(cli_module, name)):
+            calls.append(_name)
+            return _true(*args)
+
+        monkeypatch.setattr(cli_module, name, counted)
+    assert run_cli(capsys, "--preset", "fig1a")[0] == 0
+    assert run_cli(capsys, "--rho", "100", "--tau", "1", "--sweep", "tau:0:1:3")[0] == 0
+    assert calls == ["run_preset", "_rows_to_csv", "run_sweep", "_rows_to_csv"]
 
 
 def test_cli_preset_csv(capsys):
@@ -629,6 +672,8 @@ def test_cli_sidecar_versions_and_status_counts(capsys, tmp_path):
             (["--rho", "100", "--sweep", "tau:0:800:5", "--outputs", "n1"],
              {"non_finite": 2, "ok": 3}),
             (["--preset", "fig1a"], {"ok": 4 * 301}),
+            (["--rho", "100", "--tau", "0", "--sweep", "tau:0:2000:3", "--outputs", "gain,n1"],
+             {"non_finite": 2, "ok": 1}),
         ):
             target = tmp_path / "rows.csv"
             code, _, _ = run_cli(capsys, *argv, "--out", str(target))

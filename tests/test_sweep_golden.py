@@ -20,7 +20,7 @@ import pytest
 
 import tricarl.dynamics as dynamics
 import tricarl.sweep as sweep_module
-from tricarl import OUTPUTS, ModelParams, SweepSpec, figure_preset, run_preset, run_sweep
+from tricarl import OUTPUTS, ModelParams, SweepSpec, as_rows, figure_preset, run_preset, run_sweep
 
 GOLDEN = Path(__file__).with_name("golden_rows.json")
 PRESET_IDS = ("fig1", "fig1a", "fig1b", "fig2", "fig2a", "fig2b") + tuple(
@@ -90,7 +90,7 @@ def layout(rows):
     return {"keys": keys, "runs": runs}
 
 
-def failure_grid_rows(name):
+def failure_grid_table(name):
     spec, widened = failure_grids()[name]
     true_threshold = dynamics.degeneracy_threshold
     if widened:
@@ -103,9 +103,9 @@ def failure_grid_rows(name):
 
 
 def record():
-    golden = {f"preset:{pid}": layout(run_preset(figure_preset(pid))) for pid in PRESET_IDS}
-    golden.update({f"grid:{name}": layout(failure_grid_rows(name)) for name in failure_grids()})
-    return golden
+    tables = {f"preset:{pid}": run_preset(figure_preset(pid)) for pid in PRESET_IDS}
+    tables.update({f"grid:{name}": failure_grid_table(name) for name in failure_grids()})
+    return {key: layout(as_rows(table)) for key, table in tables.items()}
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +115,7 @@ def golden():
 
 @pytest.mark.parametrize("preset_id", PRESET_IDS)
 def test_preset_rows_match_golden(golden, preset_id):
-    assert layout(run_preset(figure_preset(preset_id))) == golden[f"preset:{preset_id}"]
+    assert layout(as_rows(run_preset(figure_preset(preset_id)))) == golden[f"preset:{preset_id}"]
 
 
 @pytest.mark.parametrize("name", sorted(failure_grids()))
@@ -128,7 +128,7 @@ def test_failure_grids_match_golden_without_single_rows(golden, name, monkeypatc
         return true_evaluate_row(spec, value)
 
     monkeypatch.setattr(sweep_module, "_evaluate_row", counted)
-    assert layout(failure_grid_rows(name)) == golden[f"grid:{name}"]
+    assert layout(as_rows(failure_grid_table(name))) == golden[f"grid:{name}"]
     assert calls == []
 
 
