@@ -7,7 +7,10 @@ coefficients obtained from power-sum traces or bisection on Cholesky
 factorizations, and the quadrature-covariance round trip inverts the block
 construction directly.  The entrywise covariance assembles C element by
 element from the propagator entries, and the effective generator rebuilds A
-from the spectral data.
+from the spectral data.  The characteristic cubic's roots come from LAPACK
+as eigenvalues of companion matrices (``companion_roots``), where the package
+solves the cubic in closed form, and from mpmath at 50 digits
+(``exact_roots``).
 
 The separability and physicality tests are checked against the quadrature
 basis (Simon, PRL 84, 2726 (2000)): the real 6x6 covariance V, the
@@ -28,6 +31,7 @@ walk every nested float of the result for inf/NaN.
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 
@@ -289,6 +293,38 @@ def covariance_entrywise(spec, tau):
         c[row, col] = value
         c[col, row] = value.conjugate()
     return CovarianceState(tau=tau, c=c)
+
+
+def companion_roots(coeffs):
+    """Roots of monic cubics [1, c2, c1, c0] (last axis) as eigenvalues of
+    their companion matrices, each polished by one Newton step, sorted by
+    (Im, Re); NaN for non-finite coefficients."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    finite = np.isfinite(coeffs).all(axis=-1, keepdims=True)
+    coeffs = np.where(finite, coeffs, (1.0, 0.0, 0.0, 0.0))
+    companion = np.zeros(coeffs.shape[:-1] + (3, 3), dtype=complex)
+    companion[..., 0, :] = -coeffs[..., 1:]
+    companion[..., 1, 0] = 1.0
+    companion[..., 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    c2, c1, c0 = (coeffs[..., k, np.newaxis] for k in (1, 2, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = ((roots + c2) * roots + c1) * roots + c0
+        slope = (3.0 * roots + 2.0 * c2) * roots + c1
+        safe = np.abs(slope) > 0
+        roots = roots - np.where(safe, value / np.where(safe, slope, 1.0), 0.0)
+    order = np.lexsort((roots.real, roots.imag), axis=-1)
+    return np.where(finite, np.take_along_axis(roots, order, axis=-1), np.nan)
+
+
+def exact_roots(coeffs):
+    """Roots of one monic cubic [1, c2, c1, c0] from mpmath at 50 digits,
+    rounded to complex and sorted by (Im, Re)."""
+    with mpmath.workdps(50):
+        coefficients = [mpmath.mpc(complex(c)) for c in coeffs]
+        found = mpmath.polyroots(coefficients, maxsteps=200, extraprec=400)
+    roots = np.array([complex(root) for root in found])
+    return roots[np.lexsort((roots.real, roots.imag))]
 
 
 def effective_generator(spec):

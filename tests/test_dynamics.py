@@ -1,10 +1,22 @@
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import effective_generator, eigensystem, expm_taylor
+from oracles import (
+    companion_roots,
+    effective_generator,
+    eigensystem,
+    exact_roots,
+    expm_taylor,
+)
 from tricarl import (
     DegenerateSpectrum,
     ModelParams,
+    NonFinite,
     cubic_coefficients,
     cubic_roots,
     derive,
@@ -14,7 +26,8 @@ from tricarl import (
     spectrum,
     unstable_root,
 )
-from tricarl.dynamics import _propagator_matrix
+from tricarl.dynamics import _propagator_matrix, _spectral_stack
+from tricarl.model import ParamStack
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
 IDEAL_SC = ModelParams(rho=100.0, delta=0.0)
@@ -90,6 +103,163 @@ def test_cubic_residuals_and_vieta_over_random_grid():
         pair_sum = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
         assert abs(pair_sum + dp.beta**2) <= 1e-9 * max(1.0, abs(dp.beta) ** 2)
         assert abs(np.prod(roots) + c0) <= 1e-9 * max(1.0, abs(c0))
+
+
+# ------------------------------------------------- closed-form solver accuracy
+
+EPS = np.finfo(float).eps
+# one gain threshold of the lossless cubic per coupling: the detuning where
+# two roots merge (100: the edge_points ladder's DELTA_STAR + 1 ulp)
+LADDER_RHOS = (0.3, 50.0, 100.0, 200.0)
+LADDER_OFFSETS = (0.0,) + tuple(s * 10.0**-k for k in range(1, 14) for s in (1.0, -1.0))
+
+
+def merge_detuning(rho):
+    """Detuning above 0.5 where the discriminant of the lossless cubic
+    (w - delta)(w^2 - 1/rho^2) + 1 vanishes, to double precision."""
+
+    def discriminant(d):
+        b2 = 1 / mpmath.mpf(rho) ** 2
+        c2, c1, c0 = -d, -b2, d * b2 + 1
+        return 18 * c2 * c1 * c0 - 4 * c2**3 * c0 + c2**2 * c1**2 - 4 * c1**3 - 27 * c0**2
+
+    with mpmath.workdps(40):
+        grid = np.linspace(0.5, 5.0, 46)
+        signs = [mpmath.sign(discriminant(mpmath.mpf(d))) for d in grid]
+        k = next(i for i in range(len(grid) - 1) if signs[i] != signs[i + 1])
+        return float(mpmath.findroot(discriminant, (grid[k], grid[k + 1]), solver="bisect"))
+
+
+def coefficients_of(rho, delta, gamma1=0.0, gamma2=0.0, kappa=0.0):
+    params = ModelParams(rho, delta, gamma1, gamma2, kappa)
+    return cubic_coefficients(derive(params), params.rho)
+
+
+def assert_roots_near_exact(roots, coeffs, exact, factor=16.0):
+    """Each root within ``factor`` ulps times its condition number
+    sum_k |c_k| |w|^k / |p'(w)| of the exact root, the roots matched as a
+    set."""
+    slopes = [(w - exact[(j + 1) % 3]) * (w - exact[(j + 2) % 3]) for j, w in enumerate(exact)]
+    condition = np.array(
+        [
+            sum(abs(coeffs[3 - k]) * abs(w) ** k for k in range(4)) / abs(slope)
+            for w, slope in zip(exact, slopes)
+        ]
+    )
+    errors = min(
+        (np.abs(roots[list(order)] - exact) for order in itertools.permutations(range(3))),
+        key=lambda e: np.max(e / condition),
+    )
+    assert np.all(errors <= factor * EPS * condition)
+
+
+def assert_vieta(roots, coeffs, factor=16.0):
+    """The sum, pair-sum and product relations within ``factor`` ulps of the
+    scale s = max(|c2|, |c1|^(1/2), |c0|^(1/3)) to the first, second and
+    third power."""
+    s = max(abs(coeffs[1]), abs(coeffs[2]) ** 0.5, abs(coeffs[3]) ** (1 / 3))
+    pair_sum = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
+    assert abs(roots.sum() + coeffs[1]) <= factor * EPS * s
+    assert abs(pair_sum - coeffs[2]) <= factor * EPS * s**2
+    assert abs(roots.prod() + coeffs[3]) <= factor * EPS * s**3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    log_rho=st.floats(-2.0, 4.0),
+    delta=st.floats(-10.0, 10.0),
+    rates=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+)
+def test_solve_cubic_matches_exact_roots(log_rho, delta, rates):
+    coeffs = coefficients_of(10.0**log_rho, delta, *rates)
+    roots, exact = solve_cubic(coeffs), exact_roots(coeffs)
+    assert_roots_near_exact(roots, coeffs, exact)
+    assert_vieta(roots, coeffs)
+    # the companion-matrix eigenvalues meet the same per-root bound
+    assert_roots_near_exact(companion_roots(coeffs), coeffs, exact)
+
+
+@pytest.mark.parametrize("rho", LADDER_RHOS)
+def test_solve_cubic_on_merge_detuning_ladders(rho):
+    star = merge_detuning(rho)
+    exact = exact_roots(coefficients_of(rho, star))
+    assert min(abs(a - b) for a, b in itertools.combinations(exact, 2)) < 1e-7
+    for offset in LADDER_OFFSETS:
+        coeffs = coefficients_of(rho, star + offset)
+        roots = solve_cubic(coeffs)
+        assert_roots_near_exact(roots, coeffs, exact_roots(coeffs))
+        assert_vieta(roots, coeffs)
+
+
+def test_edge_ladder_rows_stay_regular():
+    # the edge_points ladder at rho = 100: its first row is the benchmark's
+    # set-up probe, which would load scipy if it were routed to Van Loan
+    star = 1.8899212590353163
+    deltas = np.array([star + offset for offset in LADDER_OFFSETS])
+    stack = ParamStack(100.0, deltas, 0.0, 0.0, 0.0)
+    dp = derive(stack)
+    roots = solve_cubic(cubic_coefficients(dp, stack.rho))
+    _, regular = _spectral_stack(stack, roots)
+    assert regular.all()
+
+
+@pytest.mark.parametrize("rates", [(0.1, 0.3, 0.2), (0.3, 0.5, 0.1), (0.2, 0.7, 1.5)])
+def test_small_rho_gain_is_the_decoupled_limit(rates):
+    # the large roots are +-(1/rho + i gamma_minus) to within rho^2: their
+    # imaginary parts survive though they are 1e-150 of the modulus
+    for k in range(5, 141):
+        params = ModelParams(10.0**-k, 2.0, *rates)
+        growth = gain(cubic_roots(params), derive(params).gamma_plus)
+        assert growth == pytest.approx(-min(rates), abs=1e-12), k
+
+
+def test_non_finite_only_where_the_coefficients_overflow():
+    for k in range(5, 200):
+        params = ModelParams(10.0**-k, 2.0, 0.1, 0.3, 0.2)
+        finite = np.isfinite(cubic_coefficients(derive(params), params.rho)).all()
+        if finite:
+            assert np.isfinite(cubic_roots(params)).all(), k
+        else:
+            with pytest.raises(NonFinite):
+                cubic_roots(params)
+    assert not np.isfinite(cubic_coefficients(derive(ModelParams(1e-160, 2.0)), 1e-160)).all()
+
+
+def test_large_detuning_keeps_the_gain():
+    for delta in (1e4, -1e6, 1e8):
+        for rho in (0.01, 1.0, 100.0):
+            coeffs = coefficients_of(rho, delta, 0.1, 0.3, 0.2)
+            expected = gain(exact_roots(coeffs), 0.2)
+            assert gain(solve_cubic(coeffs), 0.2) == pytest.approx(expected, abs=1e-12)
+
+
+def test_multiple_zero_and_non_finite_roots():
+    cases = {
+        (1, 0, 0, 0): [0, 0, 0],
+        (1, -3, 3, -1): [1, 1, 1],
+        (1, 0, -3, 2): [-2, 1, 1],
+        (1, 0, -1, 0): [-1, 0, 1],
+        (1, -1, 0, 0): [0, 0, 1],
+        (1, -3.001, 2.003, -0.002): [0.001, 1, 2],
+    }
+    coeffs = np.array(list(cases), dtype=complex)
+    roots = solve_cubic(coeffs)
+    assert np.allclose(roots, np.array(list(cases.values())), rtol=1e-14, atol=1e-15)
+    assert np.isnan(solve_cubic(np.array([1, 0, np.inf, 0]))).all()
+    assert np.isnan(solve_cubic(np.array([[1, 0, 0, 1], [1, np.nan, 0, 0]]))[1]).all()
+
+
+def test_real_cubics_give_exactly_conjugate_pairs():
+    # without losses the coefficients are real: a complex pair must come out
+    # conjugate to the last bit, or the lossless unitarity relations drift
+    rng = np.random.RandomState(13)
+    pairs = 0
+    for _ in range(200):
+        roots = cubic_roots(ModelParams(10 ** rng.uniform(-2, 4), rng.uniform(-10, 10)))
+        if abs(roots[0].imag) > 1e-8 * abs(roots[0]):
+            pairs += 1
+            assert roots[0] == np.conj(roots[2])
+    assert pairs > 50
 
 
 # ----------------------------------------------------------- unstable root / gain
