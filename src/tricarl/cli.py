@@ -121,7 +121,7 @@ def _emit(text: str, out: str | None, argv: list[str], statuses: list[str] | Non
     if out is None:
         sys.stdout.write(text)
         return
-    import scipy  # for the sidecar's version field only
+    from importlib.metadata import version  # reads scipy's version without importing it
 
     path = Path(out)
     path.write_text(text, encoding="utf-8")
@@ -129,7 +129,7 @@ def _emit(text: str, out: str | None, argv: list[str], statuses: list[str] | Non
         "argv": argv,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": version("scipy"),
         "python": sys.version.split()[0],
     }
     if statuses is not None:

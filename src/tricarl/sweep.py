@@ -6,14 +6,19 @@ a requested set of scalar observables per grid point.  Rows never abort
 the sweep: failures are recorded in a per-row status column and undefined
 observables (vacuum 0/0) stay empty.
 
-The grid is evaluated as array programs over stacks of rows: one stacked
-cubic solve, eigensystem, covariance, observable and separability pass per
-chunk of rows (one spectrum for a whole tau axis).  Rows whose roots are
-too close for the closed form get Van Loan's block exponential inside the
-stack.  Each kernel evaluates its guards as per-row masks, and a row's
-status is the code of the first guard it fails, in pipeline order.  Every
-row is evaluated once; only when a stacked LAPACK call raises is the chunk
-evaluated again, bisected down to the row that fails, so the failure costs
+Sweeps are array programs over (curves, points) blocks: a figure preset
+stacks runs of consecutive curves that share their points, tau, atom
+number and epsilon, up to ``_CHUNK_ROWS`` rows, and a single sweep is the
+one-curve case; a longer curve is split along its points.  A block is
+one pass of stacked kernels: cubic roots (one cubic per curve on a tau
+axis), covariance, observables and separability tests, run only as far
+along this pipeline as the requested outputs need (``_REGISTRY``).  Rows
+whose roots are too close for the closed form get Van Loan's block
+exponential inside the stack.  Each kernel evaluates its guards as
+per-row masks, and a row's status is the code of the first guard it
+fails, in pipeline order.  Every row is evaluated once; only when a
+stacked LAPACK call raises is the block evaluated again, bisected by
+curves, then by points, down to the row that fails, so the failure costs
 only its own row.
 
 Figure presets are data: ``presets.PRESETS`` maps each id to a description
@@ -23,7 +28,9 @@ turns only the requested entry into validated sweeps.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,38 +45,38 @@ from .model import ModelParams, ParamStack, derive
 from .observables import CROSS_PAIRS, _defined_cells, _observable_stack, mode_observables
 from .presets import PRESETS
 
-OUTPUTS = (
-    "n1",
-    "n2",
-    "n3",
-    "xi12",
-    "xi13",
-    "xi23",
-    "g2_12",
-    "g2_13",
-    "g2_23",
-    "bunching",
-    "gain",
-    "mineig_gamma1",
-    "mineig_gamma2",
-    "mineig_gamma3",
-    "mineig_s12",
-    "mineig_s13",
-    "mineig_s23",
-    "class",
-)
+# the stages of a pass, in pipeline order; a pass runs them up to the last
+# one its outputs need (the covariance runs with its observables' guards)
+_ROOTS, _OBSERVABLES, _SEPARABILITY = range(3)
+_PAIR_NAMES = [f"{i}{j}" for i, j in CROSS_PAIRS]
+# output name -> (stage, field, index): the stage that computes the output,
+# the field of that stage's results and the output's position on the
+# field's last axis (None for one value per row)
+_REGISTRY = {
+    **{f"n{k + 1}": (_OBSERVABLES, "n", k) for k in range(3)},
+    **{f"xi{pair}": (_OBSERVABLES, "xi", k) for k, pair in enumerate(_PAIR_NAMES)},
+    **{f"g2_{pair}": (_OBSERVABLES, "g2_cross", k) for k, pair in enumerate(_PAIR_NAMES)},
+    "bunching": (_OBSERVABLES, "bunching", None),
+    "gain": (_ROOTS, "gain", None),
+    **{f"mineig_gamma{k + 1}": (_SEPARABILITY, "gammas", k) for k in range(3)},
+    **{f"mineig_s{pair}": (_SEPARABILITY, "pairs", k) for k, pair in enumerate(_PAIR_NAMES)},
+    "class": (_SEPARABILITY, "class", None),
+}
+OUTPUTS = tuple(_REGISTRY)
 
 AXES = ("delta", "tau", "gamma", "kappa")
 
-_STATE_OUTPUTS = frozenset(OUTPUTS) - {"gain"}
-_ENTANGLEMENT_OUTPUTS = frozenset(
-    name for name in OUTPUTS if name.startswith("mineig_") or name == "class"
-)
 MAX_POINTS = 10**6
 # Rows per batched evaluation; bounds the temporaries of a long sweep (about
-# 8 MB at this size with every output requested; larger chunks cost no less
+# 8 MB at this size with every output requested; larger blocks cost no less
 # per row).
 _CHUNK_ROWS = 1024
+# curves with equal keys can share a block
+_BLOCK_KEY = operator.attrgetter("axis", "outputs", "points", "tau", "atom_number", "epsilon")
+
+
+def _last_stage(outputs) -> int:
+    return max(_REGISTRY[name][0] for name in outputs)
 
 
 @dataclass(frozen=True)
@@ -105,7 +112,7 @@ class SweepSpec:
         repeated = sorted({name for name in self.outputs if self.outputs.count(name) > 1})
         if repeated:
             raise InvalidSpec(f"outputs repeat {repeated}; name each output once")
-        if self.axis != "tau" and self.tau is None and self._needs_state():
+        if self.axis != "tau" and self.tau is None and _last_stage(self.outputs) > _ROOTS:
             raise InvalidSpec("state observables on a non-tau axis require tau")
         if self.tau is not None and not self.tau >= 0:
             raise InvalidSpec(f"tau must be >= 0, got {self.tau!r}")
@@ -118,24 +125,9 @@ class SweepSpec:
         if not 0 <= self.epsilon < math.inf:
             raise InvalidSpec(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
 
-    def _needs_state(self) -> bool:
-        return any(name in _STATE_OUTPUTS for name in self.outputs)
-
     def grid(self) -> np.ndarray:
         # halving is exact for normal floats: linspace(start, stop) with no overflow of the span
         return 2.0 * np.linspace(0.5 * self.start, 0.5 * self.stop, self.points)
-
-    def stack(self, values: np.ndarray) -> tuple[ParamStack, np.ndarray | float | None]:
-        """Model parameters and evolution times at many grid values."""
-        fields = self.fixed.to_dict()
-        tau = self.tau
-        if self.axis == "tau":
-            tau = values
-        elif self.axis == "gamma":
-            fields.update(gamma1=values, gamma2=values)
-        else:
-            fields[self.axis] = values
-        return ParamStack(**fields), tau
 
     def to_dict(self) -> dict:
         return {
@@ -172,69 +164,91 @@ def _then(status, later):
     return np.where(status == "ok", later, status)
 
 
-def _split(columns: dict, prefix: str, field, suffixes) -> None:
-    """Put the last-axis entries of a (values, defined) field in columns."""
-    value, defined = field
-    for k, suffix in enumerate(suffixes):
-        columns[prefix + suffix] = (value[..., k], defined is True or defined[..., k])
+def _stack(specs, values: np.ndarray) -> tuple[ParamStack, np.ndarray | float | None]:
+    """Model parameters and evolution times of a block of curves at their
+    (curves, points) grid values: a fixed field that every curve shares
+    stays a scalar, the others are (curves, 1) arrays."""
+    fields = {}
+    for name in ParamStack._fields:
+        column = [getattr(spec.fixed, name) for spec in specs]
+        shared = column.count(column[0]) == len(column)
+        fields[name] = column[0] if shared else np.array(column)[:, np.newaxis]
+    axis, tau = specs[0].axis, specs[0].tau
+    if axis == "tau":
+        tau = values
+    elif axis == "gamma":
+        fields.update(gamma1=values, gamma2=values)
+    else:
+        fields[axis] = values
+    return ParamStack(**fields), tau
 
 
-def _batch_columns(spec: SweepSpec, values: np.ndarray) -> tuple[dict, np.ndarray]:
-    """The requested columns of a chunk of grid values, as (values, defined)
-    array pairs, and each row's status.
+def _batch_columns(specs, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The requested outputs of a block of curves that share their axis,
+    outputs, tau, atom number and epsilon, at their (curves, points) grid
+    values: an (outputs, curves, points) array of cells, the mask of the
+    defined ones, and each row's status.
 
     The status is the first guard the row fails, "ok" if none: non-finite
-    roots, then the guards of the covariance, observables and separability
-    kernels, then a non-finite requested cell ("non_finite").  A failed
-    row's cells are undefined, except that it keeps its gain when it failed
-    after the roots.  Grid values are finite (see ``SweepSpec``).
+    roots, at tau=inf a gain >= 0 ("not_stable": no steady state), then
+    the guards of the covariance, observables and separability kernels,
+    then a non-finite requested cell ("non_finite").  A failed row's cells
+    are undefined, except that it keeps its gain when it failed after the
+    roots.  Grid values are finite (see ``SweepSpec``).
     """
-    params, tau = spec.stack(values)
+    spec = specs[0]
+    last = _last_stage(spec.outputs)
+    params, tau = _stack(specs, values)
     dp = derive(params)
     roots = solve_cubic(cubic_coefficients(dp, params.rho))
-    status = first_failure(("non_finite", ~np.isfinite(roots).all(axis=-1)))
-    columns: dict = {}
-    if "gain" in spec.outputs:
-        columns["gain"] = (gain(roots, dp.gamma_plus), status == "ok")
-    if spec._needs_state():
+    finite = np.isfinite(roots).all(axis=-1)
+    status = first_failure(("non_finite", ~finite))
+    steady = spec.tau == math.inf
+    fields = {}
+    if "gain" in spec.outputs or steady:
+        fields["gain"] = (gain(roots, dp.gamma_plus), finite)
+    if last >= _OBSERVABLES:
+        if steady:
+            status = _then(status, first_failure(("not_stable", fields["gain"][0] >= 0)))
         c, c_status = _covariance_stack(params, roots, tau, status == "ok")
-        fields, obs_status = _observable_stack(c, spec.atom_number)
+        observables, obs_status = _observable_stack(c, spec.atom_number)
         status = _then(status, _then(c_status, obs_status))
-        columns["bunching"] = fields["bunching"]
-        _split(columns, "n", fields["n"], ("1", "2", "3"))
-        pairs = [f"{i}{j}" for i, j in CROSS_PAIRS]
-        _split(columns, "xi", fields["xi"], pairs)
-        _split(columns, "g2_", fields["g2_cross"], pairs)
-        if any(name in _ENTANGLEMENT_OUTPUTS for name in spec.outputs):
-            gammas, pair_eigs, labels, sep_status = _separability_stack(c, spec.epsilon)
-            status = _then(status, sep_status)
-            columns["class"] = (labels, True)
-            _split(columns, "mineig_gamma", (gammas, True), ("1", "2", "3"))
-            _split(columns, "mineig_s", (pair_eigs, True), pairs)
-        overflow = np.zeros(values.shape, dtype=bool)
-        for name in spec.outputs:
-            if name != "gain" and name != "class":
-                value, defined = columns[name]
-                overflow |= defined & ~np.isfinite(value)
+        fields.update(observables)
+    if last == _SEPARABILITY:
+        gammas, pairs, labels, sep_status = _separability_stack(c, spec.epsilon)
+        status = _then(status, sep_status)
+        fields.update({"gammas": (gammas, True), "pairs": (pairs, True), "class": (labels, True)})
+    dtype = object if "class" in spec.outputs else float
+    cells = np.empty((len(spec.outputs), *values.shape), dtype)
+    defined = np.empty(cells.shape, dtype=bool)
+    overflow = np.zeros(values.shape, dtype=bool)
+    for k, name in enumerate(spec.outputs):
+        stage, source, index = _REGISTRY[name]
+        value, ok = fields[source]
+        if index is not None:
+            value, ok = value[..., index], ok is True or ok[..., index]
+        # as an array: an object cell then holds a float, not a numpy scalar
+        cells[k], defined[k] = np.asarray(value), ok
+        if stage > _ROOTS and name != "class":
+            overflow |= ok & ~np.isfinite(value)
+    if last >= _OBSERVABLES:
         status = _then(status, first_failure(("non_finite", overflow)))
-        ok = status == "ok"
-        for name in spec.outputs:
-            if name != "gain":
-                value, defined = columns[name]
-                columns[name] = (value, defined & ok)
-    return columns, np.broadcast_to(status, values.shape)
+        defined[[name != "gain" for name in spec.outputs]] &= status == "ok"
+    return cells, defined, np.broadcast_to(status, values.shape)
 
 
-def _table(spec: SweepSpec, values: np.ndarray) -> dict:
-    """Columns of a chunk: grid values, outputs (None where undefined), status."""
+def _table(specs, values: np.ndarray) -> dict:
+    """Columns of a block: grid values, outputs (None where undefined),
+    status, rows in curve order."""
     with np.errstate(all="ignore"):
-        columns, status = _batch_columns(spec, values)
-    table = {spec.axis: values.tolist()}
-    for name in spec.outputs:
-        value, defined = (np.broadcast_to(x, values.shape) for x in columns[name])
-        table[name] = np.where(defined, value, None).tolist()
-    table["status"] = status.tolist()
-    return table
+        cells, defined, status = _batch_columns(specs, values)
+    spec = specs[0]
+    columns = np.where(defined, cells, None).reshape(len(spec.outputs), -1).tolist()
+    return {
+        spec.axis: values.ravel().tolist(),
+        **dict(zip(spec.outputs, columns)),
+        "status": status.ravel().tolist(),
+    }
 
 
 def _evaluate_row(spec: SweepSpec, value: float) -> dict:
@@ -252,28 +266,53 @@ def _concat(tables: list[dict]) -> dict:
     return first
 
 
-def _evaluate_chunk(spec: SweepSpec, values: np.ndarray) -> dict:
-    """Table of a chunk.  A LAPACK failure on one row stops the whole stack,
-    so a failing chunk is split in halves until the failure is down to its
-    own row: one bad row of N costs about 2 log2(N) stacked passes."""
+def _evaluate_block(specs, values: np.ndarray) -> dict:
+    """Table of a block.  A LAPACK failure on one row stops the whole stack,
+    so a failing block is split in halves, by curves and then by points,
+    until the failure is down to its own row: one bad row of N costs about
+    2 log2(N) stacked passes."""
     try:
-        return _table(spec, values)
+        return _table(specs, values)
     except np.linalg.LinAlgError:
-        if len(values) == 1:
-            return _evaluate_row(spec, values.item())
-        half = len(values) // 2
-        return _concat([_evaluate_chunk(spec, values[:half]), _evaluate_chunk(spec, values[half:])])
+        if values.size == 1:
+            return _evaluate_row(specs[0], values.item())
+        if len(specs) > 1:
+            half = len(specs) // 2
+            parts = (specs[:half], values[:half]), (specs[half:], values[half:])
+        else:
+            half = values.shape[1] // 2
+            parts = (specs, values[:, :half]), (specs, values[:, half:])
+        return _concat([_evaluate_block(*part) for part in parts])
+
+
+def _blocks(specs):
+    """(curves, grid values) blocks of at most ``_CHUNK_ROWS`` rows: runs of
+    consecutive curves that share their axis, outputs, points, tau, atom
+    number and epsilon, stacked (curves, points); a curve longer than a
+    block is split along its points."""
+    for _, run in itertools.groupby(specs, _BLOCK_KEY):
+        run = tuple(run)
+        points = run[0].points
+        per = max(1, _CHUNK_ROWS // points)
+        for i in range(0, len(run), per):
+            grids = np.array([spec.grid() for spec in run[i : i + per]])
+            for j in range(0, points, _CHUNK_ROWS):
+                yield run[i : i + per], grids[:, j : j + _CHUNK_ROWS]
+
+
+def _run(specs) -> dict:
+    """The table of a run of curves, rows in curve and grid order."""
+    return _concat([_evaluate_block(*block) for block in _blocks(specs)])
 
 
 def run_sweep(spec: SweepSpec) -> dict:
     """Evaluate the sweep as a table: one list per column (the axis, each
     output, ``status``), rows in grid order.  ``as_rows`` gives row dicts.
 
-    Rows are evaluated in stacks of ``_CHUNK_ROWS`` (see the module notes).
+    The one-curve case of ``run_preset``: rows are evaluated in stacks of
+    ``_CHUNK_ROWS`` (see the module notes).
     """
-    values = spec.grid()
-    starts = range(0, len(values), _CHUNK_ROWS)
-    return _concat([_evaluate_chunk(spec, values[i : i + _CHUNK_ROWS]) for i in starts])
+    return _run((spec,))
 
 
 def as_rows(table: dict) -> list[dict]:
@@ -369,7 +408,14 @@ def figure_preset(preset_id: str) -> FigurePreset:
 
 def run_preset(preset: FigurePreset) -> dict:
     """Run every curve of a preset (they share one axis and output set) as
-    one table, whose first column, ``curve``, holds each row's label."""
-    tables = [run_sweep(spec) for _, spec in preset.curves]
-    labels = [label for (label, _), table in zip(preset.curves, tables) for _ in table["status"]]
-    return {"curve": labels, **_concat(tables)}
+    one table, whose first column, ``curve``, holds each row's label.
+
+    The curves are stacked into (curves, points) blocks of up to
+    ``_CHUNK_ROWS`` rows, each evaluated in one pass (see the module notes):
+    fixed parameters as (curves, 1) arrays, or scalars where every curve of
+    the block shares them, so a tau preset solves one cubic per curve.
+    """
+    labels = []
+    for label, spec in preset.curves:
+        labels += [label] * spec.points
+    return {"curve": labels, **_run([spec for _, spec in preset.curves])}

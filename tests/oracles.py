@@ -66,7 +66,7 @@ from tricarl.entanglement import HERMITICITY_TOL
 from tricarl.errors import NonFinite, NotHermitian, TricarlError
 from tricarl.model import ParamStack
 from tricarl.observables import ZERO_OCCUPATION
-from tricarl.sweep import _ENTANGLEMENT_OUTPUTS
+from tricarl.sweep import _OBSERVABLES, _REGISTRY, _SEPARABILITY
 
 
 def expm_taylor(a, tol=1e-16):
@@ -398,8 +398,14 @@ def squeezing_from_moments(n_i, n_j, var_i, var_j, cross_sq):
 
 def spec_point(spec, value):
     """Model parameters and evolution time at one grid value of a sweep."""
-    params, tau = spec.stack(float(value))
-    return ModelParams(**params._asdict()), tau
+    fields, tau = spec.fixed.to_dict(), spec.tau
+    if spec.axis == "tau":
+        tau = float(value)
+    elif spec.axis == "gamma":
+        fields.update(gamma1=float(value), gamma2=float(value))
+    else:
+        fields[spec.axis] = float(value)
+    return ModelParams(**fields), tau
 
 
 def _non_finite_fields(value, path=""):
@@ -435,7 +441,8 @@ def evaluate_row(spec, value):
         params, tau = spec_point(spec, value)
         if "gain" in spec.outputs:
             row["gain"] = gain(cubic_roots(params), derive(params).gamma_plus)
-        if spec._needs_state():
+        last = max(_REGISTRY[name][0] for name in spec.outputs)
+        if last >= _OBSERVABLES:
             state = covariance(params, float(tau))
             obs = mode_observables(state, spec.atom_number)
             values = {
@@ -450,7 +457,7 @@ def evaluate_row(spec, value):
                 "g2_23": obs.g2_cross[2],
                 "bunching": obs.bunching,
             }
-            if any(name in _ENTANGLEMENT_OUTPUTS for name in spec.outputs):
+            if last == _SEPARABILITY:
                 report = separability_report(state, spec.epsilon)
                 values.update(
                     {

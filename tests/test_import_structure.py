@@ -7,10 +7,10 @@ A function-level import of a ``tricarl`` module hides an import cycle
 such imports out of ``src/tricarl``.  Function-level imports of third-party
 modules are allowed: they are how start-up cost is kept down.  scipy loads
 on the first call of a path that uses it (Van Loan rows, ``steady_state``,
-``from_lab``, the ``--out`` sidecar), not on import, so a CLI run of a point
-report, a sweep or a preset loads numpy alone.  A stale or missing
-``__all__`` entry would show only as an ``AttributeError`` on
-``from tricarl import *`` or as a public name nobody listed.
+``from_lab``), not on import, so a CLI run of a point report, a sweep or a
+preset, also with an ``--out`` file and its sidecar, loads numpy alone.  A
+stale or missing ``__all__`` entry would show only as an ``AttributeError``
+on ``from tricarl import *`` or as a public name nobody listed.
 """
 
 import ast
@@ -68,25 +68,31 @@ def test_all_is_sorted_unique_and_equals_the_init_imports():
 
 
 # A fresh interpreter (none of pytest's modules) runs a point report on the
-# edge delta* with the RK4 oracle, a tau sweep of every output and a preset,
-# all to stdout, and lists the scipy modules it then holds.
+# edge delta* with the RK4 oracle, a tau sweep of every output and a preset
+# to stdout, the preset again to an --out file with its sidecar, and lists
+# the scipy modules it then holds.
 COLD_START_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys, tempfile
 from tricarl.cli import main
 from tricarl.sweep import OUTPUTS
+
+folder = tempfile.TemporaryDirectory()
 
 runs = [
     ["--rho", "100", "--delta", "1.8899212590353163", "--tau", "5", "--oracle"],
     ["--rho", "100", "--delta", "3.5", "--gamma1", "0.5", "--gamma2", "0.5",
      "--kappa", "0.5", "--sweep", "tau:0:2:5", "--outputs", ",".join(OUTPUTS)],
     ["--preset", "fig3"],
+    ["--preset", "fig3", "--out", os.path.join(folder.name, "fig3.csv")],
 ]
 codes = []
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
 scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": scipy}))
+sidecar = os.path.exists(os.path.join(folder.name, "fig3.csv.run.json"))
+folder.cleanup()
+print(json.dumps({"codes": codes, "sidecar": sidecar, "scipy": scipy}))
 """
 
 
@@ -96,4 +102,4 @@ def test_cli_runs_load_no_scipy():
         [sys.executable, "-c", COLD_START_SCRIPT],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert json.loads(proc.stdout) == {"codes": [0, 0, 0], "scipy": []}
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "sidecar": True, "scipy": []}

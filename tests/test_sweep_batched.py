@@ -43,8 +43,10 @@ from tricarl import (
     as_rows,
     covariance,
     cubic_roots,
+    figure_preset,
     mode_observables,
     physicality,
+    run_preset,
     run_sweep,
     separability_report,
 )
@@ -52,6 +54,7 @@ from tricarl.covariance import HERMITIZE_TOL, _hermitian_guards, _hermitian_part
 from tricarl.entanglement import HERMITICITY_TOL, _separability_stack, _test_defects
 from tricarl.errors import NonFinite, NotHermitian, first_failure
 from tricarl.observables import _observable_stack
+from tricarl.presets import PRESETS
 
 RTOL = 1e-12
 # gain threshold of rho=100, gamma=kappa=0: two cubic roots merge here
@@ -90,7 +93,12 @@ def value_scale(name, spec, row):
 
 
 def assert_rows_match(spec, rows):
-    expected = [evaluate_row(spec, value) for value in spec.grid()]
+    assert_rows_close(spec, rows, [evaluate_row(spec, value) for value in spec.grid()])
+
+
+def assert_rows_close(spec, rows, expected):
+    """Same keys, statuses, empty cells and labels; floats within RTOL of
+    their scales."""
     assert len(rows) == len(expected)
     for row, reference in zip(rows, expected):
         assert list(row) == list(reference)
@@ -100,7 +108,7 @@ def assert_rows_match(spec, rows):
             assert (got is None) == (want is None), (name, row, reference)
             if isinstance(want, str) or want is None:
                 assert got == want
-            elif got != want:
+            elif abs(got - want) > RTOL * abs(want):  # every scale is at least |value|
                 assert abs(got - want) <= RTOL * value_scale(name, spec, reference), name
 
 
@@ -323,6 +331,49 @@ def test_long_grid_is_evaluated_in_chunks(monkeypatch):
     monkeypatch.undo()
     assert chunked == as_rows(run_sweep(spec))
     assert [row["tau"] for row in chunked] == spec.grid().tolist()
+
+
+def count_passes(monkeypatch):
+    passes = []
+    true_table = sweep_module._table
+
+    def counted(specs, values):
+        passes.append(values.shape)
+        return true_table(specs, values)
+
+    monkeypatch.setattr(sweep_module, "_table", counted)
+    return passes
+
+
+# presets of at most _CHUNK_ROWS rows
+ONE_PASS_PRESETS = {f"fig{k}" for k in range(3, 16)}
+
+
+@pytest.mark.parametrize("preset_id", sorted(PRESETS))
+def test_preset_block_equals_its_curves_swept_one_by_one(preset_id, monkeypatch):
+    # a preset stacks its curves into (curves, points) blocks of up to
+    # _CHUNK_ROWS rows; each curve on its own is a one-curve sweep.  On a
+    # delta or gain axis only the swept field is an array either way, and
+    # every float is bit-equal; a tau preset solves a (curves, 1, 4) stack
+    # of cubics, not one cubic, which may round the last bit differently.
+    preset = figure_preset(preset_id)
+    passes = count_passes(monkeypatch)
+    rows = as_rows(run_preset(preset))
+    if preset_id == "fig1":
+        assert passes == [(3, 301), (3, 301), (1, 301)]
+    elif preset_id in ONE_PASS_PRESETS:
+        assert passes == [(len(preset.curves), preset.curves[0][1].points)]
+    monkeypatch.undo()
+    start = 0
+    for label, spec in preset.curves:
+        block, start = rows[start : start + spec.points], start + spec.points
+        assert [row.pop("curve") for row in block] == [label] * spec.points
+        single = as_rows(run_sweep(spec))
+        if spec.axis == "tau":
+            assert_rows_close(spec, block, single)
+        else:
+            assert repr(block) == repr(single)
+    assert start == len(rows)
 
 
 # C_33 sets the scale of the Gamma_j test matrices, far above the scale of

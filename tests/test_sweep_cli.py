@@ -588,12 +588,21 @@ def test_cli_rejects_an_invalid_spec(capsys, argv, message):
 
 
 def test_cli_infinite_tau_sweep_is_written_as_csv(capsys):
+    # a stable row reads its steady state; a row with gain >= 0 has none and
+    # reads not_stable, keeping its gain cell
     code, out, err = run_cli(
-        capsys, "--rho", "2", "--delta", "-4", "--tau", "inf", "--sweep", "kappa:0.1:2:3",
-        "--outputs", "n1",
+        capsys, "--rho", "2", "--delta", "-4", "--gamma1", ".1", "--gamma2", ".1", "--tau",
+        "inf", "--sweep", "kappa:0.1:2:3", "--outputs", "n1,gain,mineig_s12",
     )
     assert code == 0 and err == ""
     assert "tau=inf" in out
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines[0] == "kappa,n1,gain,mineig_s12,status"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[-1] for row in rows] == ["ok", "not_stable", "not_stable"]
+    assert float(rows[0][2]) < 0 and float(rows[0][3]) == pytest.approx(-0.30748, abs=1e-5)
+    assert [float(row[2]) for row in rows[1:]] == pytest.approx([0.0344, 0.0559], abs=1e-4)
+    assert all(row[1] == row[3] == "" for row in rows[1:])
 
 
 def test_cli_csv_runs_call_the_traced_names(capsys, monkeypatch):

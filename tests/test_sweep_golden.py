@@ -12,6 +12,7 @@ cell.  To record it again after an intended change of statuses:
     PYTHONPATH=src python tests/test_sweep_golden.py
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -20,7 +21,17 @@ import pytest
 
 import tricarl.dynamics as dynamics
 import tricarl.sweep as sweep_module
-from tricarl import OUTPUTS, ModelParams, SweepSpec, as_rows, figure_preset, run_preset, run_sweep
+from oracles import evaluate_row
+from tricarl import (
+    OUTPUTS,
+    FigurePreset,
+    ModelParams,
+    SweepSpec,
+    as_rows,
+    figure_preset,
+    run_preset,
+    run_sweep,
+)
 
 GOLDEN = Path(__file__).with_name("golden_rows.json")
 PRESET_IDS = ("fig1", "fig1a", "fig1b", "fig2", "fig2a", "fig2b") + tuple(
@@ -90,14 +101,15 @@ def layout(rows):
     return {"keys": keys, "runs": runs}
 
 
-def failure_grid_table(name):
+def failure_grid_table(name, outputs=OUTPUTS, evaluate=run_sweep):
+    """``evaluate`` of a failure grid's spec asking for ``outputs``."""
     spec, widened = failure_grids()[name]
     true_threshold = dynamics.degeneracy_threshold
     if widened:
         dynamics.degeneracy_threshold = widened_threshold
     try:
         with np.errstate(all="ignore"):
-            return run_sweep(spec)
+            return evaluate(dataclasses.replace(spec, outputs=outputs))
     finally:
         dynamics.degeneracy_threshold = true_threshold
 
@@ -147,6 +159,41 @@ def test_failure_grids_fail_where_expected(golden):
         cells == "".join("x" if k == gain_index else "." for k in range(len(OUTPUTS)))
         for _, cells, _ in failed
     )
+
+
+def row_by_row_statuses(spec):
+    return [evaluate_row(spec, value)["status"] for value in spec.grid()]
+
+
+@pytest.mark.parametrize("name", sorted(failure_grids()))
+def test_a_single_output_keeps_the_statuses_of_its_stages(name):
+    # a pass runs the stages up to the last one its outputs need, each with
+    # all its guards: a request for one output reads the statuses of the
+    # row-by-row evaluator.  They are those of the all-OUTPUTS request except
+    # where a row failed only on what the one output does not read: the
+    # state, which a gain request skips, or a non-finite cell of another
+    # output (tau_overflow)
+    full = failure_grid_table(name)["status"]
+    for output in OUTPUTS:
+        statuses = failure_grid_table(name, (output,))["status"]
+        assert statuses == failure_grid_table(name, (output,), row_by_row_statuses), output
+        differ = {(a, b) for a, b in zip(full, statuses) if a != b}
+        assert differ <= {("non_finite", "ok")}, output
+        assert not differ or name == "tau_overflow", output
+
+
+@pytest.mark.parametrize("preset_id", ["fig5", "fig7"])
+def test_a_single_output_keeps_the_preset_statuses(preset_id):
+    preset = figure_preset(preset_id)
+
+    def statuses(outputs):
+        curves = tuple(
+            (label, dataclasses.replace(spec, outputs=outputs)) for label, spec in preset.curves
+        )
+        return run_preset(FigurePreset(preset.id, preset.description, curves))["status"]
+
+    full = statuses(OUTPUTS)
+    assert all(statuses((output,)) == full for output in OUTPUTS)
 
 
 if __name__ == "__main__":
