@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--oracle",
         action="store_true",
-        help="include the closed-form vs moment-ODE deviation in point reports",
+        help="include the deviation from Van Loan's block exponential in point reports",
     )
     parser.add_argument(
         "--epsilon", type=float, default=1e-9, help="separability sign tolerance"
@@ -121,15 +121,12 @@ def _emit(text: str, out: str | None, argv: list[str], statuses: list[str] | Non
     if out is None:
         sys.stdout.write(text)
         return
-    from importlib.metadata import version  # reads scipy's version without importing it
-
     path = Path(out)
     path.write_text(text, encoding="utf-8")
     sidecar = {
         "argv": argv,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "numpy": np.__version__,
-        "scipy": version("scipy"),
         "python": sys.version.split()[0],
     }
     if statuses is not None:

@@ -11,15 +11,12 @@ eigenbasis of the generator.  Where two roots are too close for them,
 M and Q both come from Van Loan's block exponential (C. F. Van Loan,
 IEEE TAC 23, 395 (1978)), which needs no diagonalization.  That choice is
 made per row in one place, ``_covariance_stack``; ``covariance`` is its
-one-row case.  C also satisfies the moment equation
+one-row case.  ``ode_oracle`` takes every covariance from the block
+exponential, a check of the closed form that shares none of its spectral
+algebra.  The steady state C(inf) solves A C + C A^dag + D = 0 as one
+9x9 linear system.
 
-    dC/dtau = A C + C A^dag + D,       C(0) = I/2,
-
-which an independent fixed-step RK4 integrator (``ode_oracle``) uses for
-verification.
-
-``expm`` is scipy.linalg's, imported on its first call (a Van Loan row), as
-is the Lyapunov solver of ``steady_state``: closed-form rows load numpy alone.
+Everything here is numpy: ``expm`` is a scaled and squared Taylor sum.
 """
 
 from __future__ import annotations
@@ -41,12 +38,8 @@ from .dynamics import spectrum  # noqa: F401  (the benchmark tracer hooks this n
 from .errors import NotStable, first_failure, raise_failure
 from .model import ModelParams, ParamStack, derive
 
-VACUUM = 0.5 * np.eye(3, dtype=complex)
 # Hermitian defect, relative to max(1, max|entry|), that Q and C may carry
 HERMITIZE_TOL = 1e-10
-# Largest default step count of ode_oracle, about 1.2 s of RK4 blocks on a
-# 2-vCPU x86-64 VM; an explicit ``steps`` is not capped.
-MAX_ORACLE_STEPS = 10**7
 
 
 def _dagger(matrix: np.ndarray) -> np.ndarray:
@@ -111,12 +104,18 @@ class NoiseMatrix:
 
 
 def _phi(z, tau):
-    """integral_0^tau exp(z s) ds, series-stabilized near z = 0."""
+    """integral_0^tau exp(z s) ds = (exp(z tau) - 1)/z, series-stabilized
+    near z = 0.  Where |z tau| < 1, expm1 keeps the digits that exp - 1
+    cancels; elsewhere (tau = inf included, where expm1 gives NaN) exp - 1
+    is as accurate and cheaper."""
     z = np.asarray(z, dtype=complex)
     zt = z * tau
-    small = np.abs(z) < 1e-8
+    size = np.abs(z)
+    small = size < 1e-8
+    growth = np.asarray(np.exp(zt) - 1.0)
+    np.expm1(zt, out=growth, where=size * np.abs(tau) < 1.0)
     series = tau * (1.0 + zt / 2.0 + zt * zt / 6.0)
-    return np.where(small, series, (np.exp(zt) - 1.0) / np.where(small, 1.0, z))
+    return np.where(small, series, growth / np.where(small, 1.0, z))
 
 
 def _noise(spec: Spectrum, tau) -> np.ndarray:
@@ -173,10 +172,28 @@ def _covariance_stack(
 
 
 def expm(matrix: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm, imported on the first call."""
-    from scipy.linalg import expm as scipy_expm
+    """Matrix exponential: the degree-16 Taylor sum (Horner form) of
+    matrix / 2^s with |matrix|_1 / 2^s < 1/2, squared s times.  The sum's
+    truncation error is below 1e-18 relative there."""
+    eye = np.eye(len(matrix))
+    squarings = max(0, math.frexp(np.abs(matrix).sum(axis=0).max())[1] + 1)
+    scaled = matrix * 0.5**squarings
+    result = eye
+    for k in range(16, 0, -1):
+        result = eye + scaled @ result / k
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
-    return scipy_expm(matrix)
+
+def _stationary_noise(generator: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
+    """Q(inf), the solution of A Q + Q A^dag + D = 0, from one linear solve
+    (kron(A, I) + kron(I, A*)) vec Q = -vec D on the row-major vec Q.  It is
+    the steady state only when every mode decays."""
+    n = len(generator)
+    eye = np.eye(n)
+    lyapunov = np.kron(generator, eye) + np.kron(eye, generator.conj())
+    return np.linalg.solve(lyapunov, -diffusion.ravel()).reshape(n, n)
 
 
 def _van_loan_noise(
@@ -189,11 +206,15 @@ def _van_loan_noise(
     with |A|_1 t <= 1/2 gives M(t) in its upper-left block and
     Q(t) = F12 M(t)^dag from its upper-right block F12.  The step is then
     doubled k times, M(2t) = M(t)^2 and Q(2t) = Q(t) + M(t) Q(t) M(t)^dag,
-    so the decaying block exp(-A^dag t) never spans a long time.
+    so the decaying block exp(-A^dag t) never spans a long time.  At
+    tau = inf, Q is ``_stationary_noise`` and M = 0 if every eigenvalue of
+    A has a negative real part; Q and M are NaN otherwise.
     """
     n = len(generator)
     if tau == 0:
         return np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)
+    if tau == math.inf and np.linalg.eigvals(generator).real.max() < 0:
+        return _stationary_noise(generator, diffusion), np.zeros((n, n), dtype=complex)
     scaled = np.abs(generator).sum(axis=0).max() * tau
     if not scaled < 2.0**1022:  # no float step tau / 2**doublings: NaN Q and M
         return np.full((n, n), np.nan, dtype=complex), np.full((n, n), np.nan, dtype=complex)
@@ -216,8 +237,9 @@ def _van_loan_noise(
 def q_quadrature(params: ModelParams, tau: float) -> NoiseMatrix:
     """Noise matrix from Van Loan's block exponential; spectrum-agnostic.
 
-    The name stays because the benchmark's tracer hooks
-    ``tricarl.covariance.q_quadrature`` to count fallback calls.
+    The package itself does not call it: the routed rows of
+    ``_covariance_stack`` and ``ode_oracle`` call ``_van_loan_noise``.  The
+    name stays because the benchmark's tracer hooks it.
     """
     q, _ = _van_loan_noise(drift_generator(params), diffusion_matrix(params), tau)
     return NoiseMatrix(tau=tau, q=q)
@@ -242,69 +264,29 @@ def covariance(params: ModelParams, tau: float) -> CovarianceState:
 def steady_state(params: ModelParams) -> CovarianceState:
     """Stationary covariance C(inf) = Q(inf), defined when every mode decays.
 
-    Solves the stationarity condition A C + C A^dag + D = 0 by
-    Bartels-Stewart, which needs no eigenbasis, so degenerate spectra are
-    fine; raises NotStable if the gain (the largest Re(lambda_j)) is >= 0.
+    Raises NotStable if the gain (the largest Re(lambda_j), from the cubic
+    roots) is >= 0; otherwise solves the stationarity condition
+    A C + C A^dag + D = 0 as one 9x9 linear system (``_stationary_noise``),
+    which needs no eigenbasis, so degenerate spectra are fine.
     """
     worst = gain(cubic_roots(params), derive(params).gamma_plus)
     if worst >= 0:
         raise NotStable(f"largest mode gain is {worst:.6g} >= 0")
-    from scipy.linalg import solve_continuous_lyapunov
-
-    c = solve_continuous_lyapunov(drift_generator(params), -diffusion_matrix(params))
+    c = _stationary_noise(drift_generator(params), diffusion_matrix(params))
     return CovarianceState(tau=math.inf, c=c)
 
 
-def ode_oracle(
-    params: ModelParams, tau: float, steps: int | None = None
-) -> CovarianceState:
-    """Classical fixed-step RK4 integration of the moment equation.
+def ode_oracle(params: ModelParams, tau: float) -> CovarianceState:
+    """Covariance from Van Loan's block exponential alone.
 
-    Independent of the spectral decomposition: uses only the parameter-form
-    generator A, and the eigenvalues of A from LAPACK for the default step
-    count 100 * tau * max(1, |lambda|_max), whose O(h^4) global error is
-    well below 1e-6 relative; a default count above MAX_ORACLE_STEPS
-    raises ValueError.
-
-    The equation is linear in z = (vec C, 1), dz/dtau = G z, with
-    kron(A, I) + kron(I, A*) on the row-major vec C and vec D in the last
-    column of G.  RK4 on it is exactly z -> z + E z with x = h G and
-    E = x + x^2/2 + x^3/6 + x^4/24.  The loop applies 16-step blocks
-    E16 = (I + E)^16 - I (four doublings E -> 2E + E^2, in increment form
-    so E never rounds against I), then the steps % 16 single steps.  It
-    does not power the step matrix by squaring: near the gain threshold
-    that matrix is non-normal and its squares lose about 2.5 digits.
+    The Hermitized Q + M M^dag / 2 of ``_van_loan_noise``: the solution of
+    the moment equation dC/dtau = A C + C A^dag + D from C(0) = I/2, built
+    from the parameter-form generator A without its spectrum, so it checks
+    the closed form independently.  A row that ``covariance`` routes to the
+    block exponential itself gets exactly this covariance (deviation 0).
+    Raises ValueError unless tau is finite and >= 0.
     """
     if not math.isfinite(tau) or tau < 0:
         raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
-    if steps is not None and not (
-        isinstance(steps, (int, np.integer)) and not isinstance(steps, bool) and steps > 0
-    ):
-        raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    if tau == 0:
-        return CovarianceState(tau=0.0, c=VACUUM.copy())
-    a = drift_generator(params)
-    if steps is None:
-        lam_max = float(np.abs(np.linalg.eigvals(a)).max())
-        steps = int(math.ceil(100.0 * tau * max(1.0, lam_max)))
-        if steps > MAX_ORACLE_STEPS:
-            raise ValueError(
-                f"the default oracle step count {steps} exceeds the limit {MAX_ORACLE_STEPS}"
-            )
-    eye3 = np.eye(3)
-    kron = a[:, None, :, None] * eye3[:, None, :] + eye3[:, None, :, None] * a.conj()[:, None, :]
-    x = np.zeros((10, 10), dtype=complex)
-    x[:9, :9] = kron.reshape(9, 9)
-    x[:9, 9] = diffusion_matrix(params).ravel()
-    x *= tau / steps
-    eye = np.eye(10)
-    step = x @ (eye + x @ (eye / 2 + x @ (eye / 6 + x / 24)))
-    block = step
-    for _ in range(4):
-        block = 2.0 * block + block @ block
-    z = np.append(VACUUM.ravel(), 1.0)
-    for _ in range(steps // 16):
-        z = z + block @ z
-    for _ in range(steps % 16):
-        z = z + step @ z
-    return CovarianceState(tau=tau, c=z[:9].reshape(3, 3))
+    q, m = _van_loan_noise(drift_generator(params), diffusion_matrix(params), tau)
+    return CovarianceState(tau=tau, c=_with_coherent_part(NoiseMatrix(tau=tau, q=q).q, m))

@@ -311,8 +311,8 @@ def drift_generator(params: ModelParams) -> np.ndarray:
 
     Equals S^-1 diag(lambda) S of the spectrum whenever the spectrum is
     non-degenerate, but needs no diagonalization, so it also covers
-    degenerate spectra (used by the block-exponential fallback, the
-    steady state and the moment-ODE integrator).  With the coupling
+    degenerate spectra (used by the block exponential of the fallback and
+    of ``ode_oracle``, and by the steady state).  With the coupling
     removed the modes decay at exactly gamma1, gamma2 and kappa.
     """
     dp = derive(params)

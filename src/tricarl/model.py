@@ -184,8 +184,8 @@ class LabParams:
 
 def carl_parameter(lab: LabParams) -> float:
     """Collective coupling rho from laboratory quantities."""
-    from scipy.constants import epsilon_0, hbar
-
+    # CODATA 2022: the reduced Planck constant (J s) and the vacuum permittivity (F/m)
+    hbar, epsilon_0 = 6.62607015e-34 / (2.0 * math.pi), 8.8541878188e-12
     drive = (lab.rabi_frequency / (2.0 * lab.atomic_detuning)) ** (2.0 / 3.0)
     collective = (
         lab.pump_frequency
@@ -202,13 +202,12 @@ def from_lab(lab: LabParams) -> ModelParams:
     All rates come out divided by rho*omega_r, ready for the scaled-time
     evolution.  Raises ValueError if the implied rho is not positive.
     """
-    from scipy.constants import c as SPEED_OF_LIGHT
-
     rho = carl_parameter(lab)
     if not (rho > 0 and math.isfinite(rho)):
         raise ValueError(f"unphysical laboratory input: rho = {rho!r}")
     unit = rho * lab.recoil_frequency
-    kappa_si = SPEED_OF_LIGHT * lab.mirror_transmission / (2.0 * lab.cavity_length)
+    # the cavity loss rate (1/s); c = 299792458 m/s exactly
+    kappa_si = 299792458.0 * lab.mirror_transmission / (2.0 * lab.cavity_length)
     return ModelParams(
         rho=rho,
         delta=(lab.pump_frequency - lab.probe_frequency) / unit,

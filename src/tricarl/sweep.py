@@ -332,10 +332,11 @@ def evolve_point(
     The sweep's stack kernels on one row, with one cubic solve for the
     covariance and the gain; raises at the first failed check of tau,
     roots, covariance, atom_number, observables, separability (whose
-    guards cover physicality), oracle step count and non-finite fields.  With
+    guards cover physicality), the oracle's tau and non-finite fields.  With
     ``oracle=True`` the report also carries the maximum absolute
-    difference between the closed-form covariance and the independent
-    moment-ODE integration.
+    difference between the covariance and ``ode_oracle``'s, from Van Loan's
+    block exponential alone: 0 on a row that the covariance itself takes
+    from the block exponential (roots closer than ``degeneracy_threshold``).
     """
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")

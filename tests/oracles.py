@@ -19,6 +19,12 @@ Gamma_j and the 4x4 two-mode matrices S_ij, each sent whole to LAPACK by
 ``min_eig``, where the package reduces them to 3x3 and 2x2 blocks in the
 mixed basis.
 
+The moment equation has two references of its own: a fixed-step RK4
+integrator (``rk4_oracle``), which the package's ``ode_oracle`` was before
+it became Van Loan's block exponential, and mpmath forms of Van Loan's block
+(``mp_covariance``) and of the stationary 9x9 system (``mp_steady_state``,
+``mp_lyapunov``) at a chosen number of digits.
+
 Further down are the single-state forms the package itself computes only
 inside its array kernels: the eigensystem, the two covariance paths that
 ``covariance`` chooses between per row (the spectral closed form, and Van
@@ -29,6 +35,7 @@ run one grid value or one point through the raising one-state functions and
 walk every nested float of the result for inf/NaN.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -41,6 +48,7 @@ from tricarl import (
     cubic_coefficients,
     cubic_roots,
     derive,
+    diffusion_matrix,
     drift_generator,
     gain,
     mode_observables,
@@ -181,6 +189,125 @@ def rk4_lyapunov(a, d, c0, tau, steps):
         k4 = f(c + h * k3)
         c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return c
+
+
+VACUUM = 0.5 * np.eye(3, dtype=complex)
+
+
+def rk4_oracle(params, tau, steps=None):
+    """Classical fixed-step RK4 integration of the moment equation
+    dC/dtau = A C + C A^dag + D from C(0) = I/2.
+
+    Independent of the spectral decomposition and of the block exponential:
+    uses only the parameter-form generator A, and the eigenvalues of A from
+    LAPACK for the default step count 100 * tau * max(1, |lambda|_max),
+    whose O(h^4) global error is well below 1e-6 relative.
+
+    The equation is linear in z = (vec C, 1), dz/dtau = G z, with
+    kron(A, I) + kron(I, A*) on the row-major vec C and vec D in the last
+    column of G.  RK4 on it is exactly z -> z + E z with x = h G and
+    E = x + x^2/2 + x^3/6 + x^4/24.  The loop applies 16-step blocks
+    E16 = (I + E)^16 - I (four doublings E -> 2E + E^2, in increment form
+    so E never rounds against I), then the steps % 16 single steps.  It
+    does not power the step matrix by squaring: near the gain threshold
+    that matrix is non-normal and its squares lose about 2.5 digits.
+    """
+    if not math.isfinite(tau) or tau < 0:
+        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
+    if steps is not None and not (
+        isinstance(steps, (int, np.integer)) and not isinstance(steps, bool) and steps > 0
+    ):
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
+    if tau == 0:
+        return CovarianceState(tau=0.0, c=VACUUM.copy())
+    a = drift_generator(params)
+    if steps is None:
+        lam_max = float(np.abs(np.linalg.eigvals(a)).max())
+        steps = int(math.ceil(100.0 * tau * max(1.0, lam_max)))
+    eye3 = np.eye(3)
+    kron = a[:, None, :, None] * eye3[:, None, :] + eye3[:, None, :, None] * a.conj()[:, None, :]
+    x = np.zeros((10, 10), dtype=complex)
+    x[:9, :9] = kron.reshape(9, 9)
+    x[:9, 9] = diffusion_matrix(params).ravel()
+    x *= tau / steps
+    eye = np.eye(10)
+    step = x @ (eye + x @ (eye / 2 + x @ (eye / 6 + x / 24)))
+    block = step
+    for _ in range(4):
+        block = 2.0 * block + block @ block
+    z = np.append(VACUUM.ravel(), 1.0)
+    for _ in range(steps // 16):
+        z = z + block @ z
+    for _ in range(steps % 16):
+        z = z + step @ z
+    return CovarianceState(tau=tau, c=z[:9].reshape(3, 3))
+
+
+def _mp_generator(params):
+    """Drift generator A and diffusion matrix D as mpmath matrices, built from
+    the parameters at the working precision."""
+    rho, delta, gamma1, gamma2, kappa = map(mpmath.mpf, params.to_dict().values())
+    coupling = mpmath.sqrt(rho / 2)
+    a = mpmath.matrix(
+        [
+            [-gamma1 - 1j * (delta - 1 / rho), 0, coupling],
+            [0, -gamma2 - 1j * (delta + 1 / rho), -coupling],
+            [coupling, coupling, -kappa],
+        ]
+    )
+    return a, mpmath.diag([gamma1, gamma2, kappa])
+
+
+def mp_covariance(params, tau, dps):
+    """Covariance C = Q + M M^dag / 2 evolved from vacuum for a finite tau,
+    at ``dps`` digits, rounded to complex.
+
+    Van Loan's block [[A, D], [0, -A^dag]] t through ``mpmath.expm`` over the
+    package's step t = tau / 2^k (|A|_1 t <= 1/2, |A|_1 from the float
+    generator) gives M(t) and Q(t) = F12 M(t)^dag; k doublings
+    M(2t) = M(t)^2, Q(2t) = Q(t) + M(t) Q(t) M(t)^dag then reach tau.  The
+    decaying and growing halves cancel digits, so pick ``dps`` by raising it
+    until two settings agree to the digits a test asserts.
+    """
+    scaled = float(np.abs(drift_generator(params)).sum(axis=0).max()) * tau
+    doublings = max(0, math.frexp(scaled)[1] + 1) if tau > 0 else 0
+    with mpmath.workdps(dps):
+        a, d = _mp_generator(params)
+        step = mpmath.mpf(tau) / 2**doublings
+        block = mpmath.zeros(6)
+        block[0:3, 0:3] = a * step
+        block[0:3, 3:6] = d * step
+        block[3:6, 3:6] = -a.H * step
+        exp_block = mpmath.expm(block)
+        m = exp_block[0:3, 0:3]
+        q = exp_block[0:3, 3:6] * m.H
+        for _ in range(doublings):
+            q = q + m * q * m.H
+            m = m * m
+        c = q + m * m.H / 2
+        return np.array([[complex(c[i, j]) for j in range(3)] for i in range(3)])
+
+
+def mp_lyapunov(a, d, dps):
+    """Solution C of A C + C A^dag + D = 0 for 3x3 A and D (numpy arrays,
+    taken exactly, or mpmath matrices) at ``dps`` digits, rounded to complex:
+    the 9x9 system (kron(A, I) + kron(I, A*)) vec C = -vec D on the row-major
+    vec C, solved with ``mpmath.lu_solve``."""
+    with mpmath.workdps(dps):
+        lyapunov = mpmath.zeros(9)
+        for i, j, k in itertools.product(range(3), repeat=3):
+            lyapunov[3 * i + j, 3 * k + j] += a[i, k]
+            lyapunov[3 * i + j, 3 * i + k] += mpmath.conj(a[j, k])
+        vec = mpmath.lu_solve(lyapunov, -mpmath.matrix([d[k // 3, k % 3] for k in range(9)]))
+        return np.array([complex(vec[k]) for k in range(9)]).reshape(3, 3)
+
+
+def mp_steady_state(params, dps):
+    """Stationary covariance at ``dps`` digits, rounded to complex:
+    ``mp_lyapunov`` of the generator and diffusion matrix built from the
+    parameters at that precision.  Meaningful only where every mode decays."""
+    with mpmath.workdps(dps):
+        return mp_lyapunov(*_mp_generator(params), dps)
 
 
 def min_eig_hermitian_bisection(h):

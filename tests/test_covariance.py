@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,18 @@ from oracles import (
     covariance_van_loan,
     expm_taylor,
     mixed_basis_bound,
+    mp_covariance,
+    mp_lyapunov,
+    mp_steady_state,
     physicality_6x6,
     rk4_lyapunov,
+    rk4_oracle,
 )
 from tricarl import (
     CovarianceState,
     DegenerateSpectrum,
     ModelParams,
+    NonFinite,
     NotStable,
     covariance,
     diffusion_matrix,
@@ -30,7 +37,7 @@ from tricarl import (
     spectrum,
     steady_state,
 )
-from tricarl.covariance import _van_loan_noise
+from tricarl.covariance import _phi, _van_loan_noise, expm
 from tricarl.dynamics import _propagator_matrix
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
@@ -104,6 +111,43 @@ def test_q_positive_semidefinite():
         assert eigs.min() >= -1e-9 * max(np.trace(q).real, 1e-30)
 
 
+def mp_phi(z, tau):
+    """(exp(z tau) - 1)/z at 40 digits."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z)
+        return complex(mpmath.expm1(z * tau) / z)
+
+
+@pytest.mark.parametrize("zt", [1e-7, 5e-7, 1e-4, 0.3, 0.99, 1.01, 4.0])
+@pytest.mark.parametrize("phase", [1.0, -1.0, 1j, np.exp(2j), -np.exp(1j)])
+def test_phi_keeps_its_digits_on_both_sides_of_the_expm1_switch(zt, phase):
+    # exp - 1 lost 5.7e-10 at z tau = 1e-7; expm1 below |z tau| = 1 keeps it
+    tau = 5.0
+    z = zt * phase / tau
+    assert abs(_phi(z, tau) - mp_phi(z, tau)) <= 4 * np.finfo(float).eps * abs(mp_phi(z, tau))
+
+
+def test_phi_series_and_infinite_tau():
+    # |z| < 1e-8: the series; tau = inf with Re z < 0: exactly -1/z
+    for z in (0.0, 3e-9, -2e-9j, 1e-300):
+        assert abs(_phi(z, 2.0) - (mp_phi(z, 2.0) if z else 2.0)) <= 1e-15 * 2.0
+    z = np.array([-0.5 + 2j, -1e-3, -7.0 - 1j])
+    with np.errstate(invalid="ignore"):  # 0 * inf in the imaginary part of z tau
+        assert np.array_equal(_phi(z, math.inf), -1.0 / z)
+
+
+@pytest.mark.parametrize("offset", [-1e-8, 1e-8, 1e-7, 1e-6, 1e-5])
+def test_closed_form_at_the_lossy_gain_threshold(offset):
+    # equal losses 0.5 at rho=100: the gain crosses 0 at delta = 1.5605116...,
+    # where the noise integral's phi sees z tau of order the gain times tau
+    # (-6.8e-9 at offset 1e-8).  exp - 1 read 4.8e-10, 6.9e-11 and 3.2e-12
+    # at offsets 1e-8, 1e-7 and 1e-6; 40-digit Van Loan is the reference
+    params = ModelParams(100.0, 1.56051161624088 + offset, 0.5, 0.5, 0.5)
+    reference = mp_covariance(params, 5.0, 40)
+    got = covariance(params, 5.0).c
+    assert np.abs(got - reference).max() <= 1e-13 * max(1.0, np.abs(reference).max())
+
+
 # ----------------------------------------------------------------- covariance
 
 
@@ -152,11 +196,11 @@ def test_matrix_and_entrywise_paths_agree():
 
 def test_closed_form_matches_rk4_fig5():
     state = covariance(FIG5, 2.0)
-    reference = ode_oracle(FIG5, 2.0, steps=10_000)
+    reference = rk4_oracle(FIG5, 2.0, steps=10_000)
     rel = np.abs(state.c - reference.c).max() / np.abs(state.c).max()
     assert rel < 1e-6
     state10 = covariance(FIG5, 10.0)
-    reference10 = ode_oracle(FIG5, 10.0)
+    reference10 = rk4_oracle(FIG5, 10.0)
     assert np.abs(state10.c - reference10.c).max() / np.abs(state10.c).max() < 1e-6
 
 
@@ -217,6 +261,24 @@ def test_steady_state_fig5():
     assert np.abs(state.c - reference).max() < 1e-8 * np.abs(state.c).max()
 
 
+def test_steady_state_matches_high_precision():
+    # fig5: within 1e-12 (measured 2.3e-14)
+    reference = mp_steady_state(FIG5, 40)
+    scale = max(1.0, np.abs(reference).max())
+    assert np.abs(steady_state(FIG5).c - reference).max() <= 1e-12 * scale
+    # rho=1, delta=1, gamma=0.01, kappa=50 decays at only 5e-7 (gain), so the
+    # 9x9 operator's condition number is 1e8: rounding the generator's
+    # entries to floats alone moves the exact solution by 2.7e-12 relative.
+    # The solve is held to that floor plus 1e-12 (it reads 1.7e-12; the
+    # Bartels-Stewart solver it replaces read 5.7e-9).
+    params = ModelParams(1.0, 1.0, 0.01, 0.01, 50.0)
+    reference = mp_steady_state(params, 40)
+    scale = max(1.0, np.abs(reference).max())
+    rounded = mp_lyapunov(drift_generator(params), diffusion_matrix(params), 40)
+    floor = np.abs(rounded - reference).max()
+    assert np.abs(steady_state(params).c - reference).max() <= floor + 1e-12 * scale
+
+
 def test_steady_state_is_long_time_limit():
     rng = np.random.RandomState(59)
     found = 0
@@ -252,6 +314,12 @@ def test_steady_state_of_degenerate_stable_spectrum(monkeypatch):
     limit = steady_state(params).c
     state = covariance(params, 60.0).c
     assert np.abs(state - limit).max() < 1e-9 * max(1.0, np.abs(limit).max())
+    # at tau=inf the routed row takes the same stationary solve (M = 0); an
+    # unstable routed row has no steady state and reads non-finite
+    with np.errstate(all="ignore"):
+        assert np.array_equal(covariance(params, math.inf).c, limit)
+        with pytest.raises(NonFinite):
+            covariance(ModelParams(100.0, 1.8899212590353163), math.inf)
 
 
 # ----------------------------------------------------------------- ode oracle
@@ -269,17 +337,67 @@ def test_ode_oracle_vacuum_and_homogeneous():
         assert np.abs(got - expected).max() < 1e-7 * np.abs(expected).max()
 
 
-def test_ode_oracle_step_validation():
-    with pytest.raises(ValueError):
-        ode_oracle(FIG5, 1.0, steps=0)
-    with pytest.raises(ValueError):
-        ode_oracle(FIG5, -1.0)
+@pytest.mark.parametrize("tau", [-1.0, math.inf, math.nan])
+def test_ode_oracle_rejects_a_negative_or_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+        ode_oracle(FIG5, tau)
 
 
 @pytest.mark.parametrize("tau", [-1.0, math.nan])
 def test_covariance_rejects_a_negative_or_nan_tau(tau):
     with pytest.raises(ValueError, match="tau must be >= 0"):
         covariance(FIG5, tau)
+
+
+def test_ode_oracle_is_the_hermitized_block_exponential():
+    for params, tau in ((FIG5, 2.0), (CRITICAL, 3.0), (ModelParams(1.0, 0.0, 5.0, 5.0, 5.0), 1e6)):
+        q, m = _van_loan_noise(drift_generator(params), diffusion_matrix(params), tau)
+        q = 0.5 * (q + q.conj().T)
+        c = q + 0.5 * m @ m.conj().T
+        assert np.array_equal(ode_oracle(params, tau).c, 0.5 * (c + c.conj().T))
+
+
+# lossless rho=100 gain threshold, as in the benchmark's edge ladder
+DELTA_STAR = 1.8899212590353163
+EDGE_OFFSETS = (0.0,) + tuple(s * 10.0**-k for k in range(1, 14) for s in (1.0, -1.0))
+
+
+def edge_generic_points(seed):
+    """The generic lossy points of the benchmark's edge_points workload at a
+    seed: the first draws of random.Random(seed)."""
+    rng = random.Random(seed)
+    return [
+        ModelParams(
+            10.0 ** rng.uniform(math.log10(50.0), math.log10(200.0)),
+            rng.uniform(1.5, 2.3),
+            rng.uniform(0.05, 0.5),
+            rng.uniform(0.05, 0.5),
+            rng.uniform(0.05, 0.5),
+        )
+        for _ in range(8)
+    ]
+
+
+def test_ode_oracle_matches_high_precision_on_the_edge_points():
+    # the delta* ladder (roots merging) and the generic points at tau=5,
+    # against 40-digit Van Loan (60 digits agree at delta*); measured
+    # at most 2.1e-12, where the RK4 reference reads 4.5e-11 to 1.8e-8
+    ladder = [ModelParams(100.0, DELTA_STAR + offset) for offset in EDGE_OFFSETS]
+    for params in ladder + edge_generic_points(7):
+        reference = mp_covariance(params, 5.0, 40)
+        got = ode_oracle(params, 5.0).c
+        assert np.abs(got - reference).max() <= 1e-11 * max(1.0, np.abs(reference).max())
+
+
+# ------------------------------------------------------------ the RK4 reference
+
+
+def test_rk4_oracle_vacuum_and_step_validation():
+    assert np.abs(rk4_oracle(FIG5, 0.0).c - 0.5 * np.eye(3)).max() == 0.0
+    with pytest.raises(ValueError):
+        rk4_oracle(FIG5, 1.0, steps=0)
+    with pytest.raises(ValueError):
+        rk4_oracle(FIG5, -1.0)
 
 
 @pytest.mark.parametrize(
@@ -292,45 +410,27 @@ def test_covariance_rejects_a_negative_or_nan_tau(tau):
         (1.0, True, "steps must be a positive integer"),
     ],
 )
-def test_ode_oracle_rejects_bad_input(tau, steps, message):
+def test_rk4_oracle_rejects_bad_input(tau, steps, message):
     with pytest.raises(ValueError, match=message):
-        ode_oracle(FIG5, tau, steps)
-
-
-def test_ode_oracle_caps_only_the_default_step_count(monkeypatch):
-    import importlib
-
-    covariance_module = importlib.import_module("tricarl.covariance")
-    limit = covariance_module.MAX_ORACLE_STEPS
-    # rho=1, rates 5, tau=1e6 would take about 5.6e8 steps; refused up front
-    with pytest.raises(ValueError, match=f"exceeds the limit {limit}"):
-        ode_oracle(ModelParams(1.0, 0.0, 5.0, 5.0, 5.0), 1e6)
-    monkeypatch.setattr(covariance_module, "MAX_ORACLE_STEPS", 100)
-    with pytest.raises(ValueError, match="exceeds the limit 100"):
-        ode_oracle(FIG5, 2.0)
-    ode_oracle(FIG5, 2.0, steps=1000)  # an explicit count is not capped
-
-
-# lossless rho=100 gain threshold, as in the benchmark's edge ladder
-DELTA_STAR = 1.8899212590353163
+        rk4_oracle(FIG5, tau, steps)
 
 
 def default_oracle_steps(params, tau):
-    """The oracle's default step count, 100 tau max(1, |lambda|_max) over
-    the eigenvalues of the drift generator."""
+    """The RK4 reference's default step count, 100 tau max(1, |lambda|_max)
+    over the eigenvalues of the drift generator."""
     lam = np.linalg.eigvals(drift_generator(params))
     return math.ceil(100.0 * tau * max(1.0, np.abs(lam).max()))
 
 
 def assert_oracle_is_stepwise_rk4(params, tau, steps):
-    got = ode_oracle(params, tau, steps).c
+    got = rk4_oracle(params, tau, steps).c
     a, d = drift_generator(params), diffusion_matrix(params)
     expected = rk4_lyapunov(a, d, 0.5 * np.eye(3), tau, steps)
     assert np.abs(got - expected).max() <= 1e-10 * max(1.0, np.abs(expected).max())
 
 
 @pytest.mark.parametrize("steps", [1, 15, 16, 17, 33])
-def test_ode_oracle_blocks_reproduce_stepwise_rk4(steps):
+def test_rk4_oracle_blocks_reproduce_stepwise_rk4(steps):
     # 16-step blocks plus single-step remainders: every split of the count
     assert_oracle_is_stepwise_rk4(FIG5, 2.0, steps)
 
@@ -338,9 +438,9 @@ def test_ode_oracle_blocks_reproduce_stepwise_rk4(steps):
 @pytest.mark.parametrize(
     "params", [FIG5, CRITICAL, ModelParams(rho=100.0, delta=DELTA_STAR)]
 )
-def test_ode_oracle_default_steps_reproduce_stepwise_rk4(params):
+def test_rk4_oracle_default_steps_reproduce_stepwise_rk4(params):
     steps = default_oracle_steps(params, 5.0)
-    assert np.array_equal(ode_oracle(params, 5.0).c, ode_oracle(params, 5.0, steps).c)
+    assert np.array_equal(rk4_oracle(params, 5.0).c, rk4_oracle(params, 5.0, steps).c)
     assert_oracle_is_stepwise_rk4(params, 5.0, steps)
 
 
@@ -352,7 +452,7 @@ def test_ode_oracle_default_steps_reproduce_stepwise_rk4(params):
     tau=st.floats(0.0, 5.0, exclude_min=True),
     steps=st.integers(1, 400),
 )
-def test_ode_oracle_is_stepwise_rk4_everywhere(rho, delta, rates, tau, steps):
+def test_rk4_oracle_is_stepwise_rk4_everywhere(rho, delta, rates, tau, steps):
     assert_oracle_is_stepwise_rk4(ModelParams(rho, delta, *rates), tau, steps)
 
 
@@ -367,13 +467,13 @@ def test_near_degenerate_routed_through_quadrature(monkeypatch):
     with pytest.raises(DegenerateSpectrum):
         spectrum(CRITICAL)
     state = covariance(CRITICAL, 3.0)  # routed to the block exponential
-    reference = ode_oracle(CRITICAL, 3.0)
-    rel = np.abs(state.c - reference.c).max() / np.abs(state.c).max()
+    reference = mp_covariance(CRITICAL, 3.0, 40)
+    rel = np.abs(state.c - reference).max() / np.abs(state.c).max()
     assert rel < 1e-6
     with pytest.raises(DegenerateSpectrum):
         covariance_closed(CRITICAL, 3.0)
     forced = covariance_van_loan(CRITICAL, 3.0)
-    assert np.abs(forced.c - reference.c).max() / np.abs(forced.c).max() < 1e-6
+    assert np.abs(forced.c - reference).max() / np.abs(forced.c).max() < 1e-6
 
 
 def test_quadrature_method_matches_closed_on_regular_spectrum():
@@ -417,6 +517,22 @@ def test_quadrature_propagator_consistency():
     for tau in (0.5, 2.0):
         assert np.abs(expm(a * tau) - expm_taylor(a * tau)).max() < 1e-10
         assert np.abs(_van_loan_noise(a, d, tau)[1] - expm_taylor(a * tau)).max() < 1e-10
+
+
+@pytest.mark.parametrize("norm", [0.0, 1e-3, 0.4, 3.0, 40.0, 900.0])
+def test_expm_matches_scipy(norm):
+    from scipy.linalg import expm as scipy_expm
+
+    rng = np.random.default_rng(int(norm) + 5)
+    for n in (3, 6):
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if norm:
+            x *= norm / np.abs(x).sum(axis=0).max()
+        # skew-Hermitian as well as generic: a unitary result tests the squaring
+        for matrix in (x, x - x.conj().T):
+            reference = scipy_expm(matrix)
+            got = expm(matrix)
+            assert np.abs(got - reference).max() <= 1e-13 * max(1.0, norm) * np.abs(reference).max()
 
 
 def test_block_exponential_propagator_at_the_gain_threshold():

@@ -1,16 +1,17 @@
 """Package modules import each other at module level only, the package
-exports exactly what its ``__init__`` imports, and the CLI starts without
-scipy.
+exports exactly what its ``__init__`` imports, and no module imports scipy.
 
 A function-level import of a ``tricarl`` module hides an import cycle
 (``presets`` once reached back into ``sweep`` that way); this check keeps
-such imports out of ``src/tricarl``.  Function-level imports of third-party
-modules are allowed: they are how start-up cost is kept down.  scipy loads
-on the first call of a path that uses it (Van Loan rows, ``steady_state``,
-``from_lab``), not on import, so a CLI run of a point report, a sweep or a
-preset, also with an ``--out`` file and its sidecar, loads numpy alone.  A
-stale or missing ``__all__`` entry would show only as an ``AttributeError``
-on ``from tricarl import *`` or as a public name nobody listed.
+such imports out of ``src/tricarl``.  Function-level imports of other
+modules are allowed.  numpy is the one runtime dependency: the block
+exponential, the stationary solve and the physical constants are the
+package's own, so no module under ``src/tricarl`` names scipy, and a fresh
+interpreter runs point reports (the routed one with its oracle included),
+sweeps, presets with and without an ``--out`` file, ``steady_state`` and
+``from_lab`` with no scipy module loaded.  A stale or missing ``__all__``
+entry would show only as an ``AttributeError`` on ``from tricarl import *``
+or as a public name nobody listed.
 """
 
 import ast
@@ -50,6 +51,29 @@ def test_no_module_imports_the_package_inside_a_function():
     assert found == []
 
 
+def scipy_imports(tree):
+    """(line, module) of each import of scipy anywhere in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] == "scipy":
+                yield node.lineno, name
+
+
+def test_no_module_imports_scipy():
+    found = [
+        f"{path.name}:{line} {module}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, module in scipy_imports(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
 def init_imports(tree):
     """Names the package ``__init__`` imports from its own submodules."""
     return {
@@ -67,12 +91,14 @@ def test_all_is_sorted_unique_and_equals_the_init_imports():
     assert set(exported) == init_imports(ast.parse((PACKAGE / "__init__.py").read_text()))
 
 
-# A fresh interpreter (none of pytest's modules) runs a point report on the
-# edge delta* with the RK4 oracle, a tau sweep of every output and a preset
-# to stdout, the preset again to an --out file with its sidecar, and lists
-# the scipy modules it then holds.
+# A fresh interpreter (none of pytest's modules) runs point reports with the
+# oracle on the edge delta* and on a detuning whose roots coincide (a row
+# routed to the block exponential), a tau sweep of every output and a preset
+# to stdout, the preset again to an --out file with its sidecar, then
+# steady_state and from_lab, and lists the scipy modules it then holds.
 COLD_START_SCRIPT = """
-import contextlib, io, json, os, sys, tempfile
+import contextlib, io, json, math, os, sys, tempfile
+from tricarl import LabParams, ModelParams, from_lab, steady_state
 from tricarl.cli import main
 from tricarl.sweep import OUTPUTS
 
@@ -80,6 +106,7 @@ folder = tempfile.TemporaryDirectory()
 
 runs = [
     ["--rho", "100", "--delta", "1.8899212590353163", "--tau", "5", "--oracle"],
+    ["--rho", "50", "--delta", "1.8900403016167855", "--tau", "5", "--oracle"],
     ["--rho", "100", "--delta", "3.5", "--gamma1", "0.5", "--gamma2", "0.5",
      "--kappa", "0.5", "--sweep", "tau:0:2:5", "--outputs", ",".join(OUTPUTS)],
     ["--preset", "fig3"],
@@ -89,6 +116,13 @@ codes = []
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
+steady_state(ModelParams(100.0, 3.5, 0.5, 0.5, 0.5))
+from_lab(LabParams(
+    rabi_frequency=2 * math.pi * 1e8, atomic_detuning=2 * math.pi * 2e10,
+    pump_frequency=2.4e15, recoil_frequency=2 * math.pi * 3.8e3, atom_number=1e6,
+    mode_volume=1e-12, dipole=2.5e-29, cavity_length=0.05, mirror_transmission=1e-4,
+    probe_frequency=2.4e15 - 5 * 2 * math.pi * 3.8e3,
+))
 scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 sidecar = os.path.exists(os.path.join(folder.name, "fig3.csv.run.json"))
 folder.cleanup()
@@ -102,4 +136,4 @@ def test_cli_runs_load_no_scipy():
         [sys.executable, "-c", COLD_START_SCRIPT],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "sidecar": True, "scipy": []}
+    assert json.loads(proc.stdout) == {"codes": [0] * 5, "sidecar": True, "scipy": []}

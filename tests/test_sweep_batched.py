@@ -49,6 +49,7 @@ from tricarl import (
     run_preset,
     run_sweep,
     separability_report,
+    steady_state,
 )
 from tricarl.covariance import HERMITIZE_TOL, _hermitian_guards, _hermitian_part
 from tricarl.entanglement import HERMITICITY_TOL, _separability_stack, _test_defects
@@ -210,6 +211,33 @@ def test_degenerate_rows_stay_in_the_batch(monkeypatch):
     assert block_taus == [2.0]
     assert all(row["status"] == "ok" for row in rows)
     assert_rows_match(spec, rows)
+
+
+def test_routed_steady_state_rows_read_the_steady_state(monkeypatch):
+    # a threshold above every root separation (0.27 to 0.35 here) routes each
+    # row to the block exponential, which at tau=inf gives a stable row the
+    # stationary solve of steady_state (these rows read non_finite when the
+    # block exponential ran over an infinite tau)
+    import tricarl.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "degeneracy_threshold", lambda w: np.full(w.shape[:-1], 1.0))
+    spec = SweepSpec(
+        axis="kappa",
+        start=0.4,
+        stop=0.6,
+        points=3,
+        fixed=ModelParams(rho=2.0, delta=-4.0, gamma1=0.1, gamma2=0.1),
+        outputs=("n1", "xi12", "mineig_s12", "class"),
+        tau=math.inf,
+    )
+    rows = as_rows(run_sweep(spec))
+    assert [row["status"] for row in rows] == ["ok", "ok", "not_stable"]
+    for row in rows[:2]:
+        state = steady_state(spec_point(spec, row["kappa"])[0])
+        obs, report = mode_observables(state), separability_report(state)
+        assert (row["n1"], row["xi12"]) == (obs.n[0], obs.xi[0])
+        assert row["mineig_s12"] == pytest.approx(report.min_eig_s[0], rel=RTOL, abs=RTOL)
+        assert row["class"] == report.class_label
 
 
 def test_regular_grid_needs_no_single_row_evaluation(monkeypatch):

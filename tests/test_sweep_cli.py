@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +13,7 @@ import tricarl
 import tricarl.sweep as sweep_module
 from oracles import mixed_basis_bound, point_report
 from tricarl import (
+    DegenerateSpectrum,
     InvalidSpec,
     ModelParams,
     NonFinite,
@@ -26,6 +26,7 @@ from tricarl import (
     run_preset,
     run_sweep,
     separability_report,
+    spectrum,
 )
 from tricarl.cli import _build_parser, main
 
@@ -508,19 +509,30 @@ def test_cli_sweep_overflow_leaves_stderr_empty():
     ]
 
 
-def test_cli_refuses_an_oracle_step_count_above_the_limit(capsys):
-    from tricarl.covariance import MAX_ORACLE_STEPS
-
-    # rho=1, rates 5, tau=1e6: about 5.6e8 default RK4 steps
+def test_cli_runs_the_oracle_over_a_long_time(capsys):
+    # rho=1, rates 5, tau=1e6: about 5.6e8 steps of the RK4 integrator the
+    # oracle once was, which refused it; the block exponential doubles its
+    # step about 25 times
     code, out, err = run_cli(
         capsys, "--rho", "1", "--gamma1", "5", "--gamma2", "5", "--kappa", "5",
         "--tau", "1e6", "--oracle",
     )
-    assert code == 2 and out == ""
-    error = json.loads(err)["error"]
-    assert error["code"] == "invalid_spec"
-    count, limit = map(int, re.findall(r"\d+", error["message"]))
-    assert limit == MAX_ORACLE_STEPS and 5.5e8 < count < 5.7e8
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["oracle_max_abs_diff"] <= 1e-12 * max(map(max, report["covariance"]["real"]))
+
+
+def test_cli_oracle_reads_zero_on_a_routed_row(capsys):
+    # two roots coincide at this detuning, so the covariance itself comes from
+    # the block exponential that the oracle evaluates: the deviation is 0
+    params = ModelParams(rho=50.0, delta=1.8900403016167855)
+    with pytest.raises(DegenerateSpectrum):
+        spectrum(params)
+    code, out, err = run_cli(
+        capsys, "--rho", "50", "--delta", repr(params.delta), "--tau", "5", "--oracle"
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["oracle_max_abs_diff"] == 0.0
 
 
 def test_cli_point_mode_rejects_a_non_positive_atom_number(capsys):
@@ -674,8 +686,6 @@ def test_cli_point_beyond_the_block_exponential_is_non_finite(capsys):
 
 
 def test_cli_sidecar_versions_and_status_counts(capsys, tmp_path):
-    import scipy
-
     with np.errstate(over="ignore", invalid="ignore"):
         for argv, counts in (
             (["--rho", "100", "--sweep", "tau:0:800:5", "--outputs", "n1"],
@@ -689,7 +699,7 @@ def test_cli_sidecar_versions_and_status_counts(capsys, tmp_path):
             assert code == 0
             data = target.read_bytes()
             sidecar = json.loads((tmp_path / "rows.csv.run.json").read_text())
-            assert sidecar["scipy"] == scipy.__version__
+            assert "scipy" not in sidecar
             assert sidecar["numpy"] == np.__version__
             assert sidecar["row_status_counts"] == counts
             # the sidecar takes the diagnostics; the data file stays as it was
