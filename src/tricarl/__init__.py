@@ -29,7 +29,6 @@ from .entanglement import (
     separability_report,
 )
 from .errors import (
-    DegenerateSpectrum,
     InvalidSpec,
     NegativeOccupation,
     NonFinite,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AXES",
     "CovarianceState",
-    "DegenerateSpectrum",
     "DerivedParams",
     "FigurePreset",
     "InvalidSpec",

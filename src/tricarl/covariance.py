@@ -6,15 +6,21 @@ C_ij = <(u_i - <u_i>)(u_j - <u_j>)*> of the state evolved from vacuum is
     C(tau) = Q(tau) + (1/2) M(tau) M(tau)^dag,
     Q(tau) = integral_0^tau M(s) D M(s)^dag ds,
 
-with D = diag(gamma1, gamma2, kappa).  M and Q have closed forms in the
-eigenbasis of the generator.  Where two roots are too close for them,
-M and Q both come from Van Loan's block exponential (C. F. Van Loan,
-IEEE TAC 23, 395 (1978)), which needs no diagonalization.  That choice is
-made per row in one place, ``_covariance_stack``; ``covariance`` is its
-one-row case.  ``ode_oracle`` takes every covariance from the block
-exponential, a check of the closed form that shares none of its spectral
-algebra.  The steady state C(inf) solves A C + C A^dag + D = 0 as one
-9x9 linear system.
+with D = diag(gamma1, gamma2, kappa).  In the Newton form of ``dynamics``,
+M(s) = sum_k E_k(s) N_k, so
+
+    Q(tau) = sum_kl Phi_kl N_k D N_l^dag,
+    Phi_kl = integral_0^tau E_k(s) E_l(s)* ds,
+
+and Phi_kl is the divided difference over (nu0 .. nu_k) in x and
+(nu0* .. nu_l*) in y of phi(x + y) = integral_0^tau exp((x + y) s) ds,
+built from the nine phi(nu_i + nu_j*).  This one closed form covers every
+row, the exceptional points where two roots merge and tau = inf (the
+steady state) included: ``_covariance_stack`` evaluates it over a stack,
+and ``covariance`` and ``steady_state`` are its one-row cases.
+``ode_oracle`` takes the covariance from Van Loan's block exponential
+(C. F. Van Loan, IEEE TAC 23, 395 (1978)) instead, a check that shares
+none of the closed form's algebra.
 
 Everything here is numpy: ``expm`` is a scaled and squared Taylor sum.
 """
@@ -28,8 +34,8 @@ import numpy as np
 
 from .dynamics import (
     Spectrum,
-    _propagator_matrix,
-    _spectral_stack,
+    _newton_nodes,
+    _spectrum,
     cubic_roots,
     drift_generator,
     gain,
@@ -38,17 +44,35 @@ from .dynamics import spectrum  # noqa: F401  (the benchmark tracer hooks this n
 from .errors import NotStable, first_failure, raise_failure
 from .model import ModelParams, ParamStack, derive
 
+_EYE = np.eye(3)
+# the entries of Phi's last row and column
+_PAIR_ROWS, _PAIR_COLUMNS = np.array([[2], [0], [2], [1], [2]]), np.array([[0], [2], [1], [2], [2]])
 # Hermitian defect, relative to max(1, max|entry|), that Q and C may carry
 HERMITIZE_TOL = 1e-10
+# 16-point Gauss-Legendre nodes and weights on [0, 1] (Golub-Welsch), for the
+# close pair's noise differences where their split form cancels
+_JACOBI = np.arange(1.0, 16.0) / np.sqrt(4.0 * np.arange(1.0, 16.0) ** 2 - 1.0)
+_GAUSS_NODES, _GAUSS_VECTORS = np.linalg.eigh(np.diag(_JACOBI, 1), UPLO="U")
+_GAUSS_NODES, _GAUSS_WEIGHTS = 0.5 * (1.0 + _GAUSS_NODES), _GAUSS_VECTORS[0] ** 2
+# _TAYLOR_BLOCKS[j, i] = 1/(4j + i)!, the Taylor coefficients up to degree 16
+# in Paterson-Stockmeyer blocks of four
+_TAYLOR_BLOCKS = np.array([1.0 / math.factorial(k) for k in range(17)] + [0.0] * 3).reshape(5, 4)
 
 
 def _dagger(matrix: np.ndarray) -> np.ndarray:
     return matrix.conj().swapaxes(-1, -2)
 
 
+def _indices_first(array: np.ndarray, indices: int, ndim: int) -> np.ndarray:
+    """An array of shape (*stack, *index), with ``indices`` index axes, as
+    (*index, *stack) with the stack padded on the left to ``ndim`` axes."""
+    array = np.reshape(array, (1,) * (ndim + indices - np.ndim(array)) + np.shape(array))
+    return array.transpose(*range(ndim, ndim + indices), *range(ndim))
+
+
 def _rates(params) -> np.ndarray:
-    """Diffusion weights (gamma1, gamma2, kappa) on the last axis."""
-    return np.stack(np.broadcast_arrays(params.gamma1, params.gamma2, params.kappa), -1)
+    """Diffusion weights (gamma1, gamma2, kappa) on the leading axis."""
+    return np.array(np.broadcast_arrays(params.gamma1, params.gamma2, params.kappa))
 
 
 def diffusion_matrix(params: ModelParams) -> np.ndarray:
@@ -103,38 +127,128 @@ class NoiseMatrix:
         object.__setattr__(self, "q", _hermitize(self.q, HERMITIZE_TOL, "noise matrix"))
 
 
-def _phi(z, tau):
-    """integral_0^tau exp(z s) ds = (exp(z tau) - 1)/z, series-stabilized
-    near z = 0.  Where |z tau| < 1, expm1 keeps the digits that exp - 1
-    cancels; elsewhere (tau = inf included, where expm1 gives NaN) exp - 1
-    is as accurate and cheaper."""
+def _phi(z, tau, exp=None):
+    """integral_0^tau exp(z s) ds = (exp(z tau) - 1)/z, given exp(z tau)
+    where it is known.  Where |z tau| < 1, expm1 keeps the digits that
+    exp - 1 cancels; elsewhere (tau = inf included, where expm1 gives NaN)
+    exp - 1 is as accurate and cheaper.  Where |z tau| < 1e-300 (z = 0, or
+    a product that is subnormal and has lost digits) it is tau, the series
+    tau (1 + z tau/2 + ...) to the last bit."""
     z = np.asarray(z, dtype=complex)
     zt = z * tau
-    size = np.abs(z)
-    small = size < 1e-8
-    growth = np.asarray(np.exp(zt) - 1.0)
-    np.expm1(zt, out=growth, where=size * np.abs(tau) < 1.0)
-    series = tau * (1.0 + zt / 2.0 + zt * zt / 6.0)
-    return np.where(small, series, growth / np.where(small, 1.0, z))
+    size = np.abs(zt)
+    growth = np.asarray((np.exp(zt) if exp is None else exp) - 1.0)
+    np.expm1(zt, out=growth, where=size < 1.0)
+    tiny = size < 1e-300
+    value = np.divide(growth, z, out=growth, where=~tiny)
+    np.copyto(value, tau, where=tiny)
+    return value[()]
 
 
-def _noise(spec: Spectrum, tau) -> np.ndarray:
-    """Unsymmetrized closed-form Q for a stack of spectra and/or times."""
-    d_tilde = (spec.s * _rates(spec.params)[..., np.newaxis, :]) @ _dagger(spec.s)
-    lam = spec.lambdas
-    sums = lam[..., :, np.newaxis] + lam[..., np.newaxis, :].conj()
-    q_tilde = d_tilde * _phi(sums, np.asarray(tau)[..., np.newaxis, np.newaxis])
-    return spec.s_inverse @ q_tilde @ _dagger(spec.s_inverse)
+def _pair_noise(nu, e, phi, pair, tau):
+    """The pair's differences of phi for nearly equal nu1, nu2 = nu1 + eps,
+    r = (phi[x0, x0 + eps], phi[x1, x1 + eps]) for x0 = nu1 + nu0* and
+    x1 = nu1 + nu1*, and r2 = (phi(x1 + 2 Re eps) - phi(x1 + eps)
+    - phi(x1 + eps*) + phi(x1)) / |eps|^2, on 1-D stacks of the nodes nu,
+    of e = exp((nu0, nu1) tau), phi = phi((x0, x1)) and pair = e[nu1, nu2].
+
+    Exactly, phi[x, x + h] = (exp(x tau) expm1(h tau)/h - phi(x))/(x + h)
+    and r2 = (exp(x1 tau) |expm1(eps tau)/eps|^2 - 2 Re r1)/(x1 + 2 Re eps),
+    with exponential parts pair * conj(e) (0 at tau = inf, which leaves the
+    exact differences of -1/x).  Where a denominator is below 1/tau this
+    split cancels, and 16-point Gauss-Legendre in s of integral_0^tau
+    exp(x s) (expm1(eps s)/eps)^(1 or 2) ds, whose exponents are then all
+    below about 5/tau, takes over.
+    """
+    nu0, nu1, nu2 = nu
+    eps = nu2 - nu1
+    x = np.array([nu1 + nu0.conj(), 2.0 * nu1.real])
+    r = (e.conj() * pair - phi) / (x + eps)
+    r2 = ((pair * pair.conj()).real - 2.0 * r[1].real) / (x[1] + 2.0 * eps.real)
+    s = tau[:, np.newaxis] * _GAUSS_NODES
+    # expm1(eps s)/eps; a step of 1e-200 gives its limit s at eps = 0 to the last bit
+    step = (eps + 1e-200 * (eps == 0))[:, np.newaxis]
+    growth = np.expm1(step * s) / step
+    weights = tau[:, np.newaxis] * _GAUSS_WEIGHTS * growth * np.exp(x[..., np.newaxis] * s)
+    near = np.abs(x + eps) * tau < 1.0
+    near2 = near[1] | (np.abs(x[1] + 2.0 * eps.real) * tau < 1.0)
+    r = np.where(near, weights.sum(axis=-1), r)
+    return r, np.where(near2, (weights[1] * growth.conj()).sum(axis=-1), r2)
+
+
+def _newton_form(spec: Spectrum, tau) -> tuple[np.ndarray, np.ndarray]:
+    """Q(tau) and M(tau) from the Newton form, for a stack of spectra
+    and/or times, with the matrix indices leading (axes (row, column,
+    *stack)) so that each step is one elementwise pass over the stack.
+
+    The differences of exp and phi divide by nu1 - nu0 and nu2 - nu0, which
+    the node order keeps away from 0, and by the pair's eps = nu2 - nu1.
+    e[nu1, nu2] = exp(nu1 tau) expm1(eps tau)/eps never cancels.  On rows
+    with losses the pair's differences of phi are refined (``_pair_noise``)
+    where the plain ones would lose digits, |eps| <= 0.1 max|nu| and
+    |eps| tau < 2 (or tau = inf); elsewhere they lose at most a few ulps.
+    The plain ones divide by eps + 1e-200 where eps = 0, like e[nu1, nu2],
+    so that a lossless row's Q stays exactly 0.
+    """
+    t = np.asarray(tau, dtype=float)
+    ndim = max(spec.lambdas.ndim - 1, t.ndim)
+    nu = _indices_first(_newton_nodes(spec.lambdas), 1, ndim)
+    generator = _indices_first(drift_generator(spec.params), 2, ndim)
+    eye = _EYE.reshape((3, 3) + (1,) * ndim)
+    n1 = generator - nu[0] * eye
+    n2 = (n1[:, :, np.newaxis] * (generator - nu[1] * eye)).sum(axis=1)
+    rates = _rates(spec.params)
+    rates = rates.reshape((3,) + (1,) * (ndim + 1 - rates.ndim) + rates.shape[1:])
+    nu0, nu1, nu2 = nu
+    first, eps, span = nu1 - nu0, nu2 - nu1, nu2 - nu0
+    with np.errstate(all="ignore"):
+        e = np.exp(nu * t)
+        e0, e1, e2 = e
+        size = np.abs(eps)
+        near = size * t
+        # e[nu1, nu2]: expm1(eps tau)/eps, whose limit tau at eps = 0 a step
+        # of 1e-200 gives to the last bit, or exp - 1 where |eps tau| >= 1
+        step = eps + 1e-200 * (eps == 0)
+        pair = np.where(near < 1.0, e1 * np.expm1(step * t), e2 - e1) / step
+        slope = (e1 - e0) / first
+        m = e0 * eye + slope * n1 + (pair - slope) / span * n2
+        # exp((nu_i + nu_j*) tau) as products of the exp(nu tau)
+        values = _phi(nu[:, np.newaxis] + nu.conj(), t, e[:, np.newaxis] * e.conj())
+        # Phi = L values L^dag, L the Newton differences on the nodes
+        newton = np.zeros((3, 3) + first.shape, dtype=complex)
+        newton[0, 0], newton[1, 1], newton[2, 2] = 1.0, 1.0 / first, 1.0 / (step * span)
+        newton[1, 0], newton[2, 0] = -newton[1, 1], newton[1, 1] / span
+        newton[2, 1] = -newton[2, 0] - newton[2, 2]
+        rows = (newton[:, :, np.newaxis] * values).sum(axis=1)
+        phi = (rows[:, np.newaxis] * newton.conj()).sum(axis=2)
+        # Phi enters Q only through D: rows without losses need no refinement
+        refine = (size <= 0.1 * np.abs(nu).max(axis=0)) & ((near < 2.0) | np.isinf(t))
+        refine &= rates.any(axis=0)
+        if refine.any():
+            # the pair's differences, refined, give Phi's last row and column
+            nodes = np.broadcast_to(nu, (3,) + refine.shape)[:, refine]
+            inputs = e[:2, refine], values[1][:2, refine], pair[refine]
+            r, r2 = _pair_noise(nodes, *inputs, np.broadcast_to(t, refine.shape)[refine])
+            width = nodes[2] - nodes[0]
+            mixed = (r[1] - r[0]) / (nodes[1] - nodes[0]).conj()
+            across, level = phi[1, 0][refine], phi[1, 1][refine].real
+            row = (r[0] - across) / width, (mixed - level) / width
+            corner = (r2 - 2.0 * mixed.real + level) / (width * width.conj()).real
+            entries = [row[0], row[0].conj(), row[1], row[1].conj(), corner]
+            phi[_PAIR_ROWS, _PAIR_COLUMNS, refine] = np.stack(entries)
+        # z_l = sum_k Phi_kl N_k and Q = sum_l z_l D N_l^dag, with N_0 = I
+        basis = np.stack([n1, n2])
+        z = phi[0, :, np.newaxis, np.newaxis] * eye
+        z += (phi[1:, :, np.newaxis, np.newaxis] * basis[:, np.newaxis]).sum(axis=0)
+        noise = rates * basis.conj()
+        q = z[0] * rates + (z[1:, :, np.newaxis] * noise[:, np.newaxis]).sum(axis=(0, 3))
+    return q, m
 
 
 def q_closed_form(spec: Spectrum, tau: float) -> NoiseMatrix:
-    """Noise matrix from the eigenbasis closed form.
-
-    With D~ = S D S^dag, the transformed noise is
-    Q~_ij = D~_ij (exp((l_i + l_j*) tau) - 1)/(l_i + l_j*) and
-    Q = S^-1 Q~ (S^-1)^dag.
-    """
-    return NoiseMatrix(tau=tau, q=_noise(spec, tau))
+    """Noise matrix from the Newton closed form (see ``_newton_form``)."""
+    q = _newton_form(spec, tau)[0]
+    return NoiseMatrix(tau=tau, q=q.transpose(*range(2, q.ndim), 0, 1))
 
 
 def _with_coherent_part(q: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -142,79 +256,57 @@ def _with_coherent_part(q: np.ndarray, m: np.ndarray) -> np.ndarray:
     return q + 0.5 * m @ _dagger(m)
 
 
-def _covariance_stack(
-    params: ParamStack, roots: np.ndarray, tau, usable
-) -> tuple[np.ndarray, np.ndarray]:
+def _covariance_stack(params: ParamStack, roots: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
     """Covariances for a stack of parameter sets (with their cubic roots)
-    and/or times, and each row's status under the guards of NoiseMatrix and
-    CovarianceState (see ``_hermitian_guards``).
-
-    Rows are computed in closed form, except the ``usable`` rows whose
-    roots are too close for it: those take M and Q from Van Loan's block
-    exponential.
-    """
-    spec, regular = _spectral_stack(params, roots)
-    q, m = _noise(spec, tau), _propagator_matrix(spec, tau)
-    fallback = ~regular & usable
-    if fallback.any():
-        shape = q.shape[:-2]
-        for row in map(tuple, np.argwhere(np.broadcast_to(fallback, shape))):
-            *fields, row_tau = (float(np.broadcast_to(x, shape)[row]) for x in (*params, tau))
-            row_params = ModelParams(*fields)
-            q[row], m[row] = _van_loan_noise(
-                drift_generator(row_params), diffusion_matrix(row_params), row_tau
-            )
-    q, q_defect = _hermitian_part(q)
-    c, c_defect = _hermitian_part(_with_coherent_part(q, m))
-    return c, first_failure(
-        *_hermitian_guards(q_defect, HERMITIZE_TOL), *_hermitian_guards(c_defect, HERMITIZE_TOL)
+    and/or times from the Newton closed form, and each row's status under
+    the guards of NoiseMatrix and CovarianceState (see
+    ``_hermitian_guards``)."""
+    q, m = _newton_form(_spectrum(params, roots), tau)
+    both = np.stack([q, q + 0.5 * (m[:, np.newaxis] * m.conj()).sum(axis=2)], -1)
+    hermitian, defects = _hermitian_part(both.transpose(*range(2, both.ndim), 0, 1))
+    return hermitian[..., 1, :, :], first_failure(
+        *_hermitian_guards(defects[..., 0], HERMITIZE_TOL),
+        *_hermitian_guards(defects[..., 1], HERMITIZE_TOL),
     )
 
 
 def expm(matrix: np.ndarray) -> np.ndarray:
-    """Matrix exponential: the degree-16 Taylor sum (Horner form) of
-    matrix / 2^s with |matrix|_1 / 2^s < 1/2, squared s times.  The sum's
-    truncation error is below 1e-18 relative there."""
-    eye = np.eye(len(matrix))
+    """Matrix exponential: the degree-16 Taylor sum of X = matrix / 2^s with
+    |matrix|_1 / 2^s < 1/2, squared s times.  The sum's truncation error is
+    below 1e-18 relative there.  It is evaluated Paterson-Stockmeyer style:
+    X^2, X^3 and X^4, one product for the blocks sum_i X^i / (4j + i)!, and
+    four Horner steps in X^4."""
+    n = len(matrix)
     squarings = max(0, math.frexp(np.abs(matrix).sum(axis=0).max())[1] + 1)
-    scaled = matrix * 0.5**squarings
-    result = eye
-    for k in range(16, 0, -1):
-        result = eye + scaled @ result / k
+    x = matrix * 0.5**squarings
+    x2 = x @ x
+    powers = np.array([np.eye(n), x, x2, x2 @ x]).reshape(4, n * n)
+    blocks = (_TAYLOR_BLOCKS @ powers).reshape(5, n, n)
+    x4 = x2 @ x2
+    result = blocks[4]
+    for block in blocks[3::-1]:
+        result = result @ x4 + block
     for _ in range(squarings):
         result = result @ result
     return result
-
-
-def _stationary_noise(generator: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
-    """Q(inf), the solution of A Q + Q A^dag + D = 0, from one linear solve
-    (kron(A, I) + kron(I, A*)) vec Q = -vec D on the row-major vec Q.  It is
-    the steady state only when every mode decays."""
-    n = len(generator)
-    eye = np.eye(n)
-    lyapunov = np.kron(generator, eye) + np.kron(eye, generator.conj())
-    return np.linalg.solve(lyapunov, -diffusion.ravel()).reshape(n, n)
 
 
 def _van_loan_noise(
     generator: np.ndarray, diffusion: np.ndarray, tau: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise integral Q(tau) and propagator M(tau) = exp(A tau) for an
-    arbitrary generator A, degenerate or not.
+    arbitrary generator A, with no spectral algebra.
 
     One expm of the block [[A, D], [0, -A^dag]] t over a step t = tau/2^k
     with |A|_1 t <= 1/2 gives M(t) in its upper-left block and
     Q(t) = F12 M(t)^dag from its upper-right block F12.  The step is then
     doubled k times, M(2t) = M(t)^2 and Q(2t) = Q(t) + M(t) Q(t) M(t)^dag,
-    so the decaying block exp(-A^dag t) never spans a long time.  At
-    tau = inf, Q is ``_stationary_noise`` and M = 0 if every eigenvalue of
-    A has a negative real part; Q and M are NaN otherwise.
+    so the decaying block exp(-A^dag t) never spans a long time.  Q and M
+    are NaN where tau has no float step (tau = inf included).
     """
     n = len(generator)
     if tau == 0:
         return np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)
-    if tau == math.inf and np.linalg.eigvals(generator).real.max() < 0:
-        return _stationary_noise(generator, diffusion), np.zeros((n, n), dtype=complex)
     scaled = np.abs(generator).sum(axis=0).max() * tau
     if not scaled < 2.0**1022:  # no float step tau / 2**doublings: NaN Q and M
         return np.full((n, n), np.nan, dtype=complex), np.full((n, n), np.nan, dtype=complex)
@@ -237,9 +329,9 @@ def _van_loan_noise(
 def q_quadrature(params: ModelParams, tau: float) -> NoiseMatrix:
     """Noise matrix from Van Loan's block exponential; spectrum-agnostic.
 
-    The package itself does not call it: the routed rows of
-    ``_covariance_stack`` and ``ode_oracle`` call ``_van_loan_noise``.  The
-    name stays because the benchmark's tracer hooks it.
+    The package itself does not call it (``ode_oracle`` calls
+    ``_van_loan_noise``); the name stays because the benchmark's tracer
+    hooks it.
     """
     q, _ = _van_loan_noise(drift_generator(params), diffusion_matrix(params), tau)
     return NoiseMatrix(tau=tau, q=q)
@@ -249,14 +341,14 @@ def covariance(params: ModelParams, tau: float) -> CovarianceState:
     """Covariance of the state evolved from vacuum for a time tau.
 
     The one-row case of ``_covariance_stack``: C = Q + M M^dag / 2 from the
-    spectral closed form, or from Van Loan's block exponential where two
-    roots are closer than ``degeneracy_threshold``.  Raises the error of
-    the first guard of NoiseMatrix, then of CovarianceState, that it fails.
+    Newton closed form; at tau = inf the steady state where every mode
+    decays, non-finite otherwise.  Raises the error of the first guard of
+    NoiseMatrix, then of CovarianceState, that it fails.
     """
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
     stack = ParamStack(params.rho, params.delta, params.gamma1, params.gamma2, params.kappa)
-    c, status = _covariance_stack(stack, cubic_roots(params), tau, True)
+    c, status = _covariance_stack(stack, cubic_roots(params), tau)
     raise_failure(status, "covariance")
     return CovarianceState(tau=tau, c=c)
 
@@ -265,15 +357,13 @@ def steady_state(params: ModelParams) -> CovarianceState:
     """Stationary covariance C(inf) = Q(inf), defined when every mode decays.
 
     Raises NotStable if the gain (the largest Re(lambda_j), from the cubic
-    roots) is >= 0; otherwise solves the stationarity condition
-    A C + C A^dag + D = 0 as one 9x9 linear system (``_stationary_noise``),
-    which needs no eigenbasis, so degenerate spectra are fine.
+    roots) is >= 0; otherwise it is ``covariance`` at tau = inf, where
+    exp(nu tau) = 0 and phi(x) = -1/x.
     """
     worst = gain(cubic_roots(params), derive(params).gamma_plus)
     if worst >= 0:
         raise NotStable(f"largest mode gain is {worst:.6g} >= 0")
-    c = _stationary_noise(drift_generator(params), diffusion_matrix(params))
-    return CovarianceState(tau=math.inf, c=c)
+    return covariance(params, math.inf)
 
 
 def ode_oracle(params: ModelParams, tau: float) -> CovarianceState:
@@ -282,9 +372,8 @@ def ode_oracle(params: ModelParams, tau: float) -> CovarianceState:
     The Hermitized Q + M M^dag / 2 of ``_van_loan_noise``: the solution of
     the moment equation dC/dtau = A C + C A^dag + D from C(0) = I/2, built
     from the parameter-form generator A without its spectrum, so it checks
-    the closed form independently.  A row that ``covariance`` routes to the
-    block exponential itself gets exactly this covariance (deviation 0).
-    Raises ValueError unless tau is finite and >= 0.
+    the closed form independently.  Raises ValueError unless tau is finite
+    and >= 0.
     """
     if not math.isfinite(tau) or tau < 0:
         raise ValueError(f"tau must be finite and >= 0, got {tau!r}")

@@ -1,5 +1,4 @@
-"""Spectral decomposition of the three-mode drift and the closed-form
-propagator.
+"""Spectrum of the three-mode drift and the closed-form propagator.
 
 The first moments of the three coupled modes, arranged in the mixed vector
 u = (a1*, a2, a3), evolve as u(tau) = M(tau) u(0) with M(tau) = exp(A tau).
@@ -9,13 +8,17 @@ gamma_plus, where omega_j are the three roots of the characteristic cubic
     [w - alpha] [w^2 - beta^2] + 1 + i rho gamma_minus = 0,
 
 with alpha = delta + i(kappa - gamma_plus) and beta = 1/rho + i gamma_minus.
-Each entry of M is a three-term exponential sum over the roots; the six
-independent entries f11, f22, f33, f12, f13, f23 fill M with the sign
-pattern
+M is the Newton form of exp(x tau) on the eigenvalues (Cayley-Hamilton),
 
-    M = [[ f11,  f12, f13],
-         [-f12,  f22, f23],
-         [ f13, -f23, f33]].
+    M(tau) = e[nu0] I + e[nu0, nu1] N1 + e[nu0, nu1, nu2] N2,
+    N1 = A - nu0,  N2 = N1 (A - nu1),
+
+with e[...] the divided differences of exp(x tau) and the eigenvalues
+ordered as the closest pair (nu1, nu2) last.  It needs no eigenvectors,
+so it holds through the exceptional points where two roots merge: only
+e[nu1, nu2] = exp(nu1 tau) expm1(eps tau)/eps, eps = nu2 - nu1, divides
+by the pair's separation (McCurdy, Ng & Parlett, Math. Comp. 43, 501
+(1984)).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, NonFinite
+from .errors import NonFinite
 from .model import DerivedParams, ModelParams, ParamStack, derive
 
 # Cardano's roots of y^3 + 3 p y + 2 h = 0 are y_k = _CARDANO_W[k] w + _CARDANO_V[k] p / w
@@ -38,29 +41,22 @@ _SCALE_POWERS = -np.array([0, 0, 1, 1, 2, 2, 3, 3])
 # divisors x + (x == _ZERO) turn an exact zero, which occurs only at exact
 # multiple or zero roots, into 1
 _ZERO = np.array(0j)
-
-# order of the independent propagator entries in coefficient tables
-F_ORDER = ("f11", "f22", "f33", "f12", "f13", "f23")
+# the eigenvalue orders (isolated, pair, pair) for the closest pair (0, 1),
+# (0, 2) and (1, 2)
+_NEWTON_ORDER = np.array([[2, 0, 1], [1, 0, 2], [0, 1, 2]])
+_PAIRS = np.array([0, 0, 1]), np.array([1, 2, 2])
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Roots of the characteristic cubic and the eigensystem built on them.
-
-    Columns of ``s_inverse`` are the right eigenvectors of the generator;
-    ``s`` is its inverse (det(s) = 1 with the normalization used here).
-    ``deltas[j]`` is the product of root differences (w_j - w_k)(w_j - w_m),
-    the partial-fraction denominator of the closed-form propagator.  For a
-    ``ParamStack`` every array carries the stack's leading axes.
-    """
+    """Roots of the characteristic cubic and the generator's eigenvalues
+    lambda_j = i(omega_j - delta) - gamma_plus built on them.  For a
+    ``ParamStack`` every array carries the stack's leading axes."""
 
     params: ModelParams | ParamStack
     derived: DerivedParams
     omegas: np.ndarray
     lambdas: np.ndarray
-    s: np.ndarray
-    s_inverse: np.ndarray
-    deltas: np.ndarray
 
 
 def _axis(value) -> np.ndarray:
@@ -210,118 +206,41 @@ def gain(omegas: np.ndarray, gamma_plus: float) -> float:
     return -unstable_root(omegas).imag - gamma_plus
 
 
-def degeneracy_threshold(omegas: np.ndarray) -> np.ndarray:
-    """Minimum root separation below which the closed forms are
-    numerically unusable."""
-    return 1e-8 * np.maximum(1.0, np.abs(omegas).max(axis=-1))
-
-
-def _min_separation(omegas: np.ndarray) -> np.ndarray:
-    w0, w1, w2 = omegas[..., 0], omegas[..., 1], omegas[..., 2]
-    return np.minimum(np.minimum(np.abs(w0 - w1), np.abs(w0 - w2)), np.abs(w1 - w2))
-
-
-def _spectral_stack(
-    params: ModelParams | ParamStack, omegas: np.ndarray
-) -> tuple[Spectrum, np.ndarray]:
-    """Spectral data built on given roots, and a mask of the parameter sets
-    whose roots are separated by more than ``degeneracy_threshold``.  The S
-    of a masked-out set is meaningless.
-
-    Column j of S^-1 is the eigenvector
-
-        a_j = N_j ( i sqrt(rho/2) (w_j + beta),
-                   -i sqrt(rho/2) (w_j - beta),
-                    beta^2 - w_j^2 ),
-
-    with N_1 = 1/(w_2 - w_3) and cyclic; this normalization gives
-    det(S) = 1.
-    """
-    w = np.asarray(omegas, dtype=complex)
+def _spectrum(params: ModelParams | ParamStack, omegas: np.ndarray) -> Spectrum:
+    """Spectrum built on given roots."""
     dp = derive(params)
-    beta = _axis(dp.beta)
-    coupling = np.sqrt(_axis(params.rho) / 2.0)
-    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        norms = 1.0 / np.stack([w1 - w2, w0 - w2, w0 - w1], axis=-1)
-        s_inverse = norms[..., np.newaxis, :] * np.stack(
-            [1j * coupling * (w + beta), -1j * coupling * (w - beta), beta**2 - w**2], axis=-2
-        )
-    regular = _min_separation(w) > degeneracy_threshold(w)
-    s = np.linalg.inv(np.where(regular[..., np.newaxis, np.newaxis], s_inverse, np.eye(3)))
-    deltas = np.stack([(w0 - w1) * (w0 - w2), (w1 - w0) * (w1 - w2), (w2 - w0) * (w2 - w1)], -1)
-    lambdas = 1j * (w - _axis(params.delta)) - _axis(dp.gamma_plus)
-    return Spectrum(params, dp, w, lambdas, s, s_inverse, deltas), regular
-
-
-def _require_regular(spec: Spectrum, regular) -> Spectrum:
-    """Return ``spec``; raise DegenerateSpectrum if two of its roots are
-    closer than ``degeneracy_threshold``."""
-    if not regular:
-        raise DegenerateSpectrum(
-            f"root separation {_min_separation(spec.omegas):.3e} below threshold "
-            f"{degeneracy_threshold(spec.omegas):.3e}"
-        )
-    return spec
+    lambdas = 1j * (omegas - _axis(params.delta)) - _axis(dp.gamma_plus)
+    return Spectrum(params, dp, omegas, lambdas)
 
 
 def spectrum(params: ModelParams) -> Spectrum:
-    """Solve the cubic and assemble the full spectral data."""
-    return _require_regular(*_spectral_stack(params, cubic_roots(params)))
+    """Solve the cubic and assemble the spectrum.  Raises NonFinite only
+    where the cubic overflows (see ``cubic_roots``)."""
+    return _spectrum(params, cubic_roots(params))
 
 
-def propagator_coefficients(spec: Spectrum) -> np.ndarray:
-    """Exponential-sum coefficients F of the six propagator entries.
+def _newton_nodes(lambdas: np.ndarray) -> np.ndarray:
+    """Eigenvalues on the last axis reordered as (nu0, nu1, nu2): the
+    closest pair last, the isolated one first."""
+    gaps = np.abs(lambdas[..., _PAIRS[0]] - lambdas[..., _PAIRS[1]])
+    return np.take_along_axis(lambdas, _NEWTON_ORDER[gaps.argmin(axis=-1)], -1)
 
-    Row k (ordered as F_ORDER) satisfies
-    f_k(tau) = sum_j F[..., k, j] * exp(lambda_j * tau).
-    """
-    w = spec.omegas
-    alpha, beta = _axis(spec.derived.alpha), _axis(spec.derived.beta)
-    rho = _axis(spec.params.rho)
+
+def drift_generator(params: ModelParams | ParamStack) -> np.ndarray:
+    """Generator of the first-moment flow, directly from the parameters,
+    with the stack's leading axes for a ``ParamStack``.  With the coupling
+    removed the modes decay at exactly gamma1, gamma2 and kappa."""
+    rho = np.asarray(params.rho)
     coupling = np.sqrt(rho / 2.0)
-    numerators = np.stack(
-        [
-            (w - alpha) * (w + beta) - rho / 2.0,  # f11
-            (w - alpha) * (w - beta) + rho / 2.0,  # f22
-            w**2 - beta**2,  # f33
-            np.broadcast_to(-rho / 2.0 + 0j, w.shape),  # f12
-            -1j * coupling * (w + beta),  # f13
-            1j * coupling * (w - beta),  # f23
-        ],
-        axis=-2,
+    # the detunings delta -+ 1/rho of ``derive``
+    diagonal = (
+        -params.gamma1 - 1j * (params.delta - 1.0 / rho),
+        -params.gamma2 - 1j * (params.delta + 1.0 / rho),
+        -params.kappa,
     )
-    return numerators / spec.deltas[..., np.newaxis, :]
-
-
-# M[r, c] = sign * f_k with k = _M_ENTRY[r, c] indexing F_ORDER
-_M_ENTRY = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
-_M_SIGN = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0]])
-
-
-def _propagator_matrix(spec: Spectrum, tau) -> np.ndarray:
-    """Closed-form M(tau) for a stack of spectra and/or times."""
-    exps = np.exp(spec.lambdas * _axis(tau))
-    entries = (propagator_coefficients(spec) @ exps[..., np.newaxis])[..., 0]
-    return entries[..., _M_ENTRY] * _M_SIGN
-
-
-def drift_generator(params: ModelParams) -> np.ndarray:
-    """Generator of the first-moment flow, directly from the parameters.
-
-    Equals S^-1 diag(lambda) S of the spectrum whenever the spectrum is
-    non-degenerate, but needs no diagonalization, so it also covers
-    degenerate spectra (used by the block exponential of the fallback and
-    of ``ode_oracle``, and by the steady state).  With the coupling
-    removed the modes decay at exactly gamma1, gamma2 and kappa.
-    """
-    dp = derive(params)
-    coupling = np.sqrt(params.rho / 2.0)
-    return np.array(
-        [
-            [-params.gamma1 - 1j * dp.delta_minus, 0.0, coupling],
-            [0.0, -params.gamma2 - 1j * dp.delta_plus, -coupling],
-            [coupling, coupling, -params.kappa],
-        ],
-        dtype=complex,
-    )
+    shape = np.broadcast_shapes(coupling.shape, *map(np.shape, diagonal))
+    generator = np.zeros(shape + (3, 3), dtype=complex)
+    generator[..., 0, 0], generator[..., 1, 1], generator[..., 2, 2] = diagonal
+    generator[..., 0, 2] = generator[..., 2, 0] = generator[..., 2, 1] = coupling
+    generator[..., 1, 2] = -coupling
+    return generator

@@ -15,13 +15,6 @@ class TricarlError(Exception):
     code = "error"
 
 
-class DegenerateSpectrum(TricarlError):
-    """Two roots of the characteristic cubic are too close for the
-    closed-form propagator (its partial-fraction denominators vanish)."""
-
-    code = "degenerate_spectrum"
-
-
 class NotStable(TricarlError):
     """A steady state was requested but at least one mode has
     non-negative gain."""

@@ -12,14 +12,13 @@ number and epsilon, up to ``_CHUNK_ROWS`` rows, and a single sweep is the
 one-curve case; a longer curve is split along its points.  A block is
 one pass of stacked kernels: cubic roots (one cubic per curve on a tau
 axis), covariance, observables and separability tests, run only as far
-along this pipeline as the requested outputs need (``_REGISTRY``).  Rows
-whose roots are too close for the closed form get Van Loan's block
-exponential inside the stack.  Each kernel evaluates its guards as
-per-row masks, and a row's status is the code of the first guard it
-fails, in pipeline order.  Every row is evaluated once; only when a
-stacked LAPACK call raises is the block evaluated again, bisected by
-curves, then by points, down to the row that fails, so the failure costs
-only its own row.
+along this pipeline as the requested outputs need (``_REGISTRY``).  Every
+row takes the same closed form, rows at the exceptional points included.
+Each kernel evaluates its guards as per-row masks, and a row's status is
+the code of the first guard it fails, in pipeline order.  Every row is
+evaluated once; only when a stacked LAPACK call raises is the block
+evaluated again, bisected by curves, then by points, down to the row that
+fails, so the failure costs only its own row.
 
 Figure presets are data: ``presets.PRESETS`` maps each id to a description
 and one (label, SweepSpec fields) pair per curve, and ``figure_preset``
@@ -210,7 +209,7 @@ def _batch_columns(specs, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     if last >= _OBSERVABLES:
         if steady:
             status = _then(status, first_failure(("not_stable", fields["gain"][0] >= 0)))
-        c, c_status = _covariance_stack(params, roots, tau, status == "ok")
+        c, c_status = _covariance_stack(params, roots, tau)
         observables, obs_status = _observable_stack(c, spec.atom_number)
         status = _then(status, _then(c_status, obs_status))
         fields.update(observables)
@@ -335,14 +334,13 @@ def evolve_point(
     guards cover physicality), the oracle's tau and non-finite fields.  With
     ``oracle=True`` the report also carries the maximum absolute
     difference between the covariance and ``ode_oracle``'s, from Van Loan's
-    block exponential alone: 0 on a row that the covariance itself takes
-    from the block exponential (roots closer than ``degeneracy_threshold``).
+    block exponential alone.
     """
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
     roots = cubic_roots(params)
     stack = ParamStack(params.rho, params.delta, params.gamma1, params.gamma2, params.kappa)
-    c, status = _covariance_stack(stack, roots, tau, True)
+    c, status = _covariance_stack(stack, roots, tau)
     raise_failure(status, "covariance")
     fields, status = _observable_stack(c, atom_number)
     raise_failure(status, "covariance")

