@@ -149,6 +149,8 @@ def _report_error(code: str, exc: Exception, exit_code: int) -> int:
 def _run_point(args: argparse.Namespace, params: ModelParams) -> str:
     if args.tau is None:
         raise InvalidSpec("single-point evolution requires --tau")
+    if args.tau == math.inf:
+        raise InvalidSpec("tau=inf has no JSON encoding; a point report needs a finite tau")
     # overflow is reported as a non_finite error, not as numpy warnings
     with np.errstate(all="ignore"):
         try:

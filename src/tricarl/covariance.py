@@ -256,10 +256,12 @@ def _with_coherent_part(q: np.ndarray, m: np.ndarray) -> np.ndarray:
     return q + 0.5 * m @ _dagger(m)
 
 
-def _covariance_stack(params: ParamStack, roots: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
-    """Covariances for a stack of parameter sets (with their cubic roots)
-    and/or times from the Newton closed form, and each row's status under
-    the guards of NoiseMatrix and CovarianceState (see
+def _covariance_stack(
+    params: ModelParams | ParamStack, roots: np.ndarray, tau
+) -> tuple[np.ndarray, np.ndarray]:
+    """Covariances for a stack of parameter sets (or one, with their cubic
+    roots) and/or times from the Newton closed form, and each row's status
+    under the guards of NoiseMatrix and CovarianceState (see
     ``_hermitian_guards``)."""
     q, m = _newton_form(_spectrum(params, roots), tau)
     both = np.stack([q, q + 0.5 * (m[:, np.newaxis] * m.conj()).sum(axis=2)], -1)
@@ -347,8 +349,7 @@ def covariance(params: ModelParams, tau: float) -> CovarianceState:
     """
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
-    stack = ParamStack(params.rho, params.delta, params.gamma1, params.gamma2, params.kappa)
-    c, status = _covariance_stack(stack, cubic_roots(params), tau)
+    c, status = _covariance_stack(params, cubic_roots(params), tau)
     raise_failure(status, "covariance")
     return CovarianceState(tau=tau, c=c)
 

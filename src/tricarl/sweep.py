@@ -339,37 +339,18 @@ def evolve_point(
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
     roots = cubic_roots(params)
-    stack = ParamStack(params.rho, params.delta, params.gamma1, params.gamma2, params.kappa)
-    c, status = _covariance_stack(stack, roots, tau)
+    c, status = _covariance_stack(params, roots, tau)
     raise_failure(status, "covariance")
     fields, status = _observable_stack(c, atom_number)
     raise_failure(status, "covariance")
     gammas, pairs, label, status = _separability_stack(c, epsilon)
     raise_failure(status, "separability tests")
-    growth = gain(roots, derive(params).gamma_plus)
-    floor = float(_physicality_floor(c))
-    deviation = float(np.abs(c - ode_oracle(params, tau).c).max()) if oracle else 0.0
-    numbers = {
-        "tau": tau,
-        "covariance": c,
-        "gain": growth,
-        "observables": np.hstack([value for value, _ in fields.values()]),
-        "separability": (gammas, pairs),
-        "physicality": floor,
-        "oracle_max_abs_diff": deviation,
-    }
-    bad = [name for name, value in numbers.items() if not np.isfinite(value).all()]
-    # undefined (vacuum 0/0) cells are reported as None, not checked
-    if "observables" in bad and all(np.isfinite(v)[d].all() for v, d in fields.values()):
-        bad.remove("observables")
-    if bad:
-        raise NonFinite(f"non-finite result in {', '.join(bad)}")
     out = {
         "params": params.to_dict(),
         "tau": tau,
         "atom_number": atom_number,
         "covariance": {"real": c.real.tolist(), "imag": c.imag.tolist()},
-        "gain": growth,
+        "gain": gain(roots, derive(params).gamma_plus),
         "observables": _defined_cells(fields, list),
         "separability": {
             "min_eig_gamma": gammas.tolist(),
@@ -377,11 +358,24 @@ def evolve_point(
             "class": label,
             "epsilon": epsilon,
         },
-        "physicality": floor,
+        "physicality": float(_physicality_floor(c)),
     }
     if oracle:
-        out["oracle_max_abs_diff"] = deviation
+        out["oracle_max_abs_diff"] = float(np.abs(c - ode_oracle(params, tau).c).max())
+    bad = [name for name, value in out.items() if not _all_finite(value)]
+    if bad:
+        raise NonFinite(f"non-finite result in {', '.join(bad)}")
     return out
+
+
+def _all_finite(value) -> bool:
+    """Whether every number in a report field (nested dicts and lists of
+    numbers, strings and None, which marks an undefined cell) is finite."""
+    if isinstance(value, dict):
+        return all(map(_all_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_all_finite, value))
+    return value is None or isinstance(value, str) or bool(np.isfinite(value))
 
 
 @dataclass(frozen=True)

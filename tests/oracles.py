@@ -1,29 +1,29 @@
 """Independent reference implementations used only for verification.
 
-These deliberately avoid the code paths they check: the matrix exponential
-is a plain scaling-and-squaring Taylor series (no spectral decomposition),
-the Hermitian eigenvalue oracles go through characteristic-polynomial
-coefficients obtained from power-sum traces or bisection on Cholesky
-factorizations, and the quadrature-covariance round trip inverts the block
-construction directly.  The entrywise covariance assembles C element by
-element from the propagator entries, and the effective generator rebuilds A
-from the spectral data.  The characteristic cubic's roots come from LAPACK
-as eigenvalues of companion matrices (``companion_roots``), where the package
+Each quantity the tests check has one reference, and it avoids the code
+path it checks.  The matrix exponential is scipy's Pade ``expm``, where the
+package sums a Taylor series.  The cubic's roots come from LAPACK as
+eigenvalues of companion matrices (``companion_roots``), where the package
 solves the cubic in closed form, and from mpmath at 50 digits
-(``exact_roots``).
+(``exact_roots``).  The quadrature-covariance round trip inverts the block
+construction directly, and the effective generator rebuilds A from the
+spectral data.
 
 The separability and physicality tests are checked against the quadrature
 basis (Simon, PRL 84, 2726 (2000)): the real 6x6 covariance V, the
 symplectic form J, and from them V - iJ, the 6x6 partial-transpose matrices
 Gamma_j and the 4x4 two-mode matrices S_ij, each sent whole to LAPACK by
 ``min_eig``, where the package reduces them to 3x3 and 2x2 blocks in the
-mixed basis.
+mixed basis.  The minima of those blocks come from ``mpmath.eighe`` at a
+chosen number of digits (``mp_min_eigs``; ``mp_min_eig`` for one matrix).
 
 The moment equation has two references of its own: a fixed-step RK4
 integrator (``rk4_oracle``), which the package's ``ode_oracle`` was before
 it became Van Loan's block exponential, and mpmath forms of Van Loan's block
 (``mp_covariance``) and of the stationary 9x9 system (``mp_steady_state``,
-``mp_lyapunov``) at a chosen number of digits.
+``mp_lyapunov``) at a chosen number of digits.  The lossless propagator's
+unitarity relations are evaluated at high precision on its float entries
+(``mp_unitarity_defect``).
 
 Further down are the eigenvector closed form the package computed before
 its Newton form (the eigensystem S, S^-1 of the drift generator, the
@@ -71,53 +71,6 @@ from tricarl.errors import NonFinite, NotHermitian, TricarlError
 from tricarl.model import ParamStack
 from tricarl.observables import ZERO_OCCUPATION
 from tricarl.sweep import _OBSERVABLES, _REGISTRY, _SEPARABILITY
-
-
-def expm_taylor(a, tol=1e-16):
-    """Scaling-and-squaring Taylor-series matrix exponential."""
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    norm = np.linalg.norm(a, np.inf)
-    squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0 else 0
-    b = a / 2.0**squarings
-    result = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for k in range(1, 60):
-        term = term @ b / k
-        result = result + term
-        if np.linalg.norm(term, np.inf) <= tol * np.linalg.norm(result, np.inf):
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
-def charpoly_coefficients(h):
-    """Monic characteristic-polynomial coefficients via Newton's identities
-    on the power sums p_k = tr(H^k)."""
-    h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
-    powers = [np.eye(n, dtype=complex)]
-    for _ in range(n):
-        powers.append(powers[-1] @ h)
-    p = [np.trace(powers[k]) for k in range(n + 1)]
-    coeffs = [1.0 + 0.0j]
-    for k in range(1, n + 1):
-        s = p[k]
-        for i in range(1, k):
-            s += coeffs[i] * p[k - i]
-        coeffs.append(-s / k)
-    return np.array(coeffs)
-
-
-def eigenvalues_charpoly(h):
-    """Eigenvalues as roots of the characteristic polynomial."""
-    return np.roots(charpoly_coefficients(h))
-
-
-def min_eig_hermitian_charpoly(h):
-    """Minimum eigenvalue of a Hermitian matrix via the char-poly roots."""
-    return float(np.min(eigenvalues_charpoly(h).real))
 
 
 # sign flip of x1, undoing the conjugation of mode 1
@@ -306,26 +259,59 @@ def mp_steady_state(params, dps):
         return mp_lyapunov(*_mp_generator(params), dps)
 
 
-def min_eig_hermitian_bisection(h):
-    """Minimum eigenvalue of a Hermitian matrix by bisection on positive
-    definiteness: H - s I has a Cholesky factor exactly when s < lambda_min.
+def mp_min_eig(h, dps):
+    """Smallest eigenvalue of the Hermitian part (h + h^dag)/2 of a square
+    matrix (an array, taken exactly, or nested lists of mpmath numbers) from
+    ``mpmath.eighe`` at ``dps`` digits, rounded to float."""
+    with mpmath.workdps(dps):
+        h = mpmath.matrix(np.asarray(h).tolist() if isinstance(h, np.ndarray) else h)
+        return float(min(mpmath.eighe((h + h.H) / 2, eigvals_only=True)))
 
-    Uses no eigensolver.  Unlike the char-poly roots, its error (a few
-    n eps ||H||) does not grow when eigenvalues cluster or repeat.
-    """
-    h = np.asarray(h, dtype=complex)
-    h = 0.5 * (h + h.conj().T)
-    eye = np.eye(h.shape[0])
-    radius = float(np.abs(h).sum(axis=1).max())  # Gershgorin bound
-    lo, hi = -radius - 1.0, radius + 1.0
-    while hi - lo > 1e-14 * (radius + 1.0):
-        mid = 0.5 * (lo + hi)
-        try:
-            np.linalg.cholesky(h - mid * eye)
-            lo = mid
-        except np.linalg.LinAlgError:
-            hi = mid
-    return 0.5 * (lo + hi)
+
+# Sigma of the blocks 2H +- Sigma of Gamma_1, Gamma_2, Gamma_3 and V - iJ
+_BLOCK_SIGMAS = ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (-1, 1, 1))
+# modes of S_12, S_13, S_23 and the Gamma_j whose blocks they cut
+_PAIR_BLOCKS = (((0, 1), 0), ((0, 2), 0), ((1, 2), 1))
+
+
+def mp_min_eigs(cov, dps):
+    """Minimum eigenvalues of Gamma_1..3, S_12, S_13, S_23 and the V - iJ
+    floor of a covariance, at ``dps`` digits, rounded to float: the 3x3
+    blocks 2H +- Sigma and their 2x2 pair sub-blocks (the mixed-basis
+    reduction of ``tricarl.entanglement``), with H = (C + C^dag)/2 formed
+    from C taken exactly."""
+    c = cov.c if isinstance(cov, CovarianceState) else np.asarray(cov, dtype=complex)
+    with mpmath.workdps(dps):
+        c = mpmath.matrix(c.tolist())
+        h2 = c + c.H
+
+        def block_min(sigma, keep):
+            return min(
+                mp_min_eig([[h2[i, j] + sign * sigma[i] * (i == j) for j in keep] for i in keep], dps)
+                for sign in (1, -1)
+            )
+
+        blocks = [block_min(sigma, range(3)) for sigma in _BLOCK_SIGMAS]
+        pairs = [block_min(_BLOCK_SIGMAS[parent], keep) for keep, parent in _PAIR_BLOCKS]
+    return (*blocks[:3], *pairs, blocks[3])
+
+
+def mp_unitarity_defect(m, dps):
+    """Largest defect of the six lossless unitarity relations of a
+    propagator M (|f11|^2 - 1 = |f12|^2 + |f13|^2 and its companions),
+    evaluated at ``dps`` digits on M's float entries taken exactly, so the
+    reading is M's own rounding, not the check's."""
+    with mpmath.workdps(dps):
+        (f11, f12, f13), (_, f22, f23), (_, _, f33) = (map(mpmath.mpc, row) for row in m.tolist())
+        checks = [
+            abs(f13) ** 2 + 1 - abs(f23) ** 2 - abs(f33) ** 2,
+            abs(f11) ** 2 - 1 - abs(f12) ** 2 - abs(f13) ** 2,
+            abs(f12) ** 2 + 1 - abs(f22) ** 2 - abs(f23) ** 2,
+            f11 * mpmath.conj(f13) + f12 * mpmath.conj(f23) - f13 * mpmath.conj(f33),
+            -f11 * mpmath.conj(f12) - f12 * mpmath.conj(f22) - f13 * mpmath.conj(f23),
+            -f12 * mpmath.conj(f13) + f22 * mpmath.conj(f23) - f23 * mpmath.conj(f33),
+        ]
+        return float(max(map(abs, checks)))
 
 
 # per row j, the sign flip of the momentum quadrature y_j that the partial
@@ -371,8 +357,9 @@ def two_mode_matrix(v, i, j):
 
 def mixed_basis_bound(c):
     """How far the package's mixed-basis minimum eigenvalues may lie from
-    those of the whole 6x6 and 4x4 test matrices: 16 eps (1 + 2 max|C|), a
-    few roundings on the scale of the test matrices' entries."""
+    those of the whole 6x6 and 4x4 test matrices, or from the blocks' own
+    at high precision (``mp_min_eigs``): 16 eps (1 + 2 max|C|), a few
+    roundings on the scale of the test matrices' entries."""
     return 16.0 * np.finfo(float).eps * (1.0 + 2.0 * np.abs(c).max())
 
 
@@ -534,48 +521,6 @@ def covariance_closed(params, tau):
 def newton_propagator(spec, tau):
     """The package's M(tau), the Newton form, for a ``tricarl.Spectrum``."""
     return _newton_form(spec, tau)[1]
-
-
-# (row, column, [(sign, left entry, right entry), ...]) for each independent
-# covariance element; entries index F_ORDER = (f11, f22, f33, f12, f13, f23)
-# and the three terms carry the diffusion weights (gamma1, gamma2, kappa).
-_ENTRYWISE_TERMS = (
-    (0, 0, ((1.0, 0, 0), (1.0, 3, 3), (1.0, 4, 4))),
-    (1, 1, ((1.0, 3, 3), (1.0, 1, 1), (1.0, 5, 5))),
-    (2, 2, ((1.0, 4, 4), (1.0, 5, 5), (1.0, 2, 2))),
-    (0, 1, ((-1.0, 0, 3), (1.0, 3, 1), (1.0, 4, 5))),
-    (0, 2, ((1.0, 0, 4), (-1.0, 3, 5), (1.0, 4, 2))),
-    (1, 2, ((-1.0, 3, 4), (-1.0, 1, 5), (1.0, 5, 2))),
-)
-
-
-def covariance_entrywise(spec, tau):
-    """Covariance assembled element by element from the propagator entries.
-
-    Each element is a weighted sum of products f_a(tau) f_b(tau)* and of
-    their exact time integrals; an independent code path from
-    ``covariance_closed`` sharing only the exponential-sum coefficients.
-    """
-    coeffs = propagator_coefficients(spec)
-    lam = spec.lambdas
-    exps = np.exp(lam * tau)
-    weights = (spec.params.gamma1, spec.params.gamma2, spec.params.kappa)
-    # cross-term kernels: products of exp(lambda_a tau) exp(lambda_b tau)*
-    prod_kernel = np.outer(exps, exps.conj())
-    int_kernel = np.array(
-        [[_phi(lam[a] + lam[b].conjugate(), tau) for b in range(3)] for a in range(3)]
-    )
-    c = np.zeros((3, 3), dtype=complex)
-    for row, col, terms in _ENTRYWISE_TERMS:
-        value = 0.0 + 0.0j
-        for weight, (sign, left, right) in zip(weights, terms):
-            pair = np.outer(coeffs[left], coeffs[right].conj())
-            value += sign * (
-                weight * np.sum(pair * int_kernel) + 0.5 * np.sum(pair * prod_kernel)
-            )
-        c[row, col] = value
-        c[col, row] = value.conjugate()
-    return CovarianceState(tau=tau, c=c)
 
 
 def covariance_van_loan(params, tau):

@@ -6,8 +6,8 @@ from oracles import (
     covariance_from_quadratures,
     gamma_matrix,
     min_eig,
-    min_eig_hermitian_charpoly,
     mixed_basis_bound,
+    mp_min_eig,
     physicality_6x6,
     quadrature_covariance,
     two_mode_matrix,
@@ -132,13 +132,13 @@ def test_min_eigenvalue_marginal_pair():
     assert abs(min_eig(h)) < 1e-12
 
 
-def test_min_eigenvalue_matches_charpoly_oracle():
+def test_min_eigenvalue_matches_mp_oracle():
     rng = np.random.RandomState(83)
     for _ in range(25):
         h = random_hermitian(rng, 4)
         ours = min_eig(h)
-        reference = min_eig_hermitian_charpoly(h)
-        assert ours == pytest.approx(reference, abs=1e-9 * max(1, np.abs(h).max()))
+        reference = mp_min_eig(h, 30)
+        assert ours == pytest.approx(reference, abs=1e-13 * max(1, np.abs(h).max()))
         assert ours == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-10)
 
 

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from oracles import (
     gamma_matrix,
     min_eig,
-    min_eig_hermitian_bisection,
-    min_eig_hermitian_charpoly,
     mixed_basis_bound,
+    mp_min_eigs,
     physicality_6x6,
     quadrature_covariance,
     two_mode_matrix,
@@ -23,8 +22,6 @@ from oracles import (
 from tricarl import ModelParams, covariance, physicality, separability_report
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
-TOL = 1e-9  # relative to max(1, max|h|)
-EPS = np.finfo(float).eps
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -47,67 +44,16 @@ def separability_matrices(point):
     return gammas, pairs
 
 
-def package_minima(point):
-    """(package value, test matrix) for each Gamma_j and S_ij minimum
-    eigenvalue of one evolved state: the values from the package's
-    ``separability_report``, the matrices the whole 6x6 and 4x4 ones."""
+@PROPERTY_SETTINGS
+@given(params_and_tau)
+def test_separability_minima_match_the_30_digit_reference(point):
+    # the Gamma_j and S_ij minima and the physicality floor against the same
+    # mixed-basis blocks at 30 digits, to a few roundings on the scale of 2C
     *values, tau = point
-    report = separability_report(covariance(ModelParams(*values), tau))
-    gammas, pairs = separability_matrices(point)
-    return zip((*report.min_eig_gamma, *report.min_eig_s), (*gammas, *pairs))
-
-
-def scale(h):
-    return max(1.0, float(np.abs(h).max()))
-
-
-def charpoly_error_estimate(h):
-    """First-order forward error of the char-poly oracle's smallest root:
-    coefficient errors of about eps n^k ||h||^k over |p'(lambda_min)|.  It
-    blows up when lambda_min is close to another eigenvalue, relative to
-    ||h||, where the polynomial roots lose their digits."""
-    w = np.linalg.eigvalsh(h)
-    n, lam, norm = len(w), abs(w[0]), scale(h)
-    slope = abs(np.prod(w[1:] - w[0]))
-    coefficient_error = EPS * sum((n * norm) ** k * lam ** (n - k) for k in range(n + 1))
-    return coefficient_error / slope if slope > 0 else np.inf
-
-
-@PROPERTY_SETTINGS
-@given(params_and_tau)
-def test_batched_min_eigenvalues_match_bisection_oracle(point):
-    for ours, h in package_minima(point):
-        assert ours == pytest.approx(min_eig_hermitian_bisection(h), abs=TOL * scale(h))
-
-
-@PROPERTY_SETTINGS
-@given(params_and_tau)
-def test_batched_min_eigenvalues_match_charpoly_oracle(point):
-    # the char-poly roots carry their own error, charpoly_error_estimate;
-    # the oracle decides only where that error is below the tolerance
-    for ours, h in package_minima(point):
-        if charpoly_error_estimate(h) <= 0.1 * TOL * scale(h):
-            assert ours == pytest.approx(min_eig_hermitian_charpoly(h), abs=TOL * scale(h))
-
-
-def test_charpoly_oracle_decides_on_most_states():
-    # keeps the filter above from silently skipping the comparison
-    rng = np.random.RandomState(97)
-    decided = total = 0
-    for _ in range(40):
-        point = (
-            10 ** rng.uniform(-1, np.log10(200.0)),
-            rng.uniform(-5, 5),
-            rng.uniform(0, 2),
-            rng.uniform(0, 2),
-            rng.uniform(0, 2),
-            rng.uniform(0, 5),
-        )
-        for stack in separability_matrices(point):
-            for h in stack:
-                total += 1
-                decided += charpoly_error_estimate(h) <= 0.1 * TOL * scale(h)
-    assert decided >= 0.5 * total
+    state = covariance(ModelParams(*values), tau)
+    report = separability_report(state)
+    got = (*report.min_eig_gamma, *report.min_eig_s, physicality(state))
+    assert np.abs(np.subtract(got, mp_min_eigs(state, 30))).max() <= mixed_basis_bound(state.c)
 
 
 def assert_report_matches_the_test_matrices(point):

@@ -617,6 +617,29 @@ def test_cli_infinite_tau_sweep_is_written_as_csv(capsys):
     assert all(row[1] == row[3] == "" for row in rows[1:])
 
 
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["no_oracle", "oracle"])
+@pytest.mark.parametrize(
+    "params",
+    [
+        ("--rho", "2", "--delta", "-4", "--gamma1", ".1", "--gamma2", ".1", "--kappa", ".5"),
+        ("--rho", "100"),
+    ],
+    ids=["stable", "unstable"],
+)
+def test_cli_point_rejects_infinite_tau_before_evaluating(capsys, monkeypatch, params, oracle):
+    # a point report is JSON, which cannot hold tau=inf: stable or not, with
+    # or without the oracle, the request is refused before any evaluation
+    import tricarl.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "evolve_point", None)
+    code, out, err = run_cli(capsys, *params, "--tau", "inf", *oracle)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "code": "invalid_spec",
+        "message": "tau=inf has no JSON encoding; a point report needs a finite tau",
+    }
+
+
 def test_cli_csv_runs_call_the_traced_names(capsys, monkeypatch):
     # the benchmark tracer times these three names of tricarl.cli
     import tricarl.cli as cli_module
