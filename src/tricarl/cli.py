@@ -225,6 +225,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.oracle and (args.preset or args.sweep):
             raise InvalidSpec("--oracle applies to point reports only")
+        if args.preset and (args.rho is not None or args.tau is not None or args.sweep):
+            raise InvalidSpec("--preset sets its own parameters; drop --rho, --tau and --sweep")
         if args.preset:
             text, table = _run_preset_mode(args)
         else:

@@ -30,11 +30,15 @@ QUANTUM_SUPERRADIANT = "quantum_superradiant"
 UNCLASSIFIED = "unclassified"
 
 
+def _check(valid: bool, name: str, value: float, bound: str) -> None:
+    if not valid:
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+
+
 def classify_regime(params: ModelParams, margin: float = 10.0) -> str:
     """Deterministic regime label; ``unclassified`` when no inequality
     chain holds at the given margin."""
-    if margin < 1.0:
-        raise ValueError(f"margin must be >= 1, got {margin!r}")
+    _check(1.0 <= margin < math.inf, "margin", margin, ">= 1")
     rho, kappa = params.rho, params.kappa
     sr_scale = math.sqrt(2.0 * kappa)
     if rho >= margin and kappa <= 1.0 / margin:
@@ -79,6 +83,7 @@ def sr_semiclassical_populations(
     """Leading-order populations in the semi-classical superradiant regime
     (resonant pump, no decoherence); all three grow as
     exp(sqrt(2/kappa) tau)."""
+    _check(0.0 <= tau < math.inf, "tau", tau, ">= 0")
     _require(
         classify_regime(params, margin) == SEMICLASSICAL_SUPERRADIANT,
         "parameters are not in the semi-classical superradiant regime",
@@ -101,6 +106,7 @@ def sr_quantum_populations(
     """Leading-order populations in the quantum superradiant regime
     (two-photon resonance delta = 1/rho, no decoherence); growth rate
     rho/kappa, with n2/n3 = (rho/2)^3."""
+    _check(0.0 <= tau < math.inf, "tau", tau, ">= 0")
     _require(
         classify_regime(params, margin) == QUANTUM_SUPERRADIANT,
         "parameters are not in the quantum superradiant regime",
@@ -128,6 +134,8 @@ def lossless_highgain_populations(
     (delta = 1/rho, rho < 1): growth rate sqrt(2 rho).  Both triples obey
     n1 = n2 + n3 exactly.
     """
+    _check(0.0 <= tau < math.inf, "tau", tau, ">= 0")
+    _check(1.0 <= margin < math.inf, "margin", margin, ">= 1")
     _require(
         _lossless(params) and params.kappa == 0.0,
         "ideal-case asymptotics hold for gamma1 = gamma2 = kappa = 0",
@@ -177,8 +185,7 @@ def saturation_estimates(
 ) -> SaturationEstimates:
     """Maximum emitted photons and recoiling-atom fraction before the
     undepleted-pump approximation fails."""
-    if atom_number <= 0:
-        raise ValueError(f"atom_number must be > 0, got {atom_number!r}")
+    _check(0.0 < atom_number < math.inf, "atom_number", atom_number, "> 0")
     label = classify_regime(params, margin)
     rho, kappa = params.rho, params.kappa
     if label == SEMICLASSICAL_SUPERRADIANT:

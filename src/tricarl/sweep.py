@@ -6,19 +6,19 @@ a requested set of scalar observables per grid point.  Rows never abort
 the sweep: failures are recorded in a per-row status column and undefined
 observables (vacuum 0/0) stay empty.
 
-Sweeps are array programs over (curves, points) blocks: a figure preset
-stacks runs of consecutive curves that share their points, tau, atom
-number and epsilon, up to ``_CHUNK_ROWS`` rows, and a single sweep is the
-one-curve case; a longer curve is split along its points.  A block is
-one pass of stacked kernels: cubic roots (one cubic per curve on a tau
-axis), covariance, observables and separability tests, run only as far
-along this pipeline as the requested outputs need (``_REGISTRY``).  Every
-row takes the same closed form, rows at the exceptional points included.
-Each kernel evaluates its guards as per-row masks, and a row's status is
-the code of the first guard it fails, in pipeline order.  Every row is
-evaluated once; only when a stacked LAPACK call raises is the block
-evaluated again, bisected by curves, then by points, down to the row that
-fails, so the failure costs only its own row.
+Every row, of a sweep, a preset or a point report (``evolve_point``, one
+row), is one pass of stacked kernels (``_pass``): cubic roots, the gain
+where asked, covariance, observables and separability tests, run only as
+far along this pipeline as the requested outputs need (``_REGISTRY``).
+Every row takes the same closed form, the exceptional points and tau = inf
+included.  Each kernel evaluates its guards as per-row masks, and a row's
+status is the code of the first guard it fails, in pipeline order; at
+tau = inf the first is "not_stable", where a mode does not decay.  Sweeps
+are (curves, points) blocks of up to ``_CHUNK_ROWS`` rows: a preset stacks
+consecutive curves that share their points, tau, atom number and epsilon,
+a longer curve is split along its points, and a tau axis solves one cubic
+per curve.  Only when a stacked LAPACK call raises is a block evaluated
+again, bisected by curves, then by points, down to the failing row.
 
 Figure presets are data: ``presets.PRESETS`` maps each id to a description
 and one (label, SweepSpec fields) pair per curve, and ``figure_preset``
@@ -123,6 +123,8 @@ class SweepSpec:
             raise InvalidSpec(f"atom_number must be finite and > 0, got {self.atom_number!r}")
         if not 0 <= self.epsilon < math.inf:
             raise InvalidSpec(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        if self.axis == "tau" and self.tau is not None:
+            raise InvalidSpec(f"a tau sweep takes no fixed tau, got tau={self.tau!r}")
 
     def grid(self) -> np.ndarray:
         # halving is exact for normal floats: linspace(start, stop) with no overflow of the span
@@ -182,41 +184,46 @@ def _stack(specs, values: np.ndarray) -> tuple[ParamStack, np.ndarray | float | 
     return ParamStack(**fields), tau
 
 
+def _pass(params, roots, tau, outputs, atom_number: float, epsilon: float) -> tuple[dict, object]:
+    """The pipeline on a stack of rows (or one) with their cubic roots, as
+    far as ``outputs`` need: the computed fields as (values, defined) pairs,
+    C as "covariance", and each row's status, the first guard it fails:
+    non-finite roots, then the covariance (at tau=inf first "not_stable"),
+    observables and separability guards.  A bad ``atom_number`` or
+    ``epsilon`` raises ValueError, before any status is read."""
+    last = _last_stage(outputs)
+    finite = np.isfinite(roots).all(axis=-1)
+    status = first_failure(("non_finite", ~finite))
+    fields = {}
+    if "gain" in outputs:
+        fields["gain"] = (gain(roots, derive(params).gamma_plus), finite)
+    if last >= _OBSERVABLES:
+        c, c_status = _covariance_stack(params, roots, tau)
+        observables, obs_status = _observable_stack(c, atom_number)
+        status = _then(status, _then(c_status, obs_status))
+        fields.update(covariance=(c, True), **observables)
+    if last == _SEPARABILITY:
+        gammas, pairs, labels, sep_status = _separability_stack(c, epsilon)
+        status = _then(status, sep_status)
+        fields.update({"gammas": (gammas, True), "pairs": (pairs, True), "class": (labels, True)})
+    return fields, status
+
+
 def _batch_columns(specs, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The requested outputs of a block of curves that share their axis,
     outputs, tau, atom number and epsilon, at their (curves, points) grid
     values: an (outputs, curves, points) array of cells, the mask of the
     defined ones, and each row's status.
 
-    The status is the first guard the row fails, "ok" if none: non-finite
-    roots, at tau=inf a gain >= 0 ("not_stable": no steady state), then
-    the guards of the covariance, observables and separability kernels,
-    then a non-finite requested cell ("non_finite").  A failed row's cells
-    are undefined, except that it keeps its gain when it failed after the
-    roots.  Grid values are finite (see ``SweepSpec``).
+    The status is that of the block's ``_pass``, then a non-finite
+    requested cell ("non_finite").  A failed row's cells are undefined,
+    except that it keeps its gain when it failed after the roots.  Grid
+    values are finite (see ``SweepSpec``).
     """
     spec = specs[0]
-    last = _last_stage(spec.outputs)
     params, tau = _stack(specs, values)
-    dp = derive(params)
-    roots = solve_cubic(cubic_coefficients(dp, params.rho))
-    finite = np.isfinite(roots).all(axis=-1)
-    status = first_failure(("non_finite", ~finite))
-    steady = spec.tau == math.inf
-    fields = {}
-    if "gain" in spec.outputs or steady:
-        fields["gain"] = (gain(roots, dp.gamma_plus), finite)
-    if last >= _OBSERVABLES:
-        if steady:
-            status = _then(status, first_failure(("not_stable", fields["gain"][0] >= 0)))
-        c, c_status = _covariance_stack(params, roots, tau)
-        observables, obs_status = _observable_stack(c, spec.atom_number)
-        status = _then(status, _then(c_status, obs_status))
-        fields.update(observables)
-    if last == _SEPARABILITY:
-        gammas, pairs, labels, sep_status = _separability_stack(c, spec.epsilon)
-        status = _then(status, sep_status)
-        fields.update({"gammas": (gammas, True), "pairs": (pairs, True), "class": (labels, True)})
+    roots = solve_cubic(cubic_coefficients(derive(params), params.rho))
+    fields, status = _pass(params, roots, tau, spec.outputs, spec.atom_number, spec.epsilon)
     dtype = object if "class" in spec.outputs else float
     cells = np.empty((len(spec.outputs), *values.shape), dtype)
     defined = np.empty(cells.shape, dtype=bool)
@@ -230,7 +237,7 @@ def _batch_columns(specs, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         cells[k], defined[k] = np.asarray(value), ok
         if stage > _ROOTS and name != "class":
             overflow |= ok & ~np.isfinite(value)
-    if last >= _OBSERVABLES:
+    if _last_stage(spec.outputs) > _ROOTS:
         status = _then(status, first_failure(("non_finite", overflow)))
         defined[[name != "gain" for name in spec.outputs]] &= status == "ok"
     return cells, defined, np.broadcast_to(status, values.shape)
@@ -328,29 +335,24 @@ def evolve_point(
 ) -> dict:
     """Full single-point report: covariance, observables, separability.
 
-    The sweep's stack kernels on one row, with one cubic solve for the
-    covariance and the gain; raises at the first failed check of tau,
-    roots, covariance, atom_number, observables, separability (whose
-    guards cover physicality), the oracle's tau and non-finite fields.  With
-    ``oracle=True`` the report also carries the maximum absolute
-    difference between the covariance and ``ode_oracle``'s, from Van Loan's
-    block exponential alone.
+    The sweep's ``_pass`` on one row, asked for every output, with one
+    cubic solve for the covariance and the gain; at tau = inf the steady
+    state.  Raises at the first failed check of tau, roots, atom_number and
+    epsilon, the row's status, the oracle's tau and the computed numbers'
+    finiteness.  With ``oracle=True`` the report also carries the maximum
+    absolute difference between the covariance and ``ode_oracle``'s, from
+    Van Loan's block exponential alone.
     """
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
     roots = cubic_roots(params)
-    c, status = _covariance_stack(params, roots, tau)
-    raise_failure(status, "covariance")
-    fields, status = _observable_stack(c, atom_number)
-    raise_failure(status, "covariance")
-    gammas, pairs, label, status = _separability_stack(c, epsilon)
-    raise_failure(status, "separability tests")
-    out = {
-        "params": params.to_dict(),
-        "tau": tau,
-        "atom_number": atom_number,
+    fields, status = _pass(params, roots, tau, OUTPUTS, atom_number, epsilon)
+    raise_failure(status, "point report")
+    names = "covariance", "gain", "gammas", "pairs", "class"
+    c, growth, gammas, pairs, label = (fields.pop(name)[0] for name in names)
+    computed = {
         "covariance": {"real": c.real.tolist(), "imag": c.imag.tolist()},
-        "gain": gain(roots, derive(params).gamma_plus),
+        "gain": growth,
         "observables": _defined_cells(fields, list),
         "separability": {
             "min_eig_gamma": gammas.tolist(),
@@ -361,11 +363,11 @@ def evolve_point(
         "physicality": float(_physicality_floor(c)),
     }
     if oracle:
-        out["oracle_max_abs_diff"] = float(np.abs(c - ode_oracle(params, tau).c).max())
-    bad = [name for name, value in out.items() if not _all_finite(value)]
+        computed["oracle_max_abs_diff"] = float(np.abs(c - ode_oracle(params, tau).c).max())
+    bad = [name for name, value in computed.items() if not _all_finite(value)]
     if bad:
         raise NonFinite(f"non-finite result in {', '.join(bad)}")
-    return out
+    return {"params": params.to_dict(), "tau": tau, "atom_number": atom_number, **computed}
 
 
 def _all_finite(value) -> bool:
@@ -375,7 +377,7 @@ def _all_finite(value) -> bool:
         return all(map(_all_finite, value.values()))
     if isinstance(value, list):
         return all(map(_all_finite, value))
-    return value is None or isinstance(value, str) or bool(np.isfinite(value))
+    return value is None or isinstance(value, str) or math.isfinite(value)
 
 
 @dataclass(frozen=True)

@@ -312,8 +312,8 @@ def test_steady_state_unstable_raises():
 def test_steady_state_of_degenerate_stable_spectrum():
     # two roots nearly merge at delta*, and equal losses keep every mode
     # decaying: the closed form at tau=inf is the steady state and the long-
-    # time limit; an unstable spectrum has no steady state and reads
-    # non-finite
+    # time limit; an unstable spectrum has no steady state, and the
+    # covariance at tau=inf raises NotStable as steady_state does
     params = ModelParams(100.0, 1.8899212590353163, 0.5, 0.5, 0.5)
     limit = steady_state(params).c
     reference = mp_steady_state(params, 40)
@@ -322,7 +322,7 @@ def test_steady_state_of_degenerate_stable_spectrum():
     assert np.abs(state - limit).max() < 1e-9 * max(1.0, np.abs(limit).max())
     with np.errstate(all="ignore"):
         assert np.array_equal(covariance(params, math.inf).c, limit)
-        with pytest.raises(NonFinite):
+        with pytest.raises(NotStable):
             covariance(ModelParams(100.0, 1.8899212590353163), math.inf)
 
 

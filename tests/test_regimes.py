@@ -221,3 +221,45 @@ def test_saturation_requires_superradiant_regime():
         saturation_estimates(ModelParams(rho=100.0, delta=0.0, kappa=0.01), 1e6)
     with pytest.raises(ValueError):
         saturation_estimates(SR_SC, 0.0)
+
+
+# ------------------------------------------------------------ input checks
+
+GOOD_CAVITY = ModelParams(rho=100.0, delta=0.0, kappa=0.01)
+MARGIN, ATOMS, TAU = (
+    "margin must be finite and >= 1",
+    "atom_number must be finite and > 0",
+    "tau must be finite and >= 0",
+)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        *[
+            (lambda bad=bad: classify_regime(SR_SC, margin=bad), MARGIN)
+            for bad in (math.nan, math.inf, 0.5)
+        ],
+        *[
+            (lambda bad=bad: saturation_estimates(GOOD_CAVITY, bad), ATOMS)
+            for bad in (math.nan, math.inf, 0.0, -1.0)
+        ],
+        (lambda: saturation_estimates(GOOD_CAVITY, 1e6, margin=math.nan), MARGIN),
+        *[
+            (lambda bad=bad, law=law: law(GOOD_CAVITY, bad), TAU)
+            for bad in (math.nan, math.inf, -1.0)
+            for law in (sr_semiclassical_populations, sr_quantum_populations)
+        ],
+        (lambda: sr_quantum_populations(GOOD_CAVITY, 1.0, margin=math.inf), MARGIN),
+        *[
+            (lambda bad=bad: lossless_highgain_populations(SR_SC, bad, "semiclassical"), TAU)
+            for bad in (math.nan, math.inf, -1.0)
+        ],
+        (lambda: lossless_highgain_populations(SR_SC, 1.0, "quantum", math.nan), MARGIN),
+    ],
+)
+def test_regimes_reject_numbers_out_of_range_before_the_regime_checks(call, message):
+    # every parameter set here is outside the regime asked for, so a
+    # RegimeMismatch would follow if the number were let through
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -30,6 +30,9 @@ from oracles import (
     _test_matrices,
     evaluate_row,
     gamma_matrix,
+    mixed_basis_bound,
+    mp_min_eigs,
+    mp_steady_state,
     quadrature_covariance,
     spec_point,
     two_mode_matrix,
@@ -53,7 +56,7 @@ from tricarl import (
 )
 from tricarl.covariance import HERMITIZE_TOL, _hermitian_guards, _hermitian_part
 from tricarl.entanglement import HERMITICITY_TOL, _separability_stack, _test_defects
-from tricarl.errors import NonFinite, NotHermitian, first_failure
+from tricarl.errors import NonFinite, NotHermitian, NotStable, first_failure
 from tricarl.observables import _observable_stack
 from tricarl.presets import PRESETS
 
@@ -224,6 +227,76 @@ def test_routed_steady_state_rows_read_the_steady_state():
         assert row["xi12"] == pytest.approx(obs.xi[0], rel=RTOL)
         assert row["mineig_s12"] == pytest.approx(report.min_eig_s[0], rel=RTOL, abs=RTOL)
         assert row["class"] == report.class_label
+
+
+# the paper's headline: steady-state entanglement between the atoms of
+# opposite momenta (S12) and between atoms and photons (S13), with the
+# expected S12, S13 and class of each stable point
+HEADLINE_POINTS = [
+    (ModelParams(2.0, -4.0, 0.1, 0.1, 0.5), -0.18108, -0.19950, "fully_inseparable"),
+    (ModelParams(100.0, 3.5, 0.5, 0.5, 2.0), -0.41610, None, "one_mode_biseparable(3)"),
+]
+
+
+@pytest.mark.parametrize("params, s12, s13, label", HEADLINE_POINTS)
+def test_steady_state_entanglement_reads_alike_on_every_path(params, s12, s13, label):
+    # steady_state with separability_report, the tau=inf sweep row and the
+    # point report at tau=inf, each against the 30-digit block minima
+    state = steady_state(params)
+    reference = mp_min_eigs(mp_steady_state(params, 40), 30)[3:5]
+    bound = mixed_basis_bound(state.c)
+    assert reference[0] == pytest.approx(s12, abs=1e-5)
+    if s13 is not None:
+        assert reference[1] == pytest.approx(s13, abs=1e-5)
+    report = separability_report(state)
+    spec = SweepSpec(
+        axis="kappa",
+        start=params.kappa,
+        stop=params.kappa + 1.0,
+        points=2,
+        fixed=params,
+        outputs=("mineig_s12", "mineig_s13", "class"),
+        tau=math.inf,
+    )
+    row = as_rows(run_sweep(spec))[0]
+    point = sweep_module.evolve_point(params, math.inf)
+    paths = {
+        "steady_state": (report.min_eig_s[:2], report.class_label),
+        "sweep": ((row["mineig_s12"], row["mineig_s13"]), row["class"]),
+        "evolve_point": (point["separability"]["min_eig_s"][:2], point["separability"]["class"]),
+    }
+    for path, (pairs, got_label) in paths.items():
+        assert np.abs(np.subtract(pairs, reference)).max() <= bound, path
+        assert got_label == label, path
+    assert row["status"] == "ok"
+    # the point report at tau=inf is the steady state, bit for bit
+    c = np.array(point["covariance"]["real"]) + 1j * np.array(point["covariance"]["imag"])
+    assert np.array_equal(c, state.c)
+    assert point["tau"] == math.inf
+
+
+def test_unstable_steady_state_reads_not_stable_on_every_path():
+    # kappa=2 makes rho=2, delta=-4, gamma=0.1 grow (gain +0.056): no steady
+    # state on any path; the sweep row keeps its gain cell
+    params = ModelParams(2.0, -4.0, 0.1, 0.1, 2.0)
+    for call in (steady_state, lambda p: covariance(p, math.inf)):
+        with pytest.raises(NotStable):
+            call(params)
+    with pytest.raises(NotStable):
+        sweep_module.evolve_point(params, math.inf)
+    spec = SweepSpec(
+        axis="kappa",
+        start=2.0,
+        stop=3.0,
+        points=2,
+        fixed=params,
+        outputs=("gain", "mineig_s12", "mineig_s13", "class"),
+        tau=math.inf,
+    )
+    row = as_rows(run_sweep(spec))[0]
+    assert row["status"] == "not_stable"
+    assert row["gain"] == pytest.approx(0.05593, abs=1e-5)
+    assert [row[name] for name in spec.outputs[1:]] == [None, None, None]
 
 
 def test_regular_grid_needs_no_single_row_evaluation(monkeypatch):
@@ -617,12 +690,18 @@ def test_point_report_failure_order():
     tiny = ModelParams(1e-200, 1.0)  # the characteristic cubic overflows
     with pytest.raises(NonFinite):
         sweep_module.evolve_point(tiny, 1.0)
-    # the roots come before the atom number, the covariance guards too
+    # the roots come before the atom number and epsilon, which come before
+    # every guard of the pass, as a SweepSpec checks them before its rows
     with pytest.raises(NonFinite):
         sweep_module.evolve_point(tiny, 1.0, atom_number=0.0)
-    with mock.patch.object(sweep_module, "_covariance_stack", return_value=(None, "not_hermitian")):
+    failing = (0.5 * np.eye(3, dtype=complex), "not_hermitian")
+    with mock.patch.object(sweep_module, "_covariance_stack", return_value=failing):
         with pytest.raises(NotHermitian):
+            sweep_module.evolve_point(FIG5, 1.0)
+        with pytest.raises(ValueError, match="atom_number"):
             sweep_module.evolve_point(FIG5, 1.0, atom_number=0.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            sweep_module.evolve_point(FIG5, 1.0, epsilon=-1.0)
     with pytest.raises(ValueError, match="atom_number"):
         sweep_module.evolve_point(FIG5, 1.0, atom_number=0.0)
     with pytest.raises(ValueError, match="tau"):

@@ -384,8 +384,7 @@ def test_cli_json_round_trip(capsys):
 def test_cli_out_file_and_sidecar(capsys, tmp_path):
     target = tmp_path / "rows.csv"
     argv = [
-        "--rho", "100", "--tau", "1", "--sweep", "tau:0:1:3", "--outputs", "n1",
-        "--out", str(target),
+        "--rho", "100", "--sweep", "tau:0:1:3", "--outputs", "n1", "--out", str(target),
     ]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == ""
@@ -405,7 +404,7 @@ def test_cli_out_into_a_missing_directory_is_an_invalid_spec(capsys, tmp_path):
 
 
 def test_cli_exit_codes(capsys):
-    code, _, err = run_cli(capsys, "--rho", "100", "--sweep", "tau:0:0:2", "--tau", "1")
+    code, _, err = run_cli(capsys, "--rho", "100", "--sweep", "tau:0:0:2")
     assert code == 2
     assert json.loads(err)["error"]["code"] == "invalid_spec"
     code, _, err = run_cli(capsys, "--rho", "100")  # point mode without tau
@@ -496,9 +495,7 @@ def test_cli_point_report_deterministic():
 
 
 def test_cli_sweep_overflow_leaves_stderr_empty():
-    proc = run_cli_process(
-        "--rho", "100", "--tau", "0", "--sweep", "tau:0:2000:3", "--outputs", "gain,n1"
-    )
+    proc = run_cli_process("--rho", "100", "--sweep", "tau:0:2000:3", "--outputs", "gain,n1")
     assert proc.returncode == 0 and proc.stderr == ""
     assert [line.rsplit(",", 1)[1] for line in proc.stdout.splitlines()[-3:]] == [
         "ok",
@@ -541,9 +538,7 @@ def test_cli_point_mode_rejects_a_non_positive_atom_number(capsys):
     assert json.loads(err)["error"]["code"] == "invalid_spec"
 
 
-SWEEP_FLAGS = (
-    "--rho", "100", "--tau", "0", "--sweep", "tau:0:1:2", "--outputs", "class,mineig_gamma1",
-)
+SWEEP_FLAGS = ("--rho", "100", "--sweep", "tau:0:1:2", "--outputs", "class,mineig_gamma1")
 
 
 @pytest.mark.parametrize(
@@ -586,10 +581,19 @@ SWEEP_FLAGS = (
             "tau=inf has no JSON encoding",
         ),
         (
-            ("--rho", "100", "--tau", "2", "--sweep", "tau:0:1:3", "--oracle"),
+            ("--rho", "100", "--sweep", "tau:0:1:3", "--oracle"),
             "--oracle applies to point reports only",
         ),
         (("--preset", "fig3", "--oracle"), "--oracle applies to point reports only"),
+        # flags a run would otherwise drop without a word
+        *[
+            (("--preset", "fig5", *flags), "--preset sets its own parameters")
+            for flags in (("--rho", "3"), ("--tau", "1"), ("--sweep", "tau:0:1:3"))
+        ],
+        (
+            ("--rho", "100", "--sweep", "tau:0:1:3", "--tau", "2"),
+            "a tau sweep takes no fixed tau, got tau=2.0",
+        ),
     ],
 )
 def test_cli_rejects_an_invalid_spec(capsys, argv, message):
@@ -653,7 +657,7 @@ def test_cli_csv_runs_call_the_traced_names(capsys, monkeypatch):
 
         monkeypatch.setattr(cli_module, name, counted)
     assert run_cli(capsys, "--preset", "fig1a")[0] == 0
-    assert run_cli(capsys, "--rho", "100", "--tau", "1", "--sweep", "tau:0:1:3")[0] == 0
+    assert run_cli(capsys, "--rho", "100", "--sweep", "tau:0:1:3")[0] == 0
     assert calls == ["run_preset", "_rows_to_csv", "run_sweep", "_rows_to_csv"]
 
 
@@ -714,7 +718,7 @@ def test_cli_sidecar_versions_and_status_counts(capsys, tmp_path):
             (["--rho", "100", "--sweep", "tau:0:800:5", "--outputs", "n1"],
              {"non_finite": 2, "ok": 3}),
             (["--preset", "fig1a"], {"ok": 4 * 301}),
-            (["--rho", "100", "--tau", "0", "--sweep", "tau:0:2000:3", "--outputs", "gain,n1"],
+            (["--rho", "100", "--sweep", "tau:0:2000:3", "--outputs", "gain,n1"],
              {"non_finite": 2, "ok": 1}),
         ):
             target = tmp_path / "rows.csv"
@@ -744,7 +748,7 @@ def test_cli_parser_is_built_once_and_keeps_no_flags(capsys):
         "--rho", "100", "--delta", "3.5", "--gamma1", "0.5", "--gamma2", "0.5",
         "--kappa", "0.5", "--tau", "2",
     ]
-    sweep = ["--rho", "100", "--tau", "1", "--sweep", "tau:0:1:3", "--outputs", "n1"]
+    sweep = ["--rho", "100", "--sweep", "tau:0:1:3", "--outputs", "n1"]
     calls = [point + ["--oracle"], point, sweep + ["--format", "json"], sweep]
     separate = []
     for argv in calls:
