@@ -45,6 +45,10 @@ from .sweep import (
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+# flags that a preset sets itself, with their values outside preset mode
+_RUN_DEFAULTS = dict(
+    delta=0.0, gamma1=0.0, gamma2=0.0, kappa=0.0, outputs="n1,n2,n3", epsilon=1e-9, atoms=1e6
+)
 
 
 @functools.cache
@@ -55,10 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Closed-form three-mode collective-recoil simulator",
     )
     parser.add_argument("--rho", type=float, help="collective coupling parameter (> 0)")
-    parser.add_argument("--delta", type=float, default=0.0, help="pump-probe detuning")
-    parser.add_argument("--gamma1", type=float, default=0.0, help="mode-1 decoherence rate")
-    parser.add_argument("--gamma2", type=float, default=0.0, help="mode-2 decoherence rate")
-    parser.add_argument("--kappa", type=float, default=0.0, help="cavity decay rate")
+    parser.add_argument("--delta", type=float, help="pump-probe detuning (default 0)")
+    parser.add_argument("--gamma1", type=float, help="mode-1 decoherence rate (default 0)")
+    parser.add_argument("--gamma2", type=float, help="mode-2 decoherence rate (default 0)")
+    parser.add_argument("--kappa", type=float, help="cavity decay rate (default 0)")
     parser.add_argument("--tau", type=float, help="evolution time (scaled units)")
     parser.add_argument(
         "--sweep",
@@ -67,8 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--outputs",
-        default="n1,n2,n3",
-        help="comma-separated observables for sweeps: " + ",".join(OUTPUTS),
+        help="comma-separated observables for sweeps (default n1,n2,n3): " + ",".join(OUTPUTS),
     )
     parser.add_argument("--preset", help="figure preset id (fig1 .. fig15, fig1a, ...)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -79,10 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="include the deviation from Van Loan's block exponential in point reports",
     )
     parser.add_argument(
-        "--epsilon", type=float, default=1e-9, help="separability sign tolerance"
+        "--epsilon", type=float, help="separability sign tolerance (default 1e-9)"
     )
     parser.add_argument(
-        "--atoms", type=float, default=1e6, help="atom number for the bunching observable"
+        "--atoms", type=float, help="atom number for the bunching observable (default 1e6)"
     )
     return parser
 
@@ -225,11 +228,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.oracle and (args.preset or args.sweep):
             raise InvalidSpec("--oracle applies to point reports only")
-        if args.preset and (args.rho is not None or args.tau is not None or args.sweep):
-            raise InvalidSpec("--preset sets its own parameters; drop --rho, --tau and --sweep")
         if args.preset:
+            names = ("rho", "tau", "sweep", *_RUN_DEFAULTS)
+            given = ", ".join(f"--{name}" for name in names if getattr(args, name) is not None)
+            if given:
+                raise InvalidSpec(f"--preset sets its own parameters; drop {given}")
             text, table = _run_preset_mode(args)
         else:
+            for name, default in _RUN_DEFAULTS.items():
+                if getattr(args, name) is None:
+                    setattr(args, name, default)
             if args.rho is None:
                 raise InvalidSpec("--rho is required without --preset")
             try:

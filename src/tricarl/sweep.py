@@ -185,27 +185,32 @@ def _stack(specs, values: np.ndarray) -> tuple[ParamStack, np.ndarray | float | 
 
 
 def _pass(params, roots, tau, outputs, atom_number: float, epsilon: float) -> tuple[dict, object]:
-    """The pipeline on a stack of rows (or one) with their cubic roots, as
-    far as ``outputs`` need: the computed fields as (values, defined) pairs,
-    C as "covariance", and each row's status, the first guard it fails:
-    non-finite roots, then the covariance (at tau=inf first "not_stable"),
-    observables and separability guards.  A bad ``atom_number`` or
+    """The pipeline on a stack of rows (or one), from their cubic roots
+    (solved here where ``roots`` is None) as far as ``outputs`` need: the
+    computed fields as (values, defined) pairs, C as "covariance", and each
+    row's status, the first guard it fails: non-finite roots, then the
+    covariance (at tau=inf first "not_stable"), observables and
+    separability guards.  Overflow reads inf or NaN, which the guards and
+    the callers report, never a numpy warning.  A bad ``atom_number`` or
     ``epsilon`` raises ValueError, before any status is read."""
     last = _last_stage(outputs)
-    finite = np.isfinite(roots).all(axis=-1)
-    status = first_failure(("non_finite", ~finite))
-    fields = {}
-    if "gain" in outputs:
-        fields["gain"] = (gain(roots, derive(params).gamma_plus), finite)
-    if last >= _OBSERVABLES:
-        c, c_status = _covariance_stack(params, roots, tau)
-        observables, obs_status = _observable_stack(c, atom_number)
-        status = _then(status, _then(c_status, obs_status))
-        fields.update(covariance=(c, True), **observables)
-    if last == _SEPARABILITY:
-        gammas, pairs, labels, sep_status = _separability_stack(c, epsilon)
-        status = _then(status, sep_status)
-        fields.update({"gammas": (gammas, True), "pairs": (pairs, True), "class": (labels, True)})
+    with np.errstate(all="ignore"):
+        if roots is None:
+            roots = solve_cubic(cubic_coefficients(derive(params), params.rho))
+        finite = np.isfinite(roots).all(axis=-1)
+        status = first_failure(("non_finite", ~finite))
+        fields = {}
+        if "gain" in outputs:
+            fields["gain"] = (gain(roots, derive(params).gamma_plus), finite)
+        if last >= _OBSERVABLES:
+            c, c_status = _covariance_stack(params, roots, tau)
+            observables, obs_status = _observable_stack(c, atom_number)
+            status = _then(status, _then(c_status, obs_status))
+            fields.update(covariance=(c, True), **observables)
+        if last == _SEPARABILITY:
+            gammas, pairs, labels, sep_status = _separability_stack(c, epsilon)
+            status = _then(status, sep_status)
+            fields |= {"gammas": (gammas, True), "pairs": (pairs, True), "class": (labels, True)}
     return fields, status
 
 
@@ -222,8 +227,7 @@ def _batch_columns(specs, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     """
     spec = specs[0]
     params, tau = _stack(specs, values)
-    roots = solve_cubic(cubic_coefficients(derive(params), params.rho))
-    fields, status = _pass(params, roots, tau, spec.outputs, spec.atom_number, spec.epsilon)
+    fields, status = _pass(params, None, tau, spec.outputs, spec.atom_number, spec.epsilon)
     dtype = object if "class" in spec.outputs else float
     cells = np.empty((len(spec.outputs), *values.shape), dtype)
     defined = np.empty(cells.shape, dtype=bool)
@@ -246,8 +250,7 @@ def _batch_columns(specs, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 def _table(specs, values: np.ndarray) -> dict:
     """Columns of a block: grid values, outputs (None where undefined),
     status, rows in curve order."""
-    with np.errstate(all="ignore"):
-        cells, defined, status = _batch_columns(specs, values)
+    cells, defined, status = _batch_columns(specs, values)
     spec = specs[0]
     columns = np.where(defined, cells, None).reshape(len(spec.outputs), -1).tolist()
     return {
@@ -360,6 +363,7 @@ def evolve_point(
             "class": label,
             "epsilon": epsilon,
         },
+        # past the status, 2C is finite: the floor's blocks cannot overflow
         "physicality": float(_physicality_floor(c)),
     }
     if oracle:

@@ -2,12 +2,10 @@
 
 Each quantity the tests check has one reference, and it avoids the code
 path it checks.  The matrix exponential is scipy's Pade ``expm``, where the
-package sums a Taylor series.  The cubic's roots come from LAPACK as
-eigenvalues of companion matrices (``companion_roots``), where the package
-solves the cubic in closed form, and from mpmath at 50 digits
-(``exact_roots``).  The quadrature-covariance round trip inverts the block
-construction directly, and the effective generator rebuilds A from the
-spectral data.
+package sums a Taylor series.  The cubic's roots come from mpmath at 50
+digits (``exact_roots``), where the package solves the cubic in closed
+form.  The quadrature-covariance round trip inverts the block construction
+directly.
 
 The separability and physicality tests are checked against the quadrature
 basis (Simon, PRL 84, 2726 (2000)): the real 6x6 covariance V, the
@@ -17,24 +15,24 @@ Gamma_j and the 4x4 two-mode matrices S_ij, each sent whole to LAPACK by
 mixed basis.  The minima of those blocks come from ``mpmath.eighe`` at a
 chosen number of digits (``mp_min_eigs``; ``mp_min_eig`` for one matrix).
 
-The moment equation has two references of its own: a fixed-step RK4
-integrator (``rk4_oracle``), which the package's ``ode_oracle`` was before
-it became Van Loan's block exponential, and mpmath forms of Van Loan's block
-(``mp_covariance``) and of the stationary 9x9 system (``mp_steady_state``,
-``mp_lyapunov``) at a chosen number of digits.  The lossless propagator's
-unitarity relations are evaluated at high precision on its float entries
-(``mp_unitarity_defect``).
+The moment equation has two kinds of reference.  ``rk4_lyapunov``
+integrates dC/dtau = A C + C A^dag + D step by step with fixed-step RK4,
+the one reference that does not use Van Loan's block.  mpmath forms of Van
+Loan's block (``mp_covariance``) and of the stationary 9x9 system
+(``mp_steady_state``, ``mp_lyapunov``) work at a chosen number of digits.
+The lossless propagator's unitarity relations are evaluated at high
+precision on its float entries (``mp_unitarity_defect``).
 
 Further down are the eigenvector closed form the package computed before
-its Newton form (the eigensystem S, S^-1 of the drift generator, the
-exponential-sum coefficients of the propagator and the noise integral in the
-eigenbasis, which need separated roots), Van Loan's noise integral with M
-from a separate ``scipy.linalg.expm``, and the single-state forms the
-package computes only inside its array kernels: the gain over a detuning
-grid, fourth-order moments, squeezing from explicit moments, and the
-row-by-row sweep evaluator and single-point report, which run one grid
-value or one point through the raising one-state functions and walk every
-nested float of the result for inf/NaN.
+its Newton form (``covariance_closed``: the eigensystem S, S^-1 of the
+drift generator, the exponential-sum coefficients of the propagator and the
+noise integral in the eigenbasis, which need separated roots), Van Loan's
+noise integral with M from a separate ``scipy.linalg.expm``, and the
+single-state forms the package computes only inside its array kernels: the
+gain over a detuning grid, fourth-order moments, squeezing from explicit
+moments, and the row-by-row sweep evaluator and single-point report, which
+run one grid value or one point through the raising one-state functions and
+walk every nested float of the result for inf/NaN.
 """
 
 import itertools
@@ -138,58 +136,6 @@ def rk4_lyapunov(a, d, c0, tau, steps):
         k4 = f(c + h * k3)
         c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return c
-
-
-VACUUM = 0.5 * np.eye(3, dtype=complex)
-
-
-def rk4_oracle(params, tau, steps=None):
-    """Classical fixed-step RK4 integration of the moment equation
-    dC/dtau = A C + C A^dag + D from C(0) = I/2.
-
-    Independent of the spectral decomposition and of the block exponential:
-    uses only the parameter-form generator A, and the eigenvalues of A from
-    LAPACK for the default step count 100 * tau * max(1, |lambda|_max),
-    whose O(h^4) global error is well below 1e-6 relative.
-
-    The equation is linear in z = (vec C, 1), dz/dtau = G z, with
-    kron(A, I) + kron(I, A*) on the row-major vec C and vec D in the last
-    column of G.  RK4 on it is exactly z -> z + E z with x = h G and
-    E = x + x^2/2 + x^3/6 + x^4/24.  The loop applies 16-step blocks
-    E16 = (I + E)^16 - I (four doublings E -> 2E + E^2, in increment form
-    so E never rounds against I), then the steps % 16 single steps.  It
-    does not power the step matrix by squaring: near the gain threshold
-    that matrix is non-normal and its squares lose about 2.5 digits.
-    """
-    if not math.isfinite(tau) or tau < 0:
-        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
-    if steps is not None and not (
-        isinstance(steps, (int, np.integer)) and not isinstance(steps, bool) and steps > 0
-    ):
-        raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    if tau == 0:
-        return CovarianceState(tau=0.0, c=VACUUM.copy())
-    a = drift_generator(params)
-    if steps is None:
-        lam_max = float(np.abs(np.linalg.eigvals(a)).max())
-        steps = int(math.ceil(100.0 * tau * max(1.0, lam_max)))
-    eye3 = np.eye(3)
-    kron = a[:, None, :, None] * eye3[:, None, :] + eye3[:, None, :, None] * a.conj()[:, None, :]
-    x = np.zeros((10, 10), dtype=complex)
-    x[:9, :9] = kron.reshape(9, 9)
-    x[:9, 9] = diffusion_matrix(params).ravel()
-    x *= tau / steps
-    eye = np.eye(10)
-    step = x @ (eye + x @ (eye / 2 + x @ (eye / 6 + x / 24)))
-    block = step
-    for _ in range(4):
-        block = 2.0 * block + block @ block
-    z = np.append(VACUUM.ravel(), 1.0)
-    for _ in range(steps // 16):
-        z = z + block @ z
-    for _ in range(steps % 16):
-        z = z + step @ z
-    return CovarianceState(tau=tau, c=z[:9].reshape(3, 3))
 
 
 def _mp_generator(params):
@@ -363,28 +309,6 @@ def mixed_basis_bound(c):
     return 16.0 * np.finfo(float).eps * (1.0 + 2.0 * np.abs(c).max())
 
 
-def companion_roots(coeffs):
-    """Roots of monic cubics [1, c2, c1, c0] (last axis) as eigenvalues of
-    their companion matrices, each polished by one Newton step, sorted by
-    (Im, Re); NaN for non-finite coefficients."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    finite = np.isfinite(coeffs).all(axis=-1, keepdims=True)
-    coeffs = np.where(finite, coeffs, (1.0, 0.0, 0.0, 0.0))
-    companion = np.zeros(coeffs.shape[:-1] + (3, 3), dtype=complex)
-    companion[..., 0, :] = -coeffs[..., 1:]
-    companion[..., 1, 0] = 1.0
-    companion[..., 2, 1] = 1.0
-    roots = np.linalg.eigvals(companion)
-    c2, c1, c0 = (coeffs[..., k, np.newaxis] for k in (1, 2, 3))
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = ((roots + c2) * roots + c1) * roots + c0
-        slope = (3.0 * roots + 2.0 * c2) * roots + c1
-        safe = np.abs(slope) > 0
-        roots = roots - np.where(safe, value / np.where(safe, slope, 1.0), 0.0)
-    order = np.lexsort((roots.real, roots.imag), axis=-1)
-    return np.where(finite, np.take_along_axis(roots, order, axis=-1), np.nan)
-
-
 def exact_roots(coeffs):
     """Roots of one monic cubic [1, c2, c1, c0] from mpmath at 50 digits,
     rounded to complex and sorted by (Im, Re)."""
@@ -395,15 +319,14 @@ def exact_roots(coeffs):
     return roots[np.lexsort((roots.real, roots.imag))]
 
 
-# order of the independent propagator entries in coefficient tables
-F_ORDER = ("f11", "f22", "f33", "f12", "f13", "f23")
-# M[r, c] = sign * f_k with k = _M_ENTRY[r, c] indexing F_ORDER
+# M[r, c] = sign * f_k with k = _M_ENTRY[r, c] indexing the propagator
+# entries f11, f22, f33, f12, f13, f23
 _M_ENTRY = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 _M_SIGN = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0]])
 
 
 @dataclass(frozen=True)
-class EigenSpectrum:
+class _EigenSpectrum:
     """Roots of the characteristic cubic and the eigensystem built on them.
 
     Columns of ``s_inverse`` are the right eigenvectors of the generator;
@@ -420,10 +343,10 @@ class EigenSpectrum:
     deltas: np.ndarray
 
 
-def eigen_spectrum(params, omegas=None):
-    """The eigensystem of the drift generator on given roots (by default
-    the package's): the spectral data of the eigenvector closed form, which
-    the package computed before the Newton form replaced it.
+def _eigen_spectrum(params):
+    """The eigensystem of the drift generator on the package's roots: the
+    spectral data of the eigenvector closed form, which the package computed
+    before the Newton form replaced it.
 
     Column j of S^-1 is the eigenvector
 
@@ -435,7 +358,7 @@ def eigen_spectrum(params, omegas=None):
     det(S) = 1.  Raises ZeroDivisionError where two roots coincide; near
     such a point S^-1 is ill-conditioned and the form loses digits.
     """
-    w = np.asarray(cubic_roots(params) if omegas is None else omegas, dtype=complex)
+    w = cubic_roots(params)
     w0, w1, w2 = w
     if min(abs(w0 - w1), abs(w0 - w2), abs(w1 - w2)) == 0:
         raise ZeroDivisionError("two roots coincide: the eigenvectors are not a basis")
@@ -447,13 +370,13 @@ def eigen_spectrum(params, omegas=None):
     )
     deltas = np.array([(w0 - w1) * (w0 - w2), (w1 - w0) * (w1 - w2), (w2 - w0) * (w2 - w1)])
     lambdas = 1j * (w - params.delta) - dp.gamma_plus
-    return EigenSpectrum(params, w, lambdas, np.linalg.inv(s_inverse), s_inverse, deltas)
+    return _EigenSpectrum(params, w, lambdas, np.linalg.inv(s_inverse), s_inverse, deltas)
 
 
-def propagator_coefficients(spec):
+def _propagator_coefficients(spec):
     """Exponential-sum coefficients F of the six propagator entries.
 
-    Row k (ordered as F_ORDER) satisfies
+    Row k (f11, f22, f33, f12, f13, f23) satisfies
     f_k(tau) = sum_j F[k, j] * exp(lambda_j * tau).
     """
     w = spec.omegas
@@ -473,18 +396,18 @@ def propagator_coefficients(spec):
     return numerators / spec.deltas
 
 
-def eigen_propagator(spec, tau):
+def _eigen_propagator(spec, tau):
     """The eigenvector closed form of M(tau): each entry a three-term
     exponential sum over the roots, with the sign pattern
 
         M = [[ f11,  f12, f13],
              [-f12,  f22, f23],
              [ f13, -f23, f33]]."""
-    entries = propagator_coefficients(spec) @ np.exp(spec.lambdas * tau)
+    entries = _propagator_coefficients(spec) @ np.exp(spec.lambdas * tau)
     return entries[_M_ENTRY] * _M_SIGN
 
 
-def eigen_noise(spec, tau):
+def _eigen_noise(spec, tau):
     """Noise matrix of the eigenvector closed form: with D~ = S D S^dag,
     Q~_ij = D~_ij (exp((l_i + l_j*) tau) - 1)/(l_i + l_j*) and
     Q = S^-1 Q~ (S^-1)^dag."""
@@ -493,29 +416,13 @@ def eigen_noise(spec, tau):
     return spec.s_inverse @ (d_tilde * _phi(sums, tau)) @ spec.s_inverse.conj().T
 
 
-def effective_generator(spec):
-    """Generator reconstructed from the spectral data: S^-1 diag(lambda) S.
-
-    Its exponential reproduces the eigenvector closed-form propagator; its
-    trace is -(kappa + gamma1 + gamma2) - 2 i delta.
-    """
-    return spec.s_inverse @ np.diag(spec.lambdas) @ spec.s
-
-
-def eigensystem(omegas, params):
-    """Similarity transform (S, S^-1) diagonalizing the drift generator,
-    built on given roots."""
-    spec = eigen_spectrum(params, omegas)
-    return spec.s, spec.s_inverse
-
-
 def covariance_closed(params, tau):
     """Covariance from the eigenvector closed form Q + M M^dag / 2
-    (``eigen_noise`` and ``eigen_propagator``), which needs separated
+    (``_eigen_noise`` and ``_eigen_propagator``), which needs separated
     roots."""
-    spec = eigen_spectrum(params)
-    q = eigen_noise(spec, tau)
-    return CovarianceState(tau=tau, c=_with_coherent_part(q, eigen_propagator(spec, tau)))
+    spec = _eigen_spectrum(params)
+    q = _eigen_noise(spec, tau)
+    return CovarianceState(tau=tau, c=_with_coherent_part(q, _eigen_propagator(spec, tau)))
 
 
 def newton_propagator(spec, tau):

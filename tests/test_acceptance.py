@@ -18,11 +18,11 @@ from oracles import (
     gamma_matrix,
     min_eig,
     mixed_basis_bound,
+    mp_covariance,
     mp_unitarity_defect,
     newton_propagator,
     physicality_6x6,
     quadrature_covariance,
-    rk4_oracle,
     two_mode_matrix,
 )
 from tricarl import (
@@ -225,15 +225,15 @@ def test_criterion_4_oracle_equivalence():
     assert status == "ok" and np.array_equal(state.c, c)
     van_loan = near_degenerate_state().c
     assert np.abs(state.c - van_loan).max() <= 1e-12 * np.abs(van_loan).max()
-    # the RK4 reference shares neither the closed form nor the block exponential
-    reference = rk4_oracle(CRITICAL, 3.0)
-    degenerate_rel = float(np.abs(state.c - reference.c).max() / np.abs(state.c).max())
+    # 40 digits of Van Loan's block, through mpmath's own expm
+    reference = mp_covariance(CRITICAL, 3.0, 40)
+    degenerate_rel = float(np.abs(state.c - reference).max() / np.abs(state.c).max())
 
     passed = worst < 1e-6 and degenerate_rel < 1e-6
     report(
         4,
         f"50 random sets: max closed-vs-block-exponential oracle = {worst:.2e}; "
-        f"near-degenerate closed form vs RK4 = {degenerate_rel:.2e} (tolerance 1e-6)",
+        f"near-degenerate closed form vs 40 digits = {degenerate_rel:.2e} (tolerance 1e-6)",
         passed,
     )
     assert worst < 1e-6

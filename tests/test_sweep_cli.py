@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -262,8 +263,8 @@ def test_point_report_names_the_non_finite_fields(monkeypatch):
     with np.errstate(all="ignore"):
         with pytest.raises(NonFinite) as reference:
             point_report(lossless, 300.0)
-        with pytest.raises(NonFinite) as report:
-            evolve_point(lossless, 300.0)
+    with pytest.raises(NonFinite) as report:
+        evolve_point(lossless, 300.0)
     paths = str(reference.value).removeprefix("non-finite result in ").split(", ")
     assert str(report.value) == "non-finite result in observables"
     assert {path.split(".")[0] for path in paths} == {"observables"}
@@ -271,17 +272,15 @@ def test_point_report_names_the_non_finite_fields(monkeypatch):
     c = np.diag([0.5, 0.5, 0.5]).astype(complex)
     c[0, 1] = c[1, 0] = 1e155
     monkeypatch.setattr(sweep_module, "_covariance_stack", lambda *args: (c, "ok"))
-    with np.errstate(all="ignore"):
-        assert evolve_point(FIG5, 1.0)["observables"]["xi"] == [None, None, None]
+    assert evolve_point(FIG5, 1.0)["observables"]["xi"] == [None, None, None]
     monkeypatch.undo()
     # every other number of the report is checked too
     monkeypatch.setattr(sweep_module, "gain", lambda roots, gamma_plus: math.inf)
     monkeypatch.setattr(sweep_module, "_physicality_floor", lambda c: math.nan)
     nan_state = SimpleNamespace(c=np.full((3, 3), np.nan))
     monkeypatch.setattr(sweep_module, "ode_oracle", lambda params, tau: nan_state)
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(NonFinite) as report:
-            evolve_point(FIG5, 1.0, oracle=True)
+    with pytest.raises(NonFinite) as report:
+        evolve_point(FIG5, 1.0, oracle=True)
     fields = "gain, physicality, oracle_max_abs_diff"
     assert str(report.value) == f"non-finite result in {fields}"
     separability = sweep_module._separability_stack
@@ -293,6 +292,20 @@ def test_point_report_names_the_non_finite_fields(monkeypatch):
     monkeypatch.setattr(sweep_module, "_separability_stack", infinite_pairs)
     with pytest.raises(NonFinite, match="in gain, separability, physicality$"):
         evolve_point(FIG5, 1.0)
+
+
+def test_point_report_overflow_raises_non_finite_not_numpy_warnings():
+    # the pass runs under np.errstate; the physicality floor after it sees
+    # only states whose 2C is finite, so up to C's own overflow (past
+    # tau ~ 406 here) the report raises NonFinite and never a RuntimeWarning
+    lossless = ModelParams(100.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="^non-finite result in observables$"):
+            evolve_point(lossless, 400.0)
+        for tau in np.arange(400.0, 410.0, 0.25):
+            with pytest.raises(NonFinite):
+                evolve_point(lossless, float(tau))
 
 
 @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
@@ -585,11 +598,26 @@ SWEEP_FLAGS = ("--rho", "100", "--sweep", "tau:0:1:2", "--outputs", "class,minei
             "--oracle applies to point reports only",
         ),
         (("--preset", "fig3", "--oracle"), "--oracle applies to point reports only"),
-        # flags a run would otherwise drop without a word
+        # flags a run would otherwise drop without a word, even at their defaults
         *[
-            (("--preset", "fig5", *flags), "--preset sets its own parameters")
-            for flags in (("--rho", "3"), ("--tau", "1"), ("--sweep", "tau:0:1:3"))
+            (("--preset", "fig7", *flags), f"--preset sets its own parameters; drop {flags[0]}")
+            for flags in (
+                ("--rho", "3"),
+                ("--tau", "1"),
+                ("--sweep", "tau:0:1:3"),
+                ("--delta", "0"),
+                ("--gamma1", "0.1"),
+                ("--gamma2", "0.1"),
+                ("--kappa", "3"),
+                ("--outputs", "gain"),
+                ("--epsilon", "0.5"),
+                ("--atoms", "5"),
+            )
         ],
+        (
+            ("--preset", "fig7", "--kappa", "3", "--rho", "2", "--atoms", "5"),
+            "--preset sets its own parameters; drop --rho, --kappa, --atoms",
+        ),
         (
             ("--rho", "100", "--sweep", "tau:0:1:3", "--tau", "2"),
             "a tau sweep takes no fixed tau, got tau=2.0",
