@@ -209,6 +209,22 @@ def test_closed_form_matches_high_precision_fig5():
         assert np.abs(state.c - reference).max() / np.abs(state.c).max() < 1e-6
 
 
+@pytest.mark.parametrize(
+    "params, tau",
+    [
+        (IDEAL_SC, 2.0),  # lossless amplifier
+        (ModelParams(rho=0.2, delta=5.0), 10.0),  # lossless quantum regime
+        (ModelParams(rho=5.0, delta=-2.0, gamma1=0.3, gamma2=0.8, kappa=1.1), 3.0),
+        (ModelParams(rho=2.0, delta=-4.0, gamma1=0.1, gamma2=0.1, kappa=1.0), 20.0),  # stable
+    ],
+)
+def test_closed_form_matches_high_precision_across_regimes(params, tau):
+    # measured 5.3e-16, 1.2e-13, 3.8e-16 and 1.6e-15 of max(1, max|C|)
+    reference = mp_covariance(params, tau, 40)
+    got = covariance(params, tau).c
+    assert np.abs(got - reference).max() <= 1e-12 * max(1.0, np.abs(reference).max())
+
+
 def test_closed_form_matches_independent_rk4():
     # same moment equation, integrated by the test-local RK4
     params = ModelParams(rho=5.0, delta=-2.0, gamma1=0.3, gamma2=0.8, kappa=1.1)

@@ -388,6 +388,17 @@ def test_lossless_unitarity_relations():
 # ------------------------------------------------------------------- generators
 
 
+def test_drift_generator_trace():
+    # tr A = -(kappa + gamma1 + gamma2) - 2i delta: the losses and the
+    # detuning, with the coupling rho off the diagonal
+    rng = np.random.RandomState(31)
+    for _ in range(20):
+        params = random_params(rng)
+        expected = -(params.kappa + params.gamma1 + params.gamma2) - 2j * params.delta
+        assert np.trace(drift_generator(params)) == pytest.approx(expected, abs=1e-12)
+    assert np.trace(drift_generator(ModelParams(rho=4.0, delta=0.0))) == 0.0
+
+
 def test_drift_generator_decoupled_decay_rates():
     # remove the coupling by hand: modes must decay at gamma1, gamma2, kappa
     params = ModelParams(rho=2.0, delta=1.3, gamma1=0.4, gamma2=0.9, kappa=1.7)

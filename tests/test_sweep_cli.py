@@ -631,6 +631,30 @@ def test_cli_rejects_an_invalid_spec(capsys, argv, message):
     assert error["code"] == "invalid_spec" and error["message"].startswith(message)
 
 
+@pytest.mark.parametrize(
+    "flag, default, other",
+    [
+        ("--delta", "0", "0.5"),
+        ("--gamma1", "0", "0.3"),
+        ("--gamma2", "0", "0.3"),
+        ("--kappa", "0", "0.3"),
+        ("--outputs", "n1,n2,n3", "n2"),
+        ("--epsilon", "1e-9", "1e3"),
+        ("--atoms", "1e6", "10"),
+    ],
+)
+def test_cli_omitted_flag_takes_its_documented_default(capsys, flag, default, other):
+    # outside preset mode an omitted flag reads as its help text's default,
+    # and the flag is live: another value changes the output (its header at least)
+    base = ("--rho", "2", "--sweep", "tau:0:2:3")
+    omitted = run_cli(capsys, *base)
+    assert omitted[0] == 0
+    assert run_cli(capsys, *base, flag, default) == omitted
+    assert f"(default {default})" in " ".join(_build_parser().format_help().split())
+    changed = run_cli(capsys, *base, flag, other)
+    assert changed[0] == 0 and changed[1] != omitted[1]
+
+
 def test_cli_infinite_tau_sweep_is_written_as_csv(capsys):
     # a stable row reads its steady state; a row with gain >= 0 has none and
     # reads not_stable, keeping its gain cell
