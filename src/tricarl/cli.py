@@ -45,6 +45,8 @@ from .sweep import (
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+# a str as a JSON string, non-ASCII characters escaped
+_JSON_STRING = json.encoder.encode_basestring_ascii
 # flags that a preset sets itself, with their values outside preset mode
 _RUN_DEFAULTS = dict(
     delta=0.0, gamma1=0.0, gamma2=0.0, kappa=0.0, outputs="n1,n2,n3", epsilon=1e-9, atoms=1e6
@@ -139,8 +141,47 @@ def _emit(text: str, out: str | None, argv: list[str], statuses: list[str] | Non
     )
 
 
+def _json_text(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, allow_nan=False)`` writes
+    it when nested ``indent`` deep: floats by ``float.__repr__``, strings
+    escaped to ASCII by the json module's own C function, tuples as lists.
+    Mapping keys must be str.  The json module encodes in pure Python
+    whenever it indents; this writer makes one call per container, and
+    per item that is not a finite float, instead of its generator chains."""
+    if isinstance(value, dict):
+        items, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = value, "[]"
+    elif isinstance(value, str):
+        return _JSON_STRING(value)
+    elif isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    elif value is None:
+        return "null"
+    elif isinstance(value, bool):
+        return "true" if value else "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    inner = indent + "  "
+    # a finite float, the commonest item, is written in place
+    texts = [
+        repr(item) if type(item) is float and math.isfinite(item) else _json_text(item, inner)
+        for item in items
+    ]
+    if brackets == "{}":
+        texts = [f"{_JSON_STRING(key)}: {text}" for key, text in zip(value, texts)]
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(texts) + f"\n{indent}{brackets[1]}"
+
+
 def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """The bytes of ``json.dumps(payload, indent=2, allow_nan=False) + "\\n"``."""
+    return _json_text(payload, "") + "\n"
 
 
 def _report_error(code: str, exc: Exception, exit_code: int) -> int:

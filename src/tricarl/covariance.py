@@ -59,13 +59,15 @@ def _dagger(matrix: np.ndarray) -> np.ndarray:
 def _indices_first(array: np.ndarray, indices: int, ndim: int) -> np.ndarray:
     """An array of shape (*stack, *index), with ``indices`` index axes, as
     (*index, *stack) with the stack padded on the left to ``ndim`` axes."""
-    array = np.reshape(array, (1,) * (ndim + indices - np.ndim(array)) + np.shape(array))
+    array = array.reshape((1,) * (ndim + indices - array.ndim) + array.shape)
     return array.transpose(*range(ndim, ndim + indices), *range(ndim))
 
 
 def _rates(params) -> np.ndarray:
     """Diffusion weights (gamma1, gamma2, kappa) on the leading axis."""
-    return np.array(np.broadcast_arrays(params.gamma1, params.gamma2, params.kappa))
+    rates = np.empty((3,) + np.broadcast(params.gamma1, params.gamma2, params.kappa).shape)
+    rates[0], rates[1], rates[2] = params.gamma1, params.gamma2, params.kappa
+    return rates
 
 
 def diffusion_matrix(params: ModelParams) -> np.ndarray:
@@ -75,14 +77,16 @@ def diffusion_matrix(params: ModelParams) -> np.ndarray:
 
 def _hermitian_part(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(M + M^dag)/2 of each matrix in a (..., n, n) stack, and its defect
-    max|M - M^dag| relative to max(1, max|M|); NaN for non-finite M."""
+    max|M - M^dag| relative to max(1, max|M|); NaN for non-finite M.
+
+    A non-finite entry makes both maxima inf or NaN (M - M^dag is non-finite
+    where M is, since max and maximum pass NaN on), and their ratio NaN.
+    Its callers run it under np.errstate."""
     matrix = np.asarray(matrix, dtype=complex)
     m_dag = _dagger(matrix)
-    finite = np.isfinite(matrix).all(axis=(-2, -1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.maximum(1.0, np.abs(matrix).max(axis=(-2, -1)))
-        defect = np.where(finite, np.abs(matrix - m_dag).max(axis=(-2, -1)) / scale, np.nan)
-        return 0.5 * (matrix + m_dag), defect
+    scale = np.maximum(1.0, np.abs(matrix).max(axis=(-2, -1)))
+    defect = np.abs(matrix - m_dag).max(axis=(-2, -1)) / scale
+    return 0.5 * (matrix + m_dag), defect
 
 
 def _hermitian_guards(defect, tol: float) -> tuple:
@@ -93,7 +97,8 @@ def _hermitian_guards(defect, tol: float) -> tuple:
 
 
 def _hermitize(matrix: np.ndarray, tol: float, what: str) -> np.ndarray:
-    hermitian, defect = _hermitian_part(matrix)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hermitian, defect = _hermitian_part(matrix)
     raise_failure(first_failure(*_hermitian_guards(defect, tol)), what)
     return hermitian
 
@@ -181,7 +186,8 @@ def _newton_form(spec: Spectrum, tau) -> tuple[np.ndarray, np.ndarray]:
     where the plain ones would lose digits, |eps| <= 0.1 max|nu| and
     |eps| tau < 2 (or tau = inf); elsewhere they lose at most a few ulps.
     The plain ones divide by eps + 1e-200 where eps = 0, like e[nu1, nu2],
-    so that a lossless row's Q stays exactly 0.
+    so that a lossless row's Q stays exactly 0.  Overflow reads inf or NaN;
+    the callers run it under np.errstate.
     """
     t = np.asarray(tau, dtype=float)
     ndim = max(spec.lambdas.ndim - 1, t.ndim)
@@ -194,53 +200,54 @@ def _newton_form(spec: Spectrum, tau) -> tuple[np.ndarray, np.ndarray]:
     rates = rates.reshape((3,) + (1,) * (ndim + 1 - rates.ndim) + rates.shape[1:])
     nu0, nu1, nu2 = nu
     first, eps, span = nu1 - nu0, nu2 - nu1, nu2 - nu0
-    with np.errstate(all="ignore"):
-        e = np.exp(nu * t)
-        e0, e1, e2 = e
-        size = np.abs(eps)
-        near = size * t
-        # e[nu1, nu2]: expm1(eps tau)/eps, whose limit tau at eps = 0 a step
-        # of 1e-200 gives to the last bit, or exp - 1 where |eps tau| >= 1
-        step = eps + 1e-200 * (eps == 0)
-        pair = np.where(near < 1.0, e1 * np.expm1(step * t), e2 - e1) / step
-        slope = (e1 - e0) / first
-        m = e0 * eye + slope * n1 + (pair - slope) / span * n2
-        # exp((nu_i + nu_j*) tau) as products of the exp(nu tau)
-        values = _phi(nu[:, np.newaxis] + nu.conj(), t, e[:, np.newaxis] * e.conj())
-        # Phi = L values L^dag, L the Newton differences on the nodes
-        newton = np.zeros((3, 3) + first.shape, dtype=complex)
-        newton[0, 0], newton[1, 1], newton[2, 2] = 1.0, 1.0 / first, 1.0 / (step * span)
-        newton[1, 0], newton[2, 0] = -newton[1, 1], newton[1, 1] / span
-        newton[2, 1] = -newton[2, 0] - newton[2, 2]
-        rows = (newton[:, :, np.newaxis] * values).sum(axis=1)
-        phi = (rows[:, np.newaxis] * newton.conj()).sum(axis=2)
-        # Phi enters Q only through D: rows without losses need no refinement
-        refine = (size <= 0.1 * np.abs(nu).max(axis=0)) & ((near < 2.0) | np.isinf(t))
-        refine &= rates.any(axis=0)
-        if refine.any():
-            # the pair's differences, refined, give Phi's last row and column
-            nodes = np.broadcast_to(nu, (3,) + refine.shape)[:, refine]
-            inputs = e[:2, refine], values[1][:2, refine], pair[refine]
-            r, r2 = _pair_noise(nodes, *inputs, np.broadcast_to(t, refine.shape)[refine])
-            width = nodes[2] - nodes[0]
-            mixed = (r[1] - r[0]) / (nodes[1] - nodes[0]).conj()
-            across, level = phi[1, 0][refine], phi[1, 1][refine].real
-            row = (r[0] - across) / width, (mixed - level) / width
-            corner = (r2 - 2.0 * mixed.real + level) / (width * width.conj()).real
-            entries = [row[0], row[0].conj(), row[1], row[1].conj(), corner]
-            phi[_PAIR_ROWS, _PAIR_COLUMNS, refine] = np.stack(entries)
-        # z_l = sum_k Phi_kl N_k and Q = sum_l z_l D N_l^dag, with N_0 = I
-        basis = np.stack([n1, n2])
-        z = phi[0, :, np.newaxis, np.newaxis] * eye
-        z += (phi[1:, :, np.newaxis, np.newaxis] * basis[:, np.newaxis]).sum(axis=0)
-        noise = rates * basis.conj()
-        q = z[0] * rates + (z[1:, :, np.newaxis] * noise[:, np.newaxis]).sum(axis=(0, 3))
+    e = np.exp(nu * t)
+    e0, e1, e2 = e
+    size = np.abs(eps)
+    near = size * t
+    # e[nu1, nu2]: expm1(eps tau)/eps, whose limit tau at eps = 0 a step
+    # of 1e-200 gives to the last bit, or exp - 1 where |eps tau| >= 1
+    step = eps + 1e-200 * (eps == 0)
+    pair = np.where(near < 1.0, e1 * np.expm1(step * t), e2 - e1) / step
+    slope = (e1 - e0) / first
+    m = e0 * eye + slope * n1 + (pair - slope) / span * n2
+    # exp((nu_i + nu_j*) tau) as products of the exp(nu tau)
+    values = _phi(nu[:, np.newaxis] + nu.conj(), t, e[:, np.newaxis] * e.conj())
+    # Phi = L values L^dag, L the Newton differences on the nodes
+    newton = np.zeros((3, 3) + first.shape, dtype=complex)
+    newton[0, 0], newton[1, 1], newton[2, 2] = 1.0, 1.0 / first, 1.0 / (step * span)
+    newton[1, 0], newton[2, 0] = -newton[1, 1], newton[1, 1] / span
+    newton[2, 1] = -newton[2, 0] - newton[2, 2]
+    rows = (newton[:, :, np.newaxis] * values).sum(axis=1)
+    phi = (rows[:, np.newaxis] * newton.conj()).sum(axis=2)
+    # Phi enters Q only through D: rows without losses need no refinement
+    refine = rates.any(axis=0)
+    if refine.any():
+        refine = refine & (size <= 0.1 * np.abs(nu).max(axis=0)) & ((near < 2.0) | np.isinf(t))
+    if refine.any():
+        # the pair's differences, refined, give Phi's last row and column
+        nodes = np.broadcast_to(nu, (3,) + refine.shape)[:, refine]
+        inputs = e[:2, refine], values[1][:2, refine], pair[refine]
+        r, r2 = _pair_noise(nodes, *inputs, np.broadcast_to(t, refine.shape)[refine])
+        width = nodes[2] - nodes[0]
+        mixed = (r[1] - r[0]) / (nodes[1] - nodes[0]).conj()
+        across, level = phi[1, 0][refine], phi[1, 1][refine].real
+        row = (r[0] - across) / width, (mixed - level) / width
+        corner = (r2 - 2.0 * mixed.real + level) / (width * width.conj()).real
+        entries = [row[0], row[0].conj(), row[1], row[1].conj(), corner]
+        phi[_PAIR_ROWS, _PAIR_COLUMNS, refine] = np.stack(entries)
+    # z_l = sum_k Phi_kl N_k and Q = sum_l z_l D N_l^dag, with N_0 = I
+    basis = np.stack([n1, n2])
+    z = phi[0, :, np.newaxis, np.newaxis] * eye
+    z += (phi[1:, :, np.newaxis, np.newaxis] * basis[:, np.newaxis]).sum(axis=0)
+    noise = rates * basis.conj()
+    q = z[0] * rates + (z[1:, :, np.newaxis] * noise[:, np.newaxis]).sum(axis=(0, 3))
     return q, m
 
 
 def q_closed_form(spec: Spectrum, tau: float) -> NoiseMatrix:
     """Noise matrix from the Newton closed form (see ``_newton_form``)."""
-    q = _newton_form(spec, tau)[0]
+    with np.errstate(all="ignore"):
+        q = _newton_form(spec, tau)[0]
     return NoiseMatrix(tau=tau, q=q.transpose(*range(2, q.ndim), 0, 1))
 
 
@@ -256,7 +263,8 @@ def _covariance_stack(
     roots) and/or times from the Newton closed form, and each row's status:
     at tau = inf first "not_stable" where the largest Re(lambda), the gain
     to the last bit, is >= 0 (no steady state), then the guards of
-    NoiseMatrix and CovarianceState (see ``_hermitian_guards``)."""
+    NoiseMatrix and CovarianceState (see ``_hermitian_guards``).  Overflow
+    reads inf or NaN; its callers run it under np.errstate."""
     spec = _spectrum(params, roots)
     q, m = _newton_form(spec, tau)
     both = np.stack([q, q + 0.5 * (m[:, np.newaxis] * m.conj()).sum(axis=2)], -1)
@@ -346,7 +354,9 @@ def covariance(params: ModelParams, tau: float) -> CovarianceState:
     """
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
-    c, status = _covariance_stack(params, cubic_roots(params), tau)
+    roots = cubic_roots(params)
+    with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
+        c, status = _covariance_stack(params, roots, tau)
     raise_failure(status, "covariance")
     return CovarianceState(tau=tau, c=c)
 
@@ -375,4 +385,5 @@ def ode_oracle(params: ModelParams, tau: float) -> CovarianceState:
     if not math.isfinite(tau) or tau < 0:
         raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
     q, m = _van_loan_noise(drift_generator(params), diffusion_matrix(params), tau)
-    return CovarianceState(tau=tau, c=_with_coherent_part(NoiseMatrix(tau=tau, q=q).q, m))
+    q = _hermitize(q, HERMITIZE_TOL, "noise matrix")  # as NoiseMatrix(tau, q).q
+    return CovarianceState(tau=tau, c=_with_coherent_part(q, m))

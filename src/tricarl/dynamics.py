@@ -86,7 +86,7 @@ def _select(mask, chosen, other):
     """np.where(mask, chosen, other), kept as a plain choice for the numpy
     scalars of a single cubic, where np.where costs more than the arithmetic
     around it."""
-    if np.ndim(mask):
+    if mask.ndim:
         return np.where(mask, chosen, other)
     return chosen if mask else other
 
@@ -238,8 +238,7 @@ def drift_generator(params: ModelParams | ParamStack) -> np.ndarray:
         -params.gamma2 - 1j * (params.delta + 1.0 / rho),
         -params.kappa,
     )
-    shape = np.broadcast_shapes(coupling.shape, *map(np.shape, diagonal))
-    generator = np.zeros(shape + (3, 3), dtype=complex)
+    generator = np.zeros(np.broadcast(coupling, *diagonal).shape + (3, 3), dtype=complex)
     generator[..., 0, 0], generator[..., 1, 1], generator[..., 2, 2] = diagonal
     generator[..., 0, 2] = generator[..., 2, 0] = generator[..., 2, 1] = coupling
     generator[..., 1, 2] = -coupling

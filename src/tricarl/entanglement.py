@@ -47,6 +47,8 @@ _GAMMA_SHIFTS, _PHYSICAL_SHIFTS = (
 _PAIRS = np.array([[0, 1], [0, 2], [1, 2]])
 _BLOCK_ROWS, _BLOCK_COLS = _PAIRS[:, [0, 0, 1, 1]], _PAIRS[:, [0, 1, 0, 1]]
 _PAIR_MEAN_SHIFT, _PAIR_SPLIT = np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
+# the i added to Im 2C_kk in a test matrix's size; the bits of modes 1, 2, 3
+_I_EYE, _MODE_BITS = 1j * np.eye(3), np.array([1, 2, 4])
 
 # Hermitian defect, relative to max(1, max|entry|), a test matrix may carry
 HERMITICITY_TOL = 1e-8
@@ -94,7 +96,8 @@ def physicality(cov: CovarianceState | np.ndarray) -> float:
     states, exactly 0 at vacuum.  Raises the error of the first Gamma_j
     guard of ``separability_report`` that the covariance fails."""
     c = cov.c if isinstance(cov, CovarianceState) else np.asarray(cov, dtype=complex)
-    guards = _hermitian_guards(_test_defects(c)[0], HERMITICITY_TOL)
+    with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
+        guards = _hermitian_guards(_test_defects(c)[0], HERMITICITY_TOL)
     raise_failure(first_failure(*guards), "physicality test")
     return float(_physicality_floor(c))
 
@@ -104,15 +107,16 @@ def _test_defects(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     three alike) and S_12, S_13, S_23 (..., 3) test matrices, from C alone:
     max(|Re D|, |Im D|), D = 2C - (2C)^dag, over the largest |Re 2C_kl|,
     |Im 2C_kl| (k != l) and |Im 2C_kk + i|, for k, l in all modes or the
-    pair's own.  A non-finite entry makes that largest size inf or NaN."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        c2 = 2.0 * c
-        d = c2 - _dagger(c2)
-        excess = np.maximum(np.abs(d.real), np.abs(d.imag))[..., _BLOCK_ROWS, _BLOCK_COLS]
-        size = np.maximum(np.abs(c2.real), np.abs(c2.imag + 1j * np.eye(3)))
-        excess, size = excess.max(-1), size[..., _BLOCK_ROWS, _BLOCK_COLS].max(-1)
-        gamma = np.where(np.isfinite(size).all(-1), excess.max(-1) / size.max(-1), np.nan)
-        return gamma, np.where(np.isfinite(size), excess / size, np.nan)
+    pair's own.  A non-finite entry of 2C makes D non-finite there or at
+    its mirror, both in the same blocks, and so the largest excess and the
+    largest size inf or NaN (max passes NaN on), and their ratio NaN.  Its
+    callers run it under np.errstate."""
+    c2 = 2.0 * c
+    d = c2 - _dagger(c2)
+    excess = np.maximum(np.abs(d.real), np.abs(d.imag))[..., _BLOCK_ROWS, _BLOCK_COLS]
+    size = np.maximum(np.abs(c2.real), np.abs(c2.imag + _I_EYE))
+    excess, size = excess.max(-1), size[..., _BLOCK_ROWS, _BLOCK_COLS].max(-1)
+    return excess.max(-1) / size.max(-1), excess / size
 
 
 def _classes(gamma_min_eigs: np.ndarray, epsilon: float):
@@ -127,7 +131,7 @@ def _classes(gamma_min_eigs: np.ndarray, epsilon: float):
     """
     if not 0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    labels = _CLASS_LABELS[(gamma_min_eigs >= -epsilon) @ np.array([1, 2, 4])]
+    labels = _CLASS_LABELS[(gamma_min_eigs >= -epsilon) @ _MODE_BITS]
     return labels, ("non_finite", ~np.isfinite(gamma_min_eigs).all(axis=-1))
 
 
@@ -146,7 +150,8 @@ def separability_report(
     cov: CovarianceState | np.ndarray, epsilon: float = 1e-9
 ) -> SeparabilityReport:
     """Run all separability tests on one covariance state."""
-    gammas, pairs, label, status = _separability_stack(cov, epsilon)
+    with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
+        gammas, pairs, label, status = _separability_stack(cov, epsilon)
     raise_failure(status, "separability tests")
     return SeparabilityReport(tuple(gammas.tolist()), tuple(pairs.tolist()), label, epsilon)
 
@@ -163,10 +168,14 @@ def _separability_stack(cov, epsilon: float):
     c = cov.c if isinstance(cov, CovarianceState) else np.asarray(cov, dtype=complex)
     gamma_defect, pair_defect = _test_defects(c)
     h2 = c + _dagger(c)
-    h2 = np.where(np.isfinite(h2), h2, 0.0)  # kept from eigvalsh; such tests read 0
-    usable = (gamma_defect <= HERMITICITY_TOL)[..., np.newaxis]
-    gammas = np.where(usable, _block_minima(h2, _GAMMA_SHIFTS), 0.0)
-    pairs = np.where(pair_defect <= HERMITICITY_TOL, _pair_minima(h2), 0.0)
+    usable, pair_usable = gamma_defect <= HERMITICITY_TOL, pair_defect <= HERMITICITY_TOL
+    if usable.all() and pair_usable.all():
+        # every entry of 2C is finite (its Gamma_j defects are), and so is 2H
+        gammas, pairs = _block_minima(h2, _GAMMA_SHIFTS), _pair_minima(h2)
+    else:
+        h2 = np.where(np.isfinite(h2), h2, 0.0)  # kept from eigvalsh; such tests read 0
+        gammas = np.where(usable[..., np.newaxis], _block_minima(h2, _GAMMA_SHIFTS), 0.0)
+        pairs = np.where(pair_usable, _pair_minima(h2), 0.0)
     labels, finite = _classes(gammas, epsilon)
     status = first_failure(
         *_hermitian_guards(gamma_defect, HERMITICITY_TOL),

@@ -6,6 +6,9 @@ their guards as per-state masks and report the code of the first one that
 fails; the one-state functions raise the exception class of that code.
 """
 
+import functools
+import operator
+
 import numpy as np
 
 
@@ -61,14 +64,16 @@ def first_failure(*guards):
     """Status of each state under ordered ``(code, mask)`` guards: the code
     of the first guard whose mask is set, "ok" where none is.  The str "ok"
     when no state fails any guard, else an array of str."""
-    if not any(mask.any() for _, mask in guards):
-        return "ok"
     codes, masks = zip(*guards)
+    if not functools.reduce(operator.or_, masks).any():
+        return "ok"
     return np.select(masks, codes, "ok")
 
 
 def raise_failure(status, what: str) -> None:
     """Raise the exception class of the first failed code in ``status``."""
+    if isinstance(status, str) and status == "ok":
+        return
     failed = [code for code in np.ravel(status).tolist() if code != "ok"]
     if failed:
         raise _BY_CODE[failed[0]](f"{what} failed the {failed[0]} guard")

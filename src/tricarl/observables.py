@@ -30,6 +30,8 @@ _NEGATIVE_FLOOR = -1e-6
 CROSS_PAIRS = ((1, 2), (1, 3), (2, 3))
 _FIRST = np.array([0, 0, 1])  # zero-based modes of CROSS_PAIRS
 _SECOND = np.array([1, 2, 2])
+# the ModeObservables fields, in their order
+_FIELDS = ("n", "var_n", "g2_auto", "g2_cross", "xi", "bunching")
 
 
 def _residue(value) -> np.ndarray:
@@ -39,18 +41,20 @@ def _residue(value) -> np.ndarray:
     return np.abs(value.imag) > _IMAG_RESIDUE * np.fmax(1.0, np.abs(value.real))
 
 
-def _observable_stack(c: np.ndarray, atom_number: float):
-    """Every observable of a (..., 3, 3) stack of covariances, and each
-    state's status.
+def _observable_stack(c: np.ndarray, atom_number: float, names=_FIELDS):
+    """The observables ``names`` (all by default) of a (..., 3, 3) stack of
+    covariances, and each state's status.
 
-    Returns ``(fields, status)``.  ``fields`` maps the ModeObservables field
-    names to ``(values, defined)`` pairs; modes or CROSS_PAIRS run along the
-    last axis, and ``defined`` is False where the vacuum makes a ratio 0/0.
-    The status is the first guard the state fails, "ok" if none: an
-    imaginary residue on C_ii ("error"), an occupation below the vacuum
-    floor ("negative_occupation"), then a residue on G_iiii = 2 C_ii^2 or
-    on the bunching moment ("error").  Raises ValueError for an
-    ``atom_number`` that is not finite and > 0.
+    Returns ``(fields, status)``.  ``fields`` maps ModeObservables field
+    names, in the order of ``_FIELDS``, to ``(values, defined)`` pairs: the
+    requested ones, n and bunching always, and var_n with xi.  Modes or
+    CROSS_PAIRS run along the last axis, and ``defined`` is False where the
+    vacuum makes a ratio 0/0.  The status does not depend on ``names``: it
+    is the first guard the state fails, "ok" if none: an imaginary residue
+    on C_ii ("error"), an occupation below the vacuum floor
+    ("negative_occupation"), then a residue on G_iiii = 2 C_ii^2 or on the
+    bunching moment ("error").  Raises ValueError for an ``atom_number``
+    that is not finite and > 0.
 
     Occupations C_ii - 1/2 are clamped at zero.  The number variance
     G_iiii - n - 1/2 - n^2 equals n (n + 1) exactly; the factored form keeps
@@ -61,32 +65,35 @@ def _observable_stack(c: np.ndarray, atom_number: float):
         raise ValueError(f"atom_number must be finite and > 0, got {atom_number!r}")
     diag = np.diagonal(c, axis1=-2, axis2=-1)
     raw = diag.real - 0.5
-    n = np.maximum(raw, 0.0)
-    var = n * (n + 1.0)
-    n_i, n_j = n[..., _FIRST], n[..., _SECOND]
-    cross_sq = np.abs(c[..., _FIRST, _SECOND]) ** 2
-    auto_defined = ~(n <= ZERO_OCCUPATION)
-    cross_defined = ~((n_i <= ZERO_OCCUPATION) | (n_j <= ZERO_OCCUPATION))
-    xi_defined = ~(n_i + n_j <= ZERO_OCCUPATION)
     moment = c[..., 0, 0] + c[..., 1, 1] + c[..., 0, 1] + c[..., 1, 0]
-    fields = {
-        "n": (n, True),
-        "var_n": (var, True),
-        "g2_auto": (2.0 * n * n / np.where(auto_defined, n * n, 1.0), auto_defined),
-        "g2_cross": (1.0 + cross_sq / np.where(cross_defined, n_i * n_j, 1.0), cross_defined),
-        "xi": (
-            (var[..., _FIRST] + var[..., _SECOND] - 2.0 * cross_sq)
-            / np.where(xi_defined, n_i + n_j, 1.0),
-            xi_defined,
-        ),
-        "bunching": (moment.real / atom_number, True),
-    }
     status = first_failure(
         ("error", _residue(diag).any(axis=-1)),
         ("negative_occupation", (raw < _NEGATIVE_FLOOR).any(axis=-1)),
         ("error", _residue(2.0 * (diag * diag)).any(axis=-1)),
         ("error", _residue(moment)),
     )
+    n = np.maximum(raw, 0.0)
+    fields = {"n": (n, True)}
+    if "var_n" in names or "xi" in names:
+        var = n * (n + 1.0)
+        fields["var_n"] = (var, True)
+    if "g2_auto" in names:
+        auto_defined = ~(n <= ZERO_OCCUPATION)
+        fields["g2_auto"] = (2.0 * n * n / np.where(auto_defined, n * n, 1.0), auto_defined)
+    if "g2_cross" in names or "xi" in names:
+        n_i, n_j = n[..., _FIRST], n[..., _SECOND]
+        cross_sq = np.abs(c[..., _FIRST, _SECOND]) ** 2
+    if "g2_cross" in names:
+        cross_defined = ~((n_i <= ZERO_OCCUPATION) | (n_j <= ZERO_OCCUPATION))
+        ratio = cross_sq / np.where(cross_defined, n_i * n_j, 1.0)
+        fields["g2_cross"] = (1.0 + ratio, cross_defined)
+    if "xi" in names:
+        xi_defined = ~(n_i + n_j <= ZERO_OCCUPATION)
+        xi = (var[..., _FIRST] + var[..., _SECOND] - 2.0 * cross_sq) / np.where(
+            xi_defined, n_i + n_j, 1.0
+        )
+        fields["xi"] = (xi, xi_defined)
+    fields["bunching"] = (moment.real / atom_number, True)
     return fields, status
 
 
@@ -121,10 +128,11 @@ def mode_observables(
 def _defined_cells(fields: dict, sequence) -> dict:
     """One state's ``_observable_stack`` fields, each a ``sequence`` with
     None where undefined, except bunching, a float."""
-    return {
-        name: float(value)
-        if name == "bunching"
-        else sequence(v if d else None for v, d in zip(value.tolist(), np.broadcast_to(defined, 3)))
-        for name, (value, defined) in fields.items()
-    }
+    cells = {}
+    for name, (value, defined) in fields.items():
+        cell = value.tolist()
+        if defined is not True:
+            cell = [v if d else None for v, d in zip(cell, defined.tolist())]
+        cells[name] = cell if name == "bunching" else sequence(cell)
+    return cells
 

@@ -41,7 +41,7 @@ from .dynamics import cubic_coefficients, cubic_roots, gain, solve_cubic
 from .entanglement import _physicality_floor, _separability_stack, physicality, separability_report
 from .errors import InvalidSpec, NonFinite, first_failure, raise_failure
 from .model import ModelParams, ParamStack, derive
-from .observables import CROSS_PAIRS, _defined_cells, _observable_stack, mode_observables
+from .observables import _FIELDS, CROSS_PAIRS, _defined_cells, _observable_stack, mode_observables
 from .presets import PRESETS
 
 # the stages of a pass, in pipeline order; a pass runs them up to the last
@@ -160,7 +160,7 @@ class SweepSpec:
 
 def _then(status, later):
     """Per-row status: ``status`` where it failed, ``later`` where it is "ok"."""
-    if np.ndim(status) == 0 and status == "ok":
+    if isinstance(status, str) and status == "ok":
         return later
     return np.where(status == "ok", later, status)
 
@@ -184,27 +184,34 @@ def _stack(specs, values: np.ndarray) -> tuple[ParamStack, np.ndarray | float | 
     return ParamStack(**fields), tau
 
 
-def _pass(params, roots, tau, outputs, atom_number: float, epsilon: float) -> tuple[dict, object]:
+def _pass(
+    params, roots, tau, outputs, atom_number: float, epsilon: float, observable_names=None
+) -> tuple[dict, object]:
     """The pipeline on a stack of rows (or one), from their cubic roots
     (solved here where ``roots`` is None) as far as ``outputs`` need: the
     computed fields as (values, defined) pairs, C as "covariance", and each
     row's status, the first guard it fails: non-finite roots, then the
     covariance (at tau=inf first "not_stable"), observables and
-    separability guards.  Overflow reads inf or NaN, which the guards and
+    separability guards.  The observable fields computed are
+    ``observable_names``, by default those that ``outputs`` read; their
+    guards run whatever is asked.  Overflow reads inf or NaN, which the guards and
     the callers report, never a numpy warning.  A bad ``atom_number`` or
     ``epsilon`` raises ValueError, before any status is read."""
     last = _last_stage(outputs)
     with np.errstate(all="ignore"):
+        derived = derive(params)
         if roots is None:
-            roots = solve_cubic(cubic_coefficients(derive(params), params.rho))
+            roots = solve_cubic(cubic_coefficients(derived, params.rho))
         finite = np.isfinite(roots).all(axis=-1)
         status = first_failure(("non_finite", ~finite))
         fields = {}
         if "gain" in outputs:
-            fields["gain"] = (gain(roots, derive(params).gamma_plus), finite)
+            fields["gain"] = (gain(roots, derived.gamma_plus), finite)
         if last >= _OBSERVABLES:
+            if observable_names is None:
+                observable_names = [_REGISTRY[name][1] for name in outputs]
             c, c_status = _covariance_stack(params, roots, tau)
-            observables, obs_status = _observable_stack(c, atom_number)
+            observables, obs_status = _observable_stack(c, atom_number, observable_names)
             status = _then(status, _then(c_status, obs_status))
             fields.update(covariance=(c, True), **observables)
         if last == _SEPARABILITY:
@@ -231,18 +238,18 @@ def _batch_columns(specs, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     dtype = object if "class" in spec.outputs else float
     cells = np.empty((len(spec.outputs), *values.shape), dtype)
     defined = np.empty(cells.shape, dtype=bool)
-    overflow = np.zeros(values.shape, dtype=bool)
     for k, name in enumerate(spec.outputs):
-        stage, source, index = _REGISTRY[name]
+        _, source, index = _REGISTRY[name]
         value, ok = fields[source]
         if index is not None:
             value, ok = value[..., index], ok is True or ok[..., index]
         # as an array: an object cell then holds a float, not a numpy scalar
         cells[k], defined[k] = np.asarray(value), ok
-        if stage > _ROOTS and name != "class":
-            overflow |= ok & ~np.isfinite(value)
     if _last_stage(spec.outputs) > _ROOTS:
-        status = _then(status, first_failure(("non_finite", overflow)))
+        # the numbers of the state's stages: gain and class are not checked
+        checked = [_REGISTRY[name][0] > _ROOTS and name != "class" for name in spec.outputs]
+        overflow = defined[checked] & ~np.isfinite(cells[checked].astype(float))
+        status = _then(status, first_failure(("non_finite", overflow.any(axis=0))))
         defined[[name != "gain" for name in spec.outputs]] &= status == "ok"
     return cells, defined, np.broadcast_to(status, values.shape)
 
@@ -349,13 +356,13 @@ def evolve_point(
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
     roots = cubic_roots(params)
-    fields, status = _pass(params, roots, tau, OUTPUTS, atom_number, epsilon)
+    fields, status = _pass(params, roots, tau, OUTPUTS, atom_number, epsilon, _FIELDS)
     raise_failure(status, "point report")
     names = "covariance", "gain", "gammas", "pairs", "class"
     c, growth, gammas, pairs, label = (fields.pop(name)[0] for name in names)
     computed = {
         "covariance": {"real": c.real.tolist(), "imag": c.imag.tolist()},
-        "gain": growth,
+        "gain": float(growth),
         "observables": _defined_cells(fields, list),
         "separability": {
             "min_eig_gamma": gammas.tolist(),
@@ -380,7 +387,10 @@ def _all_finite(value) -> bool:
     if isinstance(value, dict):
         return all(map(_all_finite, value.values()))
     if isinstance(value, list):
-        return all(map(_all_finite, value))
+        try:  # a list of numbers, checked in one call
+            return all(map(math.isfinite, value))
+        except TypeError:  # or one that holds None, str or lists
+            return all(map(_all_finite, value))
     return value is None or isinstance(value, str) or math.isfinite(value)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import mpmath
 import numpy as np
@@ -312,6 +313,24 @@ def test_steady_state_is_long_time_limit():
 def test_steady_state_unstable_raises():
     with pytest.raises(NotStable):
         steady_state(IDEAL_SC)
+
+
+def test_covariance_overflow_raises_non_finite_not_numpy_warnings():
+    # past tau ~ 406 the lossless amplifier's C overflows: the one-state
+    # covariance reports it by its guards, never by a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="^covariance failed the non_finite guard$"):
+            covariance(ModelParams(100.0, 0.0), 408.0)
+
+
+def test_steady_state_overflow_raises_non_finite_not_numpy_warnings():
+    # a cavity loss of 1e250 against detuning 1e100 overflows the closed
+    # form's products at tau = inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="^covariance failed the non_finite guard$"):
+            steady_state(ModelParams(1e-5, 1e100, 1e-200, 1e-200, 1e250))
 
 
 def test_steady_state_of_degenerate_stable_spectrum():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -312,3 +314,13 @@ def test_physicality_evolved_states():
         floor = physicality(state)
         assert floor >= -1e-8
         assert abs(floor - physicality_6x6(state)) <= mixed_basis_bound(state.c)
+
+
+def test_separability_report_overflow_raises_non_finite_not_numpy_warnings():
+    # entries near 1e308 overflow 2C and C + C^dag: the guards report it,
+    # never a RuntimeWarning
+    c = np.diag([1e308, 1e308, 0.5]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="^separability tests failed the non_finite guard$"):
+            separability_report(c)

@@ -294,6 +294,25 @@ def test_point_report_names_the_non_finite_fields(monkeypatch):
         evolve_point(FIG5, 1.0)
 
 
+def report_leaves(value):
+    """Every leaf of a point report's nested dicts and lists."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [leaf for item in value for leaf in report_leaves(item)]
+    return [value]
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("tau", [0.0, 1.0])
+def test_point_report_numbers_are_floats(tau, oracle):
+    # gain included: the report holds no numpy scalar, whatever it is asked
+    leaves = report_leaves(evolve_point(FIG5, tau, oracle=oracle))
+    numbers = [leaf for leaf in leaves if leaf is not None and not isinstance(leaf, str)]
+    assert len(numbers) >= 40  # not vacuous: 41 at the vacuum, where 9 cells are None
+    assert [type(x) for x in numbers if type(x) is not float] == []
+
+
 def test_point_report_overflow_raises_non_finite_not_numpy_warnings():
     # the pass runs under np.errstate; the physicality floor after it sees
     # only states whose 2C is finite, so up to C's own overflow (past
