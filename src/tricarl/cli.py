@@ -18,6 +18,7 @@ invalid specification, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -45,6 +46,10 @@ from .sweep import (
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+# glibc's mallopt settings: M_TRIM_THRESHOLD (-1), no trimming of the heap
+# below 64 MiB of free memory, and M_MMAP_THRESHOLD (-3), no mmap for an
+# allocation below 32 MiB (glibc's largest threshold)
+_MALLOPT_SETTINGS = ((-1, 64 << 20), (-3, 32 << 20))
 # a str as a JSON string, non-ASCII characters escaped
 _JSON_STRING = json.encoder.encode_basestring_ascii
 # flags that a preset sets itself, with their values outside preset mode
@@ -76,7 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated observables for sweeps (default n1,n2,n3): " + ",".join(OUTPUTS),
     )
     parser.add_argument("--preset", help="figure preset id (fig1 .. fig15, fig1a, ...)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument(
+        "--format",
+        choices=("csv", "json"),
+        help="output of sweeps and presets (default csv); a point report is JSON",
+    )
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument(
         "--oracle",
@@ -90,6 +99,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "--atoms", type=float, help="atom number for the bunching observable (default 1e6)"
     )
     return parser
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Ask glibc, once per process, to keep the memory a block frees: a
+    sweep's temporaries then come from the heap, and the next block reuses
+    their pages instead of faulting fresh ones in.  Resident memory stays
+    at the process's high-water mark.  Does nothing without glibc's
+    ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library to load, or no mallopt
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for parameter, value in _MALLOPT_SETTINGS:
+        mallopt(parameter, value)
 
 
 def _format_cell(value) -> str:
@@ -191,6 +216,8 @@ def _report_error(code: str, exc: Exception, exit_code: int) -> int:
 
 
 def _run_point(args: argparse.Namespace, params: ModelParams) -> str:
+    if args.format == "csv":
+        raise InvalidSpec("a point report is JSON; drop --format csv")
     if args.tau is None:
         raise InvalidSpec("single-point evolution requires --tau")
     if args.tau == math.inf:
@@ -262,6 +289,7 @@ def _run_preset_mode(args: argparse.Namespace) -> tuple[str, dict]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     parser = _build_parser()
     effective_argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(effective_argv)

@@ -178,6 +178,9 @@ def _newton_form(spec: Spectrum, tau) -> tuple[np.ndarray, np.ndarray]:
     """Q(tau) and M(tau) from the Newton form, for a stack of spectra
     and/or times, with the matrix indices leading (axes (row, column,
     *stack)) so that each step is one elementwise pass over the stack.
+    The nodes and the generator are copied into that order, C-contiguous,
+    first: N1, N2, M, Phi and Q then inherit one layout with the stack
+    innermost, not the transposed strides of the (*stack, index) inputs.
 
     The differences of exp and phi divide by nu1 - nu0 and nu2 - nu0, which
     the node order keeps away from 0, and by the pair's eps = nu2 - nu1.
@@ -191,8 +194,8 @@ def _newton_form(spec: Spectrum, tau) -> tuple[np.ndarray, np.ndarray]:
     """
     t = np.asarray(tau, dtype=float)
     ndim = max(spec.lambdas.ndim - 1, t.ndim)
-    nu = _indices_first(_newton_nodes(spec.lambdas), 1, ndim)
-    generator = _indices_first(drift_generator(spec.params), 2, ndim)
+    nu = np.ascontiguousarray(_indices_first(_newton_nodes(spec.lambdas), 1, ndim))
+    generator = np.ascontiguousarray(_indices_first(drift_generator(spec.params), 2, ndim))
     eye = _EYE.reshape((3, 3) + (1,) * ndim)
     n1 = generator - nu[0] * eye
     n2 = (n1[:, :, np.newaxis] * (generator - nu[1] * eye)).sum(axis=1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceState
-from .errors import first_failure, raise_failure
+from .errors import NonFinite, first_failure, raise_failure
 
 # occupations below this are treated as numerically zero in 0/0 ratios
 ZERO_OCCUPATION = 1e-12
@@ -118,10 +118,15 @@ def mode_observables(
 ) -> ModeObservables:
     """Evaluate every scalar observable of one covariance, mapping undefined
     ones to None; raises the error of the first guard of
-    ``_observable_stack`` that the covariance fails."""
+    ``_observable_stack`` that the covariance fails, then NonFinite where
+    a defined observable is inf or NaN."""
     c = cov.c if isinstance(cov, CovarianceState) else np.asarray(cov, dtype=complex)
-    fields, status = _observable_stack(c, atom_number)
+    with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
+        fields, status = _observable_stack(c, atom_number)
     raise_failure(status, "covariance")
+    bad = [name for name, (value, ok) in fields.items() if not np.isfinite(value[ok]).all()]
+    if bad:
+        raise NonFinite(f"non-finite result in {', '.join(bad)}")
     return ModeObservables(**_defined_cells(fields, tuple))
 
 

@@ -65,9 +65,14 @@ from tricarl.covariance import (
     q_quadrature,
 )
 from tricarl.entanglement import HERMITICITY_TOL
-from tricarl.errors import NonFinite, NotHermitian, TricarlError
+from tricarl.errors import NonFinite, NotHermitian, TricarlError, raise_failure
 from tricarl.model import ParamStack
-from tricarl.observables import ZERO_OCCUPATION
+from tricarl.observables import (
+    ZERO_OCCUPATION,
+    ModeObservables,
+    _defined_cells,
+    _observable_stack,
+)
 from tricarl.sweep import _OBSERVABLES, _REGISTRY, _SEPARABILITY
 
 
@@ -506,10 +511,20 @@ def _require_finite(record):
     return record
 
 
+def _requested_observables(state, atom_number):
+    """``mode_observables`` without its final check that every defined cell
+    is finite: a sweep row checks only the cells it asks for."""
+    with np.errstate(all="ignore"):
+        fields, status = _observable_stack(state.c, atom_number)
+    raise_failure(status, "covariance")
+    return ModeObservables(**_defined_cells(fields, tuple))
+
+
 def evaluate_row(spec, value):
     """One sweep row through the one-state functions, each raising on the
-    first guard it fails: the row-by-row evaluator the batched sweep
-    replaced."""
+    first guard it fails (the observables without ``mode_observables``'
+    check of the cells the row does not ask for): the row-by-row evaluator
+    the batched sweep replaced."""
     row = {spec.axis: float(value)}
     for name in spec.outputs:
         row[name] = None
@@ -521,7 +536,7 @@ def evaluate_row(spec, value):
         last = max(_REGISTRY[name][0] for name in spec.outputs)
         if last >= _OBSERVABLES:
             state = covariance(params, float(tau))
-            obs = mode_observables(state, spec.atom_number)
+            obs = _requested_observables(state, spec.atom_number)
             values = {
                 "n1": obs.n[0],
                 "n2": obs.n[1],

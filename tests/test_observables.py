@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from oracles import fourth_order, gains_over_delta, squeezing_from_moments
 from tricarl import (
     ModelParams,
     NegativeOccupation,
+    NonFinite,
     TricarlError,
     covariance,
     mode_observables,
@@ -296,3 +299,18 @@ def test_mode_observables_evolved_state_is_complete():
     assert all(value is not None for value in obs.g2_auto)
     assert all(value is not None for value in obs.xi)
     assert all(v == pytest.approx(2.0, abs=1e-9) for v in obs.g2_auto)
+
+
+def test_mode_observables_reports_overflow_as_non_finite_without_warnings():
+    # n (n + 1) and |C_ij|^2 overflow on a finite C: an error naming the
+    # fields, never a numpy warning or an inf/NaN cell
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="^non-finite result in var_n, g2_auto, xi, bunching$"):
+            mode_observables(np.diag([1e308, 1e308, 0.5]))
+        c = thermal_fixture(1e160, 1e160, 1.0, c12=1e160)
+        with pytest.raises(NonFinite, match="^non-finite result in var_n, g2_auto, g2_cross, xi$"):
+            mode_observables(c)
+        # a cell the vacuum leaves undefined is not checked
+        c = thermal_fixture(0.0, 0.0, 1.0, c12=1e200)
+        assert mode_observables(c).g2_cross[0] is None

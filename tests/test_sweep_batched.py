@@ -57,7 +57,7 @@ from tricarl import (
 from tricarl.covariance import HERMITIZE_TOL, _hermitian_guards, _hermitian_part
 from tricarl.entanglement import HERMITICITY_TOL, _separability_stack, _test_defects
 from tricarl.errors import NonFinite, NotHermitian, NotStable, first_failure
-from tricarl.observables import _observable_stack
+from tricarl.observables import _defined_cells, _observable_stack
 from tricarl.presets import PRESETS
 
 RTOL = 1e-12
@@ -519,8 +519,12 @@ def test_batched_guards_flag_what_the_single_state_path_rejects():
         *_, sep_status = _separability_stack(stack, 1e-9)
         assert obs_status.tolist() == [status for _, status, _ in cases]
         assert sep_status.tolist() == [status for _, _, status in cases]
-        # the one-state functions raise the error class of that status
-        assert [raised_code(mode_observables, c, 1e6) for c, _, _ in cases] == obs_status.tolist()
+        # the one-state functions raise the error class of that status;
+        # past it, mode_observables raises non_finite on an inf or NaN cell
+        assert [raised_code(mode_observables, c, 1e6) for c, _, _ in cases] == [
+            "non_finite" if status == "ok" and not np.isfinite(c).all() else status
+            for c, status in zip(stack, obs_status.tolist())
+        ]
         assert [raised_code(separability_report, c) for c, _, _ in cases] == sep_status.tolist()
     # physicality raises what the Gamma_j guards of the separability tests
     # raise: all but the last case, which fails on S_12's scale alone
@@ -624,6 +628,14 @@ def guard_predicates(c):
     }
 
 
+def overflowed_cell(c):
+    """Whether a cell that the observables kernel leaves defined (not None)
+    for c is inf or NaN; the caller runs it under np.errstate."""
+    cells = _defined_cells(_observable_stack(c, 1e6)[0], list).values()
+    flat = [x for cell in cells for x in (cell if isinstance(cell, list) else [cell])]
+    return not all(math.isfinite(x) for x in flat if x is not None)
+
+
 def first_code(predicates):
     return next((code for code, failed in predicates if failed), "ok")
 
@@ -662,8 +674,12 @@ def test_guard_order_over_random_corruptions(cs):
             "separability": separability_report,
             "physicality": physicality,
         }
+        # past its guards, mode_observables raises non_finite on an inf or NaN cell
         for kernel, fn in one_state.items():
-            want = [first_code(p[kernel]) for p in predicates]
+            want = []
+            for c, p in zip(cs, predicates):
+                overflow = [("non_finite", overflowed_cell(c))] if kernel == "observables" else []
+                want.append(first_code(p[kernel] + overflow))
             assert [raised_code(fn, c) for c in cs] == want, kernel
         # a point report handed each C past the covariance guards raises the
         # class of its first failure along the remaining checks
