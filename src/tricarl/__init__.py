@@ -4,7 +4,6 @@ continuous-variable entanglement classification."""
 
 from .covariance import (
     CovarianceState,
-    NoiseMatrix,
     covariance,
     diffusion_matrix,
     ode_oracle,
@@ -75,7 +74,6 @@ __all__ = [
     "ModeObservables",
     "ModelParams",
     "NegativeOccupation",
-    "NoiseMatrix",
     "NonFinite",
     "NotHermitian",
     "NotStable",

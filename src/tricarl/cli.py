@@ -161,9 +161,7 @@ def _emit(text: str, out: str | None, argv: list[str], statuses: list[str] | Non
     }
     if statuses is not None:
         sidecar["row_status_counts"] = dict(sorted(Counter(statuses).items()))
-    path.with_suffix(path.suffix + ".run.json").write_text(
-        json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-    )
+    path.with_suffix(path.suffix + ".run.json").write_text(_json_dumps(sidecar), encoding="utf-8")
 
 
 def _json_text(value, indent: str) -> str:

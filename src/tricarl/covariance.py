@@ -17,7 +17,8 @@ and Phi_kl is the divided difference over (nu0 .. nu_k) in x and
 built from the nine phi(nu_i + nu_j*).  This one closed form covers every
 row, the exceptional points where two roots merge and tau = inf (the
 steady state) included: ``_covariance_stack`` evaluates it over a stack,
-and ``covariance`` and ``steady_state`` are its one-row cases.
+and ``covariance`` and ``steady_state`` are its one-row cases.  The
+kernels take the generator's eigenvalues and return C with its guards.
 ``ode_oracle`` takes the covariance from Van Loan's block exponential
 (C. F. Van Loan, IEEE TAC 23, 395 (1978)) instead, a check that shares
 none of the closed form's algebra.
@@ -32,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Spectrum, _newton_nodes, _spectrum, cubic_roots, drift_generator
+from .dynamics import Spectrum, _eigenvalues, _newton_nodes, cubic_roots, drift_generator
 from .dynamics import spectrum  # noqa: F401  (the benchmark tracer hooks this name here)
-from .errors import first_failure, raise_failure
-from .model import ModelParams, ParamStack
+from .errors import raise_failure
+from .model import ModelParams, derive
 
 _EYE = np.eye(3)
 # the entries of Phi's last row and column
@@ -99,7 +100,7 @@ def _hermitian_guards(defect, tol: float) -> tuple:
 def _hermitize(matrix: np.ndarray, tol: float, what: str) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         hermitian, defect = _hermitian_part(matrix)
-    raise_failure(first_failure(*_hermitian_guards(defect, tol)), what)
+    raise_failure(_hermitian_guards(defect, tol), what)
     return hermitian
 
 
@@ -114,15 +115,13 @@ class CovarianceState:
         object.__setattr__(self, "c", _hermitize(self.c, HERMITIZE_TOL, "covariance"))
 
 
-@dataclass(frozen=True)
-class NoiseMatrix:
-    """Hermitian positive-semidefinite noise accumulated up to tau."""
-
-    tau: float
-    q: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", _hermitize(self.q, HERMITIZE_TOL, "noise matrix"))
+def _covariance_matrix(cov: CovarianceState | np.ndarray) -> np.ndarray:
+    """The C of a ``CovarianceState``, or an array as complex, for the
+    one-state functions; raises ValueError unless it is one 3x3 matrix."""
+    c = cov.c if isinstance(cov, CovarianceState) else np.asarray(cov, dtype=complex)
+    if c.shape != (3, 3):
+        raise ValueError(f"a covariance is a 3x3 matrix, got shape {c.shape}")
+    return c
 
 
 def _phi(z, tau, exp=None):
@@ -174,13 +173,14 @@ def _pair_noise(nu, e, phi, pair, tau):
     return r, np.where(near2, (weights[1] * growth.conj()).sum(axis=-1), r2)
 
 
-def _newton_form(spec: Spectrum, tau) -> tuple[np.ndarray, np.ndarray]:
-    """Q(tau) and M(tau) from the Newton form, for a stack of spectra
-    and/or times, with the matrix indices leading (axes (row, column,
-    *stack)) so that each step is one elementwise pass over the stack.
-    The nodes and the generator are copied into that order, C-contiguous,
-    first: N1, N2, M, Phi and Q then inherit one layout with the stack
-    innermost, not the transposed strides of the (*stack, index) inputs.
+def _newton_form(params, lambdas: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
+    """Q(tau) and M(tau) from the Newton form, for a stack of parameter
+    sets with their eigenvalues (..., 3) and/or times, with the matrix
+    indices leading (axes (row, column, *stack)) so that each step is one
+    elementwise pass over the stack.  The nodes and the generator are
+    copied into that order, C-contiguous, first: N1, N2, M, Phi and Q then
+    inherit one layout with the stack innermost, not the transposed
+    strides of the (*stack, index) inputs.
 
     The differences of exp and phi divide by nu1 - nu0 and nu2 - nu0, which
     the node order keeps away from 0, and by the pair's eps = nu2 - nu1.
@@ -193,13 +193,13 @@ def _newton_form(spec: Spectrum, tau) -> tuple[np.ndarray, np.ndarray]:
     the callers run it under np.errstate.
     """
     t = np.asarray(tau, dtype=float)
-    ndim = max(spec.lambdas.ndim - 1, t.ndim)
-    nu = np.ascontiguousarray(_indices_first(_newton_nodes(spec.lambdas), 1, ndim))
-    generator = np.ascontiguousarray(_indices_first(drift_generator(spec.params), 2, ndim))
+    ndim = max(lambdas.ndim - 1, t.ndim)
+    nu = np.ascontiguousarray(_indices_first(_newton_nodes(lambdas), 1, ndim))
+    generator = np.ascontiguousarray(_indices_first(drift_generator(params), 2, ndim))
     eye = _EYE.reshape((3, 3) + (1,) * ndim)
     n1 = generator - nu[0] * eye
     n2 = (n1[:, :, np.newaxis] * (generator - nu[1] * eye)).sum(axis=1)
-    rates = _rates(spec.params)
+    rates = _rates(params)
     rates = rates.reshape((3,) + (1,) * (ndim + 1 - rates.ndim) + rates.shape[1:])
     nu0, nu1, nu2 = nu
     first, eps, span = nu1 - nu0, nu2 - nu1, nu2 - nu0
@@ -247,11 +247,11 @@ def _newton_form(spec: Spectrum, tau) -> tuple[np.ndarray, np.ndarray]:
     return q, m
 
 
-def q_closed_form(spec: Spectrum, tau: float) -> NoiseMatrix:
-    """Noise matrix from the Newton closed form (see ``_newton_form``)."""
+def q_closed_form(spec: Spectrum, tau: float) -> np.ndarray:
+    """Hermitized noise matrix from the Newton closed form (``_newton_form``)."""
     with np.errstate(all="ignore"):
-        q = _newton_form(spec, tau)[0]
-    return NoiseMatrix(tau=tau, q=q.transpose(*range(2, q.ndim), 0, 1))
+        q = _newton_form(spec.params, spec.lambdas, tau)[0]
+    return _hermitize(q.transpose(*range(2, q.ndim), 0, 1), HERMITIZE_TOL, "noise matrix")
 
 
 def _with_coherent_part(q: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -259,25 +259,22 @@ def _with_coherent_part(q: np.ndarray, m: np.ndarray) -> np.ndarray:
     return q + 0.5 * m @ _dagger(m)
 
 
-def _covariance_stack(
-    params: ModelParams | ParamStack, roots: np.ndarray, tau
-) -> tuple[np.ndarray, np.ndarray]:
-    """Covariances for a stack of parameter sets (or one, with their cubic
-    roots) and/or times from the Newton closed form, and each row's status:
+def _covariance_stack(params, lambdas: np.ndarray, tau) -> tuple[np.ndarray, list]:
+    """Covariances for a stack of parameter sets (or one) with their
+    eigenvalues and/or times from the Newton closed form, and their guards:
     at tau = inf first "not_stable" where the largest Re(lambda), the gain
-    to the last bit, is >= 0 (no steady state), then the guards of
-    NoiseMatrix and CovarianceState (see ``_hermitian_guards``).  Overflow
-    reads inf or NaN; its callers run it under np.errstate."""
-    spec = _spectrum(params, roots)
-    q, m = _newton_form(spec, tau)
+    to the last bit, is >= 0 (no steady state), then the Hermitian guards
+    of Q and of C.  Overflow reads inf or NaN; its callers run it under
+    np.errstate."""
+    q, m = _newton_form(params, lambdas, tau)
     both = np.stack([q, q + 0.5 * (m[:, np.newaxis] * m.conj()).sum(axis=2)], -1)
     hermitian, defects = _hermitian_part(both.transpose(*range(2, both.ndim), 0, 1))
-    growing = (spec.lambdas.real.max(axis=-1) >= 0) & np.isinf(tau)
-    return hermitian[..., 1, :, :], first_failure(
+    growing = (lambdas.real.max(axis=-1) >= 0) & np.isinf(tau)
+    return hermitian[..., 1, :, :], [
         ("not_stable", growing),
         *_hermitian_guards(defects[..., 0], HERMITIZE_TOL),
         *_hermitian_guards(defects[..., 1], HERMITIZE_TOL),
-    )
+    ]
 
 
 def expm(matrix: np.ndarray) -> np.ndarray:
@@ -336,15 +333,15 @@ def _van_loan_noise(
     return q, m
 
 
-def q_quadrature(params: ModelParams, tau: float) -> NoiseMatrix:
-    """Noise matrix from Van Loan's block exponential; spectrum-agnostic.
+def q_quadrature(params: ModelParams, tau: float) -> np.ndarray:
+    """Hermitized noise matrix from Van Loan's block exponential; spectrum-agnostic.
 
     The package itself does not call it (``ode_oracle`` calls
     ``_van_loan_noise``); the name stays because the benchmark's tracer
     hooks it.
     """
     q, _ = _van_loan_noise(drift_generator(params), diffusion_matrix(params), tau)
-    return NoiseMatrix(tau=tau, q=q)
+    return _hermitize(q, HERMITIZE_TOL, "noise matrix")
 
 
 def covariance(params: ModelParams, tau: float) -> CovarianceState:
@@ -357,10 +354,10 @@ def covariance(params: ModelParams, tau: float) -> CovarianceState:
     """
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
-    roots = cubic_roots(params)
+    lambdas = _eigenvalues(params, derive(params), cubic_roots(params))
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
-        c, status = _covariance_stack(params, roots, tau)
-    raise_failure(status, "covariance")
+        c, guards = _covariance_stack(params, lambdas, tau)
+    raise_failure(guards, "covariance")
     return CovarianceState(tau=tau, c=c)
 
 
@@ -388,5 +385,5 @@ def ode_oracle(params: ModelParams, tau: float) -> CovarianceState:
     if not math.isfinite(tau) or tau < 0:
         raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
     q, m = _van_loan_noise(drift_generator(params), diffusion_matrix(params), tau)
-    q = _hermitize(q, HERMITIZE_TOL, "noise matrix")  # as NoiseMatrix(tau, q).q
+    q = _hermitize(q, HERMITIZE_TOL, "noise matrix")
     return CovarianceState(tau=tau, c=_with_coherent_part(q, m))

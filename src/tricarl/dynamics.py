@@ -50,8 +50,8 @@ _PAIRS = np.array([0, 0, 1]), np.array([1, 2, 2])
 @dataclass(frozen=True)
 class Spectrum:
     """Roots of the characteristic cubic and the generator's eigenvalues
-    lambda_j = i(omega_j - delta) - gamma_plus built on them.  For a
-    ``ParamStack`` every array carries the stack's leading axes."""
+    lambda_j = i(omega_j - delta) - gamma_plus built on them, as
+    ``spectrum`` returns them; the kernels take the eigenvalues alone."""
 
     params: ModelParams | ParamStack
     derived: DerivedParams
@@ -206,17 +206,17 @@ def gain(omegas: np.ndarray, gamma_plus: float) -> float:
     return -unstable_root(omegas).imag - gamma_plus
 
 
-def _spectrum(params: ModelParams | ParamStack, omegas: np.ndarray) -> Spectrum:
-    """Spectrum built on given roots."""
-    dp = derive(params)
-    lambdas = 1j * (omegas - _axis(params.delta)) - _axis(dp.gamma_plus)
-    return Spectrum(params, dp, omegas, lambdas)
+def _eigenvalues(params: ModelParams | ParamStack, dp: DerivedParams, omegas: np.ndarray):
+    """The generator's eigenvalues lambda_j = i(omega_j - delta) - gamma_plus
+    on given roots, with the parameters' derived constants."""
+    return 1j * (omegas - _axis(params.delta)) - _axis(dp.gamma_plus)
 
 
 def spectrum(params: ModelParams) -> Spectrum:
     """Solve the cubic and assemble the spectrum.  Raises NonFinite only
     where the cubic overflows (see ``cubic_roots``)."""
-    return _spectrum(params, cubic_roots(params))
+    omegas, dp = cubic_roots(params), derive(params)
+    return Spectrum(params, dp, omegas, _eigenvalues(params, dp, omegas))
 
 
 def _newton_nodes(lambdas: np.ndarray) -> np.ndarray:

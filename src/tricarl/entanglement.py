@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceState, _dagger, _hermitian_guards
-from .errors import RegimeMismatch, first_failure, raise_failure
+from .covariance import CovarianceState, _covariance_matrix, _dagger, _hermitian_guards
+from .errors import RegimeMismatch, raise_failure
 from .model import ModelParams
 
 # Sigma of the blocks 2H +- Sigma of Gamma_1, Gamma_2, Gamma_3 and V - iJ, and
@@ -95,10 +95,10 @@ def physicality(cov: CovarianceState | np.ndarray) -> float:
     """Minimum eigenvalue of V - iJ; >= 0 (to rounding) for physical
     states, exactly 0 at vacuum.  Raises the error of the first Gamma_j
     guard of ``separability_report`` that the covariance fails."""
-    c = cov.c if isinstance(cov, CovarianceState) else np.asarray(cov, dtype=complex)
+    c = _covariance_matrix(cov)
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
         guards = _hermitian_guards(_test_defects(c)[0], HERMITICITY_TOL)
-    raise_failure(first_failure(*guards), "physicality test")
+    raise_failure(guards, "physicality test")
     return float(_physicality_floor(c))
 
 
@@ -149,23 +149,24 @@ class SeparabilityReport:
 def separability_report(
     cov: CovarianceState | np.ndarray, epsilon: float = 1e-9
 ) -> SeparabilityReport:
-    """Run all separability tests on one covariance state."""
+    """Run all separability tests on one covariance state; raises the error
+    of the first guard of ``_separability_stack`` that it fails."""
+    c = _covariance_matrix(cov)
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
-        gammas, pairs, label, status = _separability_stack(cov, epsilon)
-    raise_failure(status, "separability tests")
+        gammas, pairs, label, guards = _separability_stack(c, epsilon)
+    raise_failure(guards, "separability tests")
     return SeparabilityReport(tuple(gammas.tolist()), tuple(pairs.tolist()), label, epsilon)
 
 
-def _separability_stack(cov, epsilon: float):
-    """The separability tests of a covariance or a (..., 3, 3) stack of them.
+def _separability_stack(c: np.ndarray, epsilon: float):
+    """The separability tests of a (..., 3, 3) stack of covariances (or one).
 
     Returns the Gamma_j and S_ij minimum eigenvalues (..., 3) each, the
-    class labels (an object array) and each state's status: the first of
-    the Gamma_j guards, the S_ij guards (see ``_hermitian_guards``) and the
-    guard against non-finite Gamma_j minimum eigenvalues that it fails.
-    Where a guard fails, the Gamma_j of the state or that S_ij alone read 0.
+    class labels (an object array) and the guards: the Gamma_j guards, the
+    S_ij guards (see ``_hermitian_guards``), then the guard against
+    non-finite Gamma_j minimum eigenvalues.  Where a guard fails, the
+    Gamma_j of the state or that S_ij alone read 0.
     """
-    c = cov.c if isinstance(cov, CovarianceState) else np.asarray(cov, dtype=complex)
     gamma_defect, pair_defect = _test_defects(c)
     h2 = c + _dagger(c)
     usable, pair_usable = gamma_defect <= HERMITICITY_TOL, pair_defect <= HERMITICITY_TOL
@@ -177,12 +178,12 @@ def _separability_stack(cov, epsilon: float):
         gammas = np.where(usable[..., np.newaxis], _block_minima(h2, _GAMMA_SHIFTS), 0.0)
         pairs = np.where(pair_usable, _pair_minima(h2), 0.0)
     labels, finite = _classes(gammas, epsilon)
-    status = first_failure(
+    guards = [
         *_hermitian_guards(gamma_defect, HERMITICITY_TOL),
         *_hermitian_guards(pair_defect.max(axis=-1), HERMITICITY_TOL),
         finite,
-    )
-    return gammas, pairs, labels, status
+    ]
+    return gammas, pairs, labels, guards
 
 
 def asymptotic_eta(params: ModelParams, regime: str) -> tuple[float, float]:

@@ -1,9 +1,10 @@
 """Exception types raised by the simulator.
 
 Every exception carries a short machine-readable ``code`` used by the CLI
-for per-row status reporting and exit codes.  The array kernels evaluate
-their guards as per-state masks and report the code of the first one that
-fails; the one-state functions raise the exception class of that code.
+for per-row status reporting and exit codes.  The array kernels return
+their guards, ordered ``(code, mask)`` pairs of per-state masks; a state's
+status is the code of the first one it fails, and the one-state functions
+raise its exception class (``raise_failure``).
 """
 
 import functools
@@ -70,10 +71,9 @@ def first_failure(*guards):
     return np.select(masks, codes, "ok")
 
 
-def raise_failure(status, what: str) -> None:
-    """Raise the exception class of the first failed code in ``status``."""
-    if isinstance(status, str) and status == "ok":
-        return
-    failed = [code for code in np.ravel(status).tolist() if code != "ok"]
-    if failed:
-        raise _BY_CODE[failed[0]](f"{what} failed the {failed[0]} guard")
+def raise_failure(guards, what: str) -> None:
+    """Raise the exception class of the first failing state's status."""
+    status = first_failure(*guards)
+    if not isinstance(status, str):
+        code = next(code for code in status.ravel().tolist() if code != "ok")
+        raise _BY_CODE[code](f"{what} failed the {code} guard")

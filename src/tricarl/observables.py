@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceState
-from .errors import NonFinite, first_failure, raise_failure
+from .covariance import CovarianceState, _covariance_matrix
+from .errors import NonFinite, raise_failure
 
 # occupations below this are treated as numerically zero in 0/0 ratios
 ZERO_OCCUPATION = 1e-12
@@ -43,18 +43,17 @@ def _residue(value) -> np.ndarray:
 
 def _observable_stack(c: np.ndarray, atom_number: float, names=_FIELDS):
     """The observables ``names`` (all by default) of a (..., 3, 3) stack of
-    covariances, and each state's status.
+    covariances, and their guards (see ``first_failure``).
 
-    Returns ``(fields, status)``.  ``fields`` maps ModeObservables field
+    Returns ``(fields, guards)``.  ``fields`` maps ModeObservables field
     names, in the order of ``_FIELDS``, to ``(values, defined)`` pairs: the
     requested ones, n and bunching always, and var_n with xi.  Modes or
     CROSS_PAIRS run along the last axis, and ``defined`` is False where the
-    vacuum makes a ratio 0/0.  The status does not depend on ``names``: it
-    is the first guard the state fails, "ok" if none: an imaginary residue
-    on C_ii ("error"), an occupation below the vacuum floor
-    ("negative_occupation"), then a residue on G_iiii = 2 C_ii^2 or on the
-    bunching moment ("error").  Raises ValueError for an ``atom_number``
-    that is not finite and > 0.
+    vacuum makes a ratio 0/0.  The guards do not depend on ``names``: an
+    imaginary residue on C_ii ("error"), an occupation below the vacuum
+    floor ("negative_occupation"), then a residue on G_iiii = 2 C_ii^2 or
+    on the bunching moment ("error").  Raises ValueError for an
+    ``atom_number`` that is not finite and > 0.
 
     Occupations C_ii - 1/2 are clamped at zero.  The number variance
     G_iiii - n - 1/2 - n^2 equals n (n + 1) exactly; the factored form keeps
@@ -66,12 +65,12 @@ def _observable_stack(c: np.ndarray, atom_number: float, names=_FIELDS):
     diag = np.diagonal(c, axis1=-2, axis2=-1)
     raw = diag.real - 0.5
     moment = c[..., 0, 0] + c[..., 1, 1] + c[..., 0, 1] + c[..., 1, 0]
-    status = first_failure(
+    guards = [
         ("error", _residue(diag).any(axis=-1)),
         ("negative_occupation", (raw < _NEGATIVE_FLOOR).any(axis=-1)),
         ("error", _residue(2.0 * (diag * diag)).any(axis=-1)),
         ("error", _residue(moment)),
-    )
+    ]
     n = np.maximum(raw, 0.0)
     fields = {"n": (n, True)}
     if "var_n" in names or "xi" in names:
@@ -94,7 +93,7 @@ def _observable_stack(c: np.ndarray, atom_number: float, names=_FIELDS):
         )
         fields["xi"] = (xi, xi_defined)
     fields["bunching"] = (moment.real / atom_number, True)
-    return fields, status
+    return fields, guards
 
 
 @dataclass(frozen=True)
@@ -120,10 +119,10 @@ def mode_observables(
     ones to None; raises the error of the first guard of
     ``_observable_stack`` that the covariance fails, then NonFinite where
     a defined observable is inf or NaN."""
-    c = cov.c if isinstance(cov, CovarianceState) else np.asarray(cov, dtype=complex)
+    c = _covariance_matrix(cov)
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
-        fields, status = _observable_stack(c, atom_number)
-    raise_failure(status, "covariance")
+        fields, guards = _observable_stack(c, atom_number)
+    raise_failure(guards, "covariance")
     bad = [name for name, (value, ok) in fields.items() if not np.isfinite(value[ok]).all()]
     if bad:
         raise NonFinite(f"non-finite result in {', '.join(bad)}")

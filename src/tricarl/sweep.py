@@ -11,14 +11,18 @@ row), is one pass of stacked kernels (``_pass``): cubic roots, the gain
 where asked, covariance, observables and separability tests, run only as
 far along this pipeline as the requested outputs need (``_REGISTRY``).
 Every row takes the same closed form, the exceptional points and tau = inf
-included.  Each kernel evaluates its guards as per-row masks, and a row's
-status is the code of the first guard it fails, in pipeline order; at
-tau = inf the first is "not_stable", where a mode does not decay.  Sweeps
-are (curves, points) blocks of up to ``_CHUNK_ROWS`` rows: a preset stacks
-consecutive curves that share their points, tau, atom number and epsilon,
-a longer curve is split along its points, and a tau axis solves one cubic
-per curve.  Only when a stacked LAPACK call raises is a block evaluated
-again, bisected by curves, then by points, down to the failing row.
+included.  Each kernel returns its guards as per-row masks, not a status.
+A row's status is the code of the first guard it fails in pipeline order:
+non-finite roots, the covariance's ("not_stable" at tau = inf, where a
+mode does not decay, first), the observables', the separability tests',
+and last, in a sweep, a non-finite requested cell; one ``first_failure``
+per block (``_batch_columns``) or ``raise_failure`` per point report
+(``evolve_point``) decides it.  Sweeps are (curves, points) blocks of up
+to ``_CHUNK_ROWS`` rows: a preset stacks consecutive curves that share
+their points, tau, atom number and epsilon, a longer curve is split along
+its points, and a tau axis solves one cubic per curve.  Only when a
+stacked LAPACK call raises is a block evaluated again, bisected by curves,
+then by points, down to the failing row.
 
 Figure presets are data: ``presets.PRESETS`` maps each id to a description
 and one (label, SweepSpec fields) pair per curve, and ``figure_preset``
@@ -37,7 +41,7 @@ import numpy as np
 # covariance, mode_observables, physicality, separability_report: the one-state
 # facade, which this module does not call; imported for the benchmark tracer to hook
 from .covariance import _covariance_stack, covariance, ode_oracle
-from .dynamics import cubic_coefficients, cubic_roots, gain, solve_cubic
+from .dynamics import _eigenvalues, cubic_coefficients, cubic_roots, gain, solve_cubic
 from .entanglement import _physicality_floor, _separability_stack, physicality, separability_report
 from .errors import InvalidSpec, NonFinite, first_failure, raise_failure
 from .model import ModelParams, ParamStack, derive
@@ -158,13 +162,6 @@ class SweepSpec:
         )
 
 
-def _then(status, later):
-    """Per-row status: ``status`` where it failed, ``later`` where it is "ok"."""
-    if isinstance(status, str) and status == "ok":
-        return later
-    return np.where(status == "ok", later, status)
-
-
 def _stack(specs, values: np.ndarray) -> tuple[ParamStack, np.ndarray | float | None]:
     """Model parameters and evolution times of a block of curves at their
     (curves, points) grid values: a fixed field that every curve shares
@@ -186,39 +183,42 @@ def _stack(specs, values: np.ndarray) -> tuple[ParamStack, np.ndarray | float | 
 
 def _pass(
     params, roots, tau, outputs, atom_number: float, epsilon: float, observable_names=None
-) -> tuple[dict, object]:
+) -> tuple[dict, list]:
     """The pipeline on a stack of rows (or one), from their cubic roots
     (solved here where ``roots`` is None) as far as ``outputs`` need: the
-    computed fields as (values, defined) pairs, C as "covariance", and each
-    row's status, the first guard it fails: non-finite roots, then the
-    covariance (at tau=inf first "not_stable"), observables and
-    separability guards.  The observable fields computed are
+    computed fields as (values, defined) pairs, C as "covariance", and the
+    kernels' guards in pipeline order (roots, covariance, observables,
+    separability; see the module notes), from which the caller decides
+    each row's status in one call.  The eigenvalues are formed once, from
+    the roots and ``derive``.  The observable fields computed are
     ``observable_names``, by default those that ``outputs`` read; their
-    guards run whatever is asked.  Overflow reads inf or NaN, which the guards and
-    the callers report, never a numpy warning.  A bad ``atom_number`` or
-    ``epsilon`` raises ValueError, before any status is read."""
+    guards run whatever is asked.  Overflow reads inf or NaN, which the
+    guards and the callers report, never a numpy warning.  A bad
+    ``atom_number`` or ``epsilon`` raises ValueError, before any status is
+    decided."""
     last = _last_stage(outputs)
     with np.errstate(all="ignore"):
         derived = derive(params)
         if roots is None:
             roots = solve_cubic(cubic_coefficients(derived, params.rho))
         finite = np.isfinite(roots).all(axis=-1)
-        status = first_failure(("non_finite", ~finite))
+        guards = [("non_finite", ~finite)]
         fields = {}
         if "gain" in outputs:
             fields["gain"] = (gain(roots, derived.gamma_plus), finite)
         if last >= _OBSERVABLES:
             if observable_names is None:
                 observable_names = [_REGISTRY[name][1] for name in outputs]
-            c, c_status = _covariance_stack(params, roots, tau)
-            observables, obs_status = _observable_stack(c, atom_number, observable_names)
-            status = _then(status, _then(c_status, obs_status))
+            lambdas = _eigenvalues(params, derived, roots)
+            c, c_guards = _covariance_stack(params, lambdas, tau)
+            observables, obs_guards = _observable_stack(c, atom_number, observable_names)
+            guards += c_guards + obs_guards
             fields.update(covariance=(c, True), **observables)
         if last == _SEPARABILITY:
-            gammas, pairs, labels, sep_status = _separability_stack(c, epsilon)
-            status = _then(status, sep_status)
+            gammas, pairs, labels, sep_guards = _separability_stack(c, epsilon)
+            guards += sep_guards
             fields |= {"gammas": (gammas, True), "pairs": (pairs, True), "class": (labels, True)}
-    return fields, status
+    return fields, guards
 
 
 def _batch_columns(specs, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,14 +227,14 @@ def _batch_columns(specs, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     values: an (outputs, curves, points) array of cells, the mask of the
     defined ones, and each row's status.
 
-    The status is that of the block's ``_pass``, then a non-finite
-    requested cell ("non_finite").  A failed row's cells are undefined,
-    except that it keeps its gain when it failed after the roots.  Grid
-    values are finite (see ``SweepSpec``).
+    The status is decided here, once: the first failed guard of the
+    block's ``_pass``, then a non-finite requested cell ("non_finite").  A
+    failed row's cells are undefined, except that it keeps its gain when it
+    failed after the roots.  Grid values are finite (see ``SweepSpec``).
     """
     spec = specs[0]
     params, tau = _stack(specs, values)
-    fields, status = _pass(params, None, tau, spec.outputs, spec.atom_number, spec.epsilon)
+    fields, guards = _pass(params, None, tau, spec.outputs, spec.atom_number, spec.epsilon)
     dtype = object if "class" in spec.outputs else float
     cells = np.empty((len(spec.outputs), *values.shape), dtype)
     defined = np.empty(cells.shape, dtype=bool)
@@ -249,8 +249,9 @@ def _batch_columns(specs, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         # the numbers of the state's stages: gain and class are not checked
         checked = [_REGISTRY[name][0] > _ROOTS and name != "class" for name in spec.outputs]
         overflow = defined[checked] & ~np.isfinite(cells[checked].astype(float))
-        status = _then(status, first_failure(("non_finite", overflow.any(axis=0))))
-        defined[[name != "gain" for name in spec.outputs]] &= status == "ok"
+        guards.append(("non_finite", overflow.any(axis=0)))
+    status = first_failure(*guards)
+    defined[[name != "gain" for name in spec.outputs]] &= status == "ok"
     return cells, defined, np.broadcast_to(status, values.shape)
 
 
@@ -356,8 +357,8 @@ def evolve_point(
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
     roots = cubic_roots(params)
-    fields, status = _pass(params, roots, tau, OUTPUTS, atom_number, epsilon, _FIELDS)
-    raise_failure(status, "point report")
+    fields, guards = _pass(params, roots, tau, OUTPUTS, atom_number, epsilon, _FIELDS)
+    raise_failure(guards, "point report")
     names = "covariance", "gain", "gammas", "pairs", "class"
     c, growth, gammas, pairs, label = (fields.pop(name)[0] for name in names)
     computed = {

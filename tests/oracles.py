@@ -432,7 +432,7 @@ def covariance_closed(params, tau):
 
 def newton_propagator(spec, tau):
     """The package's M(tau), the Newton form, for a ``tricarl.Spectrum``."""
-    return _newton_form(spec, tau)[1]
+    return _newton_form(spec.params, spec.lambdas, tau)[1]
 
 
 def covariance_van_loan(params, tau):
@@ -440,7 +440,7 @@ def covariance_van_loan(params, tau):
     M = expm(A tau) from scipy, not the M of the block exponential's own
     doublings that ``ode_oracle`` uses."""
     m = expm(drift_generator(params) * tau)
-    return CovarianceState(tau=tau, c=_with_coherent_part(q_quadrature(params, tau).q, m))
+    return CovarianceState(tau=tau, c=_with_coherent_part(q_quadrature(params, tau), m))
 
 
 def gains_over_delta(params, deltas):
@@ -515,8 +515,8 @@ def _requested_observables(state, atom_number):
     """``mode_observables`` without its final check that every defined cell
     is finite: a sweep row checks only the cells it asks for."""
     with np.errstate(all="ignore"):
-        fields, status = _observable_stack(state.c, atom_number)
-    raise_failure(status, "covariance")
+        fields, guards = _observable_stack(state.c, atom_number)
+    raise_failure(guards, "covariance")
     return ModeObservables(**_defined_cells(fields, tuple))
 
 

@@ -37,7 +37,7 @@ from tricarl import (
     steady_state,
 )
 from tricarl.covariance import _covariance_stack, _phi, _van_loan_noise, expm
-from tricarl.dynamics import cubic_roots
+from tricarl.errors import first_failure
 from tricarl.model import ParamStack
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
@@ -61,20 +61,20 @@ def random_params(rng, rates=3.0):
 
 def test_q_zero_at_tau_zero():
     spec = spectrum(FIG5)
-    assert np.abs(q_closed_form(spec, 0.0).q).max() == 0.0
-    assert np.abs(q_quadrature(FIG5, 0.0).q).max() == 0.0
+    assert np.abs(q_closed_form(spec, 0.0)).max() == 0.0
+    assert np.abs(q_quadrature(FIG5, 0.0)).max() == 0.0
 
 
 def test_q_vanishes_without_losses():
     spec = spectrum(IDEAL_SC)
     for tau in (0.5, 2.0, 5.0):
-        assert np.abs(q_closed_form(spec, tau).q).max() == 0.0
+        assert np.abs(q_closed_form(spec, tau)).max() == 0.0
 
 
 def test_q_closed_matches_quadrature_fig5():
     spec = spectrum(FIG5)
-    closed = q_closed_form(spec, 2.0).q
-    quad = q_quadrature(FIG5, 2.0).q
+    closed = q_closed_form(spec, 2.0)
+    quad = q_quadrature(FIG5, 2.0)
     assert np.abs(closed - quad).max() < 1e-8 * max(1.0, np.abs(closed).max())
 
 
@@ -84,8 +84,8 @@ def test_q_closed_matches_quadrature_random():
         params = random_params(rng, rates=2.0)
         spec = spectrum(params)
         tau = rng.uniform(0.2, 3.0)
-        closed = q_closed_form(spec, tau).q
-        quad = q_quadrature(params, tau).q
+        closed = q_closed_form(spec, tau)
+        quad = q_quadrature(params, tau)
         assert np.abs(closed - quad).max() < 1e-8 * max(1.0, np.abs(closed).max())
 
 
@@ -106,7 +106,7 @@ def test_q_positive_semidefinite():
     rng = np.random.RandomState(43)
     for _ in range(20):
         params = random_params(rng)
-        q = q_closed_form(spectrum(params), rng.uniform(0.2, 5.0)).q
+        q = q_closed_form(spectrum(params), rng.uniform(0.2, 5.0))
         eigs = np.linalg.eigvalsh(q)
         assert eigs.min() >= -1e-9 * max(np.trace(q).real, 1e-30)
 
@@ -385,6 +385,17 @@ def test_ode_oracle_is_the_hermitized_block_exponential():
         assert np.array_equal(ode_oracle(params, tau).c, 0.5 * (c + c.conj().T))
 
 
+def test_ode_oracle_without_a_float_step_raises_non_finite():
+    # |A|_1 tau >= 2**1022: no float step tau / 2**k, so Q and M are NaN
+    params = ModelParams(100.0, 5.0)
+    generator = drift_generator(params)
+    assert np.abs(generator).sum(axis=0).max() * 1e307 >= 2.0**1022
+    q, m = _van_loan_noise(generator, diffusion_matrix(params), 1e307)
+    assert np.isnan(q).all() and np.isnan(m).all()
+    with pytest.raises(NonFinite, match="^noise matrix failed the non_finite guard$"):
+        ode_oracle(params, 1e307)
+
+
 # lossless rho=100 gain threshold, as in the benchmark's edge ladder
 DELTA_STAR = 1.8899212590353163
 EDGE_OFFSETS = (0.0,) + tuple(s * 10.0**-k for k in range(1, 14) for s in (1.0, -1.0))
@@ -435,8 +446,8 @@ def test_quadrature_method_matches_closed_on_regular_spectrum():
     state_closed = covariance_closed(FIG5, 1.5)
     state_quad = covariance_van_loan(FIG5, 1.5)
     # covariance is the one-row case of the stack kernel, operation for operation
-    c, status = _covariance_stack(ParamStack(**FIG5.to_dict()), cubic_roots(FIG5), 1.5)
-    assert status == "ok" and np.array_equal(covariance(FIG5, 1.5).c, c)
+    c, guards = _covariance_stack(ParamStack(**FIG5.to_dict()), spectrum(FIG5).lambdas, 1.5)
+    assert first_failure(*guards) == "ok" and np.array_equal(covariance(FIG5, 1.5).c, c)
     for other in (state_closed.c, state_quad.c):
         assert np.abs(c - other).max() < 1e-11 * np.abs(c).max()
 

@@ -21,6 +21,8 @@ from tricarl import (
     unstable_root,
 )
 from tricarl.covariance import _covariance_stack
+from tricarl.dynamics import _eigenvalues
+from tricarl.errors import first_failure
 from tricarl.model import ParamStack
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
@@ -191,8 +193,8 @@ def test_edge_ladder_rows_stay_regular():
     stack = ParamStack(100.0, deltas, 0.0, 0.0, 0.0)
     dp = derive(stack)
     roots = solve_cubic(cubic_coefficients(dp, stack.rho))
-    c, status = _covariance_stack(stack, roots, 5.0)
-    assert status == "ok" and np.isfinite(c).all()
+    c, guards = _covariance_stack(stack, _eigenvalues(stack, dp, roots), 5.0)
+    assert first_failure(*guards) == "ok" and np.isfinite(c).all()
 
 
 @pytest.mark.parametrize("rates", [(0.1, 0.3, 0.2), (0.3, 0.5, 0.1), (0.2, 0.7, 1.5)])

@@ -16,7 +16,6 @@ from tricarl import (
     ModelParams,
     SweepSpec,
     covariance,
-    derive,
     diffusion_matrix,
     drift_generator,
     run_sweep,
@@ -24,7 +23,7 @@ from tricarl import (
     steady_state,
 )
 from tricarl.covariance import _newton_form, _pair_noise
-from tricarl.dynamics import Spectrum, _newton_nodes
+from tricarl.dynamics import _newton_nodes
 
 # detunings where the equal-loss cubic has a double root (the loss shifts
 # every eigenvalue alike, so these are the lossless ones)
@@ -113,8 +112,7 @@ def test_newton_form_at_an_exact_double_root(loss):
     nu0, nu1, nu2 = _newton_nodes(spec.lambdas)
     mu = 0.5 * (nu1 + nu2)
     lambdas = np.array([nu0, mu, mu])
-    omegas = (lambdas + derive(params).gamma_plus) / 1j + params.delta
-    q, m = _newton_form(Spectrum(params, spec.derived, omegas, lambdas), tau)
+    q, m = _newton_form(params, lambdas, tau)
     a = drift_generator(params)
     basis = [np.eye(3), a - nu0 * np.eye(3), (a - nu0 * np.eye(3)) @ (a - mu * np.eye(3))]
     with mpmath.workdps(30):

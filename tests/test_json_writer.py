@@ -5,7 +5,8 @@ allow_nan=False) + "\\n"`` without the json module's pure-Python indenting
 encoder.  These tests pin that on drawn payloads, on the errors a
 non-finite float or an unknown type raises, and on what the command line
 writes: point reports, sweep and preset JSON for every figure preset and
-every grid of ``test_sweep_golden.py``, and the error record on stderr.
+every grid of ``test_sweep_golden.py``, the error record on stderr and
+the ``.run.json`` sidecar of ``--out``.
 """
 
 import json
@@ -133,6 +134,23 @@ def test_cli_point_report_equals_json_dumps(capsys, oracle):
     for tau in ("0", "2"):
         out, _ = cli_stdout(capsys, ["--rho", "100", "--delta", "3.5", "--tau", tau, *oracle])
         assert_stdlib_rendering(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--rho", "100", "--sweep", "tau:0:800:5", "--outputs", "n1,gain"],
+        ["--preset", "fig3"],
+        ["--rho", "100", "--tau", "1"],
+    ],
+)
+def test_sidecar_equals_json_dumps(capsys, tmp_path, argv):
+    # a non-ASCII path, which the sidecar's argv holds escaped
+    out = tmp_path / "rows é.txt"
+    assert cli_stdout(capsys, [*argv, "--out", str(out)]) == ("", "")
+    sidecar = out.with_name(out.name + ".run.json").read_text(encoding="utf-8")
+    assert json.loads(sidecar)["argv"][-1] == str(out)
+    assert_stdlib_rendering(sidecar)
 
 
 @pytest.mark.parametrize(

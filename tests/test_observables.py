@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,8 @@ from tricarl import (
     covariance,
     mode_observables,
     ode_oracle,
+    physicality,
+    separability_report,
 )
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
@@ -314,3 +317,13 @@ def test_mode_observables_reports_overflow_as_non_finite_without_warnings():
         # a cell the vacuum leaves undefined is not checked
         c = thermal_fixture(0.0, 0.0, 1.0, c12=1e200)
         assert mode_observables(c).g2_cross[0] is None
+
+
+@pytest.mark.parametrize("function", [mode_observables, separability_report, physicality])
+@pytest.mark.parametrize("shape", [(2, 2), (3,), (3, 4), (4, 3), (2, 3, 2), (2, 3, 3)])
+def test_one_state_functions_refuse_a_matrix_that_is_not_3x3(function, shape):
+    # refused by shape before any kernel indexes entry (2, 2), and a stack
+    # of states, whose vacuum cells mode_observables would not leave None
+    message = f"^a covariance is a 3x3 matrix, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        function(np.full(shape, 0.5))

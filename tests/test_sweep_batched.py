@@ -515,8 +515,8 @@ def test_batched_guards_flag_what_the_single_state_path_rejects():
     cases = corrupted_covariances()
     stack = np.array([c for c, _, _ in cases])
     with np.errstate(all="ignore"):
-        _, obs_status = _observable_stack(stack, 1e6)
-        *_, sep_status = _separability_stack(stack, 1e-9)
+        obs_status = first_failure(*_observable_stack(stack, 1e6)[1])
+        sep_status = first_failure(*_separability_stack(stack, 1e-9)[-1])
         assert obs_status.tolist() == [status for _, status, _ in cases]
         assert sep_status.tolist() == [status for _, _, status in cases]
         # the one-state functions raise the error class of that status;
@@ -537,8 +537,8 @@ def test_a_failing_pair_reads_zero_alone():
     # of S_12's: only S_12 reads 0, and the state reports not_hermitian
     c = SPREAD.copy()
     c[0, 1] += 1e-5
-    gammas, pairs, _, status = _separability_stack(c, 1e-9)
-    assert status == "not_hermitian"
+    gammas, pairs, _, guards = _separability_stack(c, 1e-9)
+    assert first_failure(*guards) == "not_hermitian"
     assert gammas == pytest.approx([0.15302381, 0.15302381, 0.19473894], abs=1e-8)
     assert pairs == pytest.approx([0.0, 0.2, 0.4], abs=1e-10)
     assert pairs[0] == 0.0
@@ -651,17 +651,18 @@ def test_guard_order_over_random_corruptions(cs):
     stack = np.array(cs)
     with np.errstate(all="ignore"):
         _, defect = _hermitian_part(stack)
-        statuses = {
-            "covariance": first_failure(*_hermitian_guards(defect, HERMITIZE_TOL)),
+        guards = {
+            "covariance": [*_hermitian_guards(defect, HERMITIZE_TOL)],
             "observables": _observable_stack(stack, 1e6)[1],
             "separability": _separability_stack(stack, 1e-9)[-1],
         }
-        for kernel, status in statuses.items():
+        for kernel, kernel_guards in guards.items():
+            status = first_failure(*kernel_guards)
             assert np.broadcast_to(status, len(cs)).tolist() == predicted[kernel], kernel
-        # a sweep row reports the first failure along the pipeline
-        pipeline = sweep_module._then(
-            statuses["covariance"],
-            sweep_module._then(statuses["observables"], statuses["separability"]),
+        # a sweep row reports the first failure along the pipeline: one
+        # first_failure over the kernels' guards in pipeline order
+        pipeline = first_failure(
+            *guards["covariance"], *guards["observables"], *guards["separability"]
         )
         assert np.broadcast_to(pipeline, len(cs)).tolist() == [
             first_code(p["covariance"] + p["observables"] + p["separability"])
@@ -684,7 +685,7 @@ def test_guard_order_over_random_corruptions(cs):
         # a point report handed each C past the covariance guards raises the
         # class of its first failure along the remaining checks
         for c, p in zip(cs, predicates):
-            with mock.patch.object(sweep_module, "_covariance_stack", return_value=(c, "ok")):
+            with mock.patch.object(sweep_module, "_covariance_stack", return_value=(c, [])):
                 got = raised_code(sweep_module.evolve_point, FIG5, 1.0)
             assert got == first_code(p["observables"] + p["separability"] + p["physicality"])
 
@@ -710,7 +711,7 @@ def test_point_report_failure_order():
     # every guard of the pass, as a SweepSpec checks them before its rows
     with pytest.raises(NonFinite):
         sweep_module.evolve_point(tiny, 1.0, atom_number=0.0)
-    failing = (0.5 * np.eye(3, dtype=complex), "not_hermitian")
+    failing = (0.5 * np.eye(3, dtype=complex), [("not_hermitian", np.True_)])
     with mock.patch.object(sweep_module, "_covariance_stack", return_value=failing):
         with pytest.raises(NotHermitian):
             sweep_module.evolve_point(FIG5, 1.0)

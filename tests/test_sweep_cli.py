@@ -128,9 +128,9 @@ def test_row_errors_do_not_abort_sweep(monkeypatch):
 
     true_stack = sweep_module._covariance_stack
 
-    def flagging(params, roots, tau):
-        c, status = true_stack(params, roots, tau)
-        return c, np.where(np.asarray(tau) == 1.0, "not_hermitian", status)
+    def flagging(params, lambdas, tau):
+        c, guards = true_stack(params, lambdas, tau)
+        return c, [*guards, ("not_hermitian", np.asarray(tau) == 1.0)]
 
     monkeypatch.setattr(sweep_module, "_covariance_stack", flagging)
     rows = as_rows(run_sweep(make_spec()))
@@ -271,7 +271,7 @@ def test_point_report_names_the_non_finite_fields(monkeypatch):
     # cells left undefined (None) are not checked, even where they overflowed
     c = np.diag([0.5, 0.5, 0.5]).astype(complex)
     c[0, 1] = c[1, 0] = 1e155
-    monkeypatch.setattr(sweep_module, "_covariance_stack", lambda *args: (c, "ok"))
+    monkeypatch.setattr(sweep_module, "_covariance_stack", lambda *args: (c, []))
     assert evolve_point(FIG5, 1.0)["observables"]["xi"] == [None, None, None]
     monkeypatch.undo()
     # every other number of the report is checked too
@@ -286,8 +286,8 @@ def test_point_report_names_the_non_finite_fields(monkeypatch):
     separability = sweep_module._separability_stack
 
     def infinite_pairs(c, epsilon):
-        gammas, pairs, label, status = separability(c, epsilon)
-        return gammas, pairs + math.inf, label, status
+        gammas, pairs, label, guards = separability(c, epsilon)
+        return gammas, pairs + math.inf, label, guards
 
     monkeypatch.setattr(sweep_module, "_separability_stack", infinite_pairs)
     with pytest.raises(NonFinite, match="in gain, separability, physicality$"):
@@ -484,6 +484,21 @@ def test_cli_point_mode_non_finite_exit_code(capsys):
         code, out, err = run_cli(capsys, "--rho", "100", "--tau", "300")
     assert code == 3 and out == ""
     assert json.loads(err)["error"]["code"] == "non_finite"
+
+
+def test_cli_oracle_without_a_float_step_exits_non_finite(capsys):
+    # |A|_1 tau >= 2**1022: the oracle's step tau / 2**k is no float
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "--rho", "100", "--delta", "5", "--tau", "1e307", "--oracle"
+        )
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == {
+        "code": "non_finite",
+        "message": "noise matrix failed the non_finite guard",
+    }
 
 
 def test_cli_linalg_failure_exit_code(capsys, monkeypatch):
