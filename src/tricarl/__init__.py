@@ -12,7 +12,6 @@ from .covariance import (
     steady_state,
 )
 from .dynamics import (
-    Spectrum,
     cubic_coefficients,
     cubic_roots,
     drift_generator,
@@ -81,7 +80,6 @@ __all__ = [
     "RegimeMismatch",
     "SaturationEstimates",
     "SeparabilityReport",
-    "Spectrum",
     "SweepSpec",
     "TricarlError",
     "as_rows",

@@ -1,4 +1,4 @@
-"""Spectrum of the three-mode drift and the closed-form propagator.
+"""Eigenvalues of the three-mode drift and the closed-form propagator.
 
 The first moments of the three coupled modes, arranged in the mixed vector
 u = (a1*, a2, a3), evolve as u(tau) = M(tau) u(0) with M(tau) = exp(A tau).
@@ -23,8 +23,6 @@ by the pair's separation (McCurdy, Ng & Parlett, Math. Comp. 43, 501
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonFinite
@@ -45,18 +43,6 @@ _ZERO = np.array(0j)
 # (0, 2) and (1, 2)
 _NEWTON_ORDER = np.array([[2, 0, 1], [1, 0, 2], [0, 1, 2]])
 _PAIRS = np.array([0, 0, 1]), np.array([1, 2, 2])
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Roots of the characteristic cubic and the generator's eigenvalues
-    lambda_j = i(omega_j - delta) - gamma_plus built on them, as
-    ``spectrum`` returns them; the kernels take the eigenvalues alone."""
-
-    params: ModelParams | ParamStack
-    derived: DerivedParams
-    omegas: np.ndarray
-    lambdas: np.ndarray
 
 
 def _axis(value) -> np.ndarray:
@@ -212,11 +198,10 @@ def _eigenvalues(params: ModelParams | ParamStack, dp: DerivedParams, omegas: np
     return 1j * (omegas - _axis(params.delta)) - _axis(dp.gamma_plus)
 
 
-def spectrum(params: ModelParams) -> Spectrum:
-    """Solve the cubic and assemble the spectrum.  Raises NonFinite only
-    where the cubic overflows (see ``cubic_roots``)."""
-    omegas, dp = cubic_roots(params), derive(params)
-    return Spectrum(params, dp, omegas, _eigenvalues(params, dp, omegas))
+def spectrum(params: ModelParams) -> np.ndarray:
+    """The generator's eigenvalues (3,) on the cubic's roots.  Raises
+    NonFinite only where the cubic overflows (see ``cubic_roots``)."""
+    return _eigenvalues(params, derive(params), cubic_roots(params))
 
 
 def _newton_nodes(lambdas: np.ndarray) -> np.ndarray:
@@ -232,7 +217,7 @@ def drift_generator(params: ModelParams | ParamStack) -> np.ndarray:
     removed the modes decay at exactly gamma1, gamma2 and kappa."""
     rho = np.asarray(params.rho)
     coupling = np.sqrt(rho / 2.0)
-    # the detunings delta -+ 1/rho of ``derive``
+    # the side modes' detunings delta -+ 1/rho (the recoil shift)
     diagonal = (
         -params.gamma1 - 1j * (params.delta - 1.0 / rho),
         -params.gamma2 - 1j * (params.delta + 1.0 / rho),

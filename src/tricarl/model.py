@@ -70,11 +70,6 @@ class ModelParams:
             kappa=float(record.get("kappa", 0.0)),
         )
 
-    def replace(self, **changes: float) -> "ModelParams":
-        fields = self.to_dict()
-        fields.update(changes)
-        return ModelParams(**fields)
-
 
 class ParamStack(NamedTuple):
     """The fields of :class:`ModelParams` as broadcastable arrays: many
@@ -93,16 +88,13 @@ class ParamStack(NamedTuple):
 class DerivedParams:
     """Auxiliary constants derived from :class:`ModelParams`.
 
-    gamma_plus/minus are the half sum/difference of the atomic rates,
-    delta_plus/minus the detunings shifted by the recoil term 1/rho, and
+    gamma_plus/minus are the half sum/difference of the atomic rates, and
     alpha = delta + i(kappa - gamma_plus), beta = 1/rho + i*gamma_minus
     are the complex combinations entering the characteristic cubic.
     """
 
     gamma_plus: float
     gamma_minus: float
-    delta_plus: float
-    delta_minus: float
     alpha: complex
     beta: complex
 
@@ -115,8 +107,6 @@ def derive(params: ModelParams | ParamStack) -> DerivedParams:
     return DerivedParams(
         gamma_plus=gamma_plus,
         gamma_minus=gamma_minus,
-        delta_plus=params.delta + 1.0 / params.rho,
-        delta_minus=params.delta - 1.0 / params.rho,
         alpha=params.delta + 1j * (params.kappa - gamma_plus),
         beta=1.0 / params.rho + 1j * gamma_minus,
     )

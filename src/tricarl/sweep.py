@@ -105,6 +105,7 @@ class SweepSpec:
             )
         if isinstance(self.points, bool) or not isinstance(self.points, (int, np.integer)):
             raise InvalidSpec(f"points must be an integer, got {self.points!r}")
+        object.__setattr__(self, "points", int(self.points))  # a numpy integer writes no JSON
         if not 2 <= self.points <= MAX_POINTS:
             raise InvalidSpec(f"points must be in [2, {MAX_POINTS}], got {self.points!r}")
         if not self.outputs:

@@ -56,6 +56,7 @@ from tricarl import (
     ode_oracle,
     separability_report,
     solve_cubic,
+    spectrum,
 )
 from tricarl.covariance import (
     CovarianceState,
@@ -430,9 +431,9 @@ def covariance_closed(params, tau):
     return CovarianceState(tau=tau, c=_with_coherent_part(q, _eigen_propagator(spec, tau)))
 
 
-def newton_propagator(spec, tau):
-    """The package's M(tau), the Newton form, for a ``tricarl.Spectrum``."""
-    return _newton_form(spec.params, spec.lambdas, tau)[1]
+def newton_propagator(params, tau):
+    """The package's M(tau), the Newton form on ``spectrum(params)``."""
+    return _newton_form(params, spectrum(params), tau)[1]
 
 
 def covariance_van_loan(params, tau):

@@ -128,6 +128,7 @@ def library_calls():
         ("mode_observables(two vacua)", lambda: mode_observables(np.stack([0.5 * np.eye(3)] * 2))),
         ("mode_observables(1e308)", lambda: mode_observables(np.diag([1e308, 1e308, 0.5]))),
         ("ode_oracle(rho=100, delta=5, tau=1e307)", lambda: ode_oracle(ModelParams(100, 5), 1e307)),
+        ("ode_oracle(rho=100, delta=0, tau=410)", lambda: ode_oracle(ModelParams(100, 0), 410.0)),
     ]
 
 

@@ -166,9 +166,8 @@ def test_criterion_3_propagator_identities():
     # lossless unitarity relations over tau in [0, 5]
     worst_relation = 0.0
     for params in (IDEAL_SC, IDEAL_Q):
-        spec = spectrum(params)
         for tau in np.linspace(0.0, 5.0, 26):
-            defect = mp_unitarity_defect(newton_propagator(spec, tau), 40)
+            defect = mp_unitarity_defect(newton_propagator(params, tau), 40)
             worst_relation = max(worst_relation, defect)
 
     # balanced-loss population identity n1 = n2 + n3
@@ -222,7 +221,7 @@ def test_criterion_4_oracle_equivalence():
     state = covariance(CRITICAL, 3.0)
     # the one-row case of the stack kernel, bit for bit
     stack = ParamStack(**CRITICAL.to_dict())
-    c, guards = _covariance_stack(stack, spectrum(CRITICAL).lambdas, 3.0)
+    c, guards = _covariance_stack(stack, spectrum(CRITICAL), 3.0)
     assert first_failure(*guards) == "ok" and np.array_equal(state.c, c)
     van_loan = near_degenerate_state().c
     assert np.abs(state.c - van_loan).max() <= 1e-12 * np.abs(van_loan).max()

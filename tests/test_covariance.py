@@ -60,20 +60,17 @@ def random_params(rng, rates=3.0):
 
 
 def test_q_zero_at_tau_zero():
-    spec = spectrum(FIG5)
-    assert np.abs(q_closed_form(spec, 0.0)).max() == 0.0
+    assert np.abs(q_closed_form(FIG5, 0.0)).max() == 0.0
     assert np.abs(q_quadrature(FIG5, 0.0)).max() == 0.0
 
 
 def test_q_vanishes_without_losses():
-    spec = spectrum(IDEAL_SC)
     for tau in (0.5, 2.0, 5.0):
-        assert np.abs(q_closed_form(spec, tau)).max() == 0.0
+        assert np.abs(q_closed_form(IDEAL_SC, tau)).max() == 0.0
 
 
 def test_q_closed_matches_quadrature_fig5():
-    spec = spectrum(FIG5)
-    closed = q_closed_form(spec, 2.0)
+    closed = q_closed_form(FIG5, 2.0)
     quad = q_quadrature(FIG5, 2.0)
     assert np.abs(closed - quad).max() < 1e-8 * max(1.0, np.abs(closed).max())
 
@@ -82,9 +79,8 @@ def test_q_closed_matches_quadrature_random():
     rng = np.random.RandomState(41)
     for _ in range(10):
         params = random_params(rng, rates=2.0)
-        spec = spectrum(params)
         tau = rng.uniform(0.2, 3.0)
-        closed = q_closed_form(spec, tau)
+        closed = q_closed_form(params, tau)
         quad = q_quadrature(params, tau)
         assert np.abs(closed - quad).max() < 1e-8 * max(1.0, np.abs(closed).max())
 
@@ -106,7 +102,7 @@ def test_q_positive_semidefinite():
     rng = np.random.RandomState(43)
     for _ in range(20):
         params = random_params(rng)
-        q = q_closed_form(spectrum(params), rng.uniform(0.2, 5.0))
+        q = q_closed_form(params, rng.uniform(0.2, 5.0))
         eigs = np.linalg.eigvalsh(q)
         assert eigs.min() >= -1e-9 * max(np.trace(q).real, 1e-30)
 
@@ -304,8 +300,7 @@ def test_steady_state_is_long_time_limit():
         except NotStable:
             continue
         found += 1
-        spec = spectrum(params)
-        horizon = 40.0 / abs(float(np.max(spec.lambdas.real)))
+        horizon = 40.0 / abs(float(np.max(spectrum(params).real)))
         state = covariance(params, horizon)
         assert np.abs(state.c - limit.c).max() < 1e-4 * max(1.0, np.abs(limit.c).max())
 
@@ -315,13 +310,29 @@ def test_steady_state_unstable_raises():
         steady_state(IDEAL_SC)
 
 
-def test_covariance_overflow_raises_non_finite_not_numpy_warnings():
-    # past tau ~ 406 the lossless amplifier's C overflows: the one-state
-    # covariance reports it by its guards, never by a RuntimeWarning
+LOSSY_AMPLIFIER = ModelParams(100.0, 0.0, 0.5, 0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "function, params, tau, what",
+    [
+        (covariance, IDEAL_SC, 408.0, "covariance"),
+        (covariance, LOSSY_AMPLIFIER, 3000.0, "covariance"),
+        (q_closed_form, IDEAL_SC, 410.0, "noise matrix"),
+        (q_closed_form, LOSSY_AMPLIFIER, 3000.0, "noise matrix"),
+        (q_quadrature, LOSSY_AMPLIFIER, 3000.0, "noise matrix"),
+        (ode_oracle, IDEAL_SC, 410.0, "covariance"),
+        (ode_oracle, LOSSY_AMPLIFIER, 3000.0, "noise matrix"),
+    ],
+)
+def test_covariance_overflow_raises_non_finite_not_numpy_warnings(function, params, tau, what):
+    # past tau ~ 406 the lossless amplifier's C overflows, and the lossy
+    # one's Q later: the closed form and Van Loan's block exponential report
+    # it by their guards, never by a RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFinite, match="^covariance failed the non_finite guard$"):
-            covariance(ModelParams(100.0, 0.0), 408.0)
+        with pytest.raises(NonFinite, match=f"^{what} failed the non_finite guard$"):
+            function(params, tau)
 
 
 def test_steady_state_overflow_raises_non_finite_not_numpy_warnings():
@@ -348,6 +359,11 @@ def test_steady_state_of_degenerate_stable_spectrum():
         assert np.array_equal(covariance(params, math.inf).c, limit)
         with pytest.raises(NotStable):
             covariance(ModelParams(100.0, 1.8899212590353163), math.inf)
+    # M is exactly 0 at tau=inf, so C is Q: the noise matrix's closed form
+    # reads the steady state bit for bit, at delta* and away from it
+    stable = (params, FIG5, ModelParams(0.2, 5.0, 0.2, 0.4, 1.0), ModelParams(1.0, 1.0, 0.01, 0.01, 50.0))
+    for point in stable:
+        assert np.array_equal(q_closed_form(point, math.inf), steady_state(point).c)
 
 
 # ----------------------------------------------------------------- ode oracle
@@ -357,9 +373,8 @@ def test_ode_oracle_vacuum_and_homogeneous():
     assert np.abs(ode_oracle(FIG5, 0.0).c - 0.5 * np.eye(3)).max() == 0.0
     # without diffusion the solution is the propagated vacuum M M^dag / 2
     params = IDEAL_SC
-    spec = spectrum(params)
     for tau in (0.7, 2.0):
-        m = newton_propagator(spec, tau)
+        m = newton_propagator(params, tau)
         expected = 0.5 * m @ m.conj().T
         got = ode_oracle(params, tau).c
         assert np.abs(got - expected).max() < 1e-7 * np.abs(expected).max()
@@ -446,7 +461,7 @@ def test_quadrature_method_matches_closed_on_regular_spectrum():
     state_closed = covariance_closed(FIG5, 1.5)
     state_quad = covariance_van_loan(FIG5, 1.5)
     # covariance is the one-row case of the stack kernel, operation for operation
-    c, guards = _covariance_stack(ParamStack(**FIG5.to_dict()), spectrum(FIG5).lambdas, 1.5)
+    c, guards = _covariance_stack(ParamStack(**FIG5.to_dict()), spectrum(FIG5), 1.5)
     assert first_failure(*guards) == "ok" and np.array_equal(covariance(FIG5, 1.5).c, c)
     for other in (state_closed.c, state_quad.c):
         assert np.abs(c - other).max() < 1e-11 * np.abs(c).max()

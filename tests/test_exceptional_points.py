@@ -42,7 +42,7 @@ def scaled_error(got, reference):
 
 def nodes_of(params):
     """(nu0, nu1, nu2): the isolated eigenvalue, then the closest pair."""
-    return _newton_nodes(spectrum(params).lambdas)
+    return _newton_nodes(spectrum(params))
 
 
 @pytest.mark.parametrize("rho", [0.3, 100.0])
@@ -108,8 +108,7 @@ def test_newton_form_at_an_exact_double_root(loss):
     # and the split at 0.5; without losses Q is exactly 0
     tau = 5.0
     params = ModelParams(100.0, MERGE_DETUNINGS[100.0], loss, loss, loss)
-    spec = spectrum(params)
-    nu0, nu1, nu2 = _newton_nodes(spec.lambdas)
+    nu0, nu1, nu2 = _newton_nodes(spectrum(params))
     mu = 0.5 * (nu1 + nu2)
     lambdas = np.array([nu0, mu, mu])
     q, m = _newton_form(params, lambdas, tau)

@@ -1,5 +1,7 @@
 """Package modules import each other at module level only, the package
-exports exactly what its ``__init__`` imports, and no module imports scipy.
+exports exactly what its ``__init__`` imports, no module imports from the
+package a name it never reads unless the benchmark's tracer hooks it there,
+and no module imports scipy.
 
 A function-level import of a ``tricarl`` module hides an import cycle
 (``presets`` once reached back into ``sweep`` that way); this check keeps
@@ -22,6 +24,7 @@ import sys
 from pathlib import Path
 
 import tricarl
+from test_bench_hooks import load_layers
 
 PACKAGE = Path(tricarl.__file__).resolve().parent
 
@@ -47,6 +50,38 @@ def test_no_module_imports_the_package_inside_a_function():
         f"{path.name}:{line} {module}"
         for path in sorted(PACKAGE.glob("*.py"))
         for line, module in package_imports_in_functions(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def unread_package_imports(tree):
+    """Names a module imports from the package at module level and never
+    reads (a type annotation counts as a read)."""
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "tricarl")
+        for alias in node.names
+    }
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return imported - read
+
+
+def test_every_package_import_is_read_or_a_tracer_hook():
+    # an import kept only so that the tracer finds the name to wrap has to
+    # be one of its (module, name) sites; it goes once the hook moves
+    hooks = {site for sites in load_layers().values() for site in sites}
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in sorted(unread_package_imports(ast.parse(path.read_text())))
+        if (f"tricarl.{path.stem}", name) not in hooks
     ]
     assert found == []
 

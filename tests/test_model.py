@@ -14,8 +14,6 @@ def test_derive_identity_case():
     assert dp.gamma_minus == 0.0
     assert dp.alpha == 0.0 + 0.0j
     assert dp.beta == 1.0 + 0.0j
-    assert dp.delta_plus == 1.0
-    assert dp.delta_minus == -1.0
 
 
 def test_derive_balanced_losses():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from tricarl import (
     run_sweep,
     separability_report,
 )
-from tricarl.cli import _build_parser, main
+from tricarl.cli import _build_parser, _json_dumps, main
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
 
@@ -116,7 +117,7 @@ def test_gamma_axis_sets_both_atomic_rates():
     )
     rows = as_rows(run_sweep(spec))
     reference = [
-        evolve_point(FIG5.replace(gamma1=g, gamma2=g), 1.0)["observables"]["n"][0]
+        evolve_point(dataclasses.replace(FIG5, gamma1=g, gamma2=g), 1.0)["observables"]["n"][0]
         for g in (0.0, 0.5, 1.0)
     ]
     assert [row["n1"] for row in rows] == pytest.approx(reference)
@@ -148,6 +149,12 @@ def test_sweep_spec_json_round_trip():
     for points in (2.7, True, "4"):
         with pytest.raises(InvalidSpec, match="points must be an integer"):
             SweepSpec.from_dict({**spec.to_dict(), "points": points})
+
+
+def test_sweep_spec_with_a_numpy_point_count_writes_json():
+    spec = SweepSpec("delta", 0.0, 1.0, np.int64(3), ModelParams(100.0, 0.0), ("n1",), tau=1.0)
+    assert SweepSpec.from_dict(json.loads(_json_dumps(spec.to_dict()))) == spec
+    assert json.loads(json.dumps(spec.to_dict()))["points"] == 3
 
 
 # --------------------------------------------------------------------- presets
