@@ -10,17 +10,19 @@ decay kappa (">>" read as ">= margin x"):
 
 The asymptotic population formulas are leading order in the large
 parameters and are never substituted for the exact covariance pipeline;
-they exist for cross-checks and quick estimates.
+they exist for cross-checks and quick estimates.  They raise NonFinite
+where a population leaves the float range.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeMismatch
+from .errors import NonFinite, RegimeMismatch
 from .model import ModelParams
 
 SEMICLASSICAL_GOOD_CAVITY = "semiclassical_good_cavity"
@@ -77,6 +79,24 @@ def _lossless(params: ModelParams) -> bool:
     return params.gamma1 == 0.0 and params.gamma2 == 0.0
 
 
+def _finite(law):
+    """``law``, raising NonFinite where a population leaves the float range:
+    past it ``math.exp`` raises OverflowError, just inside a product is inf."""
+
+    @functools.wraps(law)
+    def checked(*args, **kwargs):
+        try:
+            populations = law(*args, **kwargs)
+        except OverflowError as exc:
+            raise NonFinite(f"{law.__name__} overflows: {exc}") from exc
+        if not all(map(math.isfinite, populations)):
+            raise NonFinite(f"{law.__name__} overflows: {populations!r}")
+        return populations
+
+    return checked
+
+
+@_finite
 def sr_semiclassical_populations(
     params: ModelParams, tau: float, margin: float = 10.0
 ) -> tuple[float, float, float]:
@@ -100,6 +120,7 @@ def sr_semiclassical_populations(
     )
 
 
+@_finite
 def sr_quantum_populations(
     params: ModelParams, tau: float, margin: float = 10.0
 ) -> tuple[float, float, float]:
@@ -125,6 +146,7 @@ def sr_quantum_populations(
     )
 
 
+@_finite
 def lossless_highgain_populations(
     params: ModelParams, tau: float, regime: str, margin: float = 10.0
 ) -> tuple[float, float, float]:

@@ -2,9 +2,9 @@
 
 A sweep varies one axis (delta, tau, gamma = both atomic rates together,
 or kappa) over a uniform grid at otherwise fixed parameters and evaluates
-a requested set of scalar observables per grid point.  Rows never abort
-the sweep: failures are recorded in a per-row status column and undefined
-observables (vacuum 0/0) stay empty.
+a requested set of scalar observables per grid point.  A row that fails a
+guard does not abort the sweep: the failure is recorded in a per-row
+status column, and undefined observables (vacuum 0/0) stay empty.
 
 Every row, of a sweep, a preset or a point report (``evolve_point``, one
 row), is one pass of stacked kernels (``_pass``): cubic roots, the gain
@@ -16,13 +16,14 @@ A row's status is the code of the first guard it fails in pipeline order:
 non-finite roots, the covariance's ("not_stable" at tau = inf, where a
 mode does not decay, first), the observables', the separability tests',
 and last, in a sweep, a non-finite requested cell; one ``first_failure``
-per block (``_batch_columns``) or ``raise_failure`` per point report
+per block (``_table``) or ``raise_failure`` per point report
 (``evolve_point``) decides it.  Sweeps are (curves, points) blocks of up
 to ``_CHUNK_ROWS`` rows: a preset stacks consecutive curves that share
 their points, tau, atom number and epsilon, a longer curve is split along
-its points, and a tau axis solves one cubic per curve.  Only when a
-stacked LAPACK call raises is a block evaluated again, bisected by curves,
-then by points, down to the failing row.
+its points, and a tau axis solves one cubic per curve.  A block is one
+pass and one table.  Its one LAPACK call, the batched ``eigvalsh`` of the
+separability tests, sees only finite entries; should it raise all the
+same, its error ends the whole run.
 
 Figure presets are data: ``presets.PRESETS`` maps each id to a description
 and one (label, SweepSpec fields) pair per curve, and ``figure_preset``
@@ -222,11 +223,10 @@ def _pass(
     return fields, guards
 
 
-def _batch_columns(specs, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The requested outputs of a block of curves that share their axis,
-    outputs, tau, atom number and epsilon, at their (curves, points) grid
-    values: an (outputs, curves, points) array of cells, the mask of the
-    defined ones, and each row's status.
+def _table(specs, values: np.ndarray) -> dict:
+    """Columns of a block of curves that share their axis, outputs, tau,
+    atom number and epsilon, at their (curves, points) grid values: grid
+    values, outputs (None where undefined), status, rows in curve order.
 
     The status is decided here, once: the first failed guard of the
     block's ``_pass``, then a non-finite requested cell ("non_finite").  A
@@ -253,25 +253,17 @@ def _batch_columns(specs, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         guards.append(("non_finite", overflow.any(axis=0)))
     status = first_failure(*guards)
     defined[[name != "gain" for name in spec.outputs]] &= status == "ok"
-    return cells, defined, np.broadcast_to(status, values.shape)
-
-
-def _table(specs, values: np.ndarray) -> dict:
-    """Columns of a block: grid values, outputs (None where undefined),
-    status, rows in curve order."""
-    cells, defined, status = _batch_columns(specs, values)
-    spec = specs[0]
     columns = np.where(defined, cells, None).reshape(len(spec.outputs), -1).tolist()
     return {
         spec.axis: values.ravel().tolist(),
         **dict(zip(spec.outputs, columns)),
-        "status": status.ravel().tolist(),
+        "status": np.broadcast_to(status, values.shape).ravel().tolist(),
     }
 
 
 def _evaluate_row(spec: SweepSpec, value: float) -> dict:
-    """The one-row table of a grid value whose own one-row pass raised a
-    LAPACK error: status "error" and empty cells."""
+    """Not called: a LAPACK error ends the run.  The name stays because the
+    benchmark's tracer hooks it."""
     return {spec.axis: [value], **{name: [None] for name in spec.outputs}, "status": ["error"]}
 
 
@@ -282,25 +274,6 @@ def _concat(tables: list[dict]) -> dict:
         for name, column in first.items():
             column += table[name]
     return first
-
-
-def _evaluate_block(specs, values: np.ndarray) -> dict:
-    """Table of a block.  A LAPACK failure on one row stops the whole stack,
-    so a failing block is split in halves, by curves and then by points,
-    until the failure is down to its own row: one bad row of N costs about
-    2 log2(N) stacked passes."""
-    try:
-        return _table(specs, values)
-    except np.linalg.LinAlgError:
-        if values.size == 1:
-            return _evaluate_row(specs[0], values.item())
-        if len(specs) > 1:
-            half = len(specs) // 2
-            parts = (specs[:half], values[:half]), (specs[half:], values[half:])
-        else:
-            half = values.shape[1] // 2
-            parts = (specs, values[:, :half]), (specs, values[:, half:])
-        return _concat([_evaluate_block(*part) for part in parts])
 
 
 def _blocks(specs):
@@ -320,7 +293,7 @@ def _blocks(specs):
 
 def _run(specs) -> dict:
     """The table of a run of curves, rows in curve and grid order."""
-    return _concat([_evaluate_block(*block) for block in _blocks(specs)])
+    return _concat([_table(*block) for block in _blocks(specs)])
 
 
 def run_sweep(spec: SweepSpec) -> dict:

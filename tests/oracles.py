@@ -525,7 +525,8 @@ def evaluate_row(spec, value):
     """One sweep row through the one-state functions, each raising on the
     first guard it fails (the observables without ``mode_observables``'
     check of the cells the row does not ask for): the row-by-row evaluator
-    the batched sweep replaced."""
+    the batched sweep replaced.  A LAPACK error propagates: it ends the
+    package's sweep too."""
     row = {spec.axis: float(value)}
     for name in spec.outputs:
         row[name] = None
@@ -565,7 +566,9 @@ def evaluate_row(spec, value):
                 )
             requested = {name: values[name] for name in spec.outputs if name in values}
             row.update(_require_finite(requested))
-    except (TricarlError, ValueError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError:
+        raise  # a ValueError, but not a row status
+    except (TricarlError, ValueError) as exc:
         status = getattr(exc, "code", "error")
     row["status"] = status
     return row

@@ -4,20 +4,17 @@
 so it writes the bytes of ``csv.writer`` only while no cell or column name
 holds a comma, a quote or a line break, and it writes one header for a
 preset only while the curves of a preset share their columns.  These tests
-pin all three on every figure preset, on the grids of
-``test_sweep_golden.py`` that fail rows and leave cells empty, and on a
-grid with an "error" row.
+pin all three on every figure preset and on the grids of
+``test_sweep_golden.py`` that fail rows and leave cells empty.
 """
 
 import csv
 import io
 
-import numpy as np
 import pytest
 
-import tricarl.sweep as sweep_module
 from test_sweep_golden import failure_grid_table, failure_grids
-from tricarl import AXES, OUTPUTS, ModelParams, SweepSpec, figure_preset, run_preset, run_sweep
+from tricarl import AXES, OUTPUTS, figure_preset, run_preset
 from tricarl.cli import _rows_to_csv
 from tricarl.entanglement import _CLASS_LABELS
 from tricarl.errors import _BY_CODE
@@ -52,31 +49,6 @@ def test_preset_csv_equals_the_csv_module(preset_id):
 @pytest.mark.parametrize("name", sorted(failure_grids()))
 def test_failure_grid_csv_equals_the_csv_module(name):
     table = failure_grid_table(name)
-    assert_same_text(_rows_to_csv(table, META), csv_module_text(table, META))
-
-
-def test_error_row_csv_equals_the_csv_module(monkeypatch):
-    # a LAPACK failure on one row gives it status "error" and empty cells
-    spec = SweepSpec(
-        axis="delta",
-        start=-1.0,
-        stop=4.0,
-        points=6,
-        fixed=ModelParams(100.0, 0.0, 0.5, 0.5, 0.5),
-        outputs=("n1", "xi12", "gain", "class"),
-        tau=1.0,
-    )
-    bad = spec.grid()[2]
-    true_stack = sweep_module._covariance_stack
-
-    def broken(params, *args):
-        if np.any(params.delta == bad):
-            raise np.linalg.LinAlgError("eigenvalues did not converge")
-        return true_stack(params, *args)
-
-    monkeypatch.setattr(sweep_module, "_covariance_stack", broken)
-    table = run_sweep(spec)
-    assert table["status"] == ["ok", "ok", "error", "ok", "ok", "ok"]
     assert_same_text(_rows_to_csv(table, META), csv_module_text(table, META))
 
 

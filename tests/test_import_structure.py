@@ -1,7 +1,8 @@
 """Package modules import each other at module level only, the package
 exports exactly what its ``__init__`` imports, no module imports from the
-package a name it never reads unless the benchmark's tracer hooks it there,
-and no module imports scipy.
+package a name it never reads, and no module defines a function or class
+that the package neither exports nor reads, unless the benchmark's tracer
+hooks it there, and no module imports scipy.
 
 A function-level import of a ``tricarl`` module hides an import cycle
 (``presets`` once reached back into ``sweep`` that way); this check keeps
@@ -82,6 +83,36 @@ def test_every_package_import_is_read_or_a_tracer_hook():
         if path.name != "__init__.py"
         for name in sorted(unread_package_imports(ast.parse(path.read_text())))
         if (f"tricarl.{path.stem}", name) not in hooks
+    ]
+    assert found == []
+
+
+def module_definitions(tree):
+    """Names of the functions and classes a module defines at module level."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for node in tree.body if isinstance(node, kinds)}
+
+
+def read_names(tree):
+    """Names a module reads, as a bare name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_unexported_definition_is_read_or_a_tracer_hook():
+    # a private function or class that nothing in the package reads is dead
+    # code, unless the tracer wraps it there (it then reads 0 calls)
+    hooks = {site for sites in load_layers().values() for site in sites}
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(read_names, trees.values()))
+    found = [
+        f"{stem}.py: {name}"
+        for stem, tree in trees.items()
+        for name in sorted(module_definitions(tree) - set(tricarl.__all__) - read)
+        if (f"tricarl.{stem}", name) not in hooks
     ]
     assert found == []
 

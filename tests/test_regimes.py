@@ -5,6 +5,7 @@ import pytest
 
 from tricarl import (
     ModelParams,
+    NonFinite,
     RegimeMismatch,
     classify_regime,
     covariance,
@@ -191,6 +192,29 @@ def test_lossless_highgain_regime_mismatch():
         lossless_highgain_populations(ModelParams(rho=0.2, delta=0.0), 1.0, "quantum")
     with pytest.raises(ValueError):
         lossless_highgain_populations(ModelParams(rho=0.2, delta=5.0), 1.0, "other")
+
+
+# math.exp raises OverflowError past exponents of about 709.78 ("math range
+# error"); just inside, a population may read inf
+PAST_EXP, INF = "math range error", r"\(inf, "
+
+
+@pytest.mark.parametrize(
+    "law, args, shown",
+    [
+        (sr_semiclassical_populations, (SR_SC, 1e4), PAST_EXP),
+        (sr_semiclassical_populations, (ModelParams(1e4, 0.0, kappa=50.0), 3540.0), INF),
+        (sr_quantum_populations, (SR_Q, 1e5), PAST_EXP),
+        (sr_quantum_populations, (ModelParams(90.0, 1 / 90, kappa=5000.0), 39420.0), INF),
+        (lossless_highgain_populations, (ModelParams(0.5, 2.0), 1e4, "quantum"), PAST_EXP),
+        (lossless_highgain_populations, (ModelParams(100.0, 0.0), 1e4, "semiclassical"), PAST_EXP),
+        (lossless_highgain_populations, (ModelParams(100.0, 0.0), 407.0, "semiclassical"), INF),
+    ],
+)
+def test_population_laws_raise_non_finite_on_overflow(law, args, shown):
+    # both ends of the float range end in NonFinite, as the cubic's overflow does
+    with pytest.raises(NonFinite, match=f"{law.__name__} overflows: {shown}"):
+        law(*args)
 
 
 # ---------------------------------------------------------- saturation estimates

@@ -154,18 +154,6 @@ def test_batched_rows_equal_single_row_rows(spec):
     assert_rows_match(spec, as_rows(run_sweep(spec)))
 
 
-def count_rerouted_rows(monkeypatch):
-    calls = []
-    true_evaluate_row = sweep_module._evaluate_row
-
-    def counted(spec, value):
-        calls.append(value)
-        return true_evaluate_row(spec, value)
-
-    monkeypatch.setattr(sweep_module, "_evaluate_row", counted)
-    return calls
-
-
 def test_rows_across_the_gain_threshold_match():
     # two roots merge at delta*, where the closed form keeps the fewest digits
     for tau in (0.5, 5.0):
@@ -198,9 +186,7 @@ def test_degenerate_rows_stay_in_the_batch(monkeypatch):
         outputs=("n1", "xi12", "gain", "mineig_gamma1", "class"),
         tau=2.0,
     )
-    rerouted = count_rerouted_rows(monkeypatch)
     rows = as_rows(run_sweep(spec))
-    assert rerouted == []
     assert all(row["status"] == "ok" for row in rows)
     assert_rows_match(spec, rows)
 
@@ -299,8 +285,7 @@ def test_unstable_steady_state_reads_not_stable_on_every_path():
     assert [row[name] for name in spec.outputs[1:]] == [None, None, None]
 
 
-def test_regular_grid_needs_no_single_row_evaluation(monkeypatch):
-    rerouted = count_rerouted_rows(monkeypatch)
+def test_regular_tau_grid_rows_match():
     spec = SweepSpec(
         axis="tau",
         start=0.0,
@@ -309,9 +294,7 @@ def test_regular_grid_needs_no_single_row_evaluation(monkeypatch):
         fixed=ModelParams(100.0, 3.5, 0.5, 0.5, 0.5),
         outputs=OUTPUTS,
     )
-    rows = as_rows(run_sweep(spec))
-    assert rerouted == []
-    assert_rows_match(spec, rows)
+    assert_rows_match(spec, as_rows(run_sweep(spec)))
 
 
 @pytest.mark.parametrize("outputs", [("gain",), ("gain", "n1", "xi12", "class")])
@@ -332,76 +315,6 @@ def test_tiny_rho_rows_are_non_finite(axis, outputs):
     for row in rows:
         assert all(row[name] is None for name in spec.outputs)
     assert_rows_match(spec, rows)
-
-
-def test_batch_failure_falls_back_to_single_rows(monkeypatch):
-    # a LAPACK error on one row of a stacked call stops the whole chunk; its
-    # rows are then evaluated one by one, and only that row fails
-    spec = SweepSpec(
-        axis="delta",
-        start=-1.0,
-        stop=4.0,
-        points=6,
-        fixed=ModelParams(100.0, 0.0, 0.5, 0.5, 0.5),
-        outputs=("n1", "xi12", "gain", "mineig_s12"),
-        tau=1.0,
-    )
-
-    expected = as_rows(run_sweep(spec))
-    bad = spec.grid()[2]
-    true_stack = sweep_module._covariance_stack
-
-    def broken(params, *args):
-        if np.any(params.delta == bad):
-            raise np.linalg.LinAlgError("eigenvalues did not converge")
-        return true_stack(params, *args)
-
-    monkeypatch.setattr(sweep_module, "_covariance_stack", broken)
-    rerouted = count_rerouted_rows(monkeypatch)
-    rows = as_rows(run_sweep(spec))
-    # the chunk is bisected: only the bad value is evaluated on its own
-    assert rerouted == [bad]
-    expected[2] = {"delta": bad, **dict.fromkeys(spec.outputs), "status": "error"}
-    assert rows == expected
-
-
-def test_one_failing_row_of_a_full_chunk_costs_logarithmic_passes(monkeypatch):
-    spec = SweepSpec(
-        axis="delta",
-        start=-1.0,
-        stop=4.0,
-        points=1024,
-        fixed=ModelParams(100.0, 0.0, 0.5, 0.5, 0.5),
-        outputs=("n1", "xi12", "gain"),
-        tau=1.0,
-    )
-    assert sweep_module._CHUNK_ROWS == spec.points
-    expected = as_rows(run_sweep(spec))
-    bad = spec.grid()[700]
-    true_stack = sweep_module._covariance_stack
-    true_table = sweep_module._table
-    passes = []
-
-    def broken(params, *args):
-        if np.any(params.delta == bad):
-            raise np.linalg.LinAlgError("eigenvalues did not converge")
-        return true_stack(params, *args)
-
-    def counted(spec, values):
-        passes.append(len(values))
-        return true_table(spec, values)
-
-    monkeypatch.setattr(sweep_module, "_covariance_stack", broken)
-    monkeypatch.setattr(sweep_module, "_table", counted)
-    rows = as_rows(run_sweep(spec))
-    # one failing pass per halving down to the bad value, plus its sibling
-    assert len(passes) <= 2 * int(math.log2(spec.points)) + 1
-    assert [row["delta"] for row in rows if row["status"] != "ok"] == [bad]
-    assert rows[700] == {"delta": bad, **dict.fromkeys(spec.outputs), "status": "error"}
-    for row, reference in zip(rows, expected):
-        if row["delta"] != bad:
-            assert list(row) == list(reference)
-            assert row == pytest.approx(reference, rel=RTOL, abs=0.0)
 
 
 def test_long_grid_is_evaluated_in_chunks(monkeypatch):

@@ -520,6 +520,36 @@ def test_cli_linalg_failure_exit_code(capsys, monkeypatch):
     assert "did not converge" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("out", [False, True])
+@pytest.mark.parametrize(
+    "argv, bad_tau",
+    [
+        (("--rho", "100", "--sweep", "tau:0:2:5", "--outputs", "n1,xi12"), 1.0),
+        (("--preset", "fig5"), figure_preset("fig5").curves[0][1].grid()[2]),
+    ],
+)
+def test_cli_linalg_failure_on_one_row_fails_the_request(
+    capsys, monkeypatch, tmp_path, argv, bad_tau, out
+):
+    # a block has no per-row path around a raised LinAlgError: the request
+    # ends in the JSON error record, with no rows and no data file or sidecar
+    true_stack = sweep_module._covariance_stack
+
+    def broken(params, lambdas, tau):
+        if np.any(np.asarray(tau) == bad_tau):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return true_stack(params, lambdas, tau)
+
+    monkeypatch.setattr(sweep_module, "_covariance_stack", broken)
+    target = ("--out", str(tmp_path / "rows.csv")) if out else ()
+    code, stdout, err = run_cli(capsys, *argv, *target)
+    assert code == 3 and stdout == ""
+    assert json.loads(err) == {
+        "error": {"code": "error", "message": "eigenvalues did not converge"}
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
 def run_cli_process(*argv):
     """The command line in a fresh interpreter, whose numpy warnings reach
     stderr (pytest would capture them in-process)."""

