@@ -75,18 +75,23 @@ def diffusion_matrix(params: ModelParams) -> np.ndarray:
     return np.diag(_rates(params)).astype(complex)
 
 
-def _hermitian_part(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M + M^dag)/2 of each matrix in a (..., n, n) stack, and its defect
-    max|M - M^dag| relative to max(1, max|M|); NaN for non-finite M.
+def _hermitian_defect(matrix: np.ndarray, m_dag: np.ndarray, axes=(-2, -1)) -> np.ndarray:
+    """max|M - M^dag| relative to max(1, max|M|) over the matrix ``axes``
+    of a stack, given M^dag; NaN for non-finite M.
 
     A non-finite entry makes both maxima inf or NaN (M - M^dag is non-finite
     where M is, since max and maximum pass NaN on), and their ratio NaN.
     Its callers run it under np.errstate."""
+    scale = np.maximum(1.0, np.abs(matrix).max(axis=axes))
+    return np.abs(matrix - m_dag).max(axis=axes) / scale
+
+
+def _hermitian_part(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M + M^dag)/2 of each matrix in a (..., n, n) stack, and its defect
+    (``_hermitian_defect``)."""
     matrix = np.asarray(matrix, dtype=complex)
     m_dag = _dagger(matrix)
-    scale = np.maximum(1.0, np.abs(matrix).max(axis=(-2, -1)))
-    defect = np.abs(matrix - m_dag).max(axis=(-2, -1)) / scale
-    return 0.5 * (matrix + m_dag), defect
+    return 0.5 * (matrix + m_dag), _hermitian_defect(matrix, m_dag)
 
 
 def _hermitian_guards(defect, tol: float) -> tuple:
@@ -188,8 +193,11 @@ def _newton_form(params, lambdas: np.ndarray, tau) -> tuple[np.ndarray, np.ndarr
     where the plain ones would lose digits, |eps| <= 0.1 max|nu| and
     |eps| tau < 2 (or tau = inf); elsewhere they lose at most a few ulps.
     The plain ones divide by eps + 1e-200 where eps = 0, like e[nu1, nu2],
-    so that a lossless row's Q stays exactly 0.  Overflow reads inf or NaN;
-    the callers run it under np.errstate.
+    so that a lossless row's Q stays exactly 0.  A stack with no diffusion
+    on any row (the ideal dynamics) returns Q = 0 with M at once, and
+    builds no phi, Phi, refinement or contraction; a mixed stack takes the
+    full path, its lossless rows' Phi times D = 0.  Overflow reads inf or
+    NaN; the callers run it under np.errstate.
     """
     t = np.asarray(tau, dtype=float)
     ndim = max(lambdas.ndim - 1, t.ndim)
@@ -212,6 +220,8 @@ def _newton_form(params, lambdas: np.ndarray, tau) -> tuple[np.ndarray, np.ndarr
     pair = np.where(near < 1.0, e1 * np.expm1(step * t), e2 - e1) / step
     slope = (e1 - e0) / first
     m = e0 * eye + slope * n1 + (pair - slope) / span * n2
+    if not rates.any():  # no diffusion: Q = 0 exactly, and Phi is not needed
+        return np.zeros_like(m), m
     # exp((nu_i + nu_j*) tau) as products of the exp(nu tau)
     values = _phi(nu[:, np.newaxis] + nu.conj(), t, e[:, np.newaxis] * e.conj())
     # Phi = L values L^dag, L the Newton differences on the nodes
@@ -263,16 +273,19 @@ def _covariance_stack(params, lambdas: np.ndarray, tau) -> tuple[np.ndarray, lis
     eigenvalues and/or times from the Newton closed form, and their guards:
     at tau = inf first "not_stable" where the largest Re(lambda), the gain
     to the last bit, is >= 0 (no steady state), then the Hermitian guards
-    of Q and of C.  Overflow reads inf or NaN; its callers run it under
-    np.errstate."""
+    of Q and of C.  C = Q + M M^dag / 2 is formed with the matrix indices
+    leading, as ``_newton_form`` returns them; the defects of Q and C are
+    taken in that layout, and only C's Hermitian part is kept.  Overflow
+    reads inf or NaN; its callers run it under np.errstate."""
     q, m = _newton_form(params, lambdas, tau)
-    both = np.stack([q, q + 0.5 * (m[:, np.newaxis] * m.conj()).sum(axis=2)], -1)
-    hermitian, defects = _hermitian_part(both.transpose(*range(2, both.ndim), 0, 1))
+    c = q + 0.5 * (m[:, np.newaxis] * m.conj()).sum(axis=2)
+    c_dag = c.conj().swapaxes(0, 1)
+    q_defect = _hermitian_defect(q, q.conj().swapaxes(0, 1), (0, 1))
     growing = (lambdas.real.max(axis=-1) >= 0) & np.isinf(tau)
-    return hermitian[..., 1, :, :], [
+    return (0.5 * (c + c_dag)).transpose(*range(2, c.ndim), 0, 1), [
         ("not_stable", growing),
-        *_hermitian_guards(defects[..., 0], HERMITIZE_TOL),
-        *_hermitian_guards(defects[..., 1], HERMITIZE_TOL),
+        *_hermitian_guards(q_defect, HERMITIZE_TOL),
+        *_hermitian_guards(_hermitian_defect(c, c_dag, (0, 1)), HERMITIZE_TOL),
     ]
 
 
@@ -307,8 +320,12 @@ def _van_loan_noise(
     with |A|_1 t <= 1/2 gives M(t) in its upper-left block and
     Q(t) = F12 M(t)^dag from its upper-right block F12.  The step is then
     doubled k times, M(2t) = M(t)^2 and Q(2t) = Q(t) + M(t) Q(t) M(t)^dag,
-    so the decaying block exp(-A^dag t) never spans a long time.  Q and M
-    are NaN where tau has no float step (tau = inf included).
+    so the decaying block exp(-A^dag t) never spans a long time.  Without
+    diffusion (D = 0) Q stays 0 and the doublings square M alone: only the
+    last one updates Q, which is then non-finite exactly when the full
+    recursion's would be, since an M that overflowed stays non-finite when
+    squared.  Q and M are NaN where tau has no float step (tau = inf
+    included).
     """
     n = len(generator)
     if tau == 0:
@@ -326,8 +343,10 @@ def _van_loan_noise(
     exp_block = expm(block)
     m = exp_block[:n, :n]
     q = exp_block[:n, n:] @ _dagger(m)
-    for _ in range(doublings):
-        q = q + m @ q @ _dagger(m)
+    lossy = diffusion.any()
+    for left in range(doublings, 0, -1):
+        if lossy or left == 1:
+            q = q + m @ q @ _dagger(m)
         m = m @ m
     return q, m
 

@@ -10,12 +10,15 @@ decay kappa (">>" read as ">= margin x"):
 
 The asymptotic population formulas are leading order in the large
 parameters and are never substituted for the exact covariance pipeline;
-they exist for cross-checks and quick estimates.  They raise NonFinite
-where a population leaves the float range.
+they exist for cross-checks and quick estimates.  They, the regime
+label, the superradiant roots and the saturation estimates raise
+NonFinite where a number leaves the float range.
 """
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -37,6 +40,30 @@ def _check(valid: bool, name: str, value: float, bound: str) -> None:
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
+def _finite(function):
+    """``function``, raising NonFinite where its numbers leave the float
+    range: past it ``math.exp`` and ``**`` raise OverflowError, a division
+    by a square that underflows to 0 raises ZeroDivisionError, and just
+    inside a product is inf.  The numbers checked are those of the result,
+    a tuple or a dataclass's fields; a label has none."""
+
+    @functools.wraps(function)
+    def checked(*args, **kwargs):
+        try:
+            result = function(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise NonFinite(f"{function.__name__} overflows: {exc}") from exc
+        if isinstance(result, str):
+            return result
+        numbers = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else result
+        if not all(cmath.isfinite(x) for x in numbers if x is not None):
+            raise NonFinite(f"{function.__name__} overflows: {result!r}")
+        return result
+
+    return checked
+
+
+@_finite
 def classify_regime(params: ModelParams, margin: float = 10.0) -> str:
     """Deterministic regime label; ``unclassified`` when no inequality
     chain holds at the given margin."""
@@ -54,6 +81,7 @@ def classify_regime(params: ModelParams, margin: float = 10.0) -> str:
     return UNCLASSIFIED
 
 
+@_finite
 def superradiant_roots(params: ModelParams) -> tuple[complex, complex]:
     """Two slow roots of the bad-cavity reduction of the characteristic
     cubic (the third root decays at the cavity rate and is dropped):
@@ -66,7 +94,10 @@ def superradiant_roots(params: ModelParams) -> tuple[complex, complex]:
     """
     dk = params.delta + 1j * params.kappa
     denom = dk**2 - 1.0 / params.rho**2
-    roots = np.roots([1.0, 1.0 / denom, dk / denom - 1.0 / params.rho**2])
+    coefficients = np.array([1.0, 1.0 / denom, dk / denom - 1.0 / params.rho**2])
+    if not np.isfinite(coefficients).all():  # which np.roots refuses
+        raise NonFinite(f"superradiant_roots overflows: {coefficients!r}")
+    roots = np.roots(coefficients)
     return complex(roots[0]), complex(roots[1])
 
 
@@ -77,23 +108,6 @@ def _require(condition: bool, message: str) -> None:
 
 def _lossless(params: ModelParams) -> bool:
     return params.gamma1 == 0.0 and params.gamma2 == 0.0
-
-
-def _finite(law):
-    """``law``, raising NonFinite where a population leaves the float range:
-    past it ``math.exp`` raises OverflowError, just inside a product is inf."""
-
-    @functools.wraps(law)
-    def checked(*args, **kwargs):
-        try:
-            populations = law(*args, **kwargs)
-        except OverflowError as exc:
-            raise NonFinite(f"{law.__name__} overflows: {exc}") from exc
-        if not all(map(math.isfinite, populations)):
-            raise NonFinite(f"{law.__name__} overflows: {populations!r}")
-        return populations
-
-    return checked
 
 
 @_finite
@@ -202,6 +216,7 @@ class SaturationEstimates:
     valid: bool
 
 
+@_finite
 def saturation_estimates(
     params: ModelParams, atom_number: float, margin: float = 10.0
 ) -> SaturationEstimates:

@@ -54,6 +54,10 @@ EDGE_REQUESTS = (
     ("--rho", "100", "--tau", "1e6"),
     ("--rho", "100", "--tau", "400"),
     ("--rho", "100", "--sweep", "tau:0:2000:50", "--outputs", ALL_OUTPUTS),
+    # a lossless tau sweep, without the noise integral, through C's overflow
+    ("--rho", "100", "--sweep", "tau:400:412:49", "--outputs", ALL_OUTPUTS),
+    # the lossless oracle's doublings overflow M: its noise matrix fails
+    ("--rho", "0.2", "--delta", "-3", "--tau", "1e100", "--oracle"),
     # steady states, and rows without one
     (*FIG5, "--tau", "inf", "--sweep", "delta:-5:10:31", "--outputs", ALL_OUTPUTS),
     (*FIG5, "--tau", "inf", "--sweep", "delta:-5:10:31", "--format", "json"),

@@ -26,6 +26,7 @@ from tricarl import (
     NonFinite,
     NotStable,
     covariance,
+    cubic_roots,
     diffusion_matrix,
     drift_generator,
     mode_observables,
@@ -36,9 +37,10 @@ from tricarl import (
     spectrum,
     steady_state,
 )
-from tricarl.covariance import _covariance_stack, _phi, _van_loan_noise, expm
+from tricarl.covariance import _covariance_stack, _newton_form, _phi, _van_loan_noise, expm
+from tricarl.dynamics import _eigenvalues
 from tricarl.errors import first_failure
-from tricarl.model import ParamStack
+from tricarl.model import ParamStack, derive
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
 IDEAL_SC = ModelParams(rho=100.0, delta=0.0)
@@ -318,7 +320,6 @@ LOSSY_AMPLIFIER = ModelParams(100.0, 0.0, 0.5, 0.5, 0.5)
     [
         (covariance, IDEAL_SC, 408.0, "covariance"),
         (covariance, LOSSY_AMPLIFIER, 3000.0, "covariance"),
-        (q_closed_form, IDEAL_SC, 410.0, "noise matrix"),
         (q_closed_form, LOSSY_AMPLIFIER, 3000.0, "noise matrix"),
         (q_quadrature, LOSSY_AMPLIFIER, 3000.0, "noise matrix"),
         (ode_oracle, IDEAL_SC, 410.0, "covariance"),
@@ -333,6 +334,34 @@ def test_covariance_overflow_raises_non_finite_not_numpy_warnings(function, para
         warnings.simplefilter("error")
         with pytest.raises(NonFinite, match=f"^{what} failed the non_finite guard$"):
             function(params, tau)
+
+
+def test_lossless_noise_matrix_is_exactly_zero_where_phi_overflows():
+    # at tau = 410 the lossless amplifier's M is finite (about 1e155) but
+    # Phi and M M^dag overflow: Q = Phi D is still exactly 0, with D = 0
+    assert np.isfinite(newton_propagator(IDEAL_SC, 410.0)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = q_closed_form(IDEAL_SC, 410.0)
+    assert q.shape == (3, 3) and (q == 0).all()
+
+
+@pytest.mark.parametrize("tau", [0.0, 5.0, 410.0, math.inf])
+def test_newton_form_of_a_lossless_stack_has_an_exactly_zero_q(tau):
+    # no row has diffusion, so Q is 0 without Phi; M is that of the full path
+    # of a stack with a lossy row, whose lossless rows' Q is Phi times D = 0
+    rho, delta = np.array([[0.3], [100.0]]), np.array([-3.0, 0.0, 1.8899212590353163, 8.0])
+    lossless = ParamStack(rho, delta, 0.0, 0.0, 0.0)
+    mixed = ParamStack(rho, delta, 0.0, 0.0, np.array([[0.0], [0.5]]))
+    with np.errstate(all="ignore"):
+        q, m = _newton_form(lossless, spectrum_of(lossless), tau)
+        _, m_mixed = _newton_form(mixed, spectrum_of(mixed), tau)
+    assert q.shape == m.shape == (3, 3, 2, 4) and (q == 0).all()
+    assert m[..., 0, :].tobytes() == m_mixed[..., 0, :].tobytes()
+
+
+def spectrum_of(stack):
+    return _eigenvalues(stack, derive(stack), cubic_roots(stack))
 
 
 def test_steady_state_overflow_raises_non_finite_not_numpy_warnings():
@@ -409,6 +438,26 @@ def test_ode_oracle_without_a_float_step_raises_non_finite():
     assert np.isnan(q).all() and np.isnan(m).all()
     with pytest.raises(NonFinite, match="^noise matrix failed the non_finite guard$"):
         ode_oracle(params, 1e307)
+
+
+@pytest.mark.parametrize("tau", [0.7, 5.0, 1e100])
+def test_van_loan_without_diffusion_squares_m_alone(tau):
+    # D = 0 keeps Q at 0 while M is finite; where the doublings overflow M
+    # (at rho = 0.2, delta = -3 by tau = 1e100) Q's last update is NaN, so
+    # the oracle fails on the noise matrix as the full recursion does
+    params = ModelParams(0.2, -3.0)
+    generator = drift_generator(params)
+    with np.errstate(all="ignore"):
+        q, m = _van_loan_noise(generator, diffusion_matrix(params), tau)
+        q_full, m_full = _van_loan_noise(generator, np.full((3, 3), 1e-300), tau)
+    assert m.tobytes() == m_full.tobytes()
+    if np.isfinite(m).all():
+        assert (q == 0).all()
+        assert np.abs(ode_oracle(params, tau).c - covariance(params, tau).c).max() < 1e-9
+    else:
+        assert np.isnan(q).any() and not np.isfinite(q_full).all()
+        with pytest.raises(NonFinite, match="^noise matrix failed the non_finite guard$"):
+            ode_oracle(params, tau)
 
 
 # lossless rho=100 gain threshold, as in the benchmark's edge ladder

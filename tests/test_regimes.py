@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,26 @@ def test_population_laws_raise_non_finite_on_overflow(law, args, shown):
     # both ends of the float range end in NonFinite, as the cubic's overflow does
     with pytest.raises(NonFinite, match=f"{law.__name__} overflows: {shown}"):
         law(*args)
+
+
+@pytest.mark.parametrize(
+    "function, args, shown",
+    [
+        # kappa**2 and rho**2 leave the float range, 1/rho**2 divides by 0
+        (classify_regime, (ModelParams(1.0, 0.0, kappa=1e200),), "Numerical result out of range"),
+        (saturation_estimates, (ModelParams(1e200, 0.0, kappa=1.0), 1e6), "Numerical result"),
+        (superradiant_roots, (ModelParams(1e-200, 0.0, kappa=1.0),), "float division by zero"),
+        # 1/rho**2 is inf, which np.roots refuses
+        (superradiant_roots, (ModelParams(1e-160, 0.0, kappa=1.0),), r"array\(\["),
+        # rho N overflows to inf in the quantum superradiant photon number
+        (saturation_estimates, (ModelParams(1e5, 0.0, kappa=1e10), 1e305), "max_photons=inf"),
+    ],
+)
+def test_regime_helpers_raise_non_finite_on_overflow(function, args, shown):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match=f"^{function.__name__} overflows: .*{shown}"):
+            function(*args)
 
 
 # ---------------------------------------------------------- saturation estimates

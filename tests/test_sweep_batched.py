@@ -297,6 +297,42 @@ def test_regular_tau_grid_rows_match():
     assert_rows_match(spec, as_rows(run_sweep(spec)))
 
 
+@pytest.mark.parametrize(
+    "axis, start, stop, tau, lossless, other",
+    [
+        # through the overflow of C near tau = 406
+        ("tau", 0.0, 450.0, None, ModelParams(100.0, 0.0), ModelParams(100.0, 3.5)),
+        ("tau", 0.0, 20.0, None, ModelParams(0.3, 1.2), ModelParams(0.3, 3.5)),
+        ("delta", -3.0, 8.0, 5.0, ModelParams(100.0, 0.0), ModelParams(50.0, 0.0)),
+    ],
+)
+def test_lossless_rows_read_alike_without_and_with_the_noise_integral(
+    axis, start, stop, tau, lossless, other, monkeypatch
+):
+    # a block with no diffusion skips Phi (Q = 0); beside a lossy curve on
+    # the same grid the lossless rows take the full path, Q = Phi times
+    # D = 0.  Each block holds two curves, so that both solve a stack of
+    # cubics (one cubic may round the last bit unlike a stack of them)
+    phi_passes = []
+    true_phi = covariance_module._phi
+
+    def counted(*args):
+        phi_passes.append(args[0].shape)
+        return true_phi(*args)
+
+    monkeypatch.setattr(covariance_module, "_phi", counted)
+    lossy = ModelParams(lossless.rho, lossless.delta, 0.5, 0.5, 0.5)
+    specs = [
+        SweepSpec(axis, start, stop, 40, fixed, OUTPUTS, tau=tau)
+        for fixed in (lossless, other, lossy)
+    ]
+    without = as_rows(sweep_module._run(specs[:2]))[:40]
+    assert phi_passes == []
+    with_noise = as_rows(sweep_module._run(specs[::2]))[:40]
+    assert len(phi_passes) == 1
+    assert repr(without) == repr(with_noise)
+
+
 @pytest.mark.parametrize("outputs", [("gain",), ("gain", "n1", "xi12", "class")])
 @pytest.mark.parametrize("axis", ["delta", "tau", "gamma", "kappa"])
 def test_tiny_rho_rows_are_non_finite(axis, outputs):
