@@ -232,9 +232,8 @@ def _newton_form(params, lambdas: np.ndarray, tau) -> tuple[np.ndarray, np.ndarr
     rows = (newton[:, :, np.newaxis] * values).sum(axis=1)
     phi = (rows[:, np.newaxis] * newton.conj()).sum(axis=2)
     # Phi enters Q only through D: rows without losses need no refinement
-    refine = rates.any(axis=0)
-    if refine.any():
-        refine = refine & (size <= 0.1 * np.abs(nu).max(axis=0)) & ((near < 2.0) | np.isinf(t))
+    close = (size <= 0.1 * np.abs(nu).max(axis=0)) & ((near < 2.0) | np.isinf(t))
+    refine = rates.any(axis=0) & close
     if refine.any():
         # the pair's differences, refined, give Phi's last row and column
         nodes = np.broadcast_to(nu, (3,) + refine.shape)[:, refine]

@@ -97,7 +97,7 @@ def physicality(cov: CovarianceState | np.ndarray) -> float:
     guard of ``separability_report`` that the covariance fails."""
     c = _covariance_matrix(cov)
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
-        guards = _hermitian_guards(_test_defects(c)[0], HERMITICITY_TOL)
+        guards = _test_guards(c)[:2]
     raise_failure(guards, "physicality test")
     return float(_physicality_floor(c))
 
@@ -117,6 +117,18 @@ def _test_defects(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     size = np.maximum(np.abs(c2.real), np.abs(c2.imag + _I_EYE))
     excess, size = excess.max(-1), size[..., _BLOCK_ROWS, _BLOCK_COLS].max(-1)
     return excess.max(-1) / size.max(-1), excess / size
+
+
+def _test_guards(c: np.ndarray) -> list:
+    """Ordered guards (see ``_hermitian_guards``) of the Gamma_j test
+    matrices, then of the S_ij ones, of a C from outside the package, which
+    the one-state functions check before they compute on its Hermitian
+    part.  Its callers run it under np.errstate."""
+    gamma_defect, pair_defect = _test_defects(c)
+    return [
+        *_hermitian_guards(gamma_defect, HERMITICITY_TOL),
+        *_hermitian_guards(pair_defect.max(axis=-1), HERMITICITY_TOL),
+    ]
 
 
 def _classes(gamma_min_eigs: np.ndarray, epsilon: float):
@@ -150,40 +162,34 @@ def separability_report(
     cov: CovarianceState | np.ndarray, epsilon: float = 1e-9
 ) -> SeparabilityReport:
     """Run all separability tests on one covariance state; raises the error
-    of the first guard of ``_separability_stack`` that it fails."""
+    of the first guard it fails: the Hermitian guards of its test matrices
+    (``_test_guards``), then those of ``_separability_stack``."""
     c = _covariance_matrix(cov)
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
         gammas, pairs, label, guards = _separability_stack(c, epsilon)
+        guards = _test_guards(c) + guards
     raise_failure(guards, "separability tests")
     return SeparabilityReport(tuple(gammas.tolist()), tuple(pairs.tolist()), label, epsilon)
 
 
 def _separability_stack(c: np.ndarray, epsilon: float):
-    """The separability tests of a (..., 3, 3) stack of covariances (or one).
+    """The separability tests of a (..., 3, 3) stack of covariances (or one),
+    computed on 2H = C + C^dag.
 
     Returns the Gamma_j and S_ij minimum eigenvalues (..., 3) each, the
-    class labels (an object array) and the guards: the Gamma_j guards, the
-    S_ij guards (see ``_hermitian_guards``), then the guard against
-    non-finite Gamma_j minimum eigenvalues.  Where a guard fails, the
-    Gamma_j of the state or that S_ij alone read 0.
+    class labels (an object array) and the guards: non-finite entries of
+    2H, which are zeroed to keep them from ``eigvalsh`` (such a state's
+    minima are finite but mean nothing), then non-finite Gamma_j minimum
+    eigenvalues.  It measures no Hermitian defect: a sweep's C is the
+    exact Hermitian part that ``_covariance_stack`` returns, and the
+    one-state functions check an outside C first (``_test_guards``).
     """
-    gamma_defect, pair_defect = _test_defects(c)
     h2 = c + _dagger(c)
-    usable, pair_usable = gamma_defect <= HERMITICITY_TOL, pair_defect <= HERMITICITY_TOL
-    if usable.all() and pair_usable.all():
-        # every entry of 2C is finite (its Gamma_j defects are), and so is 2H
-        gammas, pairs = _block_minima(h2, _GAMMA_SHIFTS), _pair_minima(h2)
-    else:
-        h2 = np.where(np.isfinite(h2), h2, 0.0)  # kept from eigvalsh; such tests read 0
-        gammas = np.where(usable[..., np.newaxis], _block_minima(h2, _GAMMA_SHIFTS), 0.0)
-        pairs = np.where(pair_usable, _pair_minima(h2), 0.0)
-    labels, finite = _classes(gammas, epsilon)
-    guards = [
-        *_hermitian_guards(gamma_defect, HERMITICITY_TOL),
-        *_hermitian_guards(pair_defect.max(axis=-1), HERMITICITY_TOL),
-        finite,
-    ]
-    return gammas, pairs, labels, guards
+    finite = np.isfinite(h2)
+    h2[~finite] = 0.0
+    gammas, pairs = _block_minima(h2, _GAMMA_SHIFTS), _pair_minima(h2)
+    labels, finite_minima = _classes(gammas, epsilon)
+    return gammas, pairs, labels, [("non_finite", ~finite.all(axis=(-2, -1))), finite_minima]
 
 
 def asymptotic_eta(params: ModelParams, regime: str) -> tuple[float, float]:

@@ -173,35 +173,41 @@ class LabParams:
 
 
 def carl_parameter(lab: LabParams) -> float:
-    """Collective coupling rho from laboratory quantities."""
+    """Collective coupling rho from laboratory quantities.  Raises
+    ValueError ("unphysical laboratory input") unless rho is finite and > 0,
+    also where the formula overflows or divides by an underflowed 0."""
     # CODATA 2022: the reduced Planck constant (J s) and the vacuum permittivity (F/m)
     hbar, epsilon_0 = 6.62607015e-34 / (2.0 * math.pi), 8.8541878188e-12
-    drive = (lab.rabi_frequency / (2.0 * lab.atomic_detuning)) ** (2.0 / 3.0)
-    collective = (
-        lab.pump_frequency
-        * lab.dipole**2
-        * lab.atom_number
-        / (lab.mode_volume * hbar * epsilon_0 * lab.recoil_frequency**2)
-    ) ** (1.0 / 3.0)
-    return drive * collective
+    try:
+        drive = (lab.rabi_frequency / (2.0 * lab.atomic_detuning)) ** (2.0 / 3.0)
+        collective = (
+            lab.pump_frequency
+            * lab.dipole**2
+            * lab.atom_number
+            / (lab.mode_volume * hbar * epsilon_0 * lab.recoil_frequency**2)
+        ) ** (1.0 / 3.0)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"unphysical laboratory input: {exc}") from None
+    rho = drive * collective
+    if not 0 < rho < math.inf:
+        raise ValueError(f"unphysical laboratory input: rho = {rho!r}")
+    return rho
 
 
 def from_lab(lab: LabParams) -> ModelParams:
     """Convert laboratory quantities into the scaled model parameters.
 
     All rates come out divided by rho*omega_r, ready for the scaled-time
-    evolution.  Raises ValueError if the implied rho is not positive.
+    evolution.  Raises ValueError where ``carl_parameter`` does, where the
+    unit rho*omega_r scales a nonzero detuning or cavity loss rate to 0, and
+    (from ``ModelParams``) where it scales one past the float range.
     """
     rho = carl_parameter(lab)
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ValueError(f"unphysical laboratory input: rho = {rho!r}")
     unit = rho * lab.recoil_frequency
+    detuning = lab.pump_frequency - lab.probe_frequency
     # the cavity loss rate (1/s); c = 299792458 m/s exactly
     kappa_si = 299792458.0 * lab.mirror_transmission / (2.0 * lab.cavity_length)
-    return ModelParams(
-        rho=rho,
-        delta=(lab.pump_frequency - lab.probe_frequency) / unit,
-        gamma1=0.0,
-        gamma2=0.0,
-        kappa=kappa_si / unit,
-    )
+    delta, kappa = detuning / unit, kappa_si / unit
+    if (delta == 0) != (detuning == 0) or (kappa == 0) != (kappa_si == 0):
+        raise ValueError(f"unphysical laboratory input: rho*omega_r = {unit!r}")
+    return ModelParams(rho=rho, delta=delta, gamma1=0.0, gamma2=0.0, kappa=kappa)

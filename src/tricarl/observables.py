@@ -30,8 +30,6 @@ _NEGATIVE_FLOOR = -1e-6
 CROSS_PAIRS = ((1, 2), (1, 3), (2, 3))
 _FIRST = np.array([0, 0, 1])  # zero-based modes of CROSS_PAIRS
 _SECOND = np.array([1, 2, 2])
-# the ModeObservables fields, in their order
-_FIELDS = ("n", "var_n", "g2_auto", "g2_cross", "xi", "bunching")
 
 
 def _residue(value) -> np.ndarray:
@@ -41,19 +39,18 @@ def _residue(value) -> np.ndarray:
     return np.abs(value.imag) > _IMAG_RESIDUE * np.fmax(1.0, np.abs(value.real))
 
 
-def _observable_stack(c: np.ndarray, atom_number: float, names=_FIELDS):
-    """The observables ``names`` (all by default) of a (..., 3, 3) stack of
-    covariances, and their guards (see ``first_failure``).
+def _observable_stack(c: np.ndarray, atom_number: float):
+    """Every observable of a (..., 3, 3) stack of covariances, and their
+    guards (see ``first_failure``).
 
-    Returns ``(fields, guards)``.  ``fields`` maps ModeObservables field
-    names, in the order of ``_FIELDS``, to ``(values, defined)`` pairs: the
-    requested ones, n and bunching always, and var_n with xi.  Modes or
+    Returns ``(fields, guards)``.  ``fields`` maps the ModeObservables field
+    names, in their order, to ``(values, defined)`` pairs: modes or
     CROSS_PAIRS run along the last axis, and ``defined`` is False where the
-    vacuum makes a ratio 0/0.  The guards do not depend on ``names``: an
-    imaginary residue on C_ii ("error"), an occupation below the vacuum
-    floor ("negative_occupation"), then a residue on G_iiii = 2 C_ii^2 or
-    on the bunching moment ("error").  Raises ValueError for an
-    ``atom_number`` that is not finite and > 0.
+    vacuum makes a ratio 0/0.  The guards: an imaginary residue on C_ii
+    ("error"), an occupation below the vacuum floor
+    ("negative_occupation"), then a residue on G_iiii = 2 C_ii^2 or on the
+    bunching moment ("error").  Raises ValueError for an ``atom_number``
+    that is not finite and > 0.
 
     Occupations C_ii - 1/2 are clamped at zero.  The number variance
     G_iiii - n - 1/2 - n^2 equals n (n + 1) exactly; the factored form keeps
@@ -72,27 +69,23 @@ def _observable_stack(c: np.ndarray, atom_number: float, names=_FIELDS):
         ("error", _residue(moment)),
     ]
     n = np.maximum(raw, 0.0)
-    fields = {"n": (n, True)}
-    if "var_n" in names or "xi" in names:
-        var = n * (n + 1.0)
-        fields["var_n"] = (var, True)
-    if "g2_auto" in names:
-        auto_defined = ~(n <= ZERO_OCCUPATION)
-        fields["g2_auto"] = (2.0 * n * n / np.where(auto_defined, n * n, 1.0), auto_defined)
-    if "g2_cross" in names or "xi" in names:
-        n_i, n_j = n[..., _FIRST], n[..., _SECOND]
-        cross_sq = np.abs(c[..., _FIRST, _SECOND]) ** 2
-    if "g2_cross" in names:
-        cross_defined = ~((n_i <= ZERO_OCCUPATION) | (n_j <= ZERO_OCCUPATION))
-        ratio = cross_sq / np.where(cross_defined, n_i * n_j, 1.0)
-        fields["g2_cross"] = (1.0 + ratio, cross_defined)
-    if "xi" in names:
-        xi_defined = ~(n_i + n_j <= ZERO_OCCUPATION)
-        xi = (var[..., _FIRST] + var[..., _SECOND] - 2.0 * cross_sq) / np.where(
-            xi_defined, n_i + n_j, 1.0
-        )
-        fields["xi"] = (xi, xi_defined)
-    fields["bunching"] = (moment.real / atom_number, True)
+    var = n * (n + 1.0)
+    auto_defined = ~(n <= ZERO_OCCUPATION)
+    n_i, n_j = n[..., _FIRST], n[..., _SECOND]
+    cross_sq = np.abs(c[..., _FIRST, _SECOND]) ** 2
+    cross_defined = ~((n_i <= ZERO_OCCUPATION) | (n_j <= ZERO_OCCUPATION))
+    xi_defined = ~(n_i + n_j <= ZERO_OCCUPATION)
+    xi = (var[..., _FIRST] + var[..., _SECOND] - 2.0 * cross_sq) / np.where(
+        xi_defined, n_i + n_j, 1.0
+    )
+    fields = {
+        "n": (n, True),
+        "var_n": (var, True),
+        "g2_auto": (2.0 * n * n / np.where(auto_defined, n * n, 1.0), auto_defined),
+        "g2_cross": (1.0 + cross_sq / np.where(cross_defined, n_i * n_j, 1.0), cross_defined),
+        "xi": (xi, xi_defined),
+        "bunching": (moment.real / atom_number, True),
+    }
     return fields, guards
 
 

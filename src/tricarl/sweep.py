@@ -14,7 +14,8 @@ Every row takes the same closed form, the exceptional points and tau = inf
 included.  Each kernel returns its guards as per-row masks, not a status.
 A row's status is the code of the first guard it fails in pipeline order:
 non-finite roots, the covariance's ("not_stable" at tau = inf, where a
-mode does not decay, first), the observables', the separability tests',
+mode does not decay, first), the observables', the separability tests'
+(which take C as the exact Hermitian part the covariance kernel returns),
 and last, in a sweep, a non-finite requested cell; one ``first_failure``
 per block (``_table``) or ``raise_failure`` per point report
 (``evolve_point``) decides it.  Sweeps are (curves, points) blocks of up
@@ -46,7 +47,7 @@ from .dynamics import _eigenvalues, cubic_coefficients, cubic_roots, gain, solve
 from .entanglement import _physicality_floor, _separability_stack, physicality, separability_report
 from .errors import InvalidSpec, NonFinite, first_failure, raise_failure
 from .model import ModelParams, ParamStack, derive
-from .observables import _FIELDS, CROSS_PAIRS, _defined_cells, _observable_stack, mode_observables
+from .observables import CROSS_PAIRS, _defined_cells, _observable_stack, mode_observables
 from .presets import PRESETS
 
 # the stages of a pass, in pipeline order; a pass runs them up to the last
@@ -183,18 +184,14 @@ def _stack(specs, values: np.ndarray) -> tuple[ParamStack, np.ndarray | float | 
     return ParamStack(**fields), tau
 
 
-def _pass(
-    params, roots, tau, outputs, atom_number: float, epsilon: float, observable_names=None
-) -> tuple[dict, list]:
+def _pass(params, roots, tau, outputs, atom_number: float, epsilon: float) -> tuple[dict, list]:
     """The pipeline on a stack of rows (or one), from their cubic roots
     (solved here where ``roots`` is None) as far as ``outputs`` need: the
     computed fields as (values, defined) pairs, C as "covariance", and the
     kernels' guards in pipeline order (roots, covariance, observables,
     separability; see the module notes), from which the caller decides
     each row's status in one call.  The eigenvalues are formed once, from
-    the roots and ``derive``.  The observable fields computed are
-    ``observable_names``, by default those that ``outputs`` read; their
-    guards run whatever is asked.  Overflow reads inf or NaN, which the
+    the roots and ``derive``.  Overflow reads inf or NaN, which the
     guards and the callers report, never a numpy warning.  A bad
     ``atom_number`` or ``epsilon`` raises ValueError, before any status is
     decided."""
@@ -209,11 +206,9 @@ def _pass(
         if "gain" in outputs:
             fields["gain"] = (gain(roots, derived.gamma_plus), finite)
         if last >= _OBSERVABLES:
-            if observable_names is None:
-                observable_names = [_REGISTRY[name][1] for name in outputs]
             lambdas = _eigenvalues(params, derived, roots)
             c, c_guards = _covariance_stack(params, lambdas, tau)
-            observables, obs_guards = _observable_stack(c, atom_number, observable_names)
+            observables, obs_guards = _observable_stack(c, atom_number)
             guards += c_guards + obs_guards
             fields.update(covariance=(c, True), **observables)
         if last == _SEPARABILITY:
@@ -331,7 +326,7 @@ def evolve_point(
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
     roots = cubic_roots(params)
-    fields, guards = _pass(params, roots, tau, OUTPUTS, atom_number, epsilon, _FIELDS)
+    fields, guards = _pass(params, roots, tau, OUTPUTS, atom_number, epsilon)
     raise_failure(guards, "point report")
     names = "covariance", "gain", "gammas", "pairs", "class"
     c, growth, gammas, pairs, label = (fields.pop(name)[0] for name in names)
@@ -345,7 +340,7 @@ def evolve_point(
             "class": label,
             "epsilon": epsilon,
         },
-        # past the status, 2C is finite: the floor's blocks cannot overflow
+        # past the status, 2H = C + C^dag is finite, as the floor's blocks are
         "physicality": float(_physicality_floor(c)),
     }
     if oracle:

@@ -12,8 +12,9 @@ this process, then one digest over all of them.  The requests are
   cubic and of the covariance, a steady-state sweep with rows that have
   none, and refused specifications.
 
-A few library calls whose errors the command line cannot reach are
-digested alike, with exit code 1 and ``<class>: <message>`` as stderr
+A few library calls whose errors the command line cannot reach (among
+them the one-state functions on the corrupted covariances of
+``test_sweep_batched.py``) are digested alike, with exit code 1 and ``<class>: <message>`` as stderr
 where they raise, the repr of their result as stdout where they return.
 A numpy warning raised during a request is appended to its stderr.
 
@@ -122,10 +123,26 @@ def library_calls():
     """(label, call) of the library calls whose errors the CLI cannot reach."""
     import numpy as np
 
+    from test_sweep_batched import corrupted_covariances
     from tricarl import ModelParams, mode_observables, ode_oracle, physicality
     from tricarl import separability_report
 
-    return [
+    # a finite Hermitian C whose 2H = C + C^dag overflows
+    overflowing = 0.5 * np.eye(3, dtype=complex)
+    overflowing[0, 0] = 1.5e308
+    facades = {
+        "mode_observables": mode_observables,
+        "separability_report": separability_report,
+        "physicality": physicality,
+    }
+    states = [(f"corrupted {k}", c) for k, (c, _, _) in enumerate(corrupted_covariances())]
+    states.append(("C_11=1.5e308", overflowing))
+    calls = [
+        (f"{name}({label})", lambda facade=facade, c=c: facade(c))
+        for label, c in states
+        for name, facade in facades.items()
+    ]
+    return calls + [
         ("mode_observables(eye(2))", lambda: mode_observables(np.eye(2))),
         ("separability_report(eye(2))", lambda: separability_report(np.eye(2))),
         ("physicality(eye(2))", lambda: physicality(np.eye(2))),

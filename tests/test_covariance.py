@@ -364,6 +364,34 @@ def spectrum_of(stack):
     return _eigenvalues(stack, derive(stack), cubic_roots(stack))
 
 
+@st.composite
+def covariance_stacks(draw):
+    """A (curves, 1) parameter stack, lossless, lossy or mixed, whose
+    detunings include the delta* ladder, and a tau axis that includes 0,
+    times past C's overflow and inf (a steady state on stable rows)."""
+    kind = draw(st.sampled_from(("lossless", "lossy", "mixed")))
+    ladder = st.sampled_from(EDGE_OFFSETS).map(lambda offset: DELTA_STAR + offset)
+    rows = []
+    for k in range(draw(st.integers(2 if kind == "mixed" else 1, 4))):
+        lossy = kind == "lossy" or (kind == "mixed" and k % 2 == 1)
+        rates = [draw(st.floats(0.01, 2.0)) if lossy else 0.0 for _ in range(3)]
+        rows.append((draw(st.floats(0.05, 200.0)), draw(st.floats(-8.0, 8.0) | ladder), *rates))
+    params = ParamStack(*(np.array(column)[:, np.newaxis] for column in zip(*rows)))
+    times = st.just(0.0) | st.floats(0.0, 10.0) | st.floats(10.0, 5000.0) | st.just(math.inf)
+    return params, np.array(draw(st.lists(times, min_size=1, max_size=6)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(covariance_stacks())
+def test_covariance_stack_returns_an_exactly_hermitian_c(stack):
+    # the separability kernel takes C as Hermitian and measures no defect
+    params, tau = stack
+    with np.errstate(all="ignore"):
+        c, _ = _covariance_stack(params, spectrum_of(params), tau)
+    finite = c[np.isfinite(c).all(axis=(-2, -1))]
+    assert np.array_equal(finite, finite.conj().swapaxes(-1, -2))
+
+
 def test_steady_state_overflow_raises_non_finite_not_numpy_warnings():
     # a cavity loss of 1e250 against detuning 1e100 overflows the closed
     # form's products at tau = inf

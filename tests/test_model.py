@@ -95,6 +95,36 @@ def _fixture_lab(**overrides):
     return LabParams(**fields)
 
 
+@pytest.mark.parametrize(
+    "overrides, rho_fails",
+    [
+        # the numerator of the collective factor overflows (OverflowError)
+        (dict(dipole=1e200), True),
+        # its denominator underflows to 0 (ZeroDivisionError)
+        (dict(recoil_frequency=1e-200), True),
+        (dict(mode_volume=1e-300), True),
+        # the drive factor underflows: rho = 0
+        (dict(rabi_frequency=1e-300, atomic_detuning=1e300), True),
+        # rho is finite but rho * omega_r overflows, which scaled the
+        # detuning and the 1e-4 mirror's loss rate to delta = kappa = 0
+        (
+            dict(rabi_frequency=1e300, atomic_detuning=1e-5, recoil_frequency=1e100,
+                 atom_number=1e300),
+            False,
+        ),
+    ],
+)
+def test_from_lab_rejects_input_that_leaves_the_float_range(overrides, rho_fails):
+    lab = _fixture_lab(**overrides)
+    if rho_fails:
+        with pytest.raises(ValueError, match="^unphysical laboratory input"):
+            carl_parameter(lab)
+    else:
+        assert 0 < carl_parameter(lab) < math.inf
+    with pytest.raises(ValueError, match="^unphysical laboratory input"):
+        from_lab(lab)
+
+
 def test_from_lab_zero_detuning():
     lab = _fixture_lab(probe_frequency=2.4e15)
     assert from_lab(lab).delta == 0.0

@@ -124,11 +124,11 @@ def extreme_stacks(draw):
 @given(extreme_stacks())
 def test_stacked_kernels_keep_lapack_off_non_finite_input(c):
     # batched eigvalsh raises LinAlgError on most NaN or inf entries, for the
-    # whole stack: the guards of _separability_stack zero those entries before
-    # its one LAPACK call, and a sweep has no per-row path around a raise
+    # whole stack: _separability_stack zeroes those entries of 2H before its
+    # one LAPACK call, and a sweep has no per-row path around a raise
     with np.errstate(all="ignore"):
         gammas, _, _, _ = _separability_stack(c, 1e-9)
         assert np.isfinite(gammas).all()
-        # a point report asks for the floor only where 2C is finite
-        finite = np.isfinite(2.0 * c).all(axis=(-2, -1))
+        # a point report asks for the floor only where 2H = C + C^dag is finite
+        finite = np.isfinite(c + np.conj(np.swapaxes(c, -1, -2))).all(axis=(-2, -1))
         assert np.isfinite(_physicality_floor(c[finite])).all()

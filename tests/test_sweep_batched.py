@@ -55,7 +55,12 @@ from tricarl import (
     steady_state,
 )
 from tricarl.covariance import HERMITIZE_TOL, _hermitian_guards, _hermitian_part
-from tricarl.entanglement import HERMITICITY_TOL, _separability_stack, _test_defects
+from tricarl.entanglement import (
+    HERMITICITY_TOL,
+    _separability_stack,
+    _test_defects,
+    _test_guards,
+)
 from tricarl.errors import NonFinite, NotHermitian, NotStable, first_failure
 from tricarl.observables import _defined_cells, _observable_stack
 from tricarl.presets import PRESETS
@@ -67,6 +72,7 @@ FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
 
 # the package attribute tricarl.covariance is the function of that name
 covariance_module = importlib.import_module("tricarl.covariance")
+entanglement_module = importlib.import_module("tricarl.entanglement")
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -460,12 +466,18 @@ def raised_code(fn, *args):
     return "ok"
 
 
+def separability_guards(stack):
+    """The guards that ``separability_report`` decides on a C from outside
+    the package: its test matrices' Hermitian guards, then the kernel's."""
+    return _test_guards(stack) + _separability_stack(stack, 1e-9)[-1]
+
+
 def test_batched_guards_flag_what_the_single_state_path_rejects():
     cases = corrupted_covariances()
     stack = np.array([c for c, _, _ in cases])
     with np.errstate(all="ignore"):
         obs_status = first_failure(*_observable_stack(stack, 1e6)[1])
-        sep_status = first_failure(*_separability_stack(stack, 1e-9)[-1])
+        sep_status = first_failure(*separability_guards(stack))
         assert obs_status.tolist() == [status for _, status, _ in cases]
         assert sep_status.tolist() == [status for _, _, status in cases]
         # the one-state functions raise the error class of that status;
@@ -479,18 +491,6 @@ def test_batched_guards_flag_what_the_single_state_path_rejects():
     # raise: all but the last case, which fails on S_12's scale alone
     gamma_status = sep_status.tolist()[:-1] + ["ok"]
     assert [raised_code(physicality, c) for c, _, _ in cases] == gamma_status
-
-
-def test_a_failing_pair_reads_zero_alone():
-    # a defect of 1e-5 on C_12 is 1e-9 of the Gamma_j scale 2 C_33 but 1e-5
-    # of S_12's: only S_12 reads 0, and the state reports not_hermitian
-    c = SPREAD.copy()
-    c[0, 1] += 1e-5
-    gammas, pairs, _, guards = _separability_stack(c, 1e-9)
-    assert first_failure(*guards) == "not_hermitian"
-    assert gammas == pytest.approx([0.15302381, 0.15302381, 0.19473894], abs=1e-8)
-    assert pairs == pytest.approx([0.0, 0.2, 0.4], abs=1e-10)
-    assert pairs[0] == 0.0
 
 
 # valid covariances to corrupt: vacuum, lossy evolved states, and a lossless
@@ -603,7 +603,7 @@ def test_guard_order_over_random_corruptions(cs):
         guards = {
             "covariance": [*_hermitian_guards(defect, HERMITIZE_TOL)],
             "observables": _observable_stack(stack, 1e6)[1],
-            "separability": _separability_stack(stack, 1e-9)[-1],
+            "separability": separability_guards(stack),
         }
         for kernel, kernel_guards in guards.items():
             status = first_failure(*kernel_guards)
@@ -631,10 +631,13 @@ def test_guard_order_over_random_corruptions(cs):
                 overflow = [("non_finite", overflowed_cell(c))] if kernel == "observables" else []
                 want.append(first_code(p[kernel] + overflow))
             assert [raised_code(fn, c) for c in cs] == want, kernel
-        # a point report handed each C past the covariance guards raises the
-        # class of its first failure along the remaining checks
-        for c, p in zip(cs, predicates):
-            with mock.patch.object(sweep_module, "_covariance_stack", return_value=(c, [])):
+        # a point report handed the exact Hermitian part of each C, as
+        # _covariance_stack returns it, past the covariance guards raises
+        # the class of its first failure along the remaining checks
+        for c in cs:
+            h = _hermitian_part(c)[0]
+            p = guard_predicates(h)
+            with mock.patch.object(sweep_module, "_covariance_stack", return_value=(h, [])):
                 got = raised_code(sweep_module.evolve_point, FIG5, 1.0)
             assert got == first_code(p["observables"] + p["separability"] + p["physicality"])
 
@@ -650,6 +653,43 @@ def test_guard_defects_equal_those_of_the_test_matrices(cs):
     gamma_defect = np.broadcast_to(gamma_defect[:, np.newaxis], gammas.shape)
     np.testing.assert_array_equal(gamma_defect, gammas)
     np.testing.assert_array_equal(pair_defect, pairs)
+
+
+def test_an_overflowing_2h_reads_non_finite_alone():
+    # C is finite and Hermitian, but C_11 = 1.5e308 overflows 2H = C + C^dag;
+    # eigvalsh sees that entry zeroed, so only the 2H guard reads the row
+    good = covariance(FIG5, 2.0).c
+    big = 0.5 * np.eye(3, dtype=complex)
+    big[0, 0] = 1.5e308
+    with np.errstate(all="ignore"):
+        gammas, pairs, labels, guards = _separability_stack(np.array([good, big]), 1e-9)
+        alone = _separability_stack(good, 1e-9)
+    assert first_failure(*guards).tolist() == ["ok", "non_finite"]
+    assert gammas[0].tobytes() == alone[0].tobytes()
+    assert pairs[0].tobytes() == alone[1].tobytes()
+    assert labels[0] == alone[2]
+    with pytest.raises(NonFinite):
+        separability_report(big)
+    with pytest.raises(NonFinite):
+        physicality(big)
+
+
+def test_only_the_one_state_functions_measure_hermitian_defects(monkeypatch):
+    # a pass computes on the exact Hermitian part that _covariance_stack
+    # returns; only separability_report and physicality check a C from outside
+    def refuse(c):
+        raise AssertionError("a Hermitian defect was measured")
+
+    monkeypatch.setattr(entanglement_module, "_test_defects", refuse)
+    for preset_id in PRESETS:
+        run_preset(figure_preset(preset_id))
+    run_sweep(SweepSpec("tau", 0.0, 5.0, 11, FIG5, OUTPUTS))
+    sweep_module.evolve_point(FIG5, 2.0, oracle=True)
+    sweep_module.evolve_point(FIG5, math.inf)
+    state = covariance(FIG5, 2.0)
+    for facade in (separability_report, physicality):
+        with pytest.raises(AssertionError, match="Hermitian defect"):
+            facade(state)
 
 
 def test_point_report_failure_order():
