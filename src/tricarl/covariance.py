@@ -87,11 +87,11 @@ def _hermitian_defect(matrix: np.ndarray, m_dag: np.ndarray, axes=(-2, -1)) -> n
 
 
 def _hermitian_part(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M + M^dag)/2 of each matrix in a (..., n, n) stack, and its defect
-    (``_hermitian_defect``)."""
+    """(M + M^dag)/2 of each matrix in a (..., n, n) stack, halved first so
+    that no finite entry overflows, and its defect (``_hermitian_defect``)."""
     matrix = np.asarray(matrix, dtype=complex)
     m_dag = _dagger(matrix)
-    return 0.5 * (matrix + m_dag), _hermitian_defect(matrix, m_dag)
+    return 0.5 * matrix + 0.5 * m_dag, _hermitian_defect(matrix, m_dag)
 
 
 def _hermitian_guards(defect, tol: float) -> tuple:
@@ -159,20 +159,23 @@ def _pair_noise(nu, e, phi, pair, tau):
     exact differences of -1/x).  Where a denominator is below 1/tau this
     split cancels, and 16-point Gauss-Legendre in s of integral_0^tau
     exp(x s) (expm1(eps s)/eps)^(1 or 2) ds, whose exponents are then all
-    below about 5/tau, takes over.
+    below about 5/tau, takes over; where no row's split cancels, the
+    quadrature is not formed.
     """
     nu0, nu1, nu2 = nu
     eps = nu2 - nu1
     x = np.array([nu1 + nu0.conj(), 2.0 * nu1.real])
     r = (e.conj() * pair - phi) / (x + eps)
     r2 = ((pair * pair.conj()).real - 2.0 * r[1].real) / (x[1] + 2.0 * eps.real)
+    near = np.abs(x + eps) * tau < 1.0
+    near2 = near[1] | (np.abs(x[1] + 2.0 * eps.real) * tau < 1.0)
+    if not (near.any() or near2.any()):
+        return r, r2
     s = tau[:, np.newaxis] * _GAUSS_NODES
     # expm1(eps s)/eps; a step of 1e-200 gives its limit s at eps = 0 to the last bit
     step = (eps + 1e-200 * (eps == 0))[:, np.newaxis]
     growth = np.expm1(step * s) / step
     weights = tau[:, np.newaxis] * _GAUSS_WEIGHTS * growth * np.exp(x[..., np.newaxis] * s)
-    near = np.abs(x + eps) * tau < 1.0
-    near2 = near[1] | (np.abs(x[1] + 2.0 * eps.real) * tau < 1.0)
     r = np.where(near, weights.sum(axis=-1), r)
     return r, np.where(near2, (weights[1] * growth.conj()).sum(axis=-1), r2)
 
@@ -271,16 +274,22 @@ def _covariance_stack(params, lambdas: np.ndarray, tau) -> tuple[np.ndarray, lis
     """Covariances for a stack of parameter sets (or one) with their
     eigenvalues and/or times from the Newton closed form, and their guards:
     at tau = inf first "not_stable" where the largest Re(lambda), the gain
-    to the last bit, is >= 0 (no steady state), then the Hermitian guards
-    of Q and of C.  C = Q + M M^dag / 2 is formed with the matrix indices
-    leading, as ``_newton_form`` returns them; the defects of Q and C are
-    taken in that layout, and only C's Hermitian part is kept.  Overflow
-    reads inf or NaN; its callers run it under np.errstate."""
+    to the last bit, is >= 0 (no steady state; the reduction is taken only
+    when some row has tau = inf), then the Hermitian guards of Q and of C.
+    C = Q + M M^dag / 2 is formed with the matrix indices leading, as
+    ``_newton_form`` returns them; the defects of Q and C are taken in that
+    layout, and only C's exact Hermitian part (C + C^dag)/2 is kept.  An
+    entry above about 9e307 overflows that sum, as it does 2H, and reads
+    inf or NaN, which the separability tests' 2H guard and a requested
+    cell report.  Overflow reads inf or NaN; its callers run it under
+    np.errstate."""
     q, m = _newton_form(params, lambdas, tau)
     c = q + 0.5 * (m[:, np.newaxis] * m.conj()).sum(axis=2)
     c_dag = c.conj().swapaxes(0, 1)
     q_defect = _hermitian_defect(q, q.conj().swapaxes(0, 1), (0, 1))
-    growing = (lambdas.real.max(axis=-1) >= 0) & np.isinf(tau)
+    growing = np.isinf(tau)
+    if growing.any():
+        growing = growing & (lambdas.real.max(axis=-1) >= 0)
     return (0.5 * (c + c_dag)).transpose(*range(2, c.ndim), 0, 1), [
         ("not_stable", growing),
         *_hermitian_guards(q_defect, HERMITIZE_TOL),

@@ -9,7 +9,7 @@ conversion from SI laboratory quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 
@@ -51,14 +51,9 @@ class ModelParams:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict[str, float]:
-        """JSON-serializable record with exactly the canonical field names."""
-        return {
-            "rho": self.rho,
-            "delta": self.delta,
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "kappa": self.kappa,
-        }
+        """JSON-serializable record with exactly the canonical field names,
+        in their order."""
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, record: dict) -> "ModelParams":
@@ -150,18 +145,8 @@ class LabParams:
     probe_frequency: float
 
     def __post_init__(self) -> None:
-        positive = (
-            "rabi_frequency",
-            "atomic_detuning",
-            "pump_frequency",
-            "recoil_frequency",
-            "atom_number",
-            "mode_volume",
-            "dipole",
-            "cavity_length",
-            "probe_frequency",
-        )
-        for name in positive:
+        # every field but the transmission is a positive quantity
+        for name in (f.name for f in fields(self) if f.name != "mirror_transmission"):
             value = getattr(self, name)
             _require_finite(name, value)
             if value <= 0:

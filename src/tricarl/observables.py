@@ -39,18 +39,35 @@ def _residue(value) -> np.ndarray:
     return np.abs(value.imag) > _IMAG_RESIDUE * np.fmax(1.0, np.abs(value.real))
 
 
-def _observable_stack(c: np.ndarray, atom_number: float):
-    """Every observable of a (..., 3, 3) stack of covariances, and their
-    guards (see ``first_failure``).
+def _vacuum_floor(c: np.ndarray) -> tuple:
+    """The guard of a (..., 3, 3) stack of covariances against occupations
+    C_ii - 1/2 below the vacuum floor; every pass with a state output runs it."""
+    raw = np.diagonal(c, axis1=-2, axis2=-1).real - 0.5
+    return "negative_occupation", (raw < _NEGATIVE_FLOOR).any(axis=-1)
 
-    Returns ``(fields, guards)``.  ``fields`` maps the ModeObservables field
-    names, in their order, to ``(values, defined)`` pairs: modes or
-    CROSS_PAIRS run along the last axis, and ``defined`` is False where the
-    vacuum makes a ratio 0/0.  The guards: an imaginary residue on C_ii
-    ("error"), an occupation below the vacuum floor
-    ("negative_occupation"), then a residue on G_iiii = 2 C_ii^2 or on the
-    bunching moment ("error").  Raises ValueError for an ``atom_number``
+
+def _observable_guards(c: np.ndarray) -> list:
+    """Ordered guards of the observables of a C from outside the package: an
+    imaginary residue on C_ii ("error"), the vacuum floor, then a residue on
+    G_iiii = 2 C_ii^2 or on the bunching moment ("error").  A pass's C, an
+    exact Hermitian part, has no residue: those parts are 0, or NaN."""
+    diag = np.diagonal(c, axis1=-2, axis2=-1)
+    return [
+        ("error", _residue(diag).any(axis=-1)),
+        _vacuum_floor(c),
+        ("error", _residue(2.0 * (diag * diag)).any(axis=-1)),
+        ("error", _residue(c[..., 0, 0] + c[..., 1, 1] + c[..., 0, 1] + c[..., 1, 0])),
+    ]
+
+
+def _observable_stack(c: np.ndarray, atom_number: float) -> dict:
+    """Every observable of a (..., 3, 3) stack of covariances, whose guards
+    are ``_observable_guards``.  Raises ValueError for an ``atom_number``
     that is not finite and > 0.
+
+    Maps the ModeObservables field names, in their order, to
+    ``(values, defined)`` pairs: modes or CROSS_PAIRS run along the last
+    axis, and ``defined`` is False where the vacuum makes a ratio 0/0.
 
     Occupations C_ii - 1/2 are clamped at zero.  The number variance
     G_iiii - n - 1/2 - n^2 equals n (n + 1) exactly; the factored form keeps
@@ -59,16 +76,8 @@ def _observable_stack(c: np.ndarray, atom_number: float):
     """
     if not 0 < atom_number < np.inf:
         raise ValueError(f"atom_number must be finite and > 0, got {atom_number!r}")
-    diag = np.diagonal(c, axis1=-2, axis2=-1)
-    raw = diag.real - 0.5
+    n = np.maximum(np.diagonal(c, axis1=-2, axis2=-1).real - 0.5, 0.0)
     moment = c[..., 0, 0] + c[..., 1, 1] + c[..., 0, 1] + c[..., 1, 0]
-    guards = [
-        ("error", _residue(diag).any(axis=-1)),
-        ("negative_occupation", (raw < _NEGATIVE_FLOOR).any(axis=-1)),
-        ("error", _residue(2.0 * (diag * diag)).any(axis=-1)),
-        ("error", _residue(moment)),
-    ]
-    n = np.maximum(raw, 0.0)
     var = n * (n + 1.0)
     auto_defined = ~(n <= ZERO_OCCUPATION)
     n_i, n_j = n[..., _FIRST], n[..., _SECOND]
@@ -78,7 +87,7 @@ def _observable_stack(c: np.ndarray, atom_number: float):
     xi = (var[..., _FIRST] + var[..., _SECOND] - 2.0 * cross_sq) / np.where(
         xi_defined, n_i + n_j, 1.0
     )
-    fields = {
+    return {
         "n": (n, True),
         "var_n": (var, True),
         "g2_auto": (2.0 * n * n / np.where(auto_defined, n * n, 1.0), auto_defined),
@@ -86,7 +95,6 @@ def _observable_stack(c: np.ndarray, atom_number: float):
         "xi": (xi, xi_defined),
         "bunching": (moment.real / atom_number, True),
     }
-    return fields, guards
 
 
 @dataclass(frozen=True)
@@ -109,12 +117,13 @@ def mode_observables(
     cov: CovarianceState | np.ndarray, atom_number: float = 1e6
 ) -> ModeObservables:
     """Evaluate every scalar observable of one covariance, mapping undefined
-    ones to None; raises the error of the first guard of
-    ``_observable_stack`` that the covariance fails, then NonFinite where
-    a defined observable is inf or NaN."""
+    ones to None.  Raises ValueError for a bad ``atom_number``, the error of
+    the first guard of ``_observable_guards`` that the covariance fails,
+    then NonFinite where a defined observable is inf or NaN."""
     c = _covariance_matrix(cov)
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
-        fields, guards = _observable_stack(c, atom_number)
+        fields = _observable_stack(c, atom_number)
+        guards = _observable_guards(c)
     raise_failure(guards, "covariance")
     bad = [name for name, (value, ok) in fields.items() if not np.isfinite(value[ok]).all()]
     if bad:

@@ -8,23 +8,28 @@ status column, and undefined observables (vacuum 0/0) stay empty.
 
 Every row, of a sweep, a preset or a point report (``evolve_point``, one
 row), is one pass of stacked kernels (``_pass``): cubic roots, the gain
-where asked, covariance, observables and separability tests, run only as
-far along this pipeline as the requested outputs need (``_REGISTRY``).
-Every row takes the same closed form, the exceptional points and tau = inf
-included.  Each kernel returns its guards as per-row masks, not a status.
-A row's status is the code of the first guard it fails in pipeline order:
-non-finite roots, the covariance's ("not_stable" at tau = inf, where a
-mode does not decay, first), the observables', the separability tests'
-(which take C as the exact Hermitian part the covariance kernel returns),
-and last, in a sweep, a non-finite requested cell; one ``first_failure``
-per block (``_table``) or ``raise_failure`` per point report
-(``evolve_point``) decides it.  Sweeps are (curves, points) blocks of up
-to ``_CHUNK_ROWS`` rows: a preset stacks consecutive curves that share
-their points, tau, atom number and epsilon, a longer curve is split along
-its points, and a tau axis solves one cubic per curve.  A block is one
-pass and one table.  Its one LAPACK call, the batched ``eigvalsh`` of the
-separability tests, sees only finite entries; should it raise all the
-same, its error ends the whole run.
+where asked, covariance, observables and separability tests, each stage
+run only when a requested output belongs to it (``_REGISTRY``; the
+covariance for any state output), so a separability-only pass computes
+no observable.  Every row takes the same closed form, the exceptional
+points and tau = inf included.  Each kernel returns its guards as per-row
+masks, not a status.  A row's status is the code of the first guard it
+fails in pipeline order: non-finite roots, the covariance's ("not_stable"
+at tau = inf, where a mode does not decay, first), the vacuum floor, the
+separability tests', and last, in a sweep, a non-finite requested cell;
+one ``first_failure`` per block (``_table``) or ``raise_failure`` per
+point report (``evolve_point``) decides it.  The stages after the
+covariance take C as the exact Hermitian part that it returns, so the
+separability tests measure no Hermitian defect and the observables'
+residue guards, which ``mode_observables`` runs, could not fail here.
+
+Sweeps are (curves, points) blocks of up to ``_CHUNK_ROWS`` rows: a
+preset stacks consecutive curves that share their points, tau, atom
+number and epsilon, a longer curve is split along its points, and a tau
+axis solves one cubic per curve.  A block is one pass and one table.  Its
+one LAPACK call, the batched ``eigvalsh`` of the separability tests, sees
+only finite entries; should it raise all the same, its error ends the
+whole run.
 
 Figure presets are data: ``presets.PRESETS`` maps each id to a description
 and one (label, SweepSpec fields) pair per curve, and ``figure_preset``
@@ -47,11 +52,17 @@ from .dynamics import _eigenvalues, cubic_coefficients, cubic_roots, gain, solve
 from .entanglement import _physicality_floor, _separability_stack, physicality, separability_report
 from .errors import InvalidSpec, NonFinite, first_failure, raise_failure
 from .model import ModelParams, ParamStack, derive
-from .observables import CROSS_PAIRS, _defined_cells, _observable_stack, mode_observables
+from .observables import (
+    CROSS_PAIRS,
+    _defined_cells,
+    _observable_stack,
+    _vacuum_floor,
+    mode_observables,
+)
 from .presets import PRESETS
 
-# the stages of a pass, in pipeline order; a pass runs them up to the last
-# one its outputs need (the covariance runs with its observables' guards)
+# the stages of a pass, in pipeline order; a pass runs the covariance for any
+# state output and each stage only for its own outputs (see ``_pass``)
 _ROOTS, _OBSERVABLES, _SEPARABILITY = range(3)
 _PAIR_NAMES = [f"{i}{j}" for i, j in CROSS_PAIRS]
 # output name -> (stage, field, index): the stage that computes the output,
@@ -80,8 +91,8 @@ _CHUNK_ROWS = 1024
 _BLOCK_KEY = operator.attrgetter("axis", "outputs", "points", "tau", "atom_number", "epsilon")
 
 
-def _last_stage(outputs) -> int:
-    return max(_REGISTRY[name][0] for name in outputs)
+def _stages(outputs) -> set:
+    return {_REGISTRY[name][0] for name in outputs}
 
 
 @dataclass(frozen=True)
@@ -118,7 +129,7 @@ class SweepSpec:
         repeated = sorted({name for name in self.outputs if self.outputs.count(name) > 1})
         if repeated:
             raise InvalidSpec(f"outputs repeat {repeated}; name each output once")
-        if self.axis != "tau" and self.tau is None and _last_stage(self.outputs) > _ROOTS:
+        if self.axis != "tau" and self.tau is None and _stages(self.outputs) != {_ROOTS}:
             raise InvalidSpec("state observables on a non-tau axis require tau")
         if self.tau is not None and not self.tau >= 0:
             raise InvalidSpec(f"tau must be >= 0, got {self.tau!r}")
@@ -138,17 +149,7 @@ class SweepSpec:
         return 2.0 * np.linspace(0.5 * self.start, 0.5 * self.stop, self.points)
 
     def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "start": self.start,
-            "stop": self.stop,
-            "points": self.points,
-            "fixed": self.fixed.to_dict(),
-            "outputs": list(self.outputs),
-            "tau": self.tau,
-            "atom_number": self.atom_number,
-            "epsilon": self.epsilon,
-        }
+        return {**vars(self), "fixed": self.fixed.to_dict(), "outputs": list(self.outputs)}
 
     @classmethod
     def from_dict(cls, record: dict) -> "SweepSpec":
@@ -186,16 +187,18 @@ def _stack(specs, values: np.ndarray) -> tuple[ParamStack, np.ndarray | float | 
 
 def _pass(params, roots, tau, outputs, atom_number: float, epsilon: float) -> tuple[dict, list]:
     """The pipeline on a stack of rows (or one), from their cubic roots
-    (solved here where ``roots`` is None) as far as ``outputs`` need: the
+    (solved here where ``roots`` is None), each stage run only for its own
+    outputs (``_REGISTRY``), the covariance for any state output: the
     computed fields as (values, defined) pairs, C as "covariance", and the
-    kernels' guards in pipeline order (roots, covariance, observables,
+    guards in pipeline order (roots, covariance, vacuum floor,
     separability; see the module notes), from which the caller decides
     each row's status in one call.  The eigenvalues are formed once, from
-    the roots and ``derive``.  Overflow reads inf or NaN, which the
-    guards and the callers report, never a numpy warning.  A bad
-    ``atom_number`` or ``epsilon`` raises ValueError, before any status is
-    decided."""
-    last = _last_stage(outputs)
+    the roots and ``derive``.  Overflow reads inf or NaN, which the guards
+    and the callers report, never a numpy warning.  A bad ``atom_number``
+    or ``epsilon`` raises ValueError, before any status is decided."""
+    if not 0 < atom_number < math.inf:  # checked here, as the observables may not run
+        raise ValueError(f"atom_number must be finite and > 0, got {atom_number!r}")
+    stages = _stages(outputs)
     with np.errstate(all="ignore"):
         derived = derive(params)
         if roots is None:
@@ -205,13 +208,14 @@ def _pass(params, roots, tau, outputs, atom_number: float, epsilon: float) -> tu
         fields = {}
         if "gain" in outputs:
             fields["gain"] = (gain(roots, derived.gamma_plus), finite)
-        if last >= _OBSERVABLES:
+        if stages != {_ROOTS}:
             lambdas = _eigenvalues(params, derived, roots)
             c, c_guards = _covariance_stack(params, lambdas, tau)
-            observables, obs_guards = _observable_stack(c, atom_number)
-            guards += c_guards + obs_guards
-            fields.update(covariance=(c, True), **observables)
-        if last == _SEPARABILITY:
+            guards += [*c_guards, _vacuum_floor(c)]
+            fields["covariance"] = (c, True)
+        if _OBSERVABLES in stages:
+            fields |= _observable_stack(c, atom_number)
+        if _SEPARABILITY in stages:
             gammas, pairs, labels, sep_guards = _separability_stack(c, epsilon)
             guards += sep_guards
             fields |= {"gammas": (gammas, True), "pairs": (pairs, True), "class": (labels, True)}
@@ -241,7 +245,7 @@ def _table(specs, values: np.ndarray) -> dict:
             value, ok = value[..., index], ok is True or ok[..., index]
         # as an array: an object cell then holds a float, not a numpy scalar
         cells[k], defined[k] = np.asarray(value), ok
-    if _last_stage(spec.outputs) > _ROOTS:
+    if _stages(spec.outputs) != {_ROOTS}:
         # the numbers of the state's stages: gain and class are not checked
         checked = [_REGISTRY[name][0] > _ROOTS and name != "class" for name in spec.outputs]
         overflow = defined[checked] & ~np.isfinite(cells[checked].astype(float))

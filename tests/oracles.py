@@ -72,6 +72,7 @@ from tricarl.observables import (
     ZERO_OCCUPATION,
     ModeObservables,
     _defined_cells,
+    _observable_guards,
     _observable_stack,
 )
 from tricarl.sweep import _OBSERVABLES, _REGISTRY, _SEPARABILITY
@@ -514,9 +515,12 @@ def _require_finite(record):
 
 def _requested_observables(state, atom_number):
     """``mode_observables`` without its final check that every defined cell
-    is finite: a sweep row checks only the cells it asks for."""
+    is finite: a sweep row checks only the cells it asks for.  Its guards
+    are ``mode_observables``' own; an ``atom_number`` from a SweepSpec is
+    valid."""
     with np.errstate(all="ignore"):
-        fields, guards = _observable_stack(state.c, atom_number)
+        guards = _observable_guards(state.c)
+        fields = _observable_stack(state.c, atom_number)
     raise_failure(guards, "covariance")
     return ModeObservables(**_defined_cells(fields, tuple))
 

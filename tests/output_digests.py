@@ -7,7 +7,10 @@ this process, then one digest over all of them.  The requests are
 - every figure preset, as CSV and as JSON;
 - every request of the benchmark's workloads at seeds 1 and 7
   (``bench/workloads.py``, loaded read-only, not imported as a module);
-- the failure grids of ``test_sweep_golden.py``, as CSV and as JSON;
+- the failure grids of ``test_sweep_golden.py``, as CSV and as JSON, and
+  as CSV asking for the observables alone and for the separability
+  outputs alone, so that a change in which stages a pass runs cannot move
+  a status unseen;
 - error records and edge requests: overflow of the oracle's step, of the
   cubic and of the covariance, a steady-state sweep with rows that have
   none, and refused specifications.
@@ -31,6 +34,7 @@ this file.
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -41,10 +45,11 @@ import warnings
 from pathlib import Path
 
 SEEDS = (1, 7)
-ALL_OUTPUTS = (
-    "n1,n2,n3,xi12,xi13,xi23,g2_12,g2_13,g2_23,bunching,gain,"
+OBSERVABLE_OUTPUTS = "n1,n2,n3,xi12,xi13,xi23,g2_12,g2_13,g2_23,bunching"
+SEPARABILITY_OUTPUTS = (
     "mineig_gamma1,mineig_gamma2,mineig_gamma3,mineig_s12,mineig_s13,mineig_s23,class"
 )
+ALL_OUTPUTS = f"{OBSERVABLE_OUTPUTS},gain,{SEPARABILITY_OUTPUTS}"
 FIG5 = ("--rho", "100", "--delta", "3.5", "--gamma1", ".5", "--gamma2", ".5", "--kappa", ".5")
 EDGE_REQUESTS = (
     # the oracle's step tau / 2**k is no float: non_finite, exit 3
@@ -113,6 +118,9 @@ def requests(root: Path):
     for spec in failure_grids().values():
         as_json = tuple(grid_argv(spec))  # ends in "--format", "json"
         argvs += [as_json[:-2], as_json]
+        for outputs in (OBSERVABLE_OUTPUTS, SEPARABILITY_OUTPUTS):
+            one_stage = dataclasses.replace(spec, outputs=tuple(outputs.split(",")))
+            argvs.append(tuple(grid_argv(one_stage))[:-2])
     argvs += EDGE_REQUESTS
     # a request that two sources share is run once
     unique = dict.fromkeys(tuple(argv) for argv in argvs)

@@ -41,6 +41,7 @@ from tricarl.covariance import _covariance_stack, _newton_form, _phi, _van_loan_
 from tricarl.dynamics import _eigenvalues
 from tricarl.errors import first_failure
 from tricarl.model import ParamStack, derive
+from tricarl.observables import _observable_guards
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
 IDEAL_SC = ModelParams(rho=100.0, delta=0.0)
@@ -198,6 +199,15 @@ def test_covariance_state_rejects_non_finite():
         bad[0, 0] = value
         with pytest.raises(NonFinite):
             CovarianceState(tau=0.0, c=bad)
+
+
+def test_covariance_state_keeps_a_finite_entry_near_the_largest_float():
+    # the Hermitian part halves before it sums: C_11 + C_11^* would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = CovarianceState(0.0, np.diag([1.5e308, 0.5, 0.5]))
+    assert state.c[0, 0] == 1.5e308 and state.c[0, 0].imag == 0.0
+    assert np.array_equal(state.c, np.diag([1.5e308, 0.5, 0.5]))
 
 
 def test_closed_form_matches_high_precision_fig5():
@@ -388,8 +398,16 @@ def test_covariance_stack_returns_an_exactly_hermitian_c(stack):
     params, tau = stack
     with np.errstate(all="ignore"):
         c, _ = _covariance_stack(params, spectrum_of(params), tau)
+        residues = [mask for code, mask in _observable_guards(c) if code == "error"]
+        diag = c.diagonal(axis1=-2, axis2=-1)
+        moment = c[..., 0, 0] + c[..., 1, 1] + c[..., 0, 1] + c[..., 1, 0]
+        parts = diag.imag, (2.0 * (diag * diag)).imag, moment.imag
     finite = c[np.isfinite(c).all(axis=(-2, -1))]
     assert np.array_equal(finite, finite.conj().swapaxes(-1, -2))
+    # so a pass runs none of mode_observables' residue guards: the
+    # imaginary parts they read are exactly 0, or NaN where C overflowed
+    assert len(residues) == 3 and not np.any(residues)
+    assert all(((part == 0) | np.isnan(part)).all() for part in parts)
 
 
 def test_steady_state_overflow_raises_non_finite_not_numpy_warnings():

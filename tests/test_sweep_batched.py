@@ -15,6 +15,7 @@ hard-coded cases and a property test over random corruptions here, and by
 the golden layouts of test_sweep_golden.py.
 """
 
+import dataclasses
 import importlib
 import math
 from unittest import mock
@@ -25,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tricarl.sweep as sweep_module
+from test_sweep_golden import failure_grids
 from oracles import (
     SYMPLECTIC_FORM,
     _test_matrices,
@@ -62,7 +64,8 @@ from tricarl.entanglement import (
     _test_guards,
 )
 from tricarl.errors import NonFinite, NotHermitian, NotStable, first_failure
-from tricarl.observables import _defined_cells, _observable_stack
+from tricarl.observables import _defined_cells, _observable_guards, _observable_stack
+from tricarl.cli import main
 from tricarl.presets import PRESETS
 
 RTOL = 1e-12
@@ -476,7 +479,7 @@ def test_batched_guards_flag_what_the_single_state_path_rejects():
     cases = corrupted_covariances()
     stack = np.array([c for c, _, _ in cases])
     with np.errstate(all="ignore"):
-        obs_status = first_failure(*_observable_stack(stack, 1e6)[1])
+        obs_status = first_failure(*_observable_guards(stack))
         sep_status = first_failure(*separability_guards(stack))
         assert obs_status.tolist() == [status for _, status, _ in cases]
         assert sep_status.tolist() == [status for _, _, status in cases]
@@ -580,7 +583,7 @@ def guard_predicates(c):
 def overflowed_cell(c):
     """Whether a cell that the observables kernel leaves defined (not None)
     for c is inf or NaN; the caller runs it under np.errstate."""
-    cells = _defined_cells(_observable_stack(c, 1e6)[0], list).values()
+    cells = _defined_cells(_observable_stack(c, 1e6), list).values()
     flat = [x for cell in cells for x in (cell if isinstance(cell, list) else [cell])]
     return not all(math.isfinite(x) for x in flat if x is not None)
 
@@ -602,7 +605,7 @@ def test_guard_order_over_random_corruptions(cs):
         _, defect = _hermitian_part(stack)
         guards = {
             "covariance": [*_hermitian_guards(defect, HERMITIZE_TOL)],
-            "observables": _observable_stack(stack, 1e6)[1],
+            "observables": _observable_guards(stack),
             "separability": separability_guards(stack),
         }
         for kernel, kernel_guards in guards.items():
@@ -690,6 +693,61 @@ def test_only_the_one_state_functions_measure_hermitian_defects(monkeypatch):
     for facade in (separability_report, physicality):
         with pytest.raises(AssertionError, match="Hermitian defect"):
             facade(state)
+
+
+SEPARABILITY_OUTPUTS = tuple(name for name in OUTPUTS if name.startswith(("mineig", "class")))
+
+
+def with_n1(spec):
+    return dataclasses.replace(spec, outputs=spec.outputs + ("n1",))
+
+
+def below_the_floor(params, lambdas, tau):
+    """A ``_covariance_stack`` whose every row is the vacuum with C_11 dipped
+    1e-5 below it, and no covariance guard."""
+    c = 0.5 * np.eye(3, dtype=complex)
+    c[0, 0] -= 1e-5
+    shape = np.broadcast(lambdas[..., 0], tau).shape
+    return np.broadcast_to(c, (*shape, 3, 3)).copy(), []
+
+
+def test_a_separability_only_pass_runs_no_observables_and_keeps_every_status(
+    monkeypatch, capsys
+):
+    # fig7, an entanglement_scan request (a 6-point tau sweep of a ladder
+    # curve), a steady-state sweep with unstable rows and each golden
+    # failure grid, asking for the separability outputs alone
+    fig7 = figure_preset("fig7")
+    fig7_n1 = dataclasses.replace(
+        fig7, curves=tuple((label, with_n1(spec)) for label, spec in fig7.curves)
+    )
+    grids = [
+        SweepSpec("tau", 0.0, 5.0, 6, fig7.curves[-1][1].fixed, SEPARABILITY_OUTPUTS),
+        SweepSpec("delta", -5.0, 10.0, 31, FIG5, SEPARABILITY_OUTPUTS, tau=math.inf),
+        *(
+            dataclasses.replace(spec, outputs=SEPARABILITY_OUTPUTS)
+            for spec in failure_grids().values()
+        ),
+    ]
+    want_fig7 = run_preset(fig7_n1)["status"]
+    want = [run_sweep(with_n1(spec))["status"] for spec in grids]
+    with mock.patch.object(sweep_module, "_covariance_stack", side_effect=below_the_floor):
+        floor = run_sweep(with_n1(grids[0]))["status"]
+    assert floor == ["negative_occupation"] * 6 and "not_stable" in want[1]
+    assert {"non_finite", "ok"} <= {status for column in want for status in column}
+
+    def refuse(*args):
+        raise AssertionError("the observables kernel ran")
+
+    monkeypatch.setattr(sweep_module, "_observable_stack", refuse)
+    assert main(["--preset", "fig7"]) == 0
+    capsys.readouterr()
+    assert run_preset(fig7)["status"] == want_fig7
+    assert [run_sweep(spec)["status"] for spec in grids] == want
+    with mock.patch.object(sweep_module, "_covariance_stack", side_effect=below_the_floor):
+        assert run_sweep(grids[0])["status"] == floor
+    with pytest.raises(AssertionError, match="observables kernel"):
+        run_sweep(with_n1(grids[0]))
 
 
 def test_point_report_failure_order():
