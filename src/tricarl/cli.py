@@ -32,7 +32,9 @@ import numpy as np
 from .errors import InvalidSpec, TricarlError
 from .model import ModelParams
 from .sweep import (
+    ATOM_NUMBER,
     AXES,
+    EPSILON,
     OUTPUTS,
     FigurePreset,
     SweepSpec,
@@ -54,8 +56,14 @@ _MALLOPT_SETTINGS = ((-1, 64 << 20), (-3, 32 << 20))
 _JSON_STRING = json.encoder.encode_basestring_ascii
 # flags that a preset sets itself, with their values outside preset mode
 _RUN_DEFAULTS = dict(
-    delta=0.0, gamma1=0.0, gamma2=0.0, kappa=0.0, outputs="n1,n2,n3", epsilon=1e-9, atoms=1e6
+    delta=0.0, gamma1=0.0, gamma2=0.0, kappa=0.0, outputs="n1,n2,n3",
+    epsilon=EPSILON, atoms=ATOM_NUMBER,
 )
+
+
+def _short(value: float) -> str:
+    """A default as the help text writes it: 1e6, 1e-9."""
+    return f"{value:.0e}".replace("e+0", "e").replace("e-0", "e-")
 
 
 @functools.cache
@@ -93,10 +101,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="include the deviation from Van Loan's block exponential in point reports",
     )
     parser.add_argument(
-        "--epsilon", type=float, help="separability sign tolerance (default 1e-9)"
+        "--epsilon", type=float, help=f"separability sign tolerance (default {_short(EPSILON)})"
     )
     parser.add_argument(
-        "--atoms", type=float, help="atom number for the bunching observable (default 1e6)"
+        "--atoms",
+        type=float,
+        help=f"atom number for the bunching observable (default {_short(ATOM_NUMBER)})",
     )
     return parser
 
@@ -247,17 +257,8 @@ def _parse_sweep_flag(text: str) -> tuple[str, float, float, int]:
 
 def _run_sweep_mode(args: argparse.Namespace, params: ModelParams) -> tuple[str, dict]:
     axis, start, stop, points = _parse_sweep_flag(args.sweep)
-    spec = SweepSpec(
-        axis=axis,
-        start=start,
-        stop=stop,
-        points=points,
-        fixed=params,
-        outputs=tuple(name for name in args.outputs.split(",") if name),
-        tau=args.tau,
-        atom_number=args.atoms,
-        epsilon=args.epsilon,
-    )
+    outputs = tuple(name for name in args.outputs.split(",") if name)
+    spec = SweepSpec(axis, start, stop, points, params, outputs, args.tau, args.atoms, args.epsilon)
     if args.format == "json" and spec.tau == math.inf:
         raise InvalidSpec("tau=inf has no JSON encoding; use --format csv")
     table = run_sweep(spec)
@@ -275,10 +276,7 @@ def _run_preset_mode(args: argparse.Namespace) -> tuple[str, dict]:
             "kind": "preset",
             "id": preset.id,
             "description": preset.description,
-            "curves": [
-                {"label": label, "spec": spec.to_dict()}
-                for label, spec in preset.curves
-            ],
+            "curves": [{"label": label, "spec": spec.to_dict()} for label, spec in preset.curves],
             "rows": as_rows(table),
         }
         return _json_dumps(payload), table
@@ -308,13 +306,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.rho is None:
                 raise InvalidSpec("--rho is required without --preset")
             try:
-                params = ModelParams(
-                    rho=args.rho,
-                    delta=args.delta,
-                    gamma1=args.gamma1,
-                    gamma2=args.gamma2,
-                    kappa=args.kappa,
-                )
+                params = ModelParams(args.rho, args.delta, args.gamma1, args.gamma2, args.kappa)
             except ValueError as exc:
                 raise InvalidSpec(str(exc)) from exc
             if args.sweep:

@@ -86,37 +86,42 @@ def _hermitian_defect(matrix: np.ndarray, m_dag: np.ndarray, axes=(-2, -1)) -> n
     return np.abs(matrix - m_dag).max(axis=axes) / scale
 
 
-def _hermitian_part(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M + M^dag)/2 of each matrix in a (..., n, n) stack, halved first so
-    that no finite entry overflows, and its defect (``_hermitian_defect``)."""
-    matrix = np.asarray(matrix, dtype=complex)
-    m_dag = _dagger(matrix)
-    return 0.5 * matrix + 0.5 * m_dag, _hermitian_defect(matrix, m_dag)
-
-
 def _hermitian_guards(defect, tol: float) -> tuple:
     """Ordered guards (see ``first_failure``) of matrices with a Hermitian
-    defect from ``_hermitian_part`` (or the largest of several): non-finite
+    defect from ``_hermitian_defect`` (or the largest of several): non-finite
     entries (a NaN defect), then a defect above ``tol``."""
     return ("non_finite", np.isnan(defect)), ("not_hermitian", defect > tol)
 
 
-def _hermitize(matrix: np.ndarray, tol: float, what: str) -> np.ndarray:
+def _hermitian_part(matrix: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """(M + M^dag)/2 of each matrix in a (..., n, n) stack, halved first so
+    that no finite entry overflows, and the guards of M's Hermitian defect
+    at ``HERMITIZE_TOL``: the one check of a covariance, which the sweep's
+    pass and ``CovarianceState`` share.  Its callers run it under
+    np.errstate."""
+    matrix = np.asarray(matrix, dtype=complex)
+    m_dag = _dagger(matrix)
+    defect = _hermitian_defect(matrix, m_dag)
+    return 0.5 * matrix + 0.5 * m_dag, _hermitian_guards(defect, HERMITIZE_TOL)
+
+
+def _hermitize(matrix: np.ndarray, what: str) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        hermitian, defect = _hermitian_part(matrix)
-    raise_failure(_hermitian_guards(defect, tol), what)
+        hermitian, guards = _hermitian_part(matrix)
+    raise_failure(guards, what)
     return hermitian
 
 
 @dataclass(frozen=True)
 class CovarianceState:
-    """Hermitian 3x3 covariance of (a1*, a2, a3) at scaled time tau."""
+    """Hermitian 3x3 covariance of (a1*, a2, a3) at scaled time tau: the
+    Hermitian part of the given C, past C's guards (``_hermitian_part``)."""
 
     tau: float
     c: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c", _hermitize(self.c, HERMITIZE_TOL, "covariance"))
+        object.__setattr__(self, "c", _hermitize(self.c, "covariance"))
 
 
 def _covariance_matrix(cov: CovarianceState | np.ndarray) -> np.ndarray:
@@ -262,38 +267,30 @@ def q_closed_form(params: ModelParams, tau: float) -> np.ndarray:
     """Hermitized noise matrix from the Newton closed form (``_newton_form``)."""
     with np.errstate(all="ignore"):
         q = _newton_form(params, spectrum(params), tau)[0]
-    return _hermitize(q.transpose(*range(2, q.ndim), 0, 1), HERMITIZE_TOL, "noise matrix")
-
-
-def _with_coherent_part(q: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """C = Q + M M^dag / 2, the vacuum's propagated half plus the noise."""
-    return q + 0.5 * m @ _dagger(m)
+    return _hermitize(q.transpose(*range(2, q.ndim), 0, 1), "noise matrix")
 
 
 def _covariance_stack(params, lambdas: np.ndarray, tau) -> tuple[np.ndarray, list]:
-    """Covariances for a stack of parameter sets (or one) with their
-    eigenvalues and/or times from the Newton closed form, and their guards:
-    at tau = inf first "not_stable" where the largest Re(lambda), the gain
-    to the last bit, is >= 0 (no steady state; the reduction is taken only
-    when some row has tau = inf), then the Hermitian guards of Q and of C.
-    C = Q + M M^dag / 2 is formed with the matrix indices leading, as
-    ``_newton_form`` returns them; the defects of Q and C are taken in that
-    layout, and only C's exact Hermitian part (C + C^dag)/2 is kept.  An
-    entry above about 9e307 overflows that sum, as it does 2H, and reads
-    inf or NaN, which the separability tests' 2H guard and a requested
-    cell report.  Overflow reads inf or NaN; its callers run it under
+    """Covariances C = Q + M M^dag / 2 for a stack of parameter sets (or
+    one) with their eigenvalues and/or times from the Newton closed form,
+    and their own guards: at tau = inf first "not_stable" where the largest
+    Re(lambda), the gain to the last bit, is >= 0 (no steady state; the
+    reduction is taken only when some row has tau = inf), then the
+    Hermitian guards of Q, whose defect is taken with the matrix indices
+    leading, as ``_newton_form`` returns them.  C is returned as formed;
+    its Hermitian part and its own guards come from ``_hermitian_part``,
+    which the sweep's pass calls next and ``CovarianceState`` calls in
+    ``covariance``.  Overflow reads inf or NaN; its callers run it under
     np.errstate."""
     q, m = _newton_form(params, lambdas, tau)
     c = q + 0.5 * (m[:, np.newaxis] * m.conj()).sum(axis=2)
-    c_dag = c.conj().swapaxes(0, 1)
     q_defect = _hermitian_defect(q, q.conj().swapaxes(0, 1), (0, 1))
     growing = np.isinf(tau)
     if growing.any():
         growing = growing & (lambdas.real.max(axis=-1) >= 0)
-    return (0.5 * (c + c_dag)).transpose(*range(2, c.ndim), 0, 1), [
+    return c.transpose(*range(2, c.ndim), 0, 1), [
         ("not_stable", growing),
         *_hermitian_guards(q_defect, HERMITIZE_TOL),
-        *_hermitian_guards(_hermitian_defect(c, c_dag, (0, 1)), HERMITIZE_TOL),
     ]
 
 
@@ -368,7 +365,7 @@ def q_quadrature(params: ModelParams, tau: float) -> np.ndarray:
     """
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
         q, _ = _van_loan_noise(drift_generator(params), diffusion_matrix(params), tau)
-    return _hermitize(q, HERMITIZE_TOL, "noise matrix")
+    return _hermitize(q, "noise matrix")
 
 
 def covariance(params: ModelParams, tau: float) -> CovarianceState:
@@ -376,8 +373,9 @@ def covariance(params: ModelParams, tau: float) -> CovarianceState:
 
     The one-row case of ``_covariance_stack``: C = Q + M M^dag / 2 from the
     Newton closed form; at tau = inf the steady state.  Raises the error of
-    the first guard of ``_covariance_stack`` that it fails: NotStable at
-    tau = inf where a mode does not decay.
+    the first guard that it fails: those of ``_covariance_stack``
+    (NotStable at tau = inf where a mode does not decay, then Q's), then
+    C's own, which ``CovarianceState`` checks once (``_hermitian_part``).
     """
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
@@ -413,5 +411,5 @@ def ode_oracle(params: ModelParams, tau: float) -> CovarianceState:
         raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
         q, m = _van_loan_noise(drift_generator(params), diffusion_matrix(params), tau)
-        c = _with_coherent_part(_hermitize(q, HERMITIZE_TOL, "noise matrix"), m)
+        c = _hermitize(q, "noise matrix") + 0.5 * m @ _dagger(m)
     return CovarianceState(tau=tau, c=c)

@@ -188,8 +188,11 @@ def unstable_root(omegas: np.ndarray) -> complex:
 
 
 def gain(omegas: np.ndarray, gamma_plus: float) -> float:
-    """Exponential growth rate g = -Im(unstable root) - gamma_plus."""
-    return -unstable_root(omegas).imag - gamma_plus
+    """Exponential growth rate g = -Im(unstable root) - gamma_plus: the root
+    least by (Im, Re), as ``unstable_root`` picks it, has the least key Im + i Re."""
+    keys = np.empty(np.shape(omegas), dtype=complex)
+    keys.real, keys.imag = np.imag(omegas), np.real(omegas)
+    return -keys.min(axis=-1).real - gamma_plus
 
 
 def _eigenvalues(params: ModelParams | ParamStack, dp: DerivedParams, omegas: np.ndarray):

@@ -52,6 +52,8 @@ _I_EYE, _MODE_BITS = 1j * np.eye(3), np.array([1, 2, 4])
 
 # Hermitian defect, relative to max(1, max|entry|), a test matrix may carry
 HERMITICITY_TOL = 1e-8
+# the sign tolerance of the separability class, by default
+EPSILON = 1e-9
 
 CLASS_FULLY_INSEPARABLE = "fully_inseparable"
 CLASS_TWO_MODE_BISEPARABLE = "two_mode_biseparable"
@@ -78,11 +80,12 @@ def _pair_minima(h2: np.ndarray) -> np.ndarray:
     """S_12, S_13, S_23 minimum eigenvalues (..., 3) of each 2H in a stack:
     of a pair's blocks [[a +- s, b], [b*, d +- t]], one of s + t and s - t
     is 0, so the smaller closed-form minimum is
-    (a + d)/2 - |s + t|/2 - hypot(|a - d|/2 + |s - t|/2, |b|)."""
-    diagonal = h2.diagonal(axis1=-2, axis2=-1).real
-    a, d = diagonal[..., _PAIRS[:, 0]], diagonal[..., _PAIRS[:, 1]]
+    (a + d)/2 - |s + t|/2 - hypot(|a - d|/2 + |s - t|/2, |b|), with a and d
+    halved first so that neither sum overflows before its inputs do."""
+    half = 0.5 * h2.diagonal(axis1=-2, axis2=-1).real
+    a, d = half[..., _PAIRS[:, 0]], half[..., _PAIRS[:, 1]]
     coupling = np.abs(h2[..., _PAIRS[:, 0], _PAIRS[:, 1]])
-    return 0.5 * (a + d) - _PAIR_MEAN_SHIFT - np.hypot(0.5 * np.abs(a - d) + _PAIR_SPLIT, coupling)
+    return a + d - _PAIR_MEAN_SHIFT - np.hypot(np.abs(a - d) + _PAIR_SPLIT, coupling)
 
 
 def _physicality_floor(c: np.ndarray) -> np.ndarray:
@@ -159,7 +162,7 @@ class SeparabilityReport:
 
 
 def separability_report(
-    cov: CovarianceState | np.ndarray, epsilon: float = 1e-9
+    cov: CovarianceState | np.ndarray, epsilon: float = EPSILON
 ) -> SeparabilityReport:
     """Run all separability tests on one covariance state; raises the error
     of the first guard it fails: the Hermitian guards of its test matrices
@@ -181,7 +184,7 @@ def _separability_stack(c: np.ndarray, epsilon: float):
     2H, which are zeroed to keep them from ``eigvalsh`` (such a state's
     minima are finite but mean nothing), then non-finite Gamma_j minimum
     eigenvalues.  It measures no Hermitian defect: a sweep's C is the
-    exact Hermitian part that ``_covariance_stack`` returns, and the
+    exact Hermitian part that ``_hermitian_part`` returns, and the
     one-state functions check an outside C first (``_test_guards``).
     """
     h2 = c + _dagger(c)

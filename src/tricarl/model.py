@@ -57,13 +57,8 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, record: dict) -> "ModelParams":
-        return cls(
-            rho=float(record["rho"]),
-            delta=float(record["delta"]),
-            gamma1=float(record.get("gamma1", 0.0)),
-            gamma2=float(record.get("gamma2", 0.0)),
-            kappa=float(record.get("kappa", 0.0)),
-        )
+        rates = {k: float(v) for k, v in record.items() if k in ("gamma1", "gamma2", "kappa")}
+        return cls(rho=float(record["rho"]), delta=float(record["delta"]), **rates)
 
 
 class ParamStack(NamedTuple):

@@ -26,6 +26,8 @@ ZERO_OCCUPATION = 1e-12
 # covariance corruption thresholds
 _IMAG_RESIDUE = 1e-9
 _NEGATIVE_FLOOR = -1e-6
+# the atom number that the bunching observable is divided by, by default
+ATOM_NUMBER = 1e6
 
 CROSS_PAIRS = ((1, 2), (1, 3), (2, 3))
 _FIRST = np.array([0, 0, 1])  # zero-based modes of CROSS_PAIRS
@@ -114,7 +116,7 @@ class ModeObservables:
 
 
 def mode_observables(
-    cov: CovarianceState | np.ndarray, atom_number: float = 1e6
+    cov: CovarianceState | np.ndarray, atom_number: float = ATOM_NUMBER
 ) -> ModeObservables:
     """Evaluate every scalar observable of one covariance, mapping undefined
     ones to None.  Raises ValueError for a bad ``atom_number``, the error of

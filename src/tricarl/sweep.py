@@ -14,14 +14,16 @@ covariance for any state output), so a separability-only pass computes
 no observable.  Every row takes the same closed form, the exceptional
 points and tau = inf included.  Each kernel returns its guards as per-row
 masks, not a status.  A row's status is the code of the first guard it
-fails in pipeline order: non-finite roots, the covariance's ("not_stable"
-at tau = inf, where a mode does not decay, first), the vacuum floor, the
-separability tests', and last, in a sweep, a non-finite requested cell;
-one ``first_failure`` per block (``_table``) or ``raise_failure`` per
-point report (``evolve_point``) decides it.  The stages after the
-covariance take C as the exact Hermitian part that it returns, so the
-separability tests measure no Hermitian defect and the observables'
-residue guards, which ``mode_observables`` runs, could not fail here.
+fails in pipeline order: non-finite roots, the covariance kernel's
+("not_stable" at tau = inf, where a mode does not decay, first, then
+Q's), C's (from ``_hermitian_part``, the check ``CovarianceState`` makes),
+the vacuum floor, the separability tests', and last, in a sweep, a
+non-finite requested cell; one ``first_failure`` per block (``_table``)
+or ``raise_failure`` per point report (``evolve_point``) decides it.  The
+stages after the covariance take C as the exact Hermitian part that
+``_hermitian_part`` returns with C's guards, so the separability tests
+measure no Hermitian defect and the observables' residue guards, which
+``mode_observables`` runs, could not fail here.
 
 Sweeps are (curves, points) blocks of up to ``_CHUNK_ROWS`` rows: a
 preset stacks consecutive curves that share their points, tau, atom
@@ -47,12 +49,14 @@ import numpy as np
 
 # covariance, mode_observables, physicality, separability_report: the one-state
 # facade, which this module does not call; imported for the benchmark tracer to hook
-from .covariance import _covariance_stack, covariance, ode_oracle
+from .covariance import _covariance_stack, _hermitian_part, covariance, ode_oracle
 from .dynamics import _eigenvalues, cubic_coefficients, cubic_roots, gain, solve_cubic
-from .entanglement import _physicality_floor, _separability_stack, physicality, separability_report
+from .entanglement import EPSILON, _physicality_floor, _separability_stack
+from .entanglement import physicality, separability_report
 from .errors import InvalidSpec, NonFinite, first_failure, raise_failure
 from .model import ModelParams, ParamStack, derive
 from .observables import (
+    ATOM_NUMBER,
     CROSS_PAIRS,
     _defined_cells,
     _observable_stack,
@@ -106,8 +110,8 @@ class SweepSpec:
     fixed: ModelParams
     outputs: tuple[str, ...]
     tau: float | None = None
-    atom_number: float = 1e6
-    epsilon: float = 1e-9
+    atom_number: float = ATOM_NUMBER
+    epsilon: float = EPSILON
 
     def __post_init__(self) -> None:
         if self.axis not in AXES:
@@ -133,10 +137,8 @@ class SweepSpec:
             raise InvalidSpec("state observables on a non-tau axis require tau")
         if self.tau is not None and not self.tau >= 0:
             raise InvalidSpec(f"tau must be >= 0, got {self.tau!r}")
-        if self.axis in ("gamma", "kappa") and self.start < 0:
+        if self.axis != "delta" and self.start < 0:
             raise InvalidSpec(f"{self.axis} grid must be non-negative")
-        if self.axis == "tau" and self.start < 0:
-            raise InvalidSpec("tau grid must be non-negative")
         if not 0 < self.atom_number < math.inf:
             raise InvalidSpec(f"atom_number must be finite and > 0, got {self.atom_number!r}")
         if not 0 <= self.epsilon < math.inf:
@@ -161,8 +163,7 @@ class SweepSpec:
             fixed=ModelParams.from_dict(record["fixed"]),
             outputs=tuple(record["outputs"]),
             tau=None if record.get("tau") is None else float(record["tau"]),
-            atom_number=float(record.get("atom_number", 1e6)),
-            epsilon=float(record.get("epsilon", 1e-9)),
+            **{k: float(v) for k, v in record.items() if k in ("atom_number", "epsilon")},
         )
 
 
@@ -189,13 +190,14 @@ def _pass(params, roots, tau, outputs, atom_number: float, epsilon: float) -> tu
     """The pipeline on a stack of rows (or one), from their cubic roots
     (solved here where ``roots`` is None), each stage run only for its own
     outputs (``_REGISTRY``), the covariance for any state output: the
-    computed fields as (values, defined) pairs, C as "covariance", and the
-    guards in pipeline order (roots, covariance, vacuum floor,
-    separability; see the module notes), from which the caller decides
-    each row's status in one call.  The eigenvalues are formed once, from
-    the roots and ``derive``.  Overflow reads inf or NaN, which the guards
-    and the callers report, never a numpy warning.  A bad ``atom_number``
-    or ``epsilon`` raises ValueError, before any status is decided."""
+    computed fields as (values, defined) pairs, C as "covariance" (the
+    Hermitian part from ``_hermitian_part``), and the guards in pipeline
+    order (roots, covariance kernel, C's, vacuum floor, separability; see
+    the module notes), from which the caller decides each row's status in
+    one call.  The eigenvalues are formed once, from the roots and
+    ``derive``.  Overflow reads inf or NaN, which the guards and the
+    callers report, never a numpy warning.  A bad ``atom_number`` or
+    ``epsilon`` raises ValueError, before any status is decided."""
     if not 0 < atom_number < math.inf:  # checked here, as the observables may not run
         raise ValueError(f"atom_number must be finite and > 0, got {atom_number!r}")
     stages = _stages(outputs)
@@ -210,8 +212,9 @@ def _pass(params, roots, tau, outputs, atom_number: float, epsilon: float) -> tu
             fields["gain"] = (gain(roots, derived.gamma_plus), finite)
         if stages != {_ROOTS}:
             lambdas = _eigenvalues(params, derived, roots)
-            c, c_guards = _covariance_stack(params, lambdas, tau)
-            guards += [*c_guards, _vacuum_floor(c)]
+            c, kernel_guards = _covariance_stack(params, lambdas, tau)
+            c, c_guards = _hermitian_part(c)
+            guards += [*kernel_guards, *c_guards, _vacuum_floor(c)]
             fields["covariance"] = (c, True)
         if _OBSERVABLES in stages:
             fields |= _observable_stack(c, atom_number)
@@ -313,8 +316,8 @@ def as_rows(table: dict) -> list[dict]:
 def evolve_point(
     params: ModelParams,
     tau: float,
-    atom_number: float = 1e6,
-    epsilon: float = 1e-9,
+    atom_number: float = ATOM_NUMBER,
+    epsilon: float = EPSILON,
     oracle: bool = False,
 ) -> dict:
     """Full single-point report: covariance, observables, separability.

@@ -62,7 +62,6 @@ from tricarl.covariance import (
     CovarianceState,
     _newton_form,
     _phi,
-    _with_coherent_part,
     q_quadrature,
 )
 from tricarl.entanglement import HERMITICITY_TOL
@@ -428,8 +427,8 @@ def covariance_closed(params, tau):
     (``_eigen_noise`` and ``_eigen_propagator``), which needs separated
     roots."""
     spec = _eigen_spectrum(params)
-    q = _eigen_noise(spec, tau)
-    return CovarianceState(tau=tau, c=_with_coherent_part(q, _eigen_propagator(spec, tau)))
+    m = _eigen_propagator(spec, tau)
+    return CovarianceState(tau=tau, c=_eigen_noise(spec, tau) + 0.5 * m @ m.conj().T)
 
 
 def newton_propagator(params, tau):
@@ -442,7 +441,7 @@ def covariance_van_loan(params, tau):
     M = expm(A tau) from scipy, not the M of the block exponential's own
     doublings that ``ode_oracle`` uses."""
     m = expm(drift_generator(params) * tau)
-    return CovarianceState(tau=tau, c=_with_coherent_part(q_quadrature(params, tau), m))
+    return CovarianceState(tau=tau, c=q_quadrature(params, tau) + 0.5 * m @ m.conj().T)
 
 
 def gains_over_delta(params, deltas):

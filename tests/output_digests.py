@@ -17,7 +17,9 @@ this process, then one digest over all of them.  The requests are
 
 A few library calls whose errors the command line cannot reach (among
 them the one-state functions on the corrupted covariances of
-``test_sweep_batched.py``) are digested alike, with exit code 1 and ``<class>: <message>`` as stderr
+``test_sweep_batched.py`` and at the ends of the float range, and
+``covariance`` and ``steady_state`` where C overflows or has no steady
+state) are digested alike, with exit code 1 and ``<class>: <message>`` as stderr
 where they raise, the repr of their result as stdout where they return.
 A numpy warning raised during a request is appended to its stderr.
 
@@ -60,8 +62,10 @@ EDGE_REQUESTS = (
     ("--rho", "100", "--tau", "1e6"),
     ("--rho", "100", "--tau", "400"),
     ("--rho", "100", "--sweep", "tau:0:2000:50", "--outputs", ALL_OUTPUTS),
-    # a lossless tau sweep, without the noise integral, through C's overflow
+    # a lossless tau sweep, without the noise integral, through C's overflow;
+    # asked for every output, a row past xi's overflow hides what S_12 reads
     ("--rho", "100", "--sweep", "tau:400:412:49", "--outputs", ALL_OUTPUTS),
+    ("--rho", "100", "--sweep", "tau:400:412:49", "--outputs", SEPARABILITY_OUTPUTS),
     # the lossless oracle's doublings overflow M: its noise matrix fails
     ("--rho", "0.2", "--delta", "-3", "--tau", "1e100", "--oracle"),
     # steady states, and rows without one
@@ -132,8 +136,8 @@ def library_calls():
     import numpy as np
 
     from test_sweep_batched import corrupted_covariances
-    from tricarl import ModelParams, mode_observables, ode_oracle, physicality
-    from tricarl import separability_report
+    from tricarl import CovarianceState, ModelParams, covariance, mode_observables, ode_oracle
+    from tricarl import physicality, separability_report, steady_state
 
     # a finite Hermitian C whose 2H = C + C^dag overflows
     overflowing = 0.5 * np.eye(3, dtype=complex)
@@ -145,12 +149,21 @@ def library_calls():
     }
     states = [(f"corrupted {k}", c) for k, (c, _, _) in enumerate(corrupted_covariances())]
     states.append(("C_11=1.5e308", overflowing))
+    # 2C_11 + 2C_22 overflows, though each is finite
+    states.append(("C_11=C_22=5e307", np.diag([5e307, 5e307, 0.5])))
     calls = [
         (f"{name}({label})", lambda facade=facade, c=c: facade(c))
         for label, c in states
         for name, facade in facades.items()
     ]
+    lossless = ModelParams(100, 0)
+    calls += [
+        (f"covariance(rho=100, delta=0, tau={tau})", lambda tau=tau: covariance(lossless, tau))
+        for tau in (406.0, 406.25, 410.0)
+    ]
     return calls + [
+        ("steady_state(rho=100, delta=0)", lambda: steady_state(lossless)),
+        ("CovarianceState(0, C_11=1.5e308)", lambda: CovarianceState(0.0, overflowing)),
         ("mode_observables(eye(2))", lambda: mode_observables(np.eye(2))),
         ("separability_report(eye(2))", lambda: separability_report(np.eye(2))),
         ("physicality(eye(2))", lambda: physicality(np.eye(2))),

@@ -264,6 +264,22 @@ def test_unstable_root_picks_minimum_imaginary_part():
     assert unstable_root(roots) == 0.5 - 0.5j * np.sqrt(3.0)
 
 
+def test_gain_takes_the_unstable_root_on_sorted_and_shuffled_roots():
+    # gain reads the least root by (Im, Re) without sorting: the gain of
+    # unstable_root's pick, bit for bit, the sign of a zero gain included
+    rng = np.random.default_rng(3)
+    rates = np.where(rng.random(5000) < 0.5, 0.0, rng.uniform(0.0, 2.0, 5000))
+    deltas = np.round(rng.uniform(-10.0, 10.0, 5000), 2)
+    stack = ParamStack(10 ** rng.uniform(-2.0, 3.0, 5000), deltas, rates, 0.7 * rates, 0.3 * rates)
+    dp = derive(stack)
+    roots = solve_cubic(cubic_coefficients(dp, stack.rho))
+    assert (roots.imag == 0).any()
+    for omegas in (roots, rng.permuted(roots, axis=-1)):
+        expected = -unstable_root(omegas).imag - dp.gamma_plus
+        got = gain(omegas, dp.gamma_plus)
+        assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
+
+
 def test_all_real_roots_mean_no_instability():
     params = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
     roots = cubic_roots(params)

@@ -21,7 +21,7 @@ from oracles import (
     quadrature_covariance,
     two_mode_matrix,
 )
-from tricarl import ModelParams, covariance, physicality, separability_report
+from tricarl import ModelParams, SweepSpec, covariance, physicality, run_sweep, separability_report
 from tricarl.entanglement import _physicality_floor, _separability_stack
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -132,3 +132,23 @@ def test_stacked_kernels_keep_lapack_off_non_finite_input(c):
         # a point report asks for the floor only where 2H = C + C^dag is finite
         finite = np.isfinite(c + np.conj(np.swapaxes(c, -1, -2))).all(axis=(-2, -1))
         assert np.isfinite(_physicality_floor(c[finite])).all()
+
+
+def test_the_pair_minima_hold_where_two_diagonal_entries_sum_past_overflow():
+    # each 2C_kk is finite, but 2C_11 + 2C_22 is not: the closed-form S_12
+    # minimum halves first, so it stays finite and matches 30 digits
+    c = np.diag([5e307, 5e307, 0.5]).astype(complex)
+    report = separability_report(c)
+    assert np.abs(np.subtract(report.min_eig_s, mp_min_eigs(c, 30)[3:6])).max() <= (
+        mixed_basis_bound(c)
+    )
+    # a lossless tau sweep through that edge: each row's status is the same
+    # whichever separability output, or occupation, is asked for
+    lossless = ModelParams(100.0, 0.0)
+    outputs = "mineig_s12", "mineig_s13", "mineig_s23", "mineig_gamma1", "class", "n1"
+    statuses = [
+        run_sweep(SweepSpec("tau", 405.75, 406.75, 5, lossless, (name,)))["status"]
+        for name in outputs
+    ]
+    assert statuses[0][:2] == ["ok", "ok"]
+    assert all(status == statuses[0] for status in statuses)

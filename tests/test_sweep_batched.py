@@ -56,7 +56,7 @@ from tricarl import (
     separability_report,
     steady_state,
 )
-from tricarl.covariance import HERMITIZE_TOL, _hermitian_guards, _hermitian_part
+from tricarl.covariance import HERMITIZE_TOL, _dagger, _hermitian_defect, _hermitian_part
 from tricarl.entanglement import (
     HERMITICITY_TOL,
     _separability_stack,
@@ -602,9 +602,8 @@ def test_guard_order_over_random_corruptions(cs):
     }
     stack = np.array(cs)
     with np.errstate(all="ignore"):
-        _, defect = _hermitian_part(stack)
         guards = {
-            "covariance": [*_hermitian_guards(defect, HERMITIZE_TOL)],
+            "covariance": list(_hermitian_part(stack)[1]),
             "observables": _observable_guards(stack),
             "separability": separability_guards(stack),
         }
@@ -634,15 +633,15 @@ def test_guard_order_over_random_corruptions(cs):
                 overflow = [("non_finite", overflowed_cell(c))] if kernel == "observables" else []
                 want.append(first_code(p[kernel] + overflow))
             assert [raised_code(fn, c) for c in cs] == want, kernel
-        # a point report handed the exact Hermitian part of each C, as
-        # _covariance_stack returns it, past the covariance guards raises
-        # the class of its first failure along the remaining checks
-        for c in cs:
-            h = _hermitian_part(c)[0]
-            p = guard_predicates(h)
-            with mock.patch.object(sweep_module, "_covariance_stack", return_value=(h, [])):
+        # a point report handed each C by _covariance_stack, past that
+        # kernel's own guards, raises the class of its first failure along
+        # C's guards and then the checks of C's exact Hermitian part
+        for c, p in zip(cs, predicates):
+            part = guard_predicates(_hermitian_part(c)[0])
+            with mock.patch.object(sweep_module, "_covariance_stack", return_value=(c, [])):
                 got = raised_code(sweep_module.evolve_point, FIG5, 1.0)
-            assert got == first_code(p["observables"] + p["separability"] + p["physicality"])
+            checks = part["observables"] + part["separability"] + part["physicality"]
+            assert got == first_code(p["covariance"] + checks)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -651,7 +650,7 @@ def test_guard_defects_equal_those_of_the_test_matrices(cs):
     # the defects measured on C alone are those of the 6x6 and 4x4 matrices
     stack = np.array(cs)
     with np.errstate(all="ignore"):
-        gammas, pairs = (_hermitian_part(m)[1] for m in _test_matrices(stack))
+        gammas, pairs = (_hermitian_defect(m, _dagger(m)) for m in _test_matrices(stack))
         gamma_defect, pair_defect = _test_defects(stack)
     gamma_defect = np.broadcast_to(gamma_defect[:, np.newaxis], gammas.shape)
     np.testing.assert_array_equal(gamma_defect, gammas)
@@ -693,6 +692,38 @@ def test_only_the_one_state_functions_measure_hermitian_defects(monkeypatch):
     for facade in (separability_report, physicality):
         with pytest.raises(AssertionError, match="Hermitian defect"):
             facade(state)
+
+
+def test_covariance_measures_the_hermitian_defect_of_c_once(monkeypatch):
+    # the stack kernel measures Q's defect; C's is measured by the one
+    # check that CovarianceState and the pass share, not again
+    measured = []
+    true_defect = covariance_module._hermitian_defect
+
+    def recording(matrix, m_dag, axes=(-2, -1)):
+        measured.append(np.moveaxis(matrix, axes, (-2, -1)))
+        return true_defect(matrix, m_dag, axes)
+
+    monkeypatch.setattr(covariance_module, "_hermitian_defect", recording)
+    for call in (lambda: covariance(FIG5, 1.5), lambda: steady_state(FIG5)):
+        measured.clear()
+        c = call().c
+        # Q's defect in the stack kernel, then C's (at tau = inf C = Q)
+        assert len(measured) == 2
+        assert np.abs(measured[1] - c).max() <= 1e-12 * np.abs(c).max()
+
+
+def test_a_sweep_row_keeps_the_occupations_of_covariance_near_the_largest_float():
+    # the pass takes C's Hermitian part from the helper CovarianceState uses,
+    # halved first: where C_11 passes 9e307 a row keeps the finite occupations
+    # that covariance returns, and reads non_finite only once C overflows
+    params = ModelParams(100.0, 0.0, 0.1, 0.1, 0.1)
+    table = run_sweep(SweepSpec("tau", 459.05, 459.2, 7, params, ("n1", "n2", "n3")))
+    assert table["status"] == ["ok"] * 5 + ["non_finite"] * 2
+    for k, tau in enumerate(table["tau"][:5]):
+        expected = covariance(params, tau).c.diagonal().real - 0.5
+        got = [table[name][k] for name in ("n1", "n2", "n3")]
+        np.testing.assert_allclose(got, expected, rtol=RTOL)
 
 
 SEPARABILITY_OUTPUTS = tuple(name for name in OUTPUTS if name.startswith(("mineig", "class")))
