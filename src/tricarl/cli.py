@@ -9,10 +9,14 @@ Three modes, selected by the flags:
   tricarl --preset fig5 --out fig5.csv
       figure preset: one labeled sweep per curve
 
-Data files are byte-identical across identical invocations; run metadata
-(timestamp, versions, per-status row counts) goes to a separate
-``<out>.run.json`` sidecar when --out is used.  Exit codes: 0 success, 2
-invalid specification, 3 numerical failure.
+A sweep or preset is written block by block: each (curves, points) block
+of the sweep engine is formatted and written as soon as it is computed, so
+the text of a long run never exists whole.  With --out the data file is
+written under a temporary name beside it and renamed once complete; a
+failed run leaves no data file.  Data files are byte-identical across
+identical invocations; run metadata (timestamp, versions, per-status row
+counts) goes to a separate ``<out>.run.json`` sidecar when --out is used.
+Exit codes: 0 success, 2 invalid specification, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import ctypes
 import functools
 import json
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -31,6 +36,8 @@ import numpy as np
 
 from .errors import InvalidSpec, TricarlError
 from .model import ModelParams
+# run_preset, run_sweep: the joined tables, which the command line does not
+# build; imported for the benchmark tracer to hook
 from .sweep import (
     ATOM_NUMBER,
     AXES,
@@ -38,7 +45,7 @@ from .sweep import (
     OUTPUTS,
     FigurePreset,
     SweepSpec,
-    as_rows,
+    _run,
     evolve_point,
     figure_preset,
     run_preset,
@@ -136,12 +143,47 @@ def _csv_column(column: list) -> list[str]:
     return [cell if type(cell) is str else "" if cell is None else repr(cell) for cell in column]
 
 
-def _rows_to_csv(table: dict, meta: list[str]) -> str:
-    """The metadata lines, then the table as CSV: floats by repr, None empty."""
-    lines = [f"# {line}" for line in meta]
-    lines.append(",".join(table))
-    lines += map(",".join, zip(*map(_csv_column, table.values())))
+def _json_column(column: list) -> list[str]:
+    # a finite float by repr, the commonest cell; the rest as _json_text writes it
+    return [
+        repr(cell) if type(cell) is float and math.isfinite(cell) else _json_text(cell, "")
+        for cell in column
+    ]
+
+
+def _grid_column(values: np.ndarray) -> list[str]:
+    """The grid cells of a (curves, points) block as text: each curve's row
+    formatted once, and reused by the next curve when its row has the same
+    bytes (0.0 and -0.0 compare equal but print differently).  A grid value
+    is finite (``SweepSpec``), so its CSV and JSON texts are both its repr."""
+    texts, last, row_texts = [], None, []
+    for row in values:
+        key = row.tobytes()
+        if key != last:
+            last, row_texts = key, list(map(repr, row.tolist()))
+        texts += row_texts
+    return texts
+
+
+def _rows_to_csv(table: dict, meta: list[str] | None, texts: dict | None = None) -> str:
+    """The table's rows as CSV lines, floats by repr and None empty, after
+    the metadata lines and the header where ``meta`` is given.  A column
+    named in ``texts`` takes its cells' text from there."""
+    texts = texts or {}
+    columns = [texts.get(name) or _csv_column(column) for name, column in table.items()]
+    lines = [] if meta is None else [*(f"# {line}" for line in meta), ",".join(table)]
+    lines += map(",".join, zip(*columns))
     return "\n".join(lines) + "\n"
+
+
+def _rows_to_json(table: dict, texts: dict) -> str:
+    """The table's rows as the row objects of a payload's "rows" list, as
+    ``json.dumps(payload, indent=2)`` writes them, joined by its separator.
+    A column named in ``texts`` takes its cells' text from there."""
+    keys = [_JSON_STRING(name).replace("{", "{{").replace("}", "}}") for name in table]
+    row = "{{" + ",".join(f"\n      {key}: {{}}" for key in keys) + "\n    }}"
+    columns = [texts.get(name) or _json_column(column) for name, column in table.items()]
+    return ",\n    ".join(map(row.format, *columns))
 
 
 def _sweep_meta(spec: SweepSpec) -> list[str]:
@@ -157,12 +199,53 @@ def _sweep_meta(spec: SweepSpec) -> list[str]:
     ]
 
 
-def _emit(text: str, out: str | None, argv: list[str], statuses: list[str] | None = None) -> None:
+def _csv_blocks(blocks, axis: str, meta: list[str], statuses: Counter | None):
+    """The CSV text of a sweep or preset, one piece per block of ``_run``,
+    formatted as the block arrives; the metadata lines and the header lead
+    the first.  Adds each block's row statuses to ``statuses``, if given."""
+    for values, table in blocks:
+        if statuses is not None:
+            statuses.update(table["status"])
+        # the curve and status cells are str, written as they are
+        texts = {name: table[name] for name in ("curve", "status") if name in table}
+        yield _rows_to_csv(table, meta, {**texts, axis: _grid_column(values)})
+        meta = None
+
+
+def _json_blocks(blocks, axis: str, head: dict, statuses: Counter | None):
+    """The bytes of ``json.dumps({**head, "rows": rows}, indent=2)`` and a
+    newline, where ``rows`` holds the row dicts of every block of ``_run``,
+    one piece per block, formatted as the block arrives.  Adds each block's
+    row statuses to ``statuses``, if given."""
+    # the text of head ends in "\n}\n"; "rows" is the payload's last key
+    separator = _json_dumps(head)[:-3] + ',\n  "rows": [\n    '
+    for values, table in blocks:
+        if statuses is not None:
+            statuses.update(table["status"])
+        yield separator + _rows_to_json(table, {axis: _grid_column(values)})
+        separator = ",\n    "
+    yield "\n  ]\n}\n"
+
+
+def _emit(pieces, out: str | None, argv: list[str], statuses: Counter | None) -> None:
+    """Write the pieces of a data file, as each is made: to stdout, or to a
+    temporary file beside ``out``, renamed to ``out`` once the last is
+    written, and then the ``.run.json`` sidecar.  A failure removes the
+    temporary file, so it leaves no data file and no sidecar."""
     if out is None:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
         return
     path = Path(out)
-    path.write_text(text, encoding="utf-8")
+    partial = Path(f"{out}.{os.getpid()}.tmp")
+    file = open(partial, "x", encoding="utf-8")
+    try:
+        with file:
+            file.writelines(pieces)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     sidecar = {
         "argv": argv,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -170,7 +253,7 @@ def _emit(text: str, out: str | None, argv: list[str], statuses: list[str] | Non
         "python": sys.version.split()[0],
     }
     if statuses is not None:
-        sidecar["row_status_counts"] = dict(sorted(Counter(statuses).items()))
+        sidecar["row_status_counts"] = dict(sorted(statuses.items()))
     path.with_suffix(path.suffix + ".run.json").write_text(_json_dumps(sidecar), encoding="utf-8")
 
 
@@ -255,33 +338,33 @@ def _parse_sweep_flag(text: str) -> tuple[str, float, float, int]:
     return axis, start, stop, points
 
 
-def _run_sweep_mode(args: argparse.Namespace, params: ModelParams) -> tuple[str, dict]:
+def _run_sweep_mode(args: argparse.Namespace, params: ModelParams, statuses: Counter | None):
     axis, start, stop, points = _parse_sweep_flag(args.sweep)
     outputs = tuple(name for name in args.outputs.split(",") if name)
     spec = SweepSpec(axis, start, stop, points, params, outputs, args.tau, args.atoms, args.epsilon)
     if args.format == "json" and spec.tau == math.inf:
         raise InvalidSpec("tau=inf has no JSON encoding; use --format csv")
-    table = run_sweep(spec)
+    blocks = _run((spec,))
     if args.format == "json":
-        payload = {"kind": "sweep", "spec": spec.to_dict(), "rows": as_rows(table)}
-        return _json_dumps(payload), table
-    return _rows_to_csv(table, _sweep_meta(spec)), table
+        head = {"kind": "sweep", "spec": spec.to_dict()}
+        return _json_blocks(blocks, axis, head, statuses)
+    return _csv_blocks(blocks, axis, _sweep_meta(spec), statuses)
 
 
-def _run_preset_mode(args: argparse.Namespace) -> tuple[str, dict]:
+def _run_preset_mode(args: argparse.Namespace, statuses: Counter | None):
     preset: FigurePreset = figure_preset(args.preset)
-    table = run_preset(preset)
+    labels, specs = zip(*preset.curves)
+    blocks, axis = _run(specs, labels), specs[0].axis
     if args.format == "json":
-        payload = {
+        head = {
             "kind": "preset",
             "id": preset.id,
             "description": preset.description,
             "curves": [{"label": label, "spec": spec.to_dict()} for label, spec in preset.curves],
-            "rows": as_rows(table),
         }
-        return _json_dumps(payload), table
+        return _json_blocks(blocks, axis, head, statuses)
     meta = [f"tricarl preset {preset.id}", preset.description]
-    return _rows_to_csv(table, meta), table
+    return _csv_blocks(blocks, axis, meta, statuses)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -289,7 +372,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     effective_argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(effective_argv)
-    table = None
+    # the rows per status of a sweep or preset, counted block by block for the sidecar
+    statuses = None if args.out is None else Counter()
     try:
         if args.oracle and (args.preset or args.sweep):
             raise InvalidSpec("--oracle applies to point reports only")
@@ -298,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
             given = ", ".join(f"--{name}" for name in names if getattr(args, name) is not None)
             if given:
                 raise InvalidSpec(f"--preset sets its own parameters; drop {given}")
-            text, table = _run_preset_mode(args)
+            pieces = _run_preset_mode(args, statuses)
         else:
             for name, default in _RUN_DEFAULTS.items():
                 if getattr(args, name) is None:
@@ -310,19 +394,18 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise InvalidSpec(str(exc)) from exc
             if args.sweep:
-                text, table = _run_sweep_mode(args, params)
+                pieces = _run_sweep_mode(args, params, statuses)
             else:
-                text = _run_point(args, params)
+                pieces, statuses = [_run_point(args, params)], None
+        # a sweep's or preset's blocks are evaluated as they are written
+        _emit(pieces, args.out, effective_argv, statuses)
     except InvalidSpec as exc:
         return _report_error(exc.code, exc, EXIT_INVALID)
     except (TricarlError, np.linalg.LinAlgError) as exc:
         return _report_error(getattr(exc, "code", "error"), exc, EXIT_NUMERICAL)
-    try:
-        _emit(text, args.out, effective_argv, None if table is None else table["status"])
     except OSError as exc:  # --out into a missing directory, say
         return _report_error(InvalidSpec.code, exc, EXIT_INVALID)
     return EXIT_OK
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -283,7 +283,8 @@ def _covariance_stack(params, lambdas: np.ndarray, tau) -> tuple[np.ndarray, lis
     ``covariance``.  Overflow reads inf or NaN; its callers run it under
     np.errstate."""
     q, m = _newton_form(params, lambdas, tau)
-    c = q + 0.5 * (m[:, np.newaxis] * m.conj()).sum(axis=2)
+    # each product halved before the sum, so C overflows only when its value does
+    c = q + (0.5 * m[:, np.newaxis] * m.conj()).sum(axis=2)
     q_defect = _hermitian_defect(q, q.conj().swapaxes(0, 1), (0, 1))
     growing = np.isinf(tau)
     if growing.any():

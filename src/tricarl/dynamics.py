@@ -123,7 +123,8 @@ def solve_cubic(coeffs: np.ndarray) -> np.ndarray:
         size = (np.abs(coeffs[..., 1:]) ** _SCALE_ROOTS).max(axis=-1)
         exponent = np.frexp(size)[1][..., np.newaxis]
         scaled = np.ldexp(coeffs.view(float), exponent * _SCALE_POWERS).view(complex)
-        a2, a1, a0 = scaled[..., 1], scaled[..., 2], scaled[..., 3]
+        # [()]: a single cubic's coefficients as numpy scalars, whose arithmetic costs less
+        a2, a1, a0 = scaled[..., 1][()], scaled[..., 2][()], scaled[..., 3][()]
         shift = a2 / 3.0
         shift2 = shift * shift
         p = a1 / 3.0 - shift2

@@ -134,18 +134,23 @@ def _test_guards(c: np.ndarray) -> list:
     ]
 
 
+def _check_epsilon(epsilon: float, error: type = ValueError) -> None:
+    """Raise ``error`` for a sign tolerance that is not finite and >= 0: the
+    one check of the value, made where a user passes it in."""
+    if not 0 <= epsilon < np.inf:
+        raise error(f"epsilon must be finite and >= 0, got {epsilon!r}")
+
+
 def _classes(gamma_min_eigs: np.ndarray, epsilon: float):
     """Class label of each set of three Gamma minimum eigenvalues on the last
-    axis, and the guard against non-finite ones (see ``first_failure``).
-    Raises ValueError for an ``epsilon`` that is not finite and >= 0.
+    axis, and the guard against non-finite ones (see ``first_failure``), at
+    a checked ``epsilon`` (``_check_epsilon``).
 
     Mode j counts as factorizable unless its minimum is below -epsilon.
     None factorizable: fully inseparable; one: that mode is biseparable (the
     label carries its index); two: two-mode biseparable; all three:
     biseparable or separable, which the Gamma tests cannot tell apart.
     """
-    if not 0 <= epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     labels = _CLASS_LABELS[(gamma_min_eigs >= -epsilon) @ _MODE_BITS]
     return labels, ("non_finite", ~np.isfinite(gamma_min_eigs).all(axis=-1))
 
@@ -164,10 +169,12 @@ class SeparabilityReport:
 def separability_report(
     cov: CovarianceState | np.ndarray, epsilon: float = EPSILON
 ) -> SeparabilityReport:
-    """Run all separability tests on one covariance state; raises the error
-    of the first guard it fails: the Hermitian guards of its test matrices
-    (``_test_guards``), then those of ``_separability_stack``."""
+    """Run all separability tests on one covariance state.  Raises
+    ValueError for a bad ``epsilon``, then the error of the first guard it
+    fails: the Hermitian guards of its test matrices (``_test_guards``),
+    then those of ``_separability_stack``."""
     c = _covariance_matrix(cov)
+    _check_epsilon(epsilon)
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
         gammas, pairs, label, guards = _separability_stack(c, epsilon)
         guards = _test_guards(c) + guards

@@ -62,10 +62,17 @@ def _observable_guards(c: np.ndarray) -> list:
     ]
 
 
+def _check_atom_number(atom_number: float, error: type = ValueError) -> None:
+    """Raise ``error`` for an atom number that is not finite and > 0: the one
+    check of the value, made where a user passes it in."""
+    if not 0 < atom_number < np.inf:
+        raise error(f"atom_number must be finite and > 0, got {atom_number!r}")
+
+
 def _observable_stack(c: np.ndarray, atom_number: float) -> dict:
     """Every observable of a (..., 3, 3) stack of covariances, whose guards
-    are ``_observable_guards``.  Raises ValueError for an ``atom_number``
-    that is not finite and > 0.
+    are ``_observable_guards``; ``atom_number`` is a checked one
+    (``_check_atom_number``).
 
     Maps the ModeObservables field names, in their order, to
     ``(values, defined)`` pairs: modes or CROSS_PAIRS run along the last
@@ -76,8 +83,6 @@ def _observable_stack(c: np.ndarray, atom_number: float) -> dict:
     the digits the difference loses near vacuum, where G_iiii is about 1/2.
     The g2_auto numerator G_iiii - 2 C_ii + 1/2 is likewise taken as 2 n^2.
     """
-    if not 0 < atom_number < np.inf:
-        raise ValueError(f"atom_number must be finite and > 0, got {atom_number!r}")
     n = np.maximum(np.diagonal(c, axis1=-2, axis2=-1).real - 0.5, 0.0)
     moment = c[..., 0, 0] + c[..., 1, 1] + c[..., 0, 1] + c[..., 1, 0]
     var = n * (n + 1.0)
@@ -123,6 +128,7 @@ def mode_observables(
     the first guard of ``_observable_guards`` that the covariance fails,
     then NonFinite where a defined observable is inf or NaN."""
     c = _covariance_matrix(cov)
+    _check_atom_number(atom_number)
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
         fields = _observable_stack(c, atom_number)
         guards = _observable_guards(c)

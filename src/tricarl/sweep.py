@@ -28,10 +28,13 @@ measure no Hermitian defect and the observables' residue guards, which
 Sweeps are (curves, points) blocks of up to ``_CHUNK_ROWS`` rows: a
 preset stacks consecutive curves that share their points, tau, atom
 number and epsilon, a longer curve is split along its points, and a tau
-axis solves one cubic per curve.  A block is one pass and one table.  Its
-one LAPACK call, the batched ``eigvalsh`` of the separability tests, sees
-only finite entries; should it raise all the same, its error ends the
-whole run.
+axis solves one cubic per curve.  A block is one pass and one table.
+``_run`` evaluates the blocks one at a time, as its caller asks for them:
+the command line writes each block's rows before the next is computed,
+and ``run_sweep`` and ``run_preset`` join the tables.  A block's one
+LAPACK call, the batched ``eigvalsh`` of the separability tests, sees only
+finite entries; should it raise all the same, its error ends the whole
+run.
 
 Figure presets are data: ``presets.PRESETS`` maps each id to a description
 and one (label, SweepSpec fields) pair per curve, and ``figure_preset``
@@ -51,13 +54,14 @@ import numpy as np
 # facade, which this module does not call; imported for the benchmark tracer to hook
 from .covariance import _covariance_stack, _hermitian_part, covariance, ode_oracle
 from .dynamics import _eigenvalues, cubic_coefficients, cubic_roots, gain, solve_cubic
-from .entanglement import EPSILON, _physicality_floor, _separability_stack
+from .entanglement import EPSILON, _check_epsilon, _physicality_floor, _separability_stack
 from .entanglement import physicality, separability_report
 from .errors import InvalidSpec, NonFinite, first_failure, raise_failure
 from .model import ModelParams, ParamStack, derive
 from .observables import (
     ATOM_NUMBER,
     CROSS_PAIRS,
+    _check_atom_number,
     _defined_cells,
     _observable_stack,
     _vacuum_floor,
@@ -139,10 +143,8 @@ class SweepSpec:
             raise InvalidSpec(f"tau must be >= 0, got {self.tau!r}")
         if self.axis != "delta" and self.start < 0:
             raise InvalidSpec(f"{self.axis} grid must be non-negative")
-        if not 0 < self.atom_number < math.inf:
-            raise InvalidSpec(f"atom_number must be finite and > 0, got {self.atom_number!r}")
-        if not 0 <= self.epsilon < math.inf:
-            raise InvalidSpec(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        _check_atom_number(self.atom_number, InvalidSpec)
+        _check_epsilon(self.epsilon, InvalidSpec)
         if self.axis == "tau" and self.tau is not None:
             raise InvalidSpec(f"a tau sweep takes no fixed tau, got tau={self.tau!r}")
 
@@ -196,10 +198,8 @@ def _pass(params, roots, tau, outputs, atom_number: float, epsilon: float) -> tu
     the module notes), from which the caller decides each row's status in
     one call.  The eigenvalues are formed once, from the roots and
     ``derive``.  Overflow reads inf or NaN, which the guards and the
-    callers report, never a numpy warning.  A bad ``atom_number`` or
-    ``epsilon`` raises ValueError, before any status is decided."""
-    if not 0 < atom_number < math.inf:  # checked here, as the observables may not run
-        raise ValueError(f"atom_number must be finite and > 0, got {atom_number!r}")
+    callers report, never a numpy warning.  ``atom_number`` and ``epsilon``
+    are checked ones (``SweepSpec``, ``evolve_point``)."""
     stages = _stages(outputs)
     with np.errstate(all="ignore"):
         derived = derive(params)
@@ -269,7 +269,7 @@ def _evaluate_row(spec: SweepSpec, value: float) -> dict:
     return {spec.axis: [value], **{name: [None] for name in spec.outputs}, "status": ["error"]}
 
 
-def _concat(tables: list[dict]) -> dict:
+def _concat(tables) -> dict:
     """One table of tables with the same columns, rows in order."""
     first, *rest = tables
     for table in rest:
@@ -282,20 +282,33 @@ def _blocks(specs):
     """(curves, grid values) blocks of at most ``_CHUNK_ROWS`` rows: runs of
     consecutive curves that share their axis, outputs, points, tau, atom
     number and epsilon, stacked (curves, points); a curve longer than a
-    block is split along its points."""
+    block is split along its points.  ``curves`` is the slice of ``specs``
+    that a block holds."""
+    first = 0
     for _, run in itertools.groupby(specs, _BLOCK_KEY):
         run = tuple(run)
         points = run[0].points
         per = max(1, _CHUNK_ROWS // points)
         for i in range(0, len(run), per):
-            grids = np.array([spec.grid() for spec in run[i : i + per]])
+            curves = slice(first + i, first + min(i + per, len(run)))
+            grids = np.array([spec.grid() for spec in specs[curves]])
             for j in range(0, points, _CHUNK_ROWS):
-                yield run[i : i + per], grids[:, j : j + _CHUNK_ROWS]
+                yield curves, grids[:, j : j + _CHUNK_ROWS]
+        first += len(run)
 
 
-def _run(specs) -> dict:
-    """The table of a run of curves, rows in curve and grid order."""
-    return _concat([_table(*block) for block in _blocks(specs)])
+def _run(specs, labels=None):
+    """The blocks of a run of curves (``_blocks``), each as its (curves,
+    points) grid values and its table, rows in curve and grid order.  With
+    one label per curve, each table starts with a ``curve`` column that
+    holds each row's label.  Lazy: a block is evaluated when it is asked
+    for, so a caller can write one block's rows before the next exists."""
+    for curves, values in _blocks(specs):
+        table = _table(specs[curves], values)
+        if labels is not None:
+            points = values.shape[1]
+            table = {"curve": [label for label in labels[curves] for _ in range(points)], **table}
+        yield values, table
 
 
 def run_sweep(spec: SweepSpec) -> dict:
@@ -305,7 +318,7 @@ def run_sweep(spec: SweepSpec) -> dict:
     The one-curve case of ``run_preset``: rows are evaluated in stacks of
     ``_CHUNK_ROWS`` (see the module notes).
     """
-    return _run((spec,))
+    return _concat(table for _, table in _run((spec,)))
 
 
 def as_rows(table: dict) -> list[dict]:
@@ -333,6 +346,8 @@ def evolve_point(
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
     roots = cubic_roots(params)
+    _check_atom_number(atom_number)
+    _check_epsilon(epsilon)
     fields, guards = _pass(params, roots, tau, OUTPUTS, atom_number, epsilon)
     raise_failure(guards, "point report")
     names = "covariance", "gain", "gammas", "pairs", "class"
@@ -401,7 +416,5 @@ def run_preset(preset: FigurePreset) -> dict:
     fixed parameters as (curves, 1) arrays, or scalars where every curve of
     the block shares them, so a tau preset solves one cubic per curve.
     """
-    labels = []
-    for label, spec in preset.curves:
-        labels += [label] * spec.points
-    return {"curve": labels, **_run([spec for _, spec in preset.curves])}
+    labels, specs = zip(*preset.curves)
+    return _concat(table for _, table in _run(specs, labels))

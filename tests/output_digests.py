@@ -66,16 +66,29 @@ EDGE_REQUESTS = (
     # asked for every output, a row past xi's overflow hides what S_12 reads
     ("--rho", "100", "--sweep", "tau:400:412:49", "--outputs", ALL_OUTPUTS),
     ("--rho", "100", "--sweep", "tau:400:412:49", "--outputs", SEPARABILITY_OUTPUTS),
+    # C's products sum past the largest float from tau = 406.25, C itself from 406.75
+    ("--rho", "100", "--sweep", "tau:400:412:49", "--outputs", "n1"),
     # the lossless oracle's doublings overflow M: its noise matrix fails
     ("--rho", "0.2", "--delta", "-3", "--tau", "1e100", "--oracle"),
     # steady states, and rows without one
     (*FIG5, "--tau", "inf", "--sweep", "delta:-5:10:31", "--outputs", ALL_OUTPUTS),
     (*FIG5, "--tau", "inf", "--sweep", "delta:-5:10:31", "--format", "json"),
     ("--rho", "100", "--tau", "inf"),
-    # a long seven-output sweep over several blocks
+    # a long seven-output sweep over several blocks, written block by block
     (
         "--rho", "100", "--gamma1", ".5", "--gamma2", ".5", "--tau", "2",
         "--sweep", "delta:-5:10:3000", "--outputs", "n1,n2,n3,xi12,xi13,xi23,gain",
+    ),
+    (
+        "--rho", "100", "--gamma1", ".5", "--gamma2", ".5", "--tau", "2",
+        "--sweep", "delta:-5:10:3000", "--outputs", "n1,n2,n3,xi12,xi13,xi23,gain",
+        "--format", "json",
+    ),
+    # a grid that ends at -0.0, which prints unlike 0.0
+    ("--rho", "100", "--tau", "2", "--sweep", "delta:-1:-0.0:5", "--outputs", "n1,gain"),
+    (
+        "--rho", "100", "--tau", "2", "--sweep", "delta:-1:-0.0:5", "--outputs", "n1,gain",
+        "--format", "json",
     ),
     # point reports, with and without the oracle
     (*FIG5, "--tau", "2", "--oracle"),

@@ -143,12 +143,15 @@ def test_the_pair_minima_hold_where_two_diagonal_entries_sum_past_overflow():
         mixed_basis_bound(c)
     )
     # a lossless tau sweep through that edge: each row's status is the same
-    # whichever separability output, or occupation, is asked for
+    # whichever separability output is asked for.  The occupation needs C
+    # alone, which stays finite at tau = 406.25 and 406.5 where 2H = 2C
+    # overflows, and reads non_finite from 406.75, as C does
     lossless = ModelParams(100.0, 0.0)
     outputs = "mineig_s12", "mineig_s13", "mineig_s23", "mineig_gamma1", "class", "n1"
-    statuses = [
+    *statuses, occupation = [
         run_sweep(SweepSpec("tau", 405.75, 406.75, 5, lossless, (name,)))["status"]
         for name in outputs
     ]
-    assert statuses[0][:2] == ["ok", "ok"]
+    assert statuses[0] == ["ok", "ok", "non_finite", "non_finite", "non_finite"]
     assert all(status == statuses[0] for status in statuses)
+    assert occupation == ["ok"] * 4 + ["non_finite"]

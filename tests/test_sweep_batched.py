@@ -33,6 +33,7 @@ from oracles import (
     evaluate_row,
     gamma_matrix,
     mixed_basis_bound,
+    mp_covariance,
     mp_min_eigs,
     mp_steady_state,
     quadrature_covariance,
@@ -306,6 +307,11 @@ def test_regular_tau_grid_rows_match():
     assert_rows_match(spec, as_rows(run_sweep(spec)))
 
 
+def joined_run(specs):
+    """The table of a run of curves, its blocks joined."""
+    return sweep_module._concat(table for _, table in sweep_module._run(specs))
+
+
 @pytest.mark.parametrize(
     "axis, start, stop, tau, lossless, other",
     [
@@ -335,9 +341,9 @@ def test_lossless_rows_read_alike_without_and_with_the_noise_integral(
         SweepSpec(axis, start, stop, 40, fixed, OUTPUTS, tau=tau)
         for fixed in (lossless, other, lossy)
     ]
-    without = as_rows(sweep_module._run(specs[:2]))[:40]
+    without = as_rows(joined_run(specs[:2]))[:40]
     assert phi_passes == []
-    with_noise = as_rows(sweep_module._run(specs[::2]))[:40]
+    with_noise = as_rows(joined_run(specs[::2]))[:40]
     assert len(phi_passes) == 1
     assert repr(without) == repr(with_noise)
 
@@ -716,14 +722,35 @@ def test_covariance_measures_the_hermitian_defect_of_c_once(monkeypatch):
 def test_a_sweep_row_keeps_the_occupations_of_covariance_near_the_largest_float():
     # the pass takes C's Hermitian part from the helper CovarianceState uses,
     # halved first: where C_11 passes 9e307 a row keeps the finite occupations
-    # that covariance returns, and reads non_finite only once C overflows
+    # that covariance returns (the last two rows' C_11, 1.03e308 and 1.07e308,
+    # overflowed before the kernel halved M M^dag's products)
     params = ModelParams(100.0, 0.0, 0.1, 0.1, 0.1)
     table = run_sweep(SweepSpec("tau", 459.05, 459.2, 7, params, ("n1", "n2", "n3")))
-    assert table["status"] == ["ok"] * 5 + ["non_finite"] * 2
-    for k, tau in enumerate(table["tau"][:5]):
+    assert table["status"] == ["ok"] * 7
+    for k, tau in enumerate(table["tau"]):
         expected = covariance(params, tau).c.diagonal().real - 0.5
         got = [table[name][k] for name in ("n1", "n2", "n3")]
         np.testing.assert_allclose(got, expected, rtol=RTOL)
+
+
+def test_c_overflows_only_where_its_value_does():
+    # C = Q + M M^dag / 2 halves each product |M_1k|^2 before the sum: at
+    # tau = 406.25 and 406.5 the unhalved sum passes the largest float while
+    # C_11 (1.0755e308, 1.658e308) does not.  The 40-digit reference, rounded
+    # only at the end, overflows from tau = 406.75, and so do the rows
+    params = ModelParams(100.0, 0.0)
+    table = run_sweep(SweepSpec("tau", 405.5, 407.0, 7, params, ("n1",)))
+    assert table["status"] == ["ok"] * 5 + ["non_finite"] * 2
+    for k, tau in enumerate(table["tau"]):
+        with np.errstate(over="ignore"):
+            reference = mp_covariance(params, tau, 40)
+        if k >= 5:
+            assert np.isinf(reference[0, 0])
+            continue
+        got = covariance(params, tau).c
+        # measured 6.7e-14 at tau = 406.25 and 1.0e-13 at 406.5
+        assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert table["n1"][k] == got[0, 0].real - 0.5
 
 
 SEPARABILITY_OUTPUTS = tuple(name for name in OUTPUTS if name.startswith(("mineig", "class")))
