@@ -18,7 +18,6 @@ from .dynamics import (
     gain,
     solve_cubic,
     spectrum,
-    unstable_root,
 )
 from .entanglement import (
     SeparabilityReport,
@@ -112,5 +111,4 @@ __all__ = [
     "sr_semiclassical_populations",
     "steady_state",
     "superradiant_roots",
-    "unstable_root",
 ]

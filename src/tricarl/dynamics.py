@@ -180,17 +180,9 @@ def cubic_roots(params: ModelParams) -> np.ndarray:
     return roots
 
 
-def unstable_root(omegas: np.ndarray) -> complex:
-    """Root with the minimum imaginary part (the growing one when gain > 0),
-    per set of roots on the last axis."""
-    omegas = np.asarray(omegas)
-    first = np.lexsort((omegas.real, omegas.imag), axis=-1)[..., :1]
-    return np.take_along_axis(omegas, first, axis=-1)[..., 0]
-
-
 def gain(omegas: np.ndarray, gamma_plus: float) -> float:
-    """Exponential growth rate g = -Im(unstable root) - gamma_plus: the root
-    least by (Im, Re), as ``unstable_root`` picks it, has the least key Im + i Re."""
+    """Exponential growth rate g = -Im(unstable root) - gamma_plus: the
+    unstable root, least by (Im, Re), has the least key Im + i Re."""
     keys = np.empty(np.shape(omegas), dtype=complex)
     keys.real, keys.imag = np.imag(omegas), np.real(omegas)
     return -keys.min(axis=-1).real - gamma_plus

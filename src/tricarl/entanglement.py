@@ -22,8 +22,10 @@ The state has no anomalous moments <u_i u_j>, so the fixed unitary
 2H + Sigma and 2H - Sigma, H = (C + C^dag)/2: Sigma = I for Gamma_1,
 diag(-1, -1, 1) for Gamma_2, diag(-1, 1, -1) for Gamma_3 and diag(-1, 1, 1)
 for V - iJ.  S_12, S_13 (S_23) are 2x2 blocks of Gamma_1's (Gamma_2's)
-blocks, whose minimum is (a + d)/2 - hypot((a - d)/2, |b|).  The 6x6
-construction is the tests' reference.
+blocks, whose minimum is (a + d)/2 - hypot((a - d)/2, |b|).  The tests
+take each minimum on H +- Sigma/2 and double it: that gave the minimum on
+2H +- Sigma to the last bit on every state checked, and stays finite where
+H is finite but 2H overflows.  The 6x6 construction is the tests' reference.
 """
 
 from __future__ import annotations
@@ -37,16 +39,17 @@ from .errors import RegimeMismatch, raise_failure
 from .model import ModelParams
 
 # Sigma of the blocks 2H +- Sigma of Gamma_1, Gamma_2, Gamma_3 and V - iJ, and
-# the shifts diag(Sigma), then diag(-Sigma), of the Gamma_j and V - iJ blocks
+# the halved shifts diag(Sigma)/2, then diag(-Sigma)/2, of the Gamma_j and
+# V - iJ blocks on H
 _SIGMA = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
 _GAMMA_SHIFTS, _PHYSICAL_SHIFTS = (
-    np.concatenate([s, -s])[:, :, np.newaxis] * np.eye(3) for s in (_SIGMA[:3], _SIGMA[3:])
+    np.concatenate([s, -s])[:, :, np.newaxis] * (0.5 * np.eye(3)) for s in (_SIGMA[:3], _SIGMA[3:])
 )
-# modes (i, j) of S_12, S_13, S_23 and their 2x2 blocks of C; |s + t|/2 and
-# |s - t|/2 of each pair's Sigma = (s, t): (1, 1), (1, 1), (-1, 1)
+# modes (i, j) of S_12, S_13, S_23 and their 2x2 blocks of C; |s + t|/4 and
+# |s - t|/4 of each pair's Sigma = (s, t): (1, 1), (1, 1), (-1, 1)
 _PAIRS = np.array([[0, 1], [0, 2], [1, 2]])
 _BLOCK_ROWS, _BLOCK_COLS = _PAIRS[:, [0, 0, 1, 1]], _PAIRS[:, [0, 1, 0, 1]]
-_PAIR_MEAN_SHIFT, _PAIR_SPLIT = np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
+_PAIR_MEAN_SHIFT, _PAIR_SPLIT = np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, 0.5])
 # the i added to Im 2C_kk in a test matrix's size; the bits of modes 1, 2, 3
 _I_EYE, _MODE_BITS = 1j * np.eye(3), np.array([1, 2, 4])
 
@@ -69,29 +72,38 @@ _CLASS_LABELS = np.array(
 )
 
 
-def _block_minima(h2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def _block_minima(h: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue (..., k) of each 6x6 test matrix whose blocks are
-    h2 + shifts[m] and h2 + shifts[k + m], from one batched 3x3 ``eigvalsh``."""
-    eigs = np.linalg.eigvalsh(h2[..., np.newaxis, :, :] + shifts)[..., 0]
-    return np.minimum(eigs[..., : len(shifts) // 2], eigs[..., len(shifts) // 2 :])
+    2(h + shifts[m]) and 2(h + shifts[k + m]), from one batched 3x3
+    ``eigvalsh``."""
+    eigs = np.linalg.eigvalsh(h[..., np.newaxis, :, :] + shifts)[..., 0]
+    return 2.0 * np.minimum(eigs[..., : len(shifts) // 2], eigs[..., len(shifts) // 2 :])
 
 
-def _pair_minima(h2: np.ndarray) -> np.ndarray:
-    """S_12, S_13, S_23 minimum eigenvalues (..., 3) of each 2H in a stack:
-    of a pair's blocks [[a +- s, b], [b*, d +- t]], one of s + t and s - t
-    is 0, so the smaller closed-form minimum is
-    (a + d)/2 - |s + t|/2 - hypot(|a - d|/2 + |s - t|/2, |b|), with a and d
+def _pair_minima(h: np.ndarray) -> np.ndarray:
+    """S_12, S_13, S_23 minimum eigenvalues (..., 3) of each H in a stack:
+    of a pair's blocks 2[[a +- s/2, b], [b*, d +- t/2]], one of s + t and
+    s - t is 0, so the smaller closed-form minimum is twice
+    (a + d)/2 - |s + t|/4 - hypot(|a - d|/2 + |s - t|/4, |b|), with a and d
     halved first so that neither sum overflows before its inputs do."""
-    half = 0.5 * h2.diagonal(axis1=-2, axis2=-1).real
-    a, d = half[..., _PAIRS[:, 0]], half[..., _PAIRS[:, 1]]
-    coupling = np.abs(h2[..., _PAIRS[:, 0], _PAIRS[:, 1]])
-    return a + d - _PAIR_MEAN_SHIFT - np.hypot(np.abs(a - d) + _PAIR_SPLIT, coupling)
+    diagonal = h.diagonal(axis1=-2, axis2=-1).real
+    a, d = diagonal[..., _PAIRS[:, 0]], diagonal[..., _PAIRS[:, 1]]
+    coupling = np.abs(h[..., _PAIRS[:, 0], _PAIRS[:, 1]])
+    split = np.hypot(0.5 * np.abs(a - d) + _PAIR_SPLIT, coupling)
+    return 2.0 * (0.5 * a + 0.5 * d - _PAIR_MEAN_SHIFT - split)
 
 
-def _physicality_floor(c: np.ndarray) -> np.ndarray:
+def _physicality_floor(h: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of V - iJ of each covariance of a (..., 3, 3)
-    stack, from its two 3x3 mixed-basis blocks; its guards are Gamma_j's."""
-    return _block_minima(c + _dagger(c), _PHYSICAL_SHIFTS)[..., 0]
+    stack, given as its Hermitian part H, from its two 3x3 mixed-basis
+    blocks; its guards are Gamma_j's."""
+    return _block_minima(h, _PHYSICAL_SHIFTS)[..., 0]
+
+
+def _hermitian(c: np.ndarray) -> np.ndarray:
+    """The Hermitian part H of a C from outside the package, halved first as
+    ``_hermitian_part`` halves it, for the one-state functions."""
+    return 0.5 * c + 0.5 * _dagger(c)
 
 
 def physicality(cov: CovarianceState | np.ndarray) -> float:
@@ -102,7 +114,8 @@ def physicality(cov: CovarianceState | np.ndarray) -> float:
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
         guards = _test_guards(c)[:2]
     raise_failure(guards, "physicality test")
-    return float(_physicality_floor(c))
+    with np.errstate(over="ignore"):  # the doubled floor reads -inf where 2H's would
+        return float(_physicality_floor(_hermitian(c)))
 
 
 def _test_defects(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,30 +189,31 @@ def separability_report(
     c = _covariance_matrix(cov)
     _check_epsilon(epsilon)
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
-        gammas, pairs, label, guards = _separability_stack(c, epsilon)
+        gammas, pairs, label, guards = _separability_stack(_hermitian(c), epsilon)
         guards = _test_guards(c) + guards
     raise_failure(guards, "separability tests")
     return SeparabilityReport(tuple(gammas.tolist()), tuple(pairs.tolist()), label, epsilon)
 
 
-def _separability_stack(c: np.ndarray, epsilon: float):
+def _separability_stack(h: np.ndarray, epsilon: float):
     """The separability tests of a (..., 3, 3) stack of covariances (or one),
-    computed on 2H = C + C^dag.
+    computed on their Hermitian parts H = (C + C^dag)/2.
 
     Returns the Gamma_j and S_ij minimum eigenvalues (..., 3) each, the
     class labels (an object array) and the guards: non-finite entries of
-    2H, which are zeroed to keep them from ``eigvalsh`` (such a state's
-    minima are finite but mean nothing), then non-finite Gamma_j minimum
-    eigenvalues.  It measures no Hermitian defect: a sweep's C is the
-    exact Hermitian part that ``_hermitian_part`` returns, and the
-    one-state functions check an outside C first (``_test_guards``).
+    H, which are zeroed, where there are any, to keep them from
+    ``eigvalsh`` (such a state's minima are finite but mean nothing), then
+    non-finite Gamma_j minimum eigenvalues.  It measures no Hermitian
+    defect: a sweep's C is the exact Hermitian part that ``_hermitian_part``
+    returns, and the one-state functions check an outside C first
+    (``_test_guards``) and pass its H (``_hermitian``).
     """
-    h2 = c + _dagger(c)
-    finite = np.isfinite(h2)
-    h2[~finite] = 0.0
-    gammas, pairs = _block_minima(h2, _GAMMA_SHIFTS), _pair_minima(h2)
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    if not finite.all():
+        h = np.where(np.isfinite(h), h, 0.0)
+    gammas, pairs = _block_minima(h, _GAMMA_SHIFTS), _pair_minima(h)
     labels, finite_minima = _classes(gammas, epsilon)
-    return gammas, pairs, labels, [("non_finite", ~finite.all(axis=(-2, -1))), finite_minima]
+    return gammas, pairs, labels, [("non_finite", ~finite), finite_minima]
 
 
 def asymptotic_eta(params: ModelParams, regime: str) -> tuple[float, float]:

@@ -43,6 +43,7 @@ turns only the requested entry into validated sweeps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -99,8 +100,18 @@ _CHUNK_ROWS = 1024
 _BLOCK_KEY = operator.attrgetter("axis", "outputs", "points", "tau", "atom_number", "epsilon")
 
 
-def _stages(outputs) -> set:
-    return {_REGISTRY[name][0] for name in outputs}
+@functools.lru_cache(maxsize=64)
+def _layout(outputs: tuple) -> tuple[frozenset, tuple, int]:
+    """The stages of a tuple of known output names; every output but class,
+    the state's first, then gain; and how many lead: the state's, whose
+    cells a table checks for overflow."""
+    state = [name for name in outputs if _REGISTRY[name][0] > _ROOTS and name != "class"]
+    numbers = (*state, *(name for name in outputs if name == "gain"))
+    return frozenset(_REGISTRY[name][0] for name in outputs), numbers, len(state)
+
+
+def _stages(outputs) -> frozenset:
+    return _layout(tuple(outputs))[0]
 
 
 @dataclass(frozen=True)
@@ -234,32 +245,45 @@ def _table(specs, values: np.ndarray) -> dict:
     block's ``_pass``, then a non-finite requested cell ("non_finite").  A
     failed row's cells are undefined, except that it keeps its gain when it
     failed after the roots.  Grid values are finite (see ``SweepSpec``).
+    The numbers stay one float64 array up to one ``tolist``, which gives
+    Python floats; only a block with an undefined cell goes through an
+    object array, to hold its None.
     """
     spec = specs[0]
+    _, numbers, checked = _layout(tuple(spec.outputs))
     params, tau = _stack(specs, values)
     fields, guards = _pass(params, None, tau, spec.outputs, spec.atom_number, spec.epsilon)
-    dtype = object if "class" in spec.outputs else float
-    cells = np.empty((len(spec.outputs), *values.shape), dtype)
+    cells = np.empty((len(numbers), *values.shape))
     defined = np.empty(cells.shape, dtype=bool)
-    for k, name in enumerate(spec.outputs):
+    for k, name in enumerate(numbers):
         _, source, index = _REGISTRY[name]
         value, ok = fields[source]
         if index is not None:
             value, ok = value[..., index], ok is True or ok[..., index]
-        # as an array: an object cell then holds a float, not a numpy scalar
-        cells[k], defined[k] = np.asarray(value), ok
-    if _stages(spec.outputs) != {_ROOTS}:
-        # the numbers of the state's stages: gain and class are not checked
-        checked = [_REGISTRY[name][0] > _ROOTS and name != "class" for name in spec.outputs]
-        overflow = defined[checked] & ~np.isfinite(cells[checked].astype(float))
+        cells[k], defined[k] = value, ok
+    state = slice(checked)  # gain and class are not checked
+    if checked:
+        overflow = defined[state] & ~np.isfinite(cells[state])
         guards.append(("non_finite", overflow.any(axis=0)))
     status = first_failure(*guards)
-    defined[[name != "gain" for name in spec.outputs]] &= status == "ok"
-    columns = np.where(defined, cells, None).reshape(len(spec.outputs), -1).tolist()
+    labels = fields["class"][0] if "class" in spec.outputs else None
+    if isinstance(status, str):
+        statuses = [status] * values.size
+    else:
+        passed = status == "ok"
+        defined[state] &= passed
+        if labels is not None:
+            labels = np.where(passed, labels, None)
+        statuses = np.broadcast_to(status, values.shape).ravel().tolist()
+    if not defined.all():
+        cells = np.where(defined, cells, None)
+    columns = dict(zip(numbers, cells.reshape(len(numbers), values.size).tolist()))
+    if labels is not None:
+        columns["class"] = labels.ravel().tolist()
     return {
         spec.axis: values.ravel().tolist(),
-        **dict(zip(spec.outputs, columns)),
-        "status": np.broadcast_to(status, values.shape).ravel().tolist(),
+        **{name: columns[name] for name in spec.outputs},
+        "status": statuses,
     }
 
 
@@ -362,7 +386,7 @@ def evolve_point(
             "class": label,
             "epsilon": epsilon,
         },
-        # past the status, 2H = C + C^dag is finite, as the floor's blocks are
+        # past the status, the Gamma_j minima are finite, and the floor is within 2 of Gamma_1's
         "physicality": float(_physicality_floor(c)),
     }
     if oracle:

@@ -29,10 +29,11 @@ drift generator, the exponential-sum coefficients of the propagator and the
 noise integral in the eigenbasis, which need separated roots), Van Loan's
 noise integral with M from a separate ``scipy.linalg.expm``, and the
 single-state forms the package computes only inside its array kernels: the
-gain over a detuning grid, fourth-order moments, squeezing from explicit
-moments, and the row-by-row sweep evaluator and single-point report, which
-run one grid value or one point through the raising one-state functions and
-walk every nested float of the result for inf/NaN.
+gain over a detuning grid, the unstable root by a lexsort (``gain`` reads a
+least key instead), fourth-order moments, squeezing from explicit moments,
+and the row-by-row sweep evaluator and single-point report, which run one
+grid value or one point through the raising one-state functions and walk
+every nested float of the result for inf/NaN.
 """
 
 import itertools
@@ -450,6 +451,15 @@ def gains_over_delta(params, deltas):
     stack = ParamStack(**{**params.to_dict(), "delta": np.asarray(deltas, dtype=float)})
     dp = derive(stack)
     return gain(solve_cubic(cubic_coefficients(dp, stack.rho)), dp.gamma_plus)
+
+
+def unstable_root(omegas):
+    """Root with the minimum imaginary part (the growing one when gain > 0),
+    per set of roots on the last axis, ties broken by the real part: the
+    root whose growth rate ``gain`` reads, picked by a lexsort."""
+    omegas = np.asarray(omegas)
+    first = np.lexsort((omegas.real, omegas.imag), axis=-1)[..., :1]
+    return np.take_along_axis(omegas, first, axis=-1)[..., 0]
 
 
 def fourth_order(cov, i, j, k, l):

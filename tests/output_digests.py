@@ -68,6 +68,13 @@ EDGE_REQUESTS = (
     ("--rho", "100", "--sweep", "tau:400:412:49", "--outputs", SEPARABILITY_OUTPUTS),
     # C's products sum past the largest float from tau = 406.25, C itself from 406.75
     ("--rho", "100", "--sweep", "tau:400:412:49", "--outputs", "n1"),
+    # the band where C is finite but 2H = 2C overflows: the separability tests,
+    # taken on H, read ok there as the occupation does
+    ("--rho", "100", "--sweep", "tau:405.75:406.75:5", "--outputs", f"n1,{SEPARABILITY_OUTPUTS}"),
+    (
+        "--rho", "100", "--sweep", "tau:405.75:406.75:5", "--outputs", f"n1,{SEPARABILITY_OUTPUTS}",
+        "--format", "json",
+    ),
     # the lossless oracle's doublings overflow M: its noise matrix fails
     ("--rho", "0.2", "--delta", "-3", "--tau", "1e100", "--oracle"),
     # steady states, and rows without one

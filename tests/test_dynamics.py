@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oracles import exact_roots, mp_unitarity_defect, newton_propagator
+from oracles import exact_roots, mp_unitarity_defect, newton_propagator, unstable_root
 from tricarl import (
     ModelParams,
     NonFinite,
@@ -18,7 +18,6 @@ from tricarl import (
     gain,
     solve_cubic,
     spectrum,
-    unstable_root,
 )
 from tricarl.covariance import _covariance_stack
 from tricarl.dynamics import _eigenvalues

@@ -124,14 +124,15 @@ def extreme_stacks(draw):
 @given(extreme_stacks())
 def test_stacked_kernels_keep_lapack_off_non_finite_input(c):
     # batched eigvalsh raises LinAlgError on most NaN or inf entries, for the
-    # whole stack: _separability_stack zeroes those entries of 2H before its
+    # whole stack: _separability_stack zeroes those entries of H before its
     # one LAPACK call, and a sweep has no per-row path around a raise
     with np.errstate(all="ignore"):
-        gammas, _, _, _ = _separability_stack(c, 1e-9)
+        h = 0.5 * c + 0.5 * np.conj(np.swapaxes(c, -1, -2))
+        gammas, _, _, _ = _separability_stack(h, 1e-9)
         assert np.isfinite(gammas).all()
-        # a point report asks for the floor only where 2H = C + C^dag is finite
-        finite = np.isfinite(c + np.conj(np.swapaxes(c, -1, -2))).all(axis=(-2, -1))
-        assert np.isfinite(_physicality_floor(c[finite])).all()
+        # a point report asks for the floor only where H is finite
+        finite = np.isfinite(h).all(axis=(-2, -1))
+        assert np.isfinite(_physicality_floor(h[finite])).all()
 
 
 def test_the_pair_minima_hold_where_two_diagonal_entries_sum_past_overflow():
@@ -143,15 +144,13 @@ def test_the_pair_minima_hold_where_two_diagonal_entries_sum_past_overflow():
         mixed_basis_bound(c)
     )
     # a lossless tau sweep through that edge: each row's status is the same
-    # whichever separability output is asked for.  The occupation needs C
-    # alone, which stays finite at tau = 406.25 and 406.5 where 2H = 2C
-    # overflows, and reads non_finite from 406.75, as C does
+    # whichever output is asked for.  The tests take their minima on H = C,
+    # so they stay finite at tau = 406.25 and 406.5 where 2H = 2C overflows,
+    # and read non_finite from 406.75, as C and the occupation do
     lossless = ModelParams(100.0, 0.0)
     outputs = "mineig_s12", "mineig_s13", "mineig_s23", "mineig_gamma1", "class", "n1"
-    *statuses, occupation = [
+    statuses = [
         run_sweep(SweepSpec("tau", 405.75, 406.75, 5, lossless, (name,)))["status"]
         for name in outputs
     ]
-    assert statuses[0] == ["ok", "ok", "non_finite", "non_finite", "non_finite"]
-    assert all(status == statuses[0] for status in statuses)
-    assert occupation == ["ok"] * 4 + ["non_finite"]
+    assert statuses == [["ok"] * 4 + ["non_finite"]] * len(outputs)

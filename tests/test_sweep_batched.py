@@ -60,6 +60,7 @@ from tricarl import (
 from tricarl.covariance import HERMITIZE_TOL, _dagger, _hermitian_defect, _hermitian_part
 from tricarl.entanglement import (
     HERMITICITY_TOL,
+    _hermitian,
     _separability_stack,
     _test_defects,
     _test_guards,
@@ -478,7 +479,7 @@ def raised_code(fn, *args):
 def separability_guards(stack):
     """The guards that ``separability_report`` decides on a C from outside
     the package: its test matrices' Hermitian guards, then the kernel's."""
-    return _test_guards(stack) + _separability_stack(stack, 1e-9)[-1]
+    return _test_guards(stack) + _separability_stack(_hermitian(stack), 1e-9)[-1]
 
 
 def test_batched_guards_flag_what_the_single_state_path_rejects():
@@ -663,19 +664,26 @@ def test_guard_defects_equal_those_of_the_test_matrices(cs):
     np.testing.assert_array_equal(pair_defect, pairs)
 
 
-def test_an_overflowing_2h_reads_non_finite_alone():
-    # C is finite and Hermitian, but C_11 = 1.5e308 overflows 2H = C + C^dag;
-    # eigvalsh sees that entry zeroed, so only the 2H guard reads the row
+def test_a_finite_c_whose_2h_overflows_passes_the_kernel_and_fails_the_facades():
+    # C is finite and Hermitian, but C_11 = 1.5e308 overflows 2H = C + C^dag:
+    # the kernel computes on H = C and passes the row; an inf entry of H
+    # reads non_finite, and eigvalsh sees that entry zeroed
     good = covariance(FIG5, 2.0).c
     big = 0.5 * np.eye(3, dtype=complex)
     big[0, 0] = 1.5e308
+    poisoned = good.copy()
+    poisoned[1, 1] = np.inf
     with np.errstate(all="ignore"):
-        gammas, pairs, labels, guards = _separability_stack(np.array([good, big]), 1e-9)
+        gammas, pairs, labels, guards = _separability_stack(np.array([good, big, poisoned]), 1e-9)
         alone = _separability_stack(good, 1e-9)
-    assert first_failure(*guards).tolist() == ["ok", "non_finite"]
+    assert first_failure(*guards).tolist() == ["ok", "ok", "non_finite"]
     assert gammas[0].tobytes() == alone[0].tobytes()
     assert pairs[0].tobytes() == alone[1].tobytes()
     assert labels[0] == alone[2]
+    # 2H = diag(3e308, 1, 1): every block has a zero eigenvalue, and each pair
+    # block a - d cancels to the last bit
+    assert gammas[1].tolist() == [0.0] * 3 and pairs[1].tolist() == [0.0] * 3
+    # the one-state functions check their whole test matrices, whose 2C overflows
     with pytest.raises(NonFinite):
         separability_report(big)
     with pytest.raises(NonFinite):

@@ -320,10 +320,51 @@ def test_point_report_numbers_are_floats(tau, oracle):
     assert [type(x) for x in numbers if type(x) is not float] == []
 
 
+# blocks whose tables take each path to their cells, and the statuses and
+# cells that show each path was taken
+CELL_BLOCKS = {
+    "all ok": (make_spec(start=0.5, outputs=("n1", "xi12", "mineig_s12")), {"ok"}, False),
+    # the vacuum at tau = 0 leaves xi and bunching undefined; C overflows past 406.75
+    "non_finite and undefined": (
+        make_spec(
+            stop=412.0, points=104, fixed=ModelParams(100.0, 0.0),
+            outputs=("n1", "xi12", "bunching", "gain"),
+        ),
+        {"ok", "non_finite"},
+        True,
+    ),
+    "class with gain": (
+        make_spec(axis="delta", start=-5.0, stop=10.0, tau=2.0, outputs=("gain", "class")),
+        {"ok"},
+        False,
+    ),
+    "class alone": (make_spec(outputs=("class",)), {"ok"}, False),
+}
+
+
+@pytest.mark.parametrize("case", CELL_BLOCKS)
+def test_table_cells_are_floats_strs_or_none(case):
+    # a numpy scalar would print as np.float64(...) in the CSV
+    spec, statuses, undefined = CELL_BLOCKS[case]
+    preset = sweep_module.FigurePreset("cells", "", (("a", spec), ("b", spec)))
+    tables = [
+        run_sweep(spec),
+        run_preset(preset),
+        *(table for _, table in sweep_module._run((spec, spec), ("a", "b"))),
+    ]
+    for table in tables:
+        assert set(table["status"]) == statuses
+        cells = [cell for name in spec.outputs for cell in table[name]]
+        assert (None in cells) == undefined
+        types = {type(cell) for column in table.values() for cell in column}
+        assert types <= {float, str, type(None)}
+
+
 def test_point_report_overflow_raises_non_finite_not_numpy_warnings():
     # the pass runs under np.errstate; the physicality floor after it sees
-    # only states whose 2C is finite, so up to C's own overflow (past
-    # tau ~ 406 here) the report raises NonFinite and never a RuntimeWarning
+    # only states whose Gamma_j minima are finite, so up to C's own overflow
+    # (past tau ~ 406 here) the report raises NonFinite and never a
+    # RuntimeWarning
     lossless = ModelParams(100.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
