@@ -115,22 +115,28 @@ def _hermitize(matrix: np.ndarray, what: str) -> np.ndarray:
 @dataclass(frozen=True)
 class CovarianceState:
     """Hermitian 3x3 covariance of (a1*, a2, a3) at scaled time tau: the
-    Hermitian part of the given C, past C's guards (``_hermitian_part``)."""
+    Hermitian part of the given C, past C's check (``_checked_covariance``)."""
 
     tau: float
     c: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c", _hermitize(self.c, "covariance"))
+        object.__setattr__(self, "c", _checked_covariance(self.c, "covariance"))
 
 
-def _covariance_matrix(cov: CovarianceState | np.ndarray) -> np.ndarray:
-    """The C of a ``CovarianceState``, or an array as complex, for the
-    one-state functions; raises ValueError unless it is one 3x3 matrix."""
-    c = cov.c if isinstance(cov, CovarianceState) else np.asarray(cov, dtype=complex)
+def _checked_covariance(cov: CovarianceState | np.ndarray, what: str) -> np.ndarray:
+    """The Hermitian part of a C that passes the one check of a covariance,
+    which ``CovarianceState`` makes and the one-state functions share:
+    ValueError unless C is one 3x3 matrix, then C's guards
+    (``_hermitian_part``), raised under the label ``what``.  A
+    ``CovarianceState`` passed it when it was made: its C is not checked
+    again."""
+    if isinstance(cov, CovarianceState):
+        return cov.c
+    c = np.asarray(cov, dtype=complex)
     if c.shape != (3, 3):
         raise ValueError(f"a covariance is a 3x3 matrix, got shape {c.shape}")
-    return c
+    return _hermitize(c, what)
 
 
 def _phi(z, tau, exp=None):

@@ -26,6 +26,13 @@ blocks, whose minimum is (a + d)/2 - hypot((a - d)/2, |b|).  The tests
 take each minimum on H +- Sigma/2 and double it: that gave the minimum on
 2H +- Sigma to the last bit on every state checked, and stays finite where
 H is finite but 2H overflows.  The 6x6 construction is the tests' reference.
+
+Every test takes H as the Hermitian part that C's one check returns
+(``covariance._hermitian_part``), past C's guards: a sweep's pass makes
+that check on its stack, and ``separability_report`` and ``physicality``
+on a C from outside the package (``_checked_covariance``, which a
+``CovarianceState`` has passed already).  No test measures a Hermitian
+defect of its own.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceState, _covariance_matrix, _dagger, _hermitian_guards
+from .covariance import CovarianceState, _checked_covariance
 from .errors import RegimeMismatch, raise_failure
 from .model import ModelParams
 
@@ -45,16 +52,13 @@ _SIGMA = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [-1.0,
 _GAMMA_SHIFTS, _PHYSICAL_SHIFTS = (
     np.concatenate([s, -s])[:, :, np.newaxis] * (0.5 * np.eye(3)) for s in (_SIGMA[:3], _SIGMA[3:])
 )
-# modes (i, j) of S_12, S_13, S_23 and their 2x2 blocks of C; |s + t|/4 and
-# |s - t|/4 of each pair's Sigma = (s, t): (1, 1), (1, 1), (-1, 1)
+# modes (i, j) of S_12, S_13, S_23; |s + t|/4 and |s - t|/4 of each pair's
+# Sigma = (s, t): (1, 1), (1, 1), (-1, 1)
 _PAIRS = np.array([[0, 1], [0, 2], [1, 2]])
-_BLOCK_ROWS, _BLOCK_COLS = _PAIRS[:, [0, 0, 1, 1]], _PAIRS[:, [0, 1, 0, 1]]
 _PAIR_MEAN_SHIFT, _PAIR_SPLIT = np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, 0.5])
-# the i added to Im 2C_kk in a test matrix's size; the bits of modes 1, 2, 3
-_I_EYE, _MODE_BITS = 1j * np.eye(3), np.array([1, 2, 4])
+# the bits of modes 1, 2, 3
+_MODE_BITS = np.array([1, 2, 4])
 
-# Hermitian defect, relative to max(1, max|entry|), a test matrix may carry
-HERMITICITY_TOL = 1e-8
 # the sign tolerance of the separability class, by default
 EPSILON = 1e-9
 
@@ -96,55 +100,21 @@ def _pair_minima(h: np.ndarray) -> np.ndarray:
 def _physicality_floor(h: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of V - iJ of each covariance of a (..., 3, 3)
     stack, given as its Hermitian part H, from its two 3x3 mixed-basis
-    blocks; its guards are Gamma_j's."""
+    blocks.  Its callers run it under np.errstate: the doubled floor reads
+    -inf where it passes the largest float."""
     return _block_minima(h, _PHYSICAL_SHIFTS)[..., 0]
-
-
-def _hermitian(c: np.ndarray) -> np.ndarray:
-    """The Hermitian part H of a C from outside the package, halved first as
-    ``_hermitian_part`` halves it, for the one-state functions."""
-    return 0.5 * c + 0.5 * _dagger(c)
 
 
 def physicality(cov: CovarianceState | np.ndarray) -> float:
     """Minimum eigenvalue of V - iJ; >= 0 (to rounding) for physical
-    states, exactly 0 at vacuum.  Raises the error of the first Gamma_j
-    guard of ``separability_report`` that the covariance fails."""
-    c = _covariance_matrix(cov)
-    with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
-        guards = _test_guards(c)[:2]
-    raise_failure(guards, "physicality test")
-    with np.errstate(over="ignore"):  # the doubled floor reads -inf where 2H's would
-        return float(_physicality_floor(_hermitian(c)))
-
-
-def _test_defects(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian defects (see ``_hermitian_part``) of the Gamma_j (..., all
-    three alike) and S_12, S_13, S_23 (..., 3) test matrices, from C alone:
-    max(|Re D|, |Im D|), D = 2C - (2C)^dag, over the largest |Re 2C_kl|,
-    |Im 2C_kl| (k != l) and |Im 2C_kk + i|, for k, l in all modes or the
-    pair's own.  A non-finite entry of 2C makes D non-finite there or at
-    its mirror, both in the same blocks, and so the largest excess and the
-    largest size inf or NaN (max passes NaN on), and their ratio NaN.  Its
-    callers run it under np.errstate."""
-    c2 = 2.0 * c
-    d = c2 - _dagger(c2)
-    excess = np.maximum(np.abs(d.real), np.abs(d.imag))[..., _BLOCK_ROWS, _BLOCK_COLS]
-    size = np.maximum(np.abs(c2.real), np.abs(c2.imag + _I_EYE))
-    excess, size = excess.max(-1), size[..., _BLOCK_ROWS, _BLOCK_COLS].max(-1)
-    return excess.max(-1) / size.max(-1), excess / size
-
-
-def _test_guards(c: np.ndarray) -> list:
-    """Ordered guards (see ``_hermitian_guards``) of the Gamma_j test
-    matrices, then of the S_ij ones, of a C from outside the package, which
-    the one-state functions check before they compute on its Hermitian
-    part.  Its callers run it under np.errstate."""
-    gamma_defect, pair_defect = _test_defects(c)
-    return [
-        *_hermitian_guards(gamma_defect, HERMITICITY_TOL),
-        *_hermitian_guards(pair_defect.max(axis=-1), HERMITICITY_TOL),
-    ]
+    states, exactly 0 at vacuum.  Raises the error of C's check
+    (``_checked_covariance``), then NonFinite where the floor overflows,
+    as a point report does."""
+    h = _checked_covariance(cov, "physicality test")
+    with np.errstate(over="ignore"):
+        floor = _physicality_floor(h)
+    raise_failure([("non_finite", ~np.isfinite(floor))], "physicality test")
+    return float(floor)
 
 
 def _check_epsilon(epsilon: float, error: type = ValueError) -> None:
@@ -183,14 +153,15 @@ def separability_report(
     cov: CovarianceState | np.ndarray, epsilon: float = EPSILON
 ) -> SeparabilityReport:
     """Run all separability tests on one covariance state.  Raises
-    ValueError for a bad ``epsilon``, then the error of the first guard it
-    fails: the Hermitian guards of its test matrices (``_test_guards``),
-    then those of ``_separability_stack``."""
-    c = _covariance_matrix(cov)
+    ValueError for a bad ``epsilon``, then the error of the first check it
+    fails: C's (``_checked_covariance``), the guards of
+    ``_separability_stack``, then a non-finite minimum, which a sweep row
+    that asks for it reads as "non_finite"."""
     _check_epsilon(epsilon)
-    with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
-        gammas, pairs, label, guards = _separability_stack(_hermitian(c), epsilon)
-        guards = _test_guards(c) + guards
+    h = _checked_covariance(cov, "separability tests")
+    with np.errstate(all="ignore"):  # overflow reads inf, which the guards report
+        gammas, pairs, label, guards = _separability_stack(h, epsilon)
+    guards.append(("non_finite", ~np.isfinite(pairs).all()))
     raise_failure(guards, "separability tests")
     return SeparabilityReport(tuple(gammas.tolist()), tuple(pairs.tolist()), label, epsilon)
 
@@ -204,9 +175,8 @@ def _separability_stack(h: np.ndarray, epsilon: float):
     H, which are zeroed, where there are any, to keep them from
     ``eigvalsh`` (such a state's minima are finite but mean nothing), then
     non-finite Gamma_j minimum eigenvalues.  It measures no Hermitian
-    defect: a sweep's C is the exact Hermitian part that ``_hermitian_part``
-    returns, and the one-state functions check an outside C first
-    (``_test_guards``) and pass its H (``_hermitian``).
+    defect: H is the Hermitian part that C's one check returns (see the
+    module notes).
     """
     finite = np.isfinite(h).all(axis=(-2, -1))
     if not finite.all():

@@ -10,6 +10,13 @@ through the Gaussian factorization of fourth-order moments,
 
 Mode indices are one-based throughout (1, 2: atomic side modes; 3: cavity
 field).
+
+Every observable is taken on the Hermitian part that C's one check
+returns (``covariance._hermitian_part``), past C's guards: a sweep's pass
+makes that check on its stack, and ``mode_observables`` on a C from
+outside the package (``_checked_covariance``).  An exact Hermitian part
+has real C_ii and a real bunching moment, so the one guard of the
+observables is the vacuum floor.
 """
 
 from __future__ import annotations
@@ -18,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceState, _covariance_matrix
+from .covariance import CovarianceState, _checked_covariance
 from .errors import NonFinite, raise_failure
 
 # occupations below this are treated as numerically zero in 0/0 ratios
 ZERO_OCCUPATION = 1e-12
-# covariance corruption thresholds
-_IMAG_RESIDUE = 1e-9
+# the vacuum floor: the occupation below which a covariance is corrupted
 _NEGATIVE_FLOOR = -1e-6
 # the atom number that the bunching observable is divided by, by default
 ATOM_NUMBER = 1e6
@@ -34,32 +40,12 @@ _FIRST = np.array([0, 0, 1])  # zero-based modes of CROSS_PAIRS
 _SECOND = np.array([1, 2, 2])
 
 
-def _residue(value) -> np.ndarray:
-    """Where a should-be-real value carries an imaginary residue large
-    enough to mean corrupted input."""
-    value = np.asarray(value)
-    return np.abs(value.imag) > _IMAG_RESIDUE * np.fmax(1.0, np.abs(value.real))
-
-
 def _vacuum_floor(c: np.ndarray) -> tuple:
     """The guard of a (..., 3, 3) stack of covariances against occupations
-    C_ii - 1/2 below the vacuum floor; every pass with a state output runs it."""
+    C_ii - 1/2 below the vacuum floor; every pass with a state output and
+    ``mode_observables`` run it."""
     raw = np.diagonal(c, axis1=-2, axis2=-1).real - 0.5
     return "negative_occupation", (raw < _NEGATIVE_FLOOR).any(axis=-1)
-
-
-def _observable_guards(c: np.ndarray) -> list:
-    """Ordered guards of the observables of a C from outside the package: an
-    imaginary residue on C_ii ("error"), the vacuum floor, then a residue on
-    G_iiii = 2 C_ii^2 or on the bunching moment ("error").  A pass's C, an
-    exact Hermitian part, has no residue: those parts are 0, or NaN."""
-    diag = np.diagonal(c, axis1=-2, axis2=-1)
-    return [
-        ("error", _residue(diag).any(axis=-1)),
-        _vacuum_floor(c),
-        ("error", _residue(2.0 * (diag * diag)).any(axis=-1)),
-        ("error", _residue(c[..., 0, 0] + c[..., 1, 1] + c[..., 0, 1] + c[..., 1, 0])),
-    ]
 
 
 def _check_atom_number(atom_number: float, error: type = ValueError) -> None:
@@ -70,8 +56,8 @@ def _check_atom_number(atom_number: float, error: type = ValueError) -> None:
 
 
 def _observable_stack(c: np.ndarray, atom_number: float) -> dict:
-    """Every observable of a (..., 3, 3) stack of covariances, whose guards
-    are ``_observable_guards``; ``atom_number`` is a checked one
+    """Every observable of a (..., 3, 3) stack of Hermitian covariances,
+    whose guard is ``_vacuum_floor``; ``atom_number`` is a checked one
     (``_check_atom_number``).
 
     Maps the ModeObservables field names, in their order, to
@@ -125,14 +111,14 @@ def mode_observables(
 ) -> ModeObservables:
     """Evaluate every scalar observable of one covariance, mapping undefined
     ones to None.  Raises ValueError for a bad ``atom_number``, the error of
-    the first guard of ``_observable_guards`` that the covariance fails,
-    then NonFinite where a defined observable is inf or NaN."""
-    c = _covariance_matrix(cov)
+    C's check (``_checked_covariance``), then NegativeOccupation below the
+    vacuum floor, then NonFinite where a defined observable is inf or NaN:
+    a sweep row's checks, in its order."""
     _check_atom_number(atom_number)
-    with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
+    c = _checked_covariance(cov, "covariance")
+    raise_failure([_vacuum_floor(c)], "covariance")
+    with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the check below reports
         fields = _observable_stack(c, atom_number)
-        guards = _observable_guards(c)
-    raise_failure(guards, "covariance")
     bad = [name for name, (value, ok) in fields.items() if not np.isfinite(value[ok]).all()]
     if bad:
         raise NonFinite(f"non-finite result in {', '.join(bad)}")

@@ -21,9 +21,9 @@ the vacuum floor, the separability tests', and last, in a sweep, a
 non-finite requested cell; one ``first_failure`` per block (``_table``)
 or ``raise_failure`` per point report (``evolve_point``) decides it.  The
 stages after the covariance take C as the exact Hermitian part that
-``_hermitian_part`` returns with C's guards, so the separability tests
-measure no Hermitian defect and the observables' residue guards, which
-``mode_observables`` runs, could not fail here.
+``_hermitian_part`` returns with C's guards, so they measure no Hermitian
+defect.  The one-state functions make the same check of a C from outside
+the package (``_checked_covariance``), then run these kernels and guards.
 
 Sweeps are (curves, points) blocks of up to ``_CHUNK_ROWS`` rows: a
 preset stacks consecutive curves that share their points, tau, atom
@@ -210,7 +210,7 @@ def _pass(params, roots, tau, outputs, atom_number: float, epsilon: float) -> tu
     one call.  The eigenvalues are formed once, from the roots and
     ``derive``.  Overflow reads inf or NaN, which the guards and the
     callers report, never a numpy warning.  ``atom_number`` and ``epsilon``
-    are checked ones (``SweepSpec``, ``evolve_point``)."""
+    are checked once (``SweepSpec``, ``evolve_point``)."""
     stages = _stages(outputs)
     with np.errstate(all="ignore"):
         derived = derive(params)

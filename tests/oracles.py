@@ -65,15 +65,14 @@ from tricarl.covariance import (
     _phi,
     q_quadrature,
 )
-from tricarl.entanglement import HERMITICITY_TOL
 from tricarl.errors import NonFinite, NotHermitian, TricarlError, raise_failure
 from tricarl.model import ParamStack
 from tricarl.observables import (
     ZERO_OCCUPATION,
     ModeObservables,
     _defined_cells,
-    _observable_guards,
     _observable_stack,
+    _vacuum_floor,
 )
 from tricarl.sweep import _OBSERVABLES, _REGISTRY, _SEPARABILITY
 
@@ -81,6 +80,9 @@ from tricarl.sweep import _OBSERVABLES, _REGISTRY, _SEPARABILITY
 # sign flip of x1, undoing the conjugation of mode 1
 _FLIP_X1 = np.array([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 SYMPLECTIC_FORM = np.block([[np.zeros((3, 3)), -np.eye(3)], [np.eye(3), np.zeros((3, 3))]])
+# Hermitian defect, relative to max(1, max|entry|), that min_eig lets a
+# test matrix carry
+_HERMITICITY_TOL = 1e-8
 
 
 def quadrature_covariance(cov):
@@ -98,15 +100,15 @@ def min_eig(h):
     stack, from LAPACK ``eigvalsh`` on the Hermitian part (h + h^dag)/2.
 
     Raises NonFinite for inf or NaN entries and NotHermitian where
-    max|h - h^dag| exceeds HERMITICITY_TOL * max(1, max|h|), the checks the
-    package applies to its test matrices.
+    max|h - h^dag| exceeds _HERMITICITY_TOL * max(1, max|h|): the reference's
+    own check of each test matrix it is handed.
     """
     h = np.asarray(h, dtype=complex)
     if not np.isfinite(h).all():
         raise NonFinite("test matrix has non-finite entries")
     h_dag = h.conj().swapaxes(-1, -2)
     scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
-    if (np.abs(h - h_dag).max(axis=(-2, -1)) > HERMITICITY_TOL * scale).any():
+    if (np.abs(h - h_dag).max(axis=(-2, -1)) > _HERMITICITY_TOL * scale).any():
         raise NotHermitian("test matrix is not Hermitian")
     return np.linalg.eigvalsh(0.5 * (h + h_dag))[..., 0]
 
@@ -271,32 +273,15 @@ def mp_unitarity_defect(m, dps):
 # transpose of mode j flips
 _FLIP_Y = 1.0 - 2.0 * np.eye(3, 6, 3)
 # rows and columns of Gamma_i kept by S_12, S_13, S_23 (i = 1, 1, 2)
-_PAIR_PARENT = np.array([0, 0, 1])[:, np.newaxis, np.newaxis]
 _PAIR_KEEP = np.array([[0, 1, 3, 4], [0, 2, 3, 5], [1, 2, 4, 5]])
-
-
-def _gammas(v, modes):
-    """Partial-transpose test matrices Gamma_j, j in ``modes``, stacked on
-    the axis before the matrix axes."""
-    flips = _FLIP_Y[np.asarray(modes) - 1]
-    return flips[:, :, np.newaxis] * v[..., np.newaxis, :, :] * flips[:, np.newaxis, :] - (
-        1j * SYMPLECTIC_FORM
-    )
 
 
 def gamma_matrix(v, j):
     """Partial-transpose test matrix for factoring out mode j (1..3)."""
     if j not in (1, 2, 3):
         raise ValueError(f"mode index must be in 1..3, got {j!r}")
-    return _gammas(v, [j])[..., 0, :, :]
-
-
-def _test_matrices(cov):
-    """Gamma_1..3 (..., 3, 6, 6) and S_12, S_13, S_23 (..., 3, 4, 4) of a
-    covariance or a stack of them."""
-    gammas = _gammas(quadrature_covariance(cov), [1, 2, 3])
-    keep = _PAIR_KEEP[:, :, np.newaxis], _PAIR_KEEP[:, np.newaxis, :]
-    return gammas, gammas[..., _PAIR_PARENT, keep[0], keep[1]]
+    flip = _FLIP_Y[j - 1]
+    return flip[:, np.newaxis] * v * flip - 1j * SYMPLECTIC_FORM
 
 
 def two_mode_matrix(v, i, j):
@@ -524,13 +509,12 @@ def _require_finite(record):
 
 def _requested_observables(state, atom_number):
     """``mode_observables`` without its final check that every defined cell
-    is finite: a sweep row checks only the cells it asks for.  Its guards
-    are ``mode_observables``' own; an ``atom_number`` from a SweepSpec is
-    valid."""
+    is finite: a sweep row checks only the cells it asks for.  A
+    CovarianceState has passed C's check, so its one guard is the vacuum
+    floor; an ``atom_number`` from a SweepSpec is valid."""
     with np.errstate(all="ignore"):
-        guards = _observable_guards(state.c)
         fields = _observable_stack(state.c, atom_number)
-    raise_failure(guards, "covariance")
+    raise_failure([_vacuum_floor(state.c)], "covariance")
     return ModeObservables(**_defined_cells(fields, tuple))
 
 

@@ -181,6 +181,12 @@ def library_calls():
         (f"covariance(rho=100, delta=0, tau={tau})", lambda tau=tau: covariance(lossless, tau))
         for tau in (406.0, 406.25, 410.0)
     ]
+    # C is finite there but 2H overflows: the facades read what its sweep row reads
+    band = "covariance(rho=100, delta=0, tau=406.25)"
+    calls += [
+        (f"{name}({band})", lambda facade=facade: facade(covariance(lossless, 406.25)))
+        for name, facade in facades.items()
+    ]
     return calls + [
         ("steady_state(rho=100, delta=0)", lambda: steady_state(lossless)),
         ("CovarianceState(0, C_11=1.5e308)", lambda: CovarianceState(0.0, overflowing)),

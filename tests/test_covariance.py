@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 
 import mpmath
@@ -48,7 +49,7 @@ from tricarl.covariance import (
 from tricarl.dynamics import _eigenvalues
 from tricarl.errors import first_failure
 from tricarl.model import ParamStack, derive
-from tricarl.observables import _observable_guards
+from tricarl.observables import _vacuum_floor
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
 IDEAL_SC = ModelParams(rho=100.0, delta=0.0)
@@ -206,6 +207,15 @@ def test_covariance_state_rejects_non_finite():
         bad[0, 0] = value
         with pytest.raises(NonFinite):
             CovarianceState(tau=0.0, c=bad)
+
+
+@pytest.mark.parametrize("c", [np.eye(2), np.stack([0.5 * np.eye(3)] * 2)])
+def test_covariance_state_refuses_a_matrix_that_is_not_3x3(c):
+    # the one check of a C, which the one-state functions share, checks the
+    # shape first: a 2x2 matrix and a stack of two vacua are refused
+    message = f"^a covariance is a 3x3 matrix, got shape {re.escape(str(c.shape))}$"
+    with pytest.raises(ValueError, match=message):
+        CovarianceState(0.0, c)
 
 
 def test_covariance_state_keeps_a_finite_entry_near_the_largest_float():
@@ -406,15 +416,17 @@ def test_the_pass_takes_an_exactly_hermitian_c(stack):
     params, tau = stack
     with np.errstate(all="ignore"):
         c, _ = _hermitian_part(_covariance_stack(params, spectrum_of(params), tau)[0])
-        residues = [mask for code, mask in _observable_guards(c) if code == "error"]
+        code, below_floor = _vacuum_floor(c)
         diag = c.diagonal(axis1=-2, axis2=-1)
         moment = c[..., 0, 0] + c[..., 1, 1] + c[..., 0, 1] + c[..., 1, 0]
         parts = diag.imag, (2.0 * (diag * diag)).imag, moment.imag
     finite = c[np.isfinite(c).all(axis=(-2, -1))]
     assert np.array_equal(finite, finite.conj().swapaxes(-1, -2))
-    # so a pass runs none of mode_observables' residue guards: the
-    # imaginary parts they read are exactly 0, or NaN where C overflowed
-    assert len(residues) == 3 and not np.any(residues)
+    # so the observables need no residue guard: the imaginary parts of C_ii,
+    # G_iiii = 2 C_ii^2 and the bunching moment are exactly 0, or NaN where
+    # C overflowed, and their one guard, the vacuum floor, passes every state
+    # evolved from vacuum
+    assert code == "negative_occupation" and not below_floor.any()
     assert all(((part == 0) | np.isnan(part)).all() for part in parts)
 
 

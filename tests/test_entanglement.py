@@ -244,6 +244,13 @@ def test_physicality_rejects_non_finite():
     c[1, 1] = np.nan
     with pytest.raises(NonFinite):
         physicality(c)
+    # a finite Hermitian C whose floor, about -3e308, overflows
+    c = VACUUM.copy()
+    c[0, 1] = c[1, 0] = 1.5e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="^physicality test failed the non_finite guard$"):
+            physicality(c)
 
 
 def test_separability_report_vacuum():

@@ -28,17 +28,13 @@ from hypothesis import strategies as st
 import tricarl.sweep as sweep_module
 from test_sweep_golden import failure_grids
 from oracles import (
-    SYMPLECTIC_FORM,
-    _test_matrices,
     evaluate_row,
-    gamma_matrix,
     mixed_basis_bound,
     mp_covariance,
     mp_min_eigs,
     mp_steady_state,
     quadrature_covariance,
     spec_point,
-    two_mode_matrix,
 )
 from tricarl import (
     OUTPUTS,
@@ -57,16 +53,10 @@ from tricarl import (
     separability_report,
     steady_state,
 )
-from tricarl.covariance import HERMITIZE_TOL, _dagger, _hermitian_defect, _hermitian_part
-from tricarl.entanglement import (
-    HERMITICITY_TOL,
-    _hermitian,
-    _separability_stack,
-    _test_defects,
-    _test_guards,
-)
+from tricarl.covariance import HERMITIZE_TOL, _hermitian_part
+from tricarl.entanglement import _physicality_floor, _separability_stack
 from tricarl.errors import NonFinite, NotHermitian, NotStable, first_failure
-from tricarl.observables import _defined_cells, _observable_guards, _observable_stack
+from tricarl.observables import _defined_cells, _observable_stack, _vacuum_floor
 from tricarl.cli import main
 from tricarl.presets import PRESETS
 
@@ -77,7 +67,6 @@ FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
 
 # the package attribute tricarl.covariance is the function of that name
 covariance_module = importlib.import_module("tricarl.covariance")
-entanglement_module = importlib.import_module("tricarl.entanglement")
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -428,16 +417,17 @@ def test_preset_block_equals_its_curves_swept_one_by_one(preset_id, monkeypatch)
     assert start == len(rows)
 
 
-# C_33 sets the scale of the Gamma_j test matrices, far above the scale of
-# the (1, 2) block that S_12 is measured on
+# entries over four orders of magnitude: C_33 sets the scale that C's
+# Hermitian defect is measured on, far above that of the (1, 2) block
 SPREAD = np.diag([0.6, 0.7, 1e4]).astype(complex)
 SPREAD[0, 1], SPREAD[1, 0] = 0.05 + 0.02j, 0.05 - 0.02j
 
 
 def corrupted_covariances():
-    """Covariances that trip each guard of the observables and separability
-    tests, next to a valid evolved state, with the status each kernel must
-    give them: the first guard they fail."""
+    """Covariances that trip C's check and the guards of the observables
+    and separability tests, next to a valid evolved state, with the status
+    that ``mode_observables`` and ``separability_report`` must give them:
+    the first guard they fail, C's check first."""
     good = covariance(ModelParams(100.0, 3.5, 0.5, 0.5, 0.5), 2.0).c
     vacuum = 0.5 * np.eye(3, dtype=complex)
     cases = [(good, "ok", "ok"), (vacuum, "ok", "ok"), (SPREAD, "ok", "ok")]
@@ -446,21 +436,20 @@ def corrupted_covariances():
         (vacuum, (0, 0), -1e-5, "negative_occupation", "ok"),
         # below zero, above the floor
         (vacuum, (2, 2), -1e-7, "ok", "ok"),
-        # imaginary residue on the diagonal, also on G_iiii
-        (good, (1, 1), 1e-3j, "error", "not_hermitian"),
-        # a residue on C_ii comes before the floor
-        (vacuum, (0, 0), -1e-5 + 1e-3j, "error", "not_hermitian"),
-        # a residue on G_iiii = 2 C_ii^2 only
-        (vacuum, (0, 0), 0.9e-9j, "error", "ok"),
-        # the floor comes before the G_iiii residue
-        (vacuum, (0, 0), -1e-5 + 0.9e-9j, "negative_occupation", "ok"),
-        # not Hermitian: bunching residue, test matrices
-        (good, (0, 1), 1e-3j, "error", "not_hermitian"),
-        # no observables guard reads C_23 or a NaN C_11
-        (good, (1, 2), np.inf, "ok", "non_finite"),
-        (good, (0, 0), np.nan, "ok", "non_finite"),
-        # a defect above tolerance on S_12's own scale, below it on Gamma's
-        (SPREAD, (0, 1), 1e-5, "ok", "not_hermitian"),
+        # an imaginary residue on the diagonal: C is not Hermitian
+        (good, (1, 1), 1e-3j, "not_hermitian", "not_hermitian"),
+        # C's check comes before the floor
+        (vacuum, (0, 0), -1e-5 + 1e-3j, "not_hermitian", "not_hermitian"),
+        # a defect of 1.8e-9, above C's tolerance of 1e-10
+        (vacuum, (0, 0), 0.9e-9j, "not_hermitian", "not_hermitian"),
+        (vacuum, (0, 0), -1e-5 + 0.9e-9j, "not_hermitian", "not_hermitian"),
+        # not Hermitian off the diagonal
+        (good, (0, 1), 1e-3j, "not_hermitian", "not_hermitian"),
+        # an inf C_23 or a NaN C_11 fails C's check
+        (good, (1, 2), np.inf, "non_finite", "non_finite"),
+        (good, (0, 0), np.nan, "non_finite", "non_finite"),
+        # a defect of 1e-5 against C_33 = 1e4: 1e-9, above C's tolerance
+        (SPREAD, (0, 1), 1e-5, "not_hermitian", "not_hermitian"),
     ):
         c = base.copy()
         c[entry] += shift
@@ -476,31 +465,34 @@ def raised_code(fn, *args):
     return "ok"
 
 
-def separability_guards(stack):
-    """The guards that ``separability_report`` decides on a C from outside
-    the package: its test matrices' Hermitian guards, then the kernel's."""
-    return _test_guards(stack) + _separability_stack(_hermitian(stack), 1e-9)[-1]
+def pass_guards(stack):
+    """The guards of a stack of C from outside the package, by kernel: C's
+    check (``_hermitian_part``, which ``CovarianceState`` makes), then the
+    guards that a pass runs on C's Hermitian part.  The caller runs it
+    under np.errstate."""
+    h, c_guards = _hermitian_part(stack)
+    return {
+        "covariance": list(c_guards),
+        "observables": [_vacuum_floor(h)],
+        "separability": _separability_stack(h, 1e-9)[-1],
+    }
 
 
 def test_batched_guards_flag_what_the_single_state_path_rejects():
     cases = corrupted_covariances()
     stack = np.array([c for c, _, _ in cases])
     with np.errstate(all="ignore"):
-        obs_status = first_failure(*_observable_guards(stack))
-        sep_status = first_failure(*separability_guards(stack))
-        assert obs_status.tolist() == [status for _, status, _ in cases]
-        assert sep_status.tolist() == [status for _, _, status in cases]
-        # the one-state functions raise the error class of that status;
-        # past it, mode_observables raises non_finite on an inf or NaN cell
-        assert [raised_code(mode_observables, c, 1e6) for c, _, _ in cases] == [
-            "non_finite" if status == "ok" and not np.isfinite(c).all() else status
-            for c, status in zip(stack, obs_status.tolist())
-        ]
-        assert [raised_code(separability_report, c) for c, _, _ in cases] == sep_status.tolist()
-    # physicality raises what the Gamma_j guards of the separability tests
-    # raise: all but the last case, which fails on S_12's scale alone
-    gamma_status = sep_status.tolist()[:-1] + ["ok"]
-    assert [raised_code(physicality, c) for c, _, _ in cases] == gamma_status
+        guards = pass_guards(stack)
+    obs_status = first_failure(*guards["covariance"], *guards["observables"]).tolist()
+    sep_status = first_failure(*guards["covariance"], *guards["separability"]).tolist()
+    assert obs_status == [status for _, status, _ in cases]
+    assert sep_status == [status for _, _, status in cases]
+    # the one-state functions raise the error class of that status; no case
+    # fails a separability guard past C's check, so physicality raises what
+    # separability_report raises
+    assert [raised_code(mode_observables, c, 1e6) for c, _, _ in cases] == obs_status
+    assert [raised_code(separability_report, c) for c, _, _ in cases] == sep_status
+    assert [raised_code(physicality, c) for c, _, _ in cases] == sep_status
 
 
 # valid covariances to corrupt: vacuum, lossy evolved states, and a lossless
@@ -544,46 +536,21 @@ def relative_defect(m):
     return float(np.abs(m - m.conj().T).max() / max(1.0, np.abs(m).max()))
 
 
-def hermitian_predicates(matrices, tol):
-    defects = [relative_defect(m) for m in matrices]
-    return [
-        ("non_finite", any(math.isnan(d) for d in defects)),
-        ("not_hermitian", any(d > tol for d in defects)),
-    ]
-
-
-def residue(z):
-    """A should-be-real value with an imaginary part above 1e-9 of its
-    scale; False for NaN parts, as every comparison with NaN is."""
-    return abs(z.imag) > 1e-9 * max(1.0, abs(z.real))
-
-
 def guard_predicates(c):
-    """One predicate per guard, per kernel, in the documented order:
-    covariance (CovarianceState), observables, separability tests, and the
-    physicality test of a point report."""
-    v = quadrature_covariance(c)
-    diag = [complex(c[i, i]) for i in range(3)]
-    moment = complex(c[0, 0] + c[1, 1] + c[0, 1] + c[1, 0])
+    """One predicate per guard, per kernel, in the documented order: C's
+    check (CovarianceState), then the observables' and the separability
+    tests' guards on C's Hermitian part, whose diagonal has C's real parts
+    and which is finite where C is."""
+    defect = relative_defect(c)
     return {
-        "covariance": hermitian_predicates([c], HERMITIZE_TOL),
-        "observables": [
-            ("error", any(residue(z) for z in diag)),
-            ("negative_occupation", any(z.real - 0.5 < -1e-6 for z in diag)),
-            ("error", any(residue(2.0 * (z * z)) for z in diag)),
-            ("error", residue(moment)),
-        ],
+        "covariance": [("non_finite", math.isnan(defect)), ("not_hermitian", defect > HERMITIZE_TOL)],
+        "observables": [("negative_occupation", any(c[i, i].real - 0.5 < -1e-6 for i in range(3)))],
         "separability": [
-            *hermitian_predicates([gamma_matrix(v, j) for j in (1, 2, 3)], HERMITICITY_TOL),
-            *hermitian_predicates(
-                [two_mode_matrix(v, i, j) for i, j in ((1, 2), (1, 3), (2, 3))],
-                HERMITICITY_TOL,
-            ),
+            ("non_finite", not np.isfinite(c).all()),
             # a non-finite minimum eigenvalue needs finite Hermitian test
             # matrices that overflow eigvalsh; entries here stay below 1e4
             ("non_finite", False),
         ],
-        "physicality": hermitian_predicates([v - 1j * SYMPLECTIC_FORM], HERMITICITY_TOL),
     }
 
 
@@ -609,11 +576,7 @@ def test_guard_order_over_random_corruptions(cs):
     }
     stack = np.array(cs)
     with np.errstate(all="ignore"):
-        guards = {
-            "covariance": list(_hermitian_part(stack)[1]),
-            "observables": _observable_guards(stack),
-            "separability": separability_guards(stack),
-        }
+        guards = pass_guards(stack)
         for kernel, kernel_guards in guards.items():
             status = first_failure(*kernel_guards)
             assert np.broadcast_to(status, len(cs)).tolist() == predicted[kernel], kernel
@@ -622,49 +585,35 @@ def test_guard_order_over_random_corruptions(cs):
         pipeline = first_failure(
             *guards["covariance"], *guards["observables"], *guards["separability"]
         )
-        assert np.broadcast_to(pipeline, len(cs)).tolist() == [
-            first_code(p["covariance"] + p["observables"] + p["separability"])
-            for p in predicates
-        ]
-        # the one-state functions raise the error class of that status
-        one_state = {
-            "covariance": lambda c: CovarianceState(0.0, c),
-            "observables": lambda c: mode_observables(c, 1e6),
-            "separability": separability_report,
-            "physicality": physicality,
-        }
-        # past its guards, mode_observables raises non_finite on an inf or NaN cell
-        for kernel, fn in one_state.items():
-            want = []
-            for c, p in zip(cs, predicates):
-                overflow = [("non_finite", overflowed_cell(c))] if kernel == "observables" else []
-                want.append(first_code(p[kernel] + overflow))
-            assert [raised_code(fn, c) for c in cs] == want, kernel
-        # a point report handed each C by _covariance_stack, past that
-        # kernel's own guards, raises the class of its first failure along
-        # C's guards and then the checks of C's exact Hermitian part
+        want = [first_code(p["covariance"] + p["observables"] + p["separability"]) for p in predicates]
+        assert np.broadcast_to(pipeline, len(cs)).tolist() == want
+        # the one-state functions raise the error class of C's check, then of
+        # their kernel's guards (physicality's floor stays finite on entries
+        # below 1e4); past them, mode_observables raises non_finite on an
+        # inf or NaN cell
         for c, p in zip(cs, predicates):
-            part = guard_predicates(_hermitian_part(c)[0])
+            overflow = ("non_finite", overflowed_cell(_hermitian_part(c)[0]))
+            expected = {
+                "covariance": p["covariance"],
+                "observables": p["covariance"] + p["observables"] + [overflow],
+                "separability": p["covariance"] + p["separability"],
+                "physicality": p["covariance"],
+            }
+            got = {
+                "covariance": raised_code(CovarianceState, 0.0, c),
+                "observables": raised_code(mode_observables, c, 1e6),
+                "separability": raised_code(separability_report, c),
+                "physicality": raised_code(physicality, c),
+            }
+            assert got == {kernel: first_code(checks) for kernel, checks in expected.items()}
+        # a point report handed each C by _covariance_stack, past that
+        # kernel's own guards, raises the class of the pipeline's status
+        for c, status in zip(cs, want):
             with mock.patch.object(sweep_module, "_covariance_stack", return_value=(c, [])):
-                got = raised_code(sweep_module.evolve_point, FIG5, 1.0)
-            checks = part["observables"] + part["separability"] + part["physicality"]
-            assert got == first_code(p["covariance"] + checks)
+                assert raised_code(sweep_module.evolve_point, FIG5, 1.0) == status
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.lists(random_corruptions(), min_size=1, max_size=4))
-def test_guard_defects_equal_those_of_the_test_matrices(cs):
-    # the defects measured on C alone are those of the 6x6 and 4x4 matrices
-    stack = np.array(cs)
-    with np.errstate(all="ignore"):
-        gammas, pairs = (_hermitian_defect(m, _dagger(m)) for m in _test_matrices(stack))
-        gamma_defect, pair_defect = _test_defects(stack)
-    gamma_defect = np.broadcast_to(gamma_defect[:, np.newaxis], gammas.shape)
-    np.testing.assert_array_equal(gamma_defect, gammas)
-    np.testing.assert_array_equal(pair_defect, pairs)
-
-
-def test_a_finite_c_whose_2h_overflows_passes_the_kernel_and_fails_the_facades():
+def test_a_finite_c_whose_2h_overflows_reads_as_its_sweep_row_through_the_facades():
     # C is finite and Hermitian, but C_11 = 1.5e308 overflows 2H = C + C^dag:
     # the kernel computes on H = C and passes the row; an inf entry of H
     # reads non_finite, and eigvalsh sees that entry zeroed
@@ -683,29 +632,54 @@ def test_a_finite_c_whose_2h_overflows_passes_the_kernel_and_fails_the_facades()
     # 2H = diag(3e308, 1, 1): every block has a zero eigenvalue, and each pair
     # block a - d cancels to the last bit
     assert gammas[1].tolist() == [0.0] * 3 and pairs[1].tolist() == [0.0] * 3
-    # the one-state functions check their whole test matrices, whose 2C overflows
-    with pytest.raises(NonFinite):
-        separability_report(big)
-    with pytest.raises(NonFinite):
-        physicality(big)
+    # the one-state functions make C's check and run the same kernels
+    report = separability_report(big)
+    assert report.min_eig_gamma == report.min_eig_s == (0.0,) * 3 and physicality(big) == 0.0
+    # covariance's C_11 = 1.0755e308 at tau = 406.25, where the sweep row reads
+    # ok: the report and the floor are that row's, bit for bit
+    params, tau = ModelParams(100.0, 0.0), 406.25
+    spec = SweepSpec("tau", 405.75, 406.75, 5, params, SEPARABILITY_OUTPUTS)
+    table = run_sweep(spec)
+    k = table["tau"].index(tau)
+    assert table["status"][k] == "ok"
+    state = covariance(params, tau)
+    for cov in (state, state.c):
+        report = separability_report(cov)
+        got = (*report.min_eig_gamma, *report.min_eig_s, report.class_label)
+        assert repr(got) == repr(tuple(table[name][k] for name in SEPARABILITY_OUTPUTS))
+    # the floor of the pass's C on that row, which covariance returns bit for bit
+    stack, times = sweep_module._stack((spec,), spec.grid()[np.newaxis])
+    fields, _ = sweep_module._pass(stack, None, times, spec.outputs, 1e6, 1e-9)
+    c = fields["covariance"][0][0, k]
+    assert c.tobytes() == state.c.tobytes() and np.abs(c).max() > 1e308
+    with np.errstate(over="ignore"):
+        floor = float(_physicality_floor(c))
+    assert physicality(state) == physicality(state.c) == floor
 
 
-def test_only_the_one_state_functions_measure_hermitian_defects(monkeypatch):
-    # a pass computes on the exact Hermitian part that _covariance_stack
-    # returns; only separability_report and physicality check a C from outside
-    def refuse(c):
-        raise AssertionError("a Hermitian defect was measured")
+def test_a_facade_measures_the_hermitian_defect_of_an_array_once(monkeypatch):
+    # a one-state function checks a C from outside the package once, with
+    # the check that CovarianceState makes, and a CovarianceState, which
+    # passed that check when it was made, not again.  A pass measures Q's
+    # defect in the stack kernel and C's, and no stage after them measures one
+    measured = []
+    true_defect = covariance_module._hermitian_defect
 
-    monkeypatch.setattr(entanglement_module, "_test_defects", refuse)
-    for preset_id in PRESETS:
-        run_preset(figure_preset(preset_id))
-    run_sweep(SweepSpec("tau", 0.0, 5.0, 11, FIG5, OUTPUTS))
-    sweep_module.evolve_point(FIG5, 2.0, oracle=True)
-    sweep_module.evolve_point(FIG5, math.inf)
+    def recording(matrix, m_dag, axes=(-2, -1)):
+        measured.append(np.moveaxis(matrix, axes, (-2, -1)))
+        return true_defect(matrix, m_dag, axes)
+
     state = covariance(FIG5, 2.0)
-    for facade in (separability_report, physicality):
-        with pytest.raises(AssertionError, match="Hermitian defect"):
-            facade(state)
+    monkeypatch.setattr(covariance_module, "_hermitian_defect", recording)
+    for facade in (mode_observables, separability_report, physicality):
+        measured.clear()
+        facade(state)
+        assert measured == [], facade.__name__
+        facade(state.c)
+        assert len(measured) == 1 and np.array_equal(measured[0], state.c), facade.__name__
+    measured.clear()
+    run_sweep(SweepSpec("tau", 0.0, 5.0, 11, FIG5, OUTPUTS))
+    assert len(measured) == 2
 
 
 def test_covariance_measures_the_hermitian_defect_of_c_once(monkeypatch):
