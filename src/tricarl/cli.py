@@ -315,14 +315,9 @@ def _run_point(args: argparse.Namespace, params: ModelParams) -> str:
         raise InvalidSpec("tau=inf has no JSON encoding; a point report needs a finite tau")
     # overflow is reported as a non_finite error, not as numpy warnings
     with np.errstate(all="ignore"):
-        try:
-            report = evolve_point(
-                params, args.tau, atom_number=args.atoms, epsilon=args.epsilon, oracle=args.oracle
-            )
-        except np.linalg.LinAlgError:
-            raise  # a numerical failure (a ValueError subclass)
-        except ValueError as exc:  # an argument the point report rejects
-            raise InvalidSpec(str(exc)) from exc
+        report = evolve_point(
+            params, args.tau, atom_number=args.atoms, epsilon=args.epsilon, oracle=args.oracle
+        )
     return _json_dumps(report)
 
 
@@ -389,10 +384,7 @@ def main(argv: list[str] | None = None) -> int:
                     setattr(args, name, default)
             if args.rho is None:
                 raise InvalidSpec("--rho is required without --preset")
-            try:
-                params = ModelParams(args.rho, args.delta, args.gamma1, args.gamma2, args.kappa)
-            except ValueError as exc:
-                raise InvalidSpec(str(exc)) from exc
+            params = ModelParams(args.rho, args.delta, args.gamma1, args.gamma2, args.kappa)
             if args.sweep:
                 pieces = _run_sweep_mode(args, params, statuses)
             else:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _eigenvalues, _newton_nodes, cubic_roots, drift_generator, spectrum
-from .errors import raise_failure
+from .errors import InvalidSpec, raise_failure
 from .model import ModelParams, derive
 
 _EYE = np.eye(3)
@@ -86,11 +86,11 @@ def _hermitian_defect(matrix: np.ndarray, m_dag: np.ndarray, axes=(-2, -1)) -> n
     return np.abs(matrix - m_dag).max(axis=axes) / scale
 
 
-def _hermitian_guards(defect, tol: float) -> tuple:
+def _hermitian_guards(defect) -> tuple:
     """Ordered guards (see ``first_failure``) of matrices with a Hermitian
     defect from ``_hermitian_defect`` (or the largest of several): non-finite
-    entries (a NaN defect), then a defect above ``tol``."""
-    return ("non_finite", np.isnan(defect)), ("not_hermitian", defect > tol)
+    entries (a NaN defect), then a defect above ``HERMITIZE_TOL``."""
+    return ("non_finite", np.isnan(defect)), ("not_hermitian", defect > HERMITIZE_TOL)
 
 
 def _hermitian_part(matrix: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -102,7 +102,7 @@ def _hermitian_part(matrix: np.ndarray) -> tuple[np.ndarray, tuple]:
     matrix = np.asarray(matrix, dtype=complex)
     m_dag = _dagger(matrix)
     defect = _hermitian_defect(matrix, m_dag)
-    return 0.5 * matrix + 0.5 * m_dag, _hermitian_guards(defect, HERMITIZE_TOL)
+    return 0.5 * matrix + 0.5 * m_dag, _hermitian_guards(defect)
 
 
 def _hermitize(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -127,7 +127,7 @@ class CovarianceState:
 def _checked_covariance(cov: CovarianceState | np.ndarray, what: str) -> np.ndarray:
     """The Hermitian part of a C that passes the one check of a covariance,
     which ``CovarianceState`` makes and the one-state functions share:
-    ValueError unless C is one 3x3 matrix, then C's guards
+    InvalidSpec unless C is one 3x3 matrix, then C's guards
     (``_hermitian_part``), raised under the label ``what``.  A
     ``CovarianceState`` passed it when it was made: its C is not checked
     again."""
@@ -135,7 +135,7 @@ def _checked_covariance(cov: CovarianceState | np.ndarray, what: str) -> np.ndar
         return cov.c
     c = np.asarray(cov, dtype=complex)
     if c.shape != (3, 3):
-        raise ValueError(f"a covariance is a 3x3 matrix, got shape {c.shape}")
+        raise InvalidSpec(f"a covariance is a 3x3 matrix, got shape {c.shape}")
     return _hermitize(c, what)
 
 
@@ -297,7 +297,7 @@ def _covariance_stack(params, lambdas: np.ndarray, tau) -> tuple[np.ndarray, lis
         growing = growing & (lambdas.real.max(axis=-1) >= 0)
     return c.transpose(*range(2, c.ndim), 0, 1), [
         ("not_stable", growing),
-        *_hermitian_guards(q_defect, HERMITIZE_TOL),
+        *_hermitian_guards(q_defect),
     ]
 
 
@@ -385,7 +385,7 @@ def covariance(params: ModelParams, tau: float) -> CovarianceState:
     C's own, which ``CovarianceState`` checks once (``_hermitian_part``).
     """
     if not tau >= 0:
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
+        raise InvalidSpec(f"tau must be >= 0, got {tau!r}")
     lambdas = _eigenvalues(params, derive(params), cubic_roots(params))
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
         c, guards = _covariance_stack(params, lambdas, tau)
@@ -406,7 +406,7 @@ def ode_oracle(params: ModelParams, tau: float) -> CovarianceState:
     The Hermitized Q + M M^dag / 2 of ``_van_loan_noise``: the solution of
     the moment equation dC/dtau = A C + C A^dag + D from C(0) = I/2, built
     from the parameter-form generator A without its spectrum, so it checks
-    the closed form independently.  Raises ValueError unless tau is finite
+    the closed form independently.  Raises InvalidSpec unless tau is finite
     and >= 0.
 
     Its doublings lose digits with the number of oscillation periods: at
@@ -415,7 +415,7 @@ def ode_oracle(params: ModelParams, tau: float) -> CovarianceState:
     ``oracle_max_abs_diff`` measures the oracle's own error.
     """
     if not math.isfinite(tau) or tau < 0:
-        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
+        raise InvalidSpec(f"tau must be finite and >= 0, got {tau!r}")
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
         q, m = _van_loan_noise(drift_generator(params), diffusion_matrix(params), tau)
         c = _hermitize(q, "noise matrix") + 0.5 * m @ _dagger(m)

@@ -42,8 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceState, _checked_covariance
-from .errors import RegimeMismatch, raise_failure
+from .errors import InvalidSpec, RegimeMismatch, raise_failure
 from .model import ModelParams
+from .observables import _FIRST, _SECOND
 
 # Sigma of the blocks 2H +- Sigma of Gamma_1, Gamma_2, Gamma_3 and V - iJ, and
 # the halved shifts diag(Sigma)/2, then diag(-Sigma)/2, of the Gamma_j and
@@ -52,9 +53,8 @@ _SIGMA = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [-1.0,
 _GAMMA_SHIFTS, _PHYSICAL_SHIFTS = (
     np.concatenate([s, -s])[:, :, np.newaxis] * (0.5 * np.eye(3)) for s in (_SIGMA[:3], _SIGMA[3:])
 )
-# modes (i, j) of S_12, S_13, S_23; |s + t|/4 and |s - t|/4 of each pair's
-# Sigma = (s, t): (1, 1), (1, 1), (-1, 1)
-_PAIRS = np.array([[0, 1], [0, 2], [1, 2]])
+# |s + t|/4 and |s - t|/4 of the Sigma = (s, t) of S_12, S_13, S_23 (the modes
+# _FIRST, _SECOND of CROSS_PAIRS): (1, 1), (1, 1), (-1, 1)
 _PAIR_MEAN_SHIFT, _PAIR_SPLIT = np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, 0.5])
 # the bits of modes 1, 2, 3
 _MODE_BITS = np.array([1, 2, 4])
@@ -91,8 +91,8 @@ def _pair_minima(h: np.ndarray) -> np.ndarray:
     (a + d)/2 - |s + t|/4 - hypot(|a - d|/2 + |s - t|/4, |b|), with a and d
     halved first so that neither sum overflows before its inputs do."""
     diagonal = h.diagonal(axis1=-2, axis2=-1).real
-    a, d = diagonal[..., _PAIRS[:, 0]], diagonal[..., _PAIRS[:, 1]]
-    coupling = np.abs(h[..., _PAIRS[:, 0], _PAIRS[:, 1]])
+    a, d = diagonal[..., _FIRST], diagonal[..., _SECOND]
+    coupling = np.abs(h[..., _FIRST, _SECOND])
     split = np.hypot(0.5 * np.abs(a - d) + _PAIR_SPLIT, coupling)
     return 2.0 * (0.5 * a + 0.5 * d - _PAIR_MEAN_SHIFT - split)
 
@@ -117,11 +117,11 @@ def physicality(cov: CovarianceState | np.ndarray) -> float:
     return float(floor)
 
 
-def _check_epsilon(epsilon: float, error: type = ValueError) -> None:
-    """Raise ``error`` for a sign tolerance that is not finite and >= 0: the
-    one check of the value, made where a user passes it in."""
+def _check_epsilon(epsilon: float) -> None:
+    """Raise InvalidSpec for a sign tolerance that is not finite and >= 0:
+    the one check of the value, made where a user passes it in."""
     if not 0 <= epsilon < np.inf:
-        raise error(f"epsilon must be finite and >= 0, got {epsilon!r}")
+        raise InvalidSpec(f"epsilon must be finite and >= 0, got {epsilon!r}")
 
 
 def _classes(gamma_min_eigs: np.ndarray, epsilon: float):
@@ -132,7 +132,10 @@ def _classes(gamma_min_eigs: np.ndarray, epsilon: float):
     Mode j counts as factorizable unless its minimum is below -epsilon.
     None factorizable: fully inseparable; one: that mode is biseparable (the
     label carries its index); two: two-mode biseparable; all three:
-    biseparable or separable, which the Gamma tests cannot tell apart.
+    "biseparable_or_separable", which for every state this package evolves
+    means fully separable: the state's phase symmetry makes full
+    separability the same as Gamma_1 >= 0 (Werner & Wolf, PRL 86, 3658
+    (2001); Giedke et al., PRA 64, 052303 (2001); see the README).
     """
     labels = _CLASS_LABELS[(gamma_min_eigs >= -epsilon) @ _MODE_BITS]
     return labels, ("non_finite", ~np.isfinite(gamma_min_eigs).all(axis=-1))
@@ -153,7 +156,7 @@ def separability_report(
     cov: CovarianceState | np.ndarray, epsilon: float = EPSILON
 ) -> SeparabilityReport:
     """Run all separability tests on one covariance state.  Raises
-    ValueError for a bad ``epsilon``, then the error of the first check it
+    InvalidSpec for a bad ``epsilon``, then the error of the first check it
     fails: C's (``_checked_covariance``), the guards of
     ``_separability_stack``, then a non-finite minimum, which a sweep row
     that asks for it reads as "non_finite"."""
@@ -203,4 +206,4 @@ def asymptotic_eta(params: ModelParams, regime: str) -> tuple[float, float]:
         if rho >= 1.0:
             raise RegimeMismatch(f"quantum asymptotics need rho < 1, got {rho!r}")
         return -(rho**3) / (4.0 + rho**3), -16.0 / (16.0 + rho**3)
-    raise ValueError(f"regime must be 'semiclassical' or 'quantum', got {regime!r}")
+    raise InvalidSpec(f"regime must be 'semiclassical' or 'quantum', got {regime!r}")

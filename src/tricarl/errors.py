@@ -52,8 +52,9 @@ class RegimeMismatch(TricarlError):
     code = "regime_mismatch"
 
 
-class InvalidSpec(TricarlError):
-    """A sweep specification failed validation."""
+class InvalidSpec(TricarlError, ValueError):
+    """An input failed validation: a model or laboratory parameter, tau, an
+    atom number, a sign tolerance, a regime, a covariance's shape or a sweep."""
 
     code = "invalid_spec"
 

@@ -12,10 +12,12 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
+from .errors import InvalidSpec
+
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise InvalidSpec(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,10 @@ class ModelParams:
         for name in ("rho", "delta", "gamma1", "gamma2", "kappa"):
             _require_finite(name, getattr(self, name))
         if self.rho <= 0:
-            raise ValueError(f"rho must be > 0, got {self.rho!r}")
+            raise InvalidSpec(f"rho must be > 0, got {self.rho!r}")
         for name in ("gamma1", "gamma2", "kappa"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+                raise InvalidSpec(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict[str, float]:
         """JSON-serializable record with exactly the canonical field names,
@@ -145,16 +147,16 @@ class LabParams:
             value = getattr(self, name)
             _require_finite(name, value)
             if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
+                raise InvalidSpec(f"{name} must be > 0, got {value!r}")
         t = self.mirror_transmission
         _require_finite("mirror_transmission", t)
         if not 0.0 <= t <= 1.0:
-            raise ValueError(f"mirror_transmission must be in [0, 1], got {t!r}")
+            raise InvalidSpec(f"mirror_transmission must be in [0, 1], got {t!r}")
 
 
 def carl_parameter(lab: LabParams) -> float:
     """Collective coupling rho from laboratory quantities.  Raises
-    ValueError ("unphysical laboratory input") unless rho is finite and > 0,
+    InvalidSpec ("unphysical laboratory input") unless rho is finite and > 0,
     also where the formula overflows or divides by an underflowed 0."""
     # CODATA 2022: the reduced Planck constant (J s) and the vacuum permittivity (F/m)
     hbar, epsilon_0 = 6.62607015e-34 / (2.0 * math.pi), 8.8541878188e-12
@@ -167,10 +169,10 @@ def carl_parameter(lab: LabParams) -> float:
             / (lab.mode_volume * hbar * epsilon_0 * lab.recoil_frequency**2)
         ) ** (1.0 / 3.0)
     except (OverflowError, ZeroDivisionError) as exc:
-        raise ValueError(f"unphysical laboratory input: {exc}") from None
+        raise InvalidSpec(f"unphysical laboratory input: {exc}") from None
     rho = drive * collective
     if not 0 < rho < math.inf:
-        raise ValueError(f"unphysical laboratory input: rho = {rho!r}")
+        raise InvalidSpec(f"unphysical laboratory input: rho = {rho!r}")
     return rho
 
 
@@ -178,7 +180,7 @@ def from_lab(lab: LabParams) -> ModelParams:
     """Convert laboratory quantities into the scaled model parameters.
 
     All rates come out divided by rho*omega_r, ready for the scaled-time
-    evolution.  Raises ValueError where ``carl_parameter`` does, where the
+    evolution.  Raises InvalidSpec where ``carl_parameter`` does, where the
     unit rho*omega_r scales a nonzero detuning or cavity loss rate to 0, and
     (from ``ModelParams``) where it scales one past the float range.
     """
@@ -189,5 +191,5 @@ def from_lab(lab: LabParams) -> ModelParams:
     kappa_si = 299792458.0 * lab.mirror_transmission / (2.0 * lab.cavity_length)
     delta, kappa = detuning / unit, kappa_si / unit
     if (delta == 0) != (detuning == 0) or (kappa == 0) != (kappa_si == 0):
-        raise ValueError(f"unphysical laboratory input: rho*omega_r = {unit!r}")
+        raise InvalidSpec(f"unphysical laboratory input: rho*omega_r = {unit!r}")
     return ModelParams(rho=rho, delta=delta, gamma1=0.0, gamma2=0.0, kappa=kappa)

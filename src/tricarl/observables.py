@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceState, _checked_covariance
-from .errors import NonFinite, raise_failure
+from .errors import InvalidSpec, NonFinite, raise_failure
 
 # occupations below this are treated as numerically zero in 0/0 ratios
 ZERO_OCCUPATION = 1e-12
@@ -36,8 +36,7 @@ _NEGATIVE_FLOOR = -1e-6
 ATOM_NUMBER = 1e6
 
 CROSS_PAIRS = ((1, 2), (1, 3), (2, 3))
-_FIRST = np.array([0, 0, 1])  # zero-based modes of CROSS_PAIRS
-_SECOND = np.array([1, 2, 2])
+_FIRST, _SECOND = np.array(CROSS_PAIRS).T - 1  # zero-based modes of CROSS_PAIRS
 
 
 def _vacuum_floor(c: np.ndarray) -> tuple:
@@ -48,11 +47,11 @@ def _vacuum_floor(c: np.ndarray) -> tuple:
     return "negative_occupation", (raw < _NEGATIVE_FLOOR).any(axis=-1)
 
 
-def _check_atom_number(atom_number: float, error: type = ValueError) -> None:
-    """Raise ``error`` for an atom number that is not finite and > 0: the one
-    check of the value, made where a user passes it in."""
+def _check_atom_number(atom_number: float) -> None:
+    """Raise InvalidSpec for an atom number that is not finite and > 0: the
+    one check of the value, made where a user passes it in."""
     if not 0 < atom_number < np.inf:
-        raise error(f"atom_number must be finite and > 0, got {atom_number!r}")
+        raise InvalidSpec(f"atom_number must be finite and > 0, got {atom_number!r}")
 
 
 def _observable_stack(c: np.ndarray, atom_number: float) -> dict:
@@ -110,7 +109,7 @@ def mode_observables(
     cov: CovarianceState | np.ndarray, atom_number: float = ATOM_NUMBER
 ) -> ModeObservables:
     """Evaluate every scalar observable of one covariance, mapping undefined
-    ones to None.  Raises ValueError for a bad ``atom_number``, the error of
+    ones to None.  Raises InvalidSpec for a bad ``atom_number``, the error of
     C's check (``_checked_covariance``), then NegativeOccupation below the
     vacuum floor, then NonFinite where a defined observable is inf or NaN:
     a sweep row's checks, in its order."""

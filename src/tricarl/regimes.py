@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, RegimeMismatch
+from .errors import InvalidSpec, NonFinite, RegimeMismatch
 from .model import ModelParams
 
 SEMICLASSICAL_GOOD_CAVITY = "semiclassical_good_cavity"
@@ -37,7 +37,7 @@ UNCLASSIFIED = "unclassified"
 
 def _check(valid: bool, name: str, value: float, bound: str) -> None:
     if not valid:
-        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+        raise InvalidSpec(f"{name} must be finite and {bound}, got {value!r}")
 
 
 def _finite(function):
@@ -198,7 +198,7 @@ def lossless_highgain_populations(
             0.25 * (rho / 2.0) ** 3 * growth,
             0.25 * growth,
         )
-    raise ValueError(f"regime must be 'semiclassical' or 'quantum', got {regime!r}")
+    raise InvalidSpec(f"regime must be 'semiclassical' or 'quantum', got {regime!r}")
 
 
 @dataclass(frozen=True)

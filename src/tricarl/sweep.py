@@ -154,8 +154,8 @@ class SweepSpec:
             raise InvalidSpec(f"tau must be >= 0, got {self.tau!r}")
         if self.axis != "delta" and self.start < 0:
             raise InvalidSpec(f"{self.axis} grid must be non-negative")
-        _check_atom_number(self.atom_number, InvalidSpec)
-        _check_epsilon(self.epsilon, InvalidSpec)
+        _check_atom_number(self.atom_number)
+        _check_epsilon(self.epsilon)
         if self.axis == "tau" and self.tau is not None:
             raise InvalidSpec(f"a tau sweep takes no fixed tau, got tau={self.tau!r}")
 
@@ -368,7 +368,7 @@ def evolve_point(
     Van Loan's block exponential alone.
     """
     if not tau >= 0:
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
+        raise InvalidSpec(f"tau must be >= 0, got {tau!r}")
     roots = cubic_roots(params)
     _check_atom_number(atom_number)
     _check_epsilon(epsilon)

@@ -15,6 +15,11 @@ sweeps, presets with and without an ``--out`` file, ``steady_state`` and
 ``from_lab`` with no scipy module loaded.  A stale or missing ``__all__``
 entry would show only as an ``AttributeError`` on ``from tricarl import *``
 or as a public name nobody listed.
+
+An input check raises ``InvalidSpec``, which is a ValueError: no module
+raises a bare ValueError but the JSON writer, which copies ``json.dumps``'s
+error, and no module catches one but the parser of the ``--sweep`` text,
+so the command line translates no library error.
 """
 
 import ast
@@ -138,6 +143,57 @@ def test_no_module_imports_scipy():
         for line, module in scipy_imports(ast.parse(path.read_text()))
     ]
     assert found == []
+
+
+def enclosing_functions(tree, predicate):
+    """The innermost enclosing function (None at module level) of each node
+    of a module for which ``predicate`` holds."""
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if predicate(child):
+                yield function
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from visit(child, child.name if inner else function)
+
+    return visit(tree, None)
+
+
+def names_value_error(node):
+    """Whether an expression is ``ValueError``, a call of it, or a tuple
+    that holds it."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Tuple):
+        return any(map(names_value_error, node.elts))
+    return isinstance(node, ast.Name) and node.id == "ValueError"
+
+
+def raises_value_error(node):
+    return isinstance(node, ast.Raise) and node.exc is not None and names_value_error(node.exc)
+
+
+def catches_value_error(node):
+    return isinstance(node, ast.ExceptHandler) and node.type is not None and names_value_error(
+        node.type
+    )
+
+
+def test_only_the_json_writer_raises_and_only_the_sweep_flag_parser_catches_value_error():
+    # an input check raises InvalidSpec, the package's ValueError; the JSON
+    # writer copies json.dumps's own error, and the --sweep parser turns the
+    # float() and int() errors of the user's text into InvalidSpec
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+    def sites(predicate):
+        return {
+            (stem, function)
+            for stem, tree in trees.items()
+            for function in enclosing_functions(tree, predicate)
+        }
+
+    assert sites(raises_value_error) == {("cli", "_json_text")}
+    assert sites(catches_value_error) == {("cli", "_parse_sweep_flag")}
 
 
 def init_imports(tree):

@@ -1,6 +1,7 @@
 """Property tests of the batched separability eigenvalues over the model
-parameter space (rho, delta, gamma1, gamma2, kappa, tau), and of the
-stacked kernels on arbitrary 3x3 stacks at the ends of the float range.
+parameter space (rho, delta, gamma1, gamma2, kappa, tau), of the order
+that the state's phase symmetry puts on them, and of the stacked kernels
+on arbitrary 3x3 stacks at the ends of the float range.
 
 The parameter box keeps every covariance finite: at rho = 200 and tau = 5
 the test matrices reach about 1e16, far below overflow.
@@ -21,7 +22,15 @@ from oracles import (
     quadrature_covariance,
     two_mode_matrix,
 )
-from tricarl import ModelParams, SweepSpec, covariance, physicality, run_sweep, separability_report
+from tricarl import (
+    ModelParams,
+    SweepSpec,
+    covariance,
+    evolve_point,
+    physicality,
+    run_sweep,
+    separability_report,
+)
 from tricarl.entanglement import _physicality_floor, _separability_stack
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -78,6 +87,43 @@ def assert_report_matches_the_test_matrices(point):
 @given(params_and_tau)
 def test_separability_report_equals_per_matrix_values(point):
     assert_report_matches_the_test_matrices(point)
+
+
+def pass_state(point):
+    """H, the Gamma_j and S_ij minima and the physicality floor of one row
+    of a pass (``evolve_point``)."""
+    *values, tau = point
+    report = evolve_point(ModelParams(*values), tau)
+    h = np.array(report["covariance"]["real"]) + 1j * np.array(report["covariance"]["imag"])
+    tests = report["separability"]
+    return h, tests["min_eig_gamma"], tests["min_eig_s"], report["physicality"]
+
+
+def allowance(h, c):
+    """c eps max(1, ||2H||), with ||.|| the spectral norm."""
+    return c * np.finfo(float).eps * max(1.0, np.linalg.norm(2.0 * h, 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(params_and_tau)
+def test_gamma_1_is_the_least_of_all_the_test_minima(point):
+    # 2H - I, Gamma_1's lower block, is the least of the blocks 2H + diag(+-1,
+    # +-1, +-1) of every Gamma_j and of V - iJ, and each S_ij block is a
+    # sub-block of one of them.  c = 8: over 20000 derandomized states the
+    # two kernels' roundings put Gamma_1 at most 3.5 units above the least
+    h, gammas, pairs, floor = pass_state(point)
+    assert gammas[0] <= min(*gammas[1:], *pairs, floor) + allowance(h, 8.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(params_and_tau)
+def test_modes_2_and_3_are_never_entangled(point):
+    # the S_23 blocks are 2N + diag(0, 2) and 2N + diag(2, 0), where
+    # N_ij = <a_j^dag a_i> over modes 2 and 3 is >= 0, so S_23 >= 0.
+    # c = 64: C's own roundings, about eps where S_23 is near 0 close to
+    # vacuum, reached 24 units over 20000 derandomized states
+    h, _, pairs, _ = pass_state(point)
+    assert pairs[2] >= -allowance(h, 64.0)
 
 
 # the benchmark's edge ladder: rho=100, no losses, delta* + {0, +-1e-1 ..

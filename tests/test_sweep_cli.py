@@ -678,6 +678,12 @@ SWEEP_FLAGS = ("--rho", "100", "--sweep", "tau:0:1:2", "--outputs", "class,minei
             "tau must be >= 0, got nan",
         ),
         (("--rho", "100", "--tau", "1", "--epsilon", "-1"), "epsilon must be finite and >= 0"),
+        # the library's own InvalidSpec, written as it is
+        (("--rho", "-1", "--tau", "1"), "rho must be > 0, got -1.0"),
+        (
+            ("--rho", "100", "--tau", "1", "--atoms", "0"),
+            "atom_number must be finite and > 0, got 0.0",
+        ),
         (("--rho", "100", "--tau", "1", "--epsilon", "nan"), "epsilon must be finite and >= 0"),
         (("--rho", "100", "--tau", "1", "--atoms", "nan"), "atom_number must be finite"),
         (("--rho", "100", "--tau", "1", "--atoms", "inf"), "atom_number must be finite"),
