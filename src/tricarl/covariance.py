@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _eigenvalues, _newton_nodes, cubic_roots, drift_generator, spectrum
-from .errors import InvalidSpec, raise_failure
+from .errors import InvalidSpec, _check, raise_failure
 from .model import ModelParams, derive
 
 _EYE = np.eye(3)
@@ -375,6 +375,12 @@ def q_quadrature(params: ModelParams, tau: float) -> np.ndarray:
     return _hermitize(q, "noise matrix")
 
 
+def _check_tau(tau: float) -> None:
+    """Raise InvalidSpec for a tau that is not >= 0; tau = inf is the steady state."""
+    if not tau >= 0:
+        raise InvalidSpec(f"tau must be >= 0, got {tau!r}")
+
+
 def covariance(params: ModelParams, tau: float) -> CovarianceState:
     """Covariance of the state evolved from vacuum for a time tau.
 
@@ -384,8 +390,7 @@ def covariance(params: ModelParams, tau: float) -> CovarianceState:
     (NotStable at tau = inf where a mode does not decay, then Q's), then
     C's own, which ``CovarianceState`` checks once (``_hermitian_part``).
     """
-    if not tau >= 0:
-        raise InvalidSpec(f"tau must be >= 0, got {tau!r}")
+    _check_tau(tau)
     lambdas = _eigenvalues(params, derive(params), cubic_roots(params))
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
         c, guards = _covariance_stack(params, lambdas, tau)
@@ -414,8 +419,7 @@ def ode_oracle(params: ModelParams, tau: float) -> CovarianceState:
     max|C| off 40 digits at tau=5, 1e6 and 1e8, where a point report's
     ``oracle_max_abs_diff`` measures the oracle's own error.
     """
-    if not math.isfinite(tau) or tau < 0:
-        raise InvalidSpec(f"tau must be finite and >= 0, got {tau!r}")
+    _check(math.isfinite(tau) and tau >= 0, "tau", tau, "finite and >= 0")
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the guards report
         q, m = _van_loan_noise(drift_generator(params), diffusion_matrix(params), tau)
         c = _hermitize(q, "noise matrix") + 0.5 * m @ _dagger(m)

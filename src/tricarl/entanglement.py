@@ -42,9 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceState, _checked_covariance
-from .errors import InvalidSpec, RegimeMismatch, raise_failure
+from .errors import RegimeMismatch, _check, raise_failure
 from .model import ModelParams
 from .observables import _FIRST, _SECOND
+from .regimes import _check_regime
 
 # Sigma of the blocks 2H +- Sigma of Gamma_1, Gamma_2, Gamma_3 and V - iJ, and
 # the halved shifts diag(Sigma)/2, then diag(-Sigma)/2, of the Gamma_j and
@@ -118,10 +119,8 @@ def physicality(cov: CovarianceState | np.ndarray) -> float:
 
 
 def _check_epsilon(epsilon: float) -> None:
-    """Raise InvalidSpec for a sign tolerance that is not finite and >= 0:
-    the one check of the value, made where a user passes it in."""
-    if not 0 <= epsilon < np.inf:
-        raise InvalidSpec(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    """The one check of a sign tolerance, made where a user passes it in."""
+    _check(0 <= epsilon < np.inf, "epsilon", epsilon, "finite and >= 0")
 
 
 def _classes(gamma_min_eigs: np.ndarray, epsilon: float):
@@ -197,13 +196,12 @@ def asymptotic_eta(params: ModelParams, regime: str) -> tuple[float, float]:
     eta_12 = -rho/(1 + rho), eta_13 = -4/(4 + rho); in the quantum limit
     (rho < 1): eta_12 = -rho^3/(4 + rho^3), eta_13 = -16/(16 + rho^3).
     """
+    _check_regime(regime)
     rho = params.rho
     if regime == "semiclassical":
         if rho < 10.0:
             raise RegimeMismatch(f"semiclassical asymptotics need rho >> 1, got {rho!r}")
         return -rho / (1.0 + rho), -4.0 / (4.0 + rho)
-    if regime == "quantum":
-        if rho >= 1.0:
-            raise RegimeMismatch(f"quantum asymptotics need rho < 1, got {rho!r}")
-        return -(rho**3) / (4.0 + rho**3), -16.0 / (16.0 + rho**3)
-    raise InvalidSpec(f"regime must be 'semiclassical' or 'quantum', got {regime!r}")
+    if rho >= 1.0:
+        raise RegimeMismatch(f"quantum asymptotics need rho < 1, got {rho!r}")
+    return -(rho**3) / (4.0 + rho**3), -16.0 / (16.0 + rho**3)

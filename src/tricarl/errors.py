@@ -59,6 +59,12 @@ class InvalidSpec(TricarlError, ValueError):
     code = "invalid_spec"
 
 
+def _check(valid: bool, name: str, value, bound: str) -> None:
+    """Raise InvalidSpec("<name> must be <bound>, got <value>") unless ``valid``."""
+    if not valid:
+        raise InvalidSpec(f"{name} must be {bound}, got {value!r}")
+
+
 _BY_CODE = {cls.code: cls for cls in (TricarlError, *TricarlError.__subclasses__())}
 
 

@@ -12,12 +12,11 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, _check
 
 
 def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise InvalidSpec(f"{name} must be finite, got {value!r}")
+    _check(math.isfinite(value), name, value, "finite")
 
 
 @dataclass(frozen=True)
@@ -46,11 +45,9 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("rho", "delta", "gamma1", "gamma2", "kappa"):
             _require_finite(name, getattr(self, name))
-        if self.rho <= 0:
-            raise InvalidSpec(f"rho must be > 0, got {self.rho!r}")
+        _check(self.rho > 0, "rho", self.rho, "> 0")
         for name in ("gamma1", "gamma2", "kappa"):
-            if getattr(self, name) < 0:
-                raise InvalidSpec(f"{name} must be >= 0, got {getattr(self, name)!r}")
+            _check(getattr(self, name) >= 0, name, getattr(self, name), ">= 0")
 
     def to_dict(self) -> dict[str, float]:
         """JSON-serializable record with exactly the canonical field names,
@@ -146,12 +143,10 @@ class LabParams:
         for name in (f.name for f in fields(self) if f.name != "mirror_transmission"):
             value = getattr(self, name)
             _require_finite(name, value)
-            if value <= 0:
-                raise InvalidSpec(f"{name} must be > 0, got {value!r}")
+            _check(value > 0, name, value, "> 0")
         t = self.mirror_transmission
         _require_finite("mirror_transmission", t)
-        if not 0.0 <= t <= 1.0:
-            raise InvalidSpec(f"mirror_transmission must be in [0, 1], got {t!r}")
+        _check(0.0 <= t <= 1.0, "mirror_transmission", t, "in [0, 1]")
 
 
 def carl_parameter(lab: LabParams) -> float:

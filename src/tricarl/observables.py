@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceState, _checked_covariance
-from .errors import InvalidSpec, NonFinite, raise_failure
+from .errors import NonFinite, _check, raise_failure
 
 # occupations below this are treated as numerically zero in 0/0 ratios
 ZERO_OCCUPATION = 1e-12
@@ -48,10 +48,8 @@ def _vacuum_floor(c: np.ndarray) -> tuple:
 
 
 def _check_atom_number(atom_number: float) -> None:
-    """Raise InvalidSpec for an atom number that is not finite and > 0: the
-    one check of the value, made where a user passes it in."""
-    if not 0 < atom_number < np.inf:
-        raise InvalidSpec(f"atom_number must be finite and > 0, got {atom_number!r}")
+    """The one check of an atom number, made where a user passes it in."""
+    _check(0 < atom_number < np.inf, "atom_number", atom_number, "finite and > 0")
 
 
 def _observable_stack(c: np.ndarray, atom_number: float) -> dict:
@@ -118,10 +116,15 @@ def mode_observables(
     raise_failure([_vacuum_floor(c)], "covariance")
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, which the check below reports
         fields = _observable_stack(c, atom_number)
-    bad = [name for name, (value, ok) in fields.items() if not np.isfinite(value[ok]).all()]
+    _check_finite(**{name: value[ok] for name, (value, ok) in fields.items()})
+    return ModeObservables(**_defined_cells(fields, tuple))
+
+
+def _check_finite(**sections) -> None:
+    """Raise NonFinite naming, in order, the sections that hold an inf or NaN."""
+    bad = [name for name, numbers in sections.items() if not np.isfinite(numbers).all()]
     if bad:
         raise NonFinite(f"non-finite result in {', '.join(bad)}")
-    return ModeObservables(**_defined_cells(fields, tuple))
 
 
 def _defined_cells(fields: dict, sequence) -> dict:

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, NonFinite, RegimeMismatch
+from .errors import InvalidSpec, NonFinite, RegimeMismatch, _check
 from .model import ModelParams
+from .observables import _check_atom_number
 
 SEMICLASSICAL_GOOD_CAVITY = "semiclassical_good_cavity"
 QUANTUM_GOOD_CAVITY = "quantum_good_cavity"
@@ -35,9 +36,9 @@ QUANTUM_SUPERRADIANT = "quantum_superradiant"
 UNCLASSIFIED = "unclassified"
 
 
-def _check(valid: bool, name: str, value: float, bound: str) -> None:
-    if not valid:
-        raise InvalidSpec(f"{name} must be finite and {bound}, got {value!r}")
+def _check_regime(regime: str) -> None:
+    if regime not in ("semiclassical", "quantum"):
+        raise InvalidSpec(f"regime must be 'semiclassical' or 'quantum', got {regime!r}")
 
 
 def _finite(function):
@@ -67,7 +68,7 @@ def _finite(function):
 def classify_regime(params: ModelParams, margin: float = 10.0) -> str:
     """Deterministic regime label; ``unclassified`` when no inequality
     chain holds at the given margin."""
-    _check(1.0 <= margin < math.inf, "margin", margin, ">= 1")
+    _check(1.0 <= margin < math.inf, "margin", margin, "finite and >= 1")
     rho, kappa = params.rho, params.kappa
     sr_scale = math.sqrt(2.0 * kappa)
     if rho >= margin and kappa <= 1.0 / margin:
@@ -117,7 +118,7 @@ def sr_semiclassical_populations(
     """Leading-order populations in the semi-classical superradiant regime
     (resonant pump, no decoherence); all three grow as
     exp(sqrt(2/kappa) tau)."""
-    _check(0.0 <= tau < math.inf, "tau", tau, ">= 0")
+    _check(0.0 <= tau < math.inf, "tau", tau, "finite and >= 0")
     _require(
         classify_regime(params, margin) == SEMICLASSICAL_SUPERRADIANT,
         "parameters are not in the semi-classical superradiant regime",
@@ -141,7 +142,7 @@ def sr_quantum_populations(
     """Leading-order populations in the quantum superradiant regime
     (two-photon resonance delta = 1/rho, no decoherence); growth rate
     rho/kappa, with n2/n3 = (rho/2)^3."""
-    _check(0.0 <= tau < math.inf, "tau", tau, ">= 0")
+    _check(0.0 <= tau < math.inf, "tau", tau, "finite and >= 0")
     _require(
         classify_regime(params, margin) == QUANTUM_SUPERRADIANT,
         "parameters are not in the quantum superradiant regime",
@@ -170,12 +171,13 @@ def lossless_highgain_populations(
     (delta = 1/rho, rho < 1): growth rate sqrt(2 rho).  Both triples obey
     n1 = n2 + n3 exactly.
     """
-    _check(0.0 <= tau < math.inf, "tau", tau, ">= 0")
-    _check(1.0 <= margin < math.inf, "margin", margin, ">= 1")
+    _check(0.0 <= tau < math.inf, "tau", tau, "finite and >= 0")
+    _check(1.0 <= margin < math.inf, "margin", margin, "finite and >= 1")
     _require(
         _lossless(params) and params.kappa == 0.0,
         "ideal-case asymptotics hold for gamma1 = gamma2 = kappa = 0",
     )
+    _check_regime(regime)
     rho = params.rho
     if regime == "semiclassical":
         _require(params.delta == 0.0, "semi-classical asymptotics hold at delta = 0")
@@ -186,19 +188,17 @@ def lossless_highgain_populations(
             rho**2 / 36.0 * growth,
             rho / 18.0 * growth,
         )
-    if regime == "quantum":
-        _require(
-            math.isclose(params.delta, 1.0 / rho, rel_tol=1e-12),
-            "quantum asymptotics hold at delta = 1/rho",
-        )
-        _require(rho < 1.0, "quantum asymptotics need rho < 1")
-        growth = math.exp(math.sqrt(2.0 * rho) * tau)
-        return (
-            0.25 * (1.0 + (rho / 2.0) ** 3) * growth,
-            0.25 * (rho / 2.0) ** 3 * growth,
-            0.25 * growth,
-        )
-    raise InvalidSpec(f"regime must be 'semiclassical' or 'quantum', got {regime!r}")
+    _require(
+        math.isclose(params.delta, 1.0 / rho, rel_tol=1e-12),
+        "quantum asymptotics hold at delta = 1/rho",
+    )
+    _require(rho < 1.0, "quantum asymptotics need rho < 1")
+    growth = math.exp(math.sqrt(2.0 * rho) * tau)
+    return (
+        0.25 * (1.0 + (rho / 2.0) ** 3) * growth,
+        0.25 * (rho / 2.0) ** 3 * growth,
+        0.25 * growth,
+    )
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ def saturation_estimates(
 ) -> SaturationEstimates:
     """Maximum emitted photons and recoiling-atom fraction before the
     undepleted-pump approximation fails."""
-    _check(0.0 < atom_number < math.inf, "atom_number", atom_number, "> 0")
+    _check_atom_number(atom_number)
     label = classify_regime(params, margin)
     rho, kappa = params.rho, params.kappa
     if label == SEMICLASSICAL_SUPERRADIANT:

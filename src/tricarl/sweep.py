@@ -53,16 +53,17 @@ import numpy as np
 
 # covariance, mode_observables, physicality, separability_report: the one-state
 # facade, which this module does not call; imported for the benchmark tracer to hook
-from .covariance import _covariance_stack, _hermitian_part, covariance, ode_oracle
+from .covariance import _check_tau, _covariance_stack, _hermitian_part, covariance, ode_oracle
 from .dynamics import _eigenvalues, cubic_coefficients, cubic_roots, gain, solve_cubic
 from .entanglement import EPSILON, _check_epsilon, _physicality_floor, _separability_stack
 from .entanglement import physicality, separability_report
-from .errors import InvalidSpec, NonFinite, first_failure, raise_failure
+from .errors import InvalidSpec, _check, first_failure, raise_failure
 from .model import ModelParams, ParamStack, derive
 from .observables import (
     ATOM_NUMBER,
     CROSS_PAIRS,
     _check_atom_number,
+    _check_finite,
     _defined_cells,
     _observable_stack,
     _vacuum_floor,
@@ -129,17 +130,15 @@ class SweepSpec:
     epsilon: float = EPSILON
 
     def __post_init__(self) -> None:
-        if self.axis not in AXES:
-            raise InvalidSpec(f"axis must be one of {AXES}, got {self.axis!r}")
+        _check(self.axis in AXES, "axis", self.axis, f"one of {AXES}")
         if not -math.inf < self.start < self.stop < math.inf:
             raise InvalidSpec(
                 f"need finite start < stop, got start={self.start!r} stop={self.stop!r}"
             )
-        if isinstance(self.points, bool) or not isinstance(self.points, (int, np.integer)):
-            raise InvalidSpec(f"points must be an integer, got {self.points!r}")
+        integer = isinstance(self.points, (int, np.integer)) and not isinstance(self.points, bool)
+        _check(integer, "points", self.points, "an integer")
         object.__setattr__(self, "points", int(self.points))  # a numpy integer writes no JSON
-        if not 2 <= self.points <= MAX_POINTS:
-            raise InvalidSpec(f"points must be in [2, {MAX_POINTS}], got {self.points!r}")
+        _check(2 <= self.points <= MAX_POINTS, "points", self.points, f"in [2, {MAX_POINTS}]")
         if not self.outputs:
             raise InvalidSpec("outputs must not be empty")
         unknown = [name for name in self.outputs if name not in OUTPUTS]
@@ -150,8 +149,8 @@ class SweepSpec:
             raise InvalidSpec(f"outputs repeat {repeated}; name each output once")
         if self.axis != "tau" and self.tau is None and _stages(self.outputs) != {_ROOTS}:
             raise InvalidSpec("state observables on a non-tau axis require tau")
-        if self.tau is not None and not self.tau >= 0:
-            raise InvalidSpec(f"tau must be >= 0, got {self.tau!r}")
+        if self.tau is not None:
+            _check_tau(self.tau)
         if self.axis != "delta" and self.start < 0:
             raise InvalidSpec(f"{self.axis} grid must be non-negative")
         _check_atom_number(self.atom_number)
@@ -362,13 +361,13 @@ def evolve_point(
     The sweep's ``_pass`` on one row, asked for every output, with one
     cubic solve for the covariance and the gain; at tau = inf the steady
     state.  Raises at the first failed check of tau, roots, atom_number and
-    epsilon, the row's status, the oracle's tau and the computed numbers'
-    finiteness.  With ``oracle=True`` the report also carries the maximum
-    absolute difference between the covariance and ``ode_oracle``'s, from
-    Van Loan's block exponential alone.
+    epsilon, the row's status and the oracle's tau, then NonFinite naming
+    the sections that hold an inf or NaN, checked as arrays before any
+    ``tolist`` by ``mode_observables``' rule (``_check_finite``).  With
+    ``oracle=True`` the report also carries the maximum absolute difference
+    between C and ``ode_oracle``'s, from Van Loan's block exponential alone.
     """
-    if not tau >= 0:
-        raise InvalidSpec(f"tau must be >= 0, got {tau!r}")
+    _check_tau(tau)
     roots = cubic_roots(params)
     _check_atom_number(atom_number)
     _check_epsilon(epsilon)
@@ -376,6 +375,16 @@ def evolve_point(
     raise_failure(guards, "point report")
     names = "covariance", "gain", "gammas", "pairs", "class"
     c, growth, gammas, pairs, label = (fields.pop(name)[0] for name in names)
+    floor = _physicality_floor(c)
+    difference = [np.abs(c - ode_oracle(params, tau).c).max()] if oracle else []
+    _check_finite(
+        covariance=c,
+        gain=growth,
+        observables=np.concatenate([value[ok] for value, ok in fields.values()], axis=None),
+        separability=(gammas, pairs),
+        physicality=floor,
+        oracle_max_abs_diff=difference,  # no number without the oracle
+    )
     computed = {
         "covariance": {"real": c.real.tolist(), "imag": c.imag.tolist()},
         "gain": float(growth),
@@ -386,28 +395,11 @@ def evolve_point(
             "class": label,
             "epsilon": epsilon,
         },
-        # past the status, the Gamma_j minima are finite, and the floor is within 2 of Gamma_1's
-        "physicality": float(_physicality_floor(c)),
+        "physicality": float(floor),
     }
     if oracle:
-        computed["oracle_max_abs_diff"] = float(np.abs(c - ode_oracle(params, tau).c).max())
-    bad = [name for name, value in computed.items() if not _all_finite(value)]
-    if bad:
-        raise NonFinite(f"non-finite result in {', '.join(bad)}")
+        computed["oracle_max_abs_diff"] = float(difference[0])
     return {"params": params.to_dict(), "tau": tau, "atom_number": atom_number, **computed}
-
-
-def _all_finite(value) -> bool:
-    """Whether every number in a report field (nested dicts and lists of
-    numbers, strings and None, which marks an undefined cell) is finite."""
-    if isinstance(value, dict):
-        return all(map(_all_finite, value.values()))
-    if isinstance(value, list):
-        try:  # a list of numbers, checked in one call
-            return all(map(math.isfinite, value))
-        except TypeError:  # or one that holds None, str or lists
-            return all(map(_all_finite, value))
-    return value is None or isinstance(value, str) or math.isfinite(value)
 
 
 @dataclass(frozen=True)

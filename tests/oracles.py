@@ -21,7 +21,10 @@ the one reference that does not use Van Loan's block.  mpmath forms of Van
 Loan's block (``mp_covariance``) and of the stationary 9x9 system
 (``mp_steady_state``, ``mp_lyapunov``) work at a chosen number of digits.
 The lossless propagator's unitarity relations are evaluated at high
-precision on its float entries (``mp_unitarity_defect``).
+precision on its float entries (``mp_unitarity_defect``), and its
+long-time two-mode minima come from the growing eigenvector of the drift
+generator (``exact_eta``), where ``asymptotic_eta`` takes the paper's
+large- and small-rho formulas.
 
 Further down are the eigenvector closed form the package computed before
 its Newton form (``covariance_closed``: the eigensystem S, S^-1 of the
@@ -267,6 +270,18 @@ def mp_unitarity_defect(m, dps):
             -f12 * mpmath.conj(f13) + f22 * mpmath.conj(f23) - f23 * mpmath.conj(f33),
         ]
         return float(max(map(abs, checks)))
+
+
+def exact_eta(params):
+    """The exact long-time limits (eta_12, eta_13) of the S12 and S13
+    minimum eigenvalues of a lossless growing state, the reference of
+    ``asymptotic_eta``.  With v the growing right eigenvector of the drift
+    generator, M tends to e^{lambda tau} v w^dag, and the pure state's
+    two-mode minima tend to eta_12 = |v3|^2/(|v1|^2 + |v2|^2) - 1 and
+    eta_13 = |v2|^2/(|v1|^2 + |v3|^2) - 1, wherever a mode grows."""
+    values, vectors = np.linalg.eig(drift_generator(params))
+    v1, v2, v3 = np.abs(vectors[:, np.argmax(values.real)]) ** 2
+    return float(v3 / (v1 + v2) - 1.0), float(v2 / (v1 + v3) - 1.0)
 
 
 # per row j, the sign flip of the momentum quadrature y_j that the partial

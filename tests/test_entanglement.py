@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from oracles import (
     SYMPLECTIC_FORM,
     covariance_from_quadratures,
+    exact_eta,
     gamma_matrix,
     min_eig,
     mixed_basis_bound,
@@ -21,6 +23,7 @@ from tricarl import (
     RegimeMismatch,
     asymptotic_eta,
     covariance,
+    evolve_point,
     mode_observables,
     physicality,
     separability_report,
@@ -297,6 +300,55 @@ def test_numerical_eta_converges_to_asymptote():
     eta12 = min_eig(two_mode_matrix(v, 1, 2))
     target = asymptotic_eta(IDEAL_SC, "semiclassical")[0]
     assert abs(eta12 - target) < 0.01 * abs(target)
+
+
+def relative_gaps(params, regime):
+    """The relative gaps of ``asymptotic_eta``'s (eta_12, eta_13) to the
+    exact long-time limits."""
+    exact = np.array(exact_eta(params))
+    return np.abs(np.array(asymptotic_eta(params, regime)) - exact) / np.abs(exact)
+
+
+def test_exact_eta_is_the_limit_the_lossless_state_reaches():
+    # rho=100, delta=0: the 200-digit minima at tau=60; at tau=10 the point
+    # report is within 1e-4 of the limit, off resonance too, where the
+    # paper's eta_13 is 0.0125 off
+    assert exact_eta(IDEAL_SC) == pytest.approx((-0.9900003, -0.03883369), rel=1e-6)
+    for delta in (0.0, 1.0):
+        params = ModelParams(rho=100.0, delta=delta)
+        reached = evolve_point(params, 10.0)["separability"]["min_eig_s"][:2]
+        assert np.abs(np.subtract(reached, exact_eta(params))).max() < 1e-4
+    off_resonance = ModelParams(rho=100.0, delta=1.0)
+    assert exact_eta(off_resonance) == pytest.approx((-0.98675378, -0.05095982), rel=1e-6)
+    assert relative_gaps(off_resonance, "semiclassical")[1] == pytest.approx(0.245, abs=1e-3)
+
+
+# (rho, delta) ladders of the two regimes, the relative gaps of (eta_12,
+# eta_13) at each rung, and the orders in rho at which the gaps shrink
+ETA_LADDERS = [
+    pytest.param(
+        "semiclassical", [(10.0, 0.0), (100.0, 0.0), (1000.0, 0.0)],
+        [(9.7e-3, 6.9e-2), (1.0e-4, 9.6e-3), (1.0e-6, 1.0e-3)], (-2, -1),
+        id="semiclassical",
+    ),
+    pytest.param(
+        "quantum", [(0.5, 2.0), (0.1, 10.0)], [(3.0e-2, 2.3e-4), (2.5e-4, 1.6e-8)], (3, 6),
+        id="quantum",
+    ),
+]
+
+
+@pytest.mark.parametrize("regime, points, gaps, orders", ETA_LADDERS)
+def test_asymptotic_eta_approaches_the_exact_limit_at_its_order(regime, points, gaps, orders):
+    # the paper's formulas are the leading order: the gap falls as 1/rho^2
+    # (eta_12) and 1/rho (eta_13) for rho >> 1, at delta = 0, and as rho^3
+    # and rho^6 for rho < 1, at delta = 1/rho; the last rung of each ladder
+    # shows the order to within 0.05
+    measured = np.array([relative_gaps(ModelParams(rho, delta), regime) for rho, delta in points])
+    np.testing.assert_allclose(measured, gaps, rtol=0.05)
+    (rho_a, _), (rho_b, _) = points[-2:]
+    slopes = np.log(measured[-1] / measured[-2]) / math.log(rho_b / rho_a)
+    np.testing.assert_allclose(slopes, orders, atol=0.05)
 
 
 # ----------------------------------------------------------------- physicality

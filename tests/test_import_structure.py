@@ -19,7 +19,8 @@ or as a public name nobody listed.
 An input check raises ``InvalidSpec``, which is a ValueError: no module
 raises a bare ValueError but the JSON writer, which copies ``json.dumps``'s
 error, and no module catches one but the parser of the ``--sweep`` text,
-so the command line translates no library error.
+so the command line translates no library error.  Each error message is
+written out in one function of the package.
 """
 
 import ast
@@ -146,13 +147,13 @@ def test_no_module_imports_scipy():
 
 
 def enclosing_functions(tree, predicate):
-    """The innermost enclosing function (None at module level) of each node
-    of a module for which ``predicate`` holds."""
+    """(innermost enclosing function, None at module level; node) of each
+    node of a module for which ``predicate`` holds."""
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if predicate(child):
-                yield function
+                yield function, child
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             yield from visit(child, child.name if inner else function)
 
@@ -189,11 +190,57 @@ def test_only_the_json_writer_raises_and_only_the_sweep_flag_parser_catches_valu
         return {
             (stem, function)
             for stem, tree in trees.items()
-            for function in enclosing_functions(tree, predicate)
+            for function, _ in enclosing_functions(tree, predicate)
         }
 
     assert sites(raises_value_error) == {("cli", "_json_text")}
     assert sites(catches_value_error) == {("cli", "_parse_sweep_flag")}
+
+
+def error_classes(cls=tricarl.TricarlError):
+    """The names of ``cls`` and of all its subclasses."""
+    return {cls.__name__}.union(*map(error_classes, cls.__subclasses__()))
+
+
+def message_template(node):
+    """A message argument's template: a string literal as it is, an
+    f-string's constant parts with "{}" for each formatted value, None for
+    any other expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        parts = node.values
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in parts)
+    return None
+
+
+def error_messages(tree, classes):
+    """(innermost enclosing function, template) of each message template
+    that a module passes to one of the exception classes ``classes``."""
+
+    def raises_message(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in classes
+            and bool(node.args)
+            and message_template(node.args[0]) is not None
+        )
+
+    for function, call in enclosing_functions(tree, raises_message):
+        yield function, message_template(call.args[0])
+
+
+def test_each_error_message_is_written_in_one_function():
+    # a message written out in two functions can drift apart; one helper
+    # that every caller calls writes it once (raises of one message inside
+    # one function, as in regimes._finite, are allowed)
+    classes = error_classes()
+    sites = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function, template in error_messages(ast.parse(path.read_text()), classes):
+            sites.setdefault(template, set()).add(f"{path.stem}.{function}")
+    assert {template: sorted(found) for template, found in sites.items() if len(found) > 1} == {}
 
 
 def init_imports(tree):

@@ -2,7 +2,8 @@
 
 One case per check that rejects a number, a name or a shape a caller
 passes in: the model and laboratory parameters, tau, the atom number, the
-sign tolerance, a regime name and a covariance's shape.  Each case pins
+sign tolerance, a regime name, a covariance's shape and a sweep's axis and
+points.  Each case pins
 the exception's exact class and its message, so that a caller catching
 ValueError and the command line's "invalid_spec" record read the same
 text.
@@ -18,6 +19,7 @@ from tricarl import (
     InvalidSpec,
     LabParams,
     ModelParams,
+    SweepSpec,
     asymptotic_eta,
     carl_parameter,
     classify_regime,
@@ -27,7 +29,9 @@ from tricarl import (
     lossless_highgain_populations,
     mode_observables,
     ode_oracle,
+    saturation_estimates,
     separability_report,
+    sr_quantum_populations,
 )
 
 FIG5 = ModelParams(rho=100.0, delta=3.5, gamma1=0.5, gamma2=0.5, kappa=0.5)
@@ -48,6 +52,11 @@ def lab(**overrides):
         probe_frequency=2.4e15 - 5 * 2 * math.pi * 3.8e3,
     )
     return LabParams(**{**fields, **overrides})
+
+
+def sweep(**overrides):
+    fields = dict(axis="delta", start=0.0, stop=1.0, points=3, fixed=FIG5, outputs=("n1",), tau=1.0)
+    return SweepSpec(**{**fields, **overrides})
 
 
 CHECKS = [
@@ -121,6 +130,27 @@ CHECKS = [
         "regime must be 'semiclassical' or 'quantum', got 'classical'",
         id="lossless_highgain_populations.regime",
     ),
+    pytest.param(
+        lambda: sr_quantum_populations(FIG5, -1.0), "tau must be finite and >= 0, got -1.0",
+        id="regimes.tau",
+    ),
+    pytest.param(
+        lambda: saturation_estimates(FIG5, math.inf),
+        "atom_number must be finite and > 0, got inf",
+        id="saturation_estimates.atom_number",
+    ),
+    pytest.param(
+        lambda: sweep(axis="rho"),
+        "axis must be one of ('delta', 'tau', 'gamma', 'kappa'), got 'rho'",
+        id="SweepSpec.axis",
+    ),
+    pytest.param(
+        lambda: sweep(points=2.0), "points must be an integer, got 2.0", id="SweepSpec.points"
+    ),
+    pytest.param(
+        lambda: sweep(points=1), "points must be in [2, 1000000], got 1", id="SweepSpec.range"
+    ),
+    pytest.param(lambda: sweep(tau=-1.0), "tau must be >= 0, got -1.0", id="SweepSpec.tau"),
 ]
 
 
